@@ -14,9 +14,12 @@ For each family this module knows three things:
   reconstructed exactly via b = (1/2)(grad a + a * d).
 
 Everything operates on plain float64 arrays; points of shape (n, d).
-Pairs closer than ``MIN_PAIR_SEPARATION`` raise
-``SingularConfigurationError``; nonpositive coordinates of the [0, inf)
-families raise ``DomainError``.
+``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
+of states of shape (P, n, d) and return the stacked per-state drifts,
+bitwise equal to P separate calls.  Pairs closer than
+``MIN_PAIR_SEPARATION`` raise ``SingularConfigurationError``; nonpositive
+coordinates of the [0, inf) families raise ``DomainError``; in a stack,
+one such member makes the whole call raise.
 """
 
 from __future__ import annotations
@@ -140,24 +143,41 @@ def _points_of(state) -> np.ndarray:
 
 
 def _check_domain(spec: ModelSpec, arr: np.ndarray) -> None:
-    if spec.nonnegative_domain and arr.size and np.min(arr) <= 0.0:
+    # per state of a stack, so that a NaN in one member hides nothing in another
+    if spec.nonnegative_domain and arr.size and np.any(np.min(arr, axis=(-2, -1)) <= 0.0):
         raise DomainError(f"family {spec.family.value} requires strictly positive coordinates")
 
 
 def _check_separation(dist: np.ndarray) -> None:
-    if dist.size and np.min(dist) < MIN_PAIR_SEPARATION:
+    if dist.size and np.any(np.min(dist, axis=(-2, -1)) < MIN_PAIR_SEPARATION):
         raise SingularConfigurationError(
             f"pair separation below {MIN_PAIR_SEPARATION:g}; configuration is singular"
         )
 
 
 def _pair_geometry(arr: np.ndarray):
-    """Difference tensor (n, n, d) and distance matrix with +inf diagonal."""
-    diff = arr[:, None, :] - arr[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
-    np.fill_diagonal(dist, np.inf)
+    """Difference tensor (..., n, n, d) and distance matrix with +inf diagonal."""
+    diff = arr[..., :, None, :] - arr[..., None, :, :]
+    dist = np.sqrt(np.sum(diff**2, axis=-1))
+    diag = np.arange(arr.shape[-2])
+    dist[..., diag, diag] = np.inf
     _check_separation(dist)
     return diff, dist
+
+
+def _line_differences(x: np.ndarray) -> np.ndarray:
+    """x_i - x_j (..., n, n) for 1d positions x (..., n), +inf on the diagonal.
+
+    The separation check uses |x_i - x_j|, which equals the Euclidean
+    distance sqrt((x_i - x_j)**2) wherever the check can go either way.
+    Off the diagonal no difference is 0 once the check has passed, so
+    1 / (x_i - x_j) needs no guard and is 0 on the diagonal.
+    """
+    d = x[..., :, None] - x[..., None, :]
+    diag = np.arange(x.shape[-1])
+    d[..., diag, diag] = np.inf
+    _check_separation(np.abs(d))
+    return d
 
 
 def _validate_trunc(spec: ModelSpec, trunc: TruncationParams) -> TruncationVariant | None:
@@ -176,59 +196,50 @@ def _validate_trunc(spec: ModelSpec, trunc: TruncationParams) -> TruncationVaria
 
 
 def drift_finite_all(spec: ModelSpec, state) -> np.ndarray:
-    """Finite-n SDE drift for every particle; shape (n, d)."""
+    """Finite-n SDE drift for every particle; shape (n, d), or (P, n, d)
+    for a stack of P states."""
     arr = _points_of(state)
-    if arr.shape[1] != spec.dimension:
-        raise ValueError(f"state dimension {arr.shape[1]} != family dimension {spec.dimension}")
+    if arr.shape[-1] != spec.dimension:
+        raise ValueError(f"state dimension {arr.shape[-1]} != family dimension {spec.dimension}")
     _check_domain(spec, arr)
     n = spec.n_particles
-    if arr.shape[0] != n:
-        raise ValueError(f"state has {arr.shape[0]} particles, spec expects {n}")
+    if arr.shape[-2] != n:
+        raise ValueError(f"state has {arr.shape[-2]} particles, spec expects {n}")
     beta = spec.beta
     fam = spec.family
 
     if fam is Family.AIRY:
-        x = arr[:, 0]
-        diff, _ = _pair_geometry(arr)
-        inv = np.where(np.eye(len(x), dtype=bool), 0.0, 1.0 / np.where(diff[:, :, 0] == 0, np.inf, diff[:, :, 0]))
-        s = inv.sum(axis=1)
+        x = arr[..., 0]
+        s = (1.0 / _line_differences(x)).sum(axis=-1)
         n13 = float(n) ** (1.0 / 3.0)
         b = 0.5 * beta * (s - n13 - x / (2.0 * n13))
-        return b[:, None]
+        return b[..., None]
 
     if fam is Family.GINIBRE:
         diff, dist = _pair_geometry(arr)
         w = np.where(np.isinf(dist), 0.0, 1.0 / np.where(np.isinf(dist), 1.0, dist**2))
-        inter = np.sum(diff * w[:, :, None], axis=1)
+        inter = np.sum(diff * w[..., None], axis=-2)
         return -arr + inter
 
     if fam is Family.BESSEL:
-        x = arr[:, 0]
-        diff, _ = _pair_geometry(arr)
-        inv = np.where(np.eye(len(x), dtype=bool), 0.0, 1.0 / np.where(diff[:, :, 0] == 0, np.inf, diff[:, :, 0]))
-        s = inv.sum(axis=1)
+        x = arr[..., 0]
+        s = (1.0 / _line_differences(x)).sum(axis=-1)
         b = -1.0 / (8.0 * n) + spec.alpha / (2.0 * x) + s
-        return b[:, None]
+        return b[..., None]
 
     if fam is Family.SQUARE_BESSEL:
-        x = arr[:, 0]
-        diff, _ = _pair_geometry(arr)
-        d0 = diff[:, :, 0]
-        ratio = np.where(np.eye(len(x), dtype=bool), 0.0, x[:, None] / np.where(d0 == 0, np.inf, d0))
-        s = ratio.sum(axis=1)
+        x = arr[..., 0]
+        s = (x[..., :, None] / _line_differences(x)).sum(axis=-1)
         b = 4.0 * (-x / (8.0 * n) + 0.5 * (spec.alpha + 1.0) + s)
-        return b[:, None]
+        return b[..., None]
 
     if fam is Family.SQRT_SQUARE_BESSEL:
-        x = arr[:, 0]
-        diff, _ = _pair_geometry(arr)
-        d0 = diff[:, :, 0]
-        ssum = x[:, None] + x[None, :]
-        denom = d0 * ssum
-        terms = np.where(np.eye(len(x), dtype=bool), 0.0, 2.0 * x[:, None] / np.where(denom == 0, np.inf, denom))
-        s = terms.sum(axis=1)
+        x = arr[..., 0]
+        denom = _line_differences(x) * (x[..., :, None] + x[..., None, :])
+        # the product can underflow to 0 for positions near the edge
+        s = (2.0 * x[..., :, None] / np.where(denom == 0, np.inf, denom)).sum(axis=-1)
         b = -x / (4.0 * n) + (spec.alpha + 0.5) / x + s
-        return b[:, None]
+        return b[..., None]
 
     # translation-invariant 3d families with confining potential c|x|^2/n^theta
     diff, dist = _pair_geometry(arr)
@@ -238,7 +249,7 @@ def drift_finite_all(spec: ModelSpec, state) -> np.ndarray:
     else:  # Riesz
         w = 1.0 / dist ** (spec.riesz_a + 2.0)
     w = np.where(np.isinf(dist), 0.0, w)
-    inter = 0.5 * beta * np.sum(diff * w[:, :, None], axis=1)
+    inter = 0.5 * beta * np.sum(diff * w[..., None], axis=-2)
     return free + inter
 
 
@@ -354,7 +365,11 @@ def drift_limit_truncated(spec: ModelSpec, i: int, state, trunc: TruncationParam
 
 
 def drift_limit_truncated_all(spec: ModelSpec, state, trunc: TruncationParams) -> np.ndarray:
+    """Truncated limit drift of every particle; shape (n, d), or (P, n, d)
+    for a stack of P states."""
     arr = _points_of(state)
+    if arr.ndim == 3:
+        return np.stack([drift_limit_truncated_all(spec, a, trunc) for a in arr])
     return np.stack([drift_limit_truncated(spec, i, arr, trunc) for i in range(arr.shape[0])])
 
 

@@ -1,16 +1,27 @@
 """Path integration for the finite and truncated-limit particle SDEs.
 
-The default scheme is Euler-Maruyama with recursive substep halving:
-a base step is split until the drift move |b| h stays below both the
+The default scheme is Euler-Maruyama with adaptive substep halving: a
+base step is split until the drift move |b| h stays below both the
 configured cap and a tenth of the smallest interparticle gap, which is
 what keeps the singular pair drifts stable.  A tamed scheme (divide the
 drift by 1 + dt |b|) is available as a fallback that never substeps.
+
+All paths of a run are integrated together as one (P, n, d) array.  Each
+path sits at its own node of its own binary substep tree, tracked as an
+integer tick and span in units of dt / 2**30, and the paths meet again
+only at the end.  One iteration makes one drift call for all live paths;
+every path then either descends one level or, at a leaf, takes its move
+and goes on to the next node depth first.  A path whose step fails
+(singular drift, depth or boundary budget exhausted) leaves the batch
+with its reason and the others go on.  Per path, the nodes visited, the
+drifts evaluated and the noise drawn are those of a depth-first walk of
+that path alone, so the batch changes no output bit.
 
 Recording is decoupled from integration: states land on the grid
 t_k = k * dt_record.  Every (path, recording interval) pair draws from
 its own RNG substream, so a run is bitwise reproducible from (seed,
 config) alone, restartable from any recorded state, and independent of
-the worker count.
+the worker count and of which other paths share the batch.
 
     spec = ModelSpec(Family.AIRY, 10, beta=2.0)
     cfg = IntegratorConfig(dt=1e-4, t_final=0.05, dt_record=1e-3)
@@ -23,7 +34,6 @@ the worker count.
 from __future__ import annotations
 
 import enum
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -160,92 +170,209 @@ class PathEnsemble:
 
 
 # ---------------------------------------------------------------------------
-# single-step machinery
+# batched integration loop
 # ---------------------------------------------------------------------------
 
+# A base step is a binary tree of substeps.  A path's place in its
+# recording interval is counted in ticks of dt / 2**_TREE_DEPTH, so a node
+# at depth k spans 2**(_TREE_DEPTH - k) ticks.  After a leaf that ends at
+# tick t, the next node depth first spans the lowest set bit of t, capped
+# at one base step.
+_TREE_DEPTH = 30
+_BASE_TICKS = 1 << _TREE_DEPTH
 
-class _StepStats:
-    __slots__ = ("substeps", "max_depth")
-
-    def __init__(self) -> None:
-        self.substeps = 0
-        self.max_depth = 0
+# cap on paths * n * n * d per batch, which bounds the pair tensors a
+# drift call allocates; larger ensembles run as consecutive blocks
+_BLOCK_PAIR_TERMS = 1 << 22
 
 
-def _drift(spec: ModelSpec, pts: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+def _drift_of(spec: ModelSpec, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    if cfg.truncation is not None:
+        return drift_limit_truncated_all(spec, x, cfg.truncation)
+    return drift_finite_all(spec, x)
+
+
+def _drift(spec, x, cfg):
+    """Drift of every state of the (L, n, d) stack, plus {row: reason} for
+    the rows at a singular configuration (their drift rows are zero)."""
     try:
-        if cfg.truncation is not None:
-            return drift_limit_truncated_all(spec, pts, cfg.truncation)
-        return drift_finite_all(spec, pts)
-    except SingularConfigurationError as exc:
-        raise StepFailureError(f"drift evaluation hit a singular configuration: {exc}") from exc
+        return _drift_of(spec, x, cfg), {}
+    except SingularConfigurationError:
+        pass
+    b = np.zeros_like(x)
+    singular = {}
+    for i, pts in enumerate(x):
+        try:
+            b[i] = _drift_of(spec, pts, cfg)
+        except SingularConfigurationError as exc:
+            singular[i] = f"drift evaluation hit a singular configuration: {exc}"
+    return b, singular
 
 
-def _min_gap(pts: np.ndarray) -> float:
-    n = pts.shape[0]
+def _split(spec, x, b, h, noise_root_h, cfg):
+    """Which rows halve their substep, and each row's largest drift norm.
+
+    A row splits while its drift move |b| h exceeds the cap or a tenth of
+    its smallest gap, or while its substep noise does.
+    """
+    bmax = np.maximum.reduce(np.sqrt(np.add.reduce(b * b, axis=2)), axis=1)
+    n_rows, n, d = x.shape
     if n < 2:
-        return math.inf
-    if pts.shape[1] == 1:
-        x = np.sort(pts[:, 0])
-        return float(np.min(np.diff(x)))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    dist[np.diag_indices(n)] = np.inf
-    return float(np.min(dist))
-
-
-def _leaf_move(spec, pts, b, h, g, cfg, stats, depth):
-    sig = None
-    if diffusion_kind(spec) is not DiffusionKind.IDENTITY:
-        sig = diffusion_sigma(spec, pts)
-    root_h = math.sqrt(h)
-    for _ in range(_REJECT_RETRIES):
-        xi = g.standard_normal(pts.shape)
-        noise = xi if sig is None else sig * xi
-        new = pts + b * h + cfg.noise_scale * root_h * noise
-        if spec.nonnegative_domain and np.min(new) <= 0.0:
-            if cfg.boundary_policy is BoundaryPolicy.REJECT_STEP:
-                continue
-            new = np.abs(new)
-        stats.substeps += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        return new
-    raise StepFailureError(f"boundary rejection budget ({_REJECT_RETRIES}) exhausted")
-
-
-def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
-    b = _drift(spec, pts, cfg)
-    if cfg.scheme is Scheme.TAMED_EULER:
-        norms = np.sqrt(np.sum(b * b, axis=1, keepdims=True))
-        return _leaf_move(spec, pts, b / (1.0 + h * norms), h, g, cfg, stats, depth)
-    bmax = float(np.max(np.sqrt(np.sum(b * b, axis=1)))) if b.size else 0.0
-    gap = _min_gap(pts)
-    split = bmax * h > min(cfg.drift_cap_delta, 0.1 * gap)
-    if not split and cfg.noise_scale > 0.0 and math.isfinite(gap):
+        gap = np.full(n_rows, np.inf)
+    elif d == 1:
+        # the smallest gap is an adjacent one, and the sort is needed below
+        xs = np.sort(x[:, :, 0], axis=1)
+        gaps = xs[:, 1:] - xs[:, :-1]
+        gap = np.minimum.reduce(gaps, axis=1)
+    else:
+        diff = x[:, :, None, :] - x[:, None, :, :]
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=3))
+        diag = np.arange(n)
+        dist[:, diag, diag] = np.inf
+        gap = np.minimum.reduce(dist, axis=(1, 2))
+    tenth = 0.1 * gap
+    split = bmax * h > np.fmin(tenth, cfg.drift_cap_delta)
+    if cfg.noise_scale > 0.0 and n >= 2:
         # the drift cap alone leaves the substep noise at a fixed ~0.45
         # fraction of the gap (both scale with it), which lets diffusion
         # hop a crossing; also resolving the noise against the gap makes
         # label swaps vanish while keeping the same dip statistics
-        scaled_root_h = cfg.noise_scale * math.sqrt(h)
         if diffusion_kind(spec) is DiffusionKind.IDENTITY:
-            split = scaled_root_h > 0.1 * gap
+            split |= noise_root_h > tenth
         else:
             # state-dependent noise: a swap is a per-pair event, so test
             # each adjacent pair against its own coefficient instead of
             # the global max against the global gap (that bound forces
             # deep substepping of well-separated high-noise particles)
-            x = np.sort(pts[:, 0])
-            sig = diffusion_sigma(spec, x[:, None])[:, 0]
-            pair_sig = np.maximum(sig[1:], sig[:-1])
-            split = bool(np.any(scaled_root_h * pair_sig > 0.1 * np.diff(x)))
-    if split:
-        if depth >= cfg.max_substep_depth:
-            raise StepFailureError(
-                f"substep depth {cfg.max_substep_depth} exhausted (|b| = {bmax:.3g}, h = {h:.3g})"
+            sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
+            pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
+            split |= np.isfinite(gap) & np.any(noise_root_h[:, None] * pair_sig > 0.1 * gaps, axis=1)
+    return split, bmax
+
+
+def _moves(spec, x, b, h, noise_root_h, rows, gens, cfg):
+    """Euler-Maruyama moves of the leaf ``rows`` of the (L, n, d) stack.
+
+    Row i draws from ``gens[i]``; the other rows keep their state.
+    Returns the new stack and the rows whose boundary rejection budget
+    ran out (those keep their state too).
+    """
+    sig = None if diffusion_kind(spec) is DiffusionKind.IDENTITY else diffusion_sigma(spec, x)
+    drifted = x + b * h[:, None, None]
+    scale = noise_root_h[:, None, None]
+    new = x.copy()
+    for _ in range(_REJECT_RETRIES):
+        noise = np.zeros_like(x)
+        for i in rows:
+            gens[i].standard_normal(out=noise[i])
+        if sig is not None:
+            noise = sig * noise
+        trial = drifted + scale * noise
+        if spec.nonnegative_domain:
+            if cfg.boundary_policy is BoundaryPolicy.REJECT_STEP:
+                low = np.min(trial[rows], axis=(1, 2)) <= 0.0
+                new[rows[~low]] = trial[rows[~low]]
+                rows = rows[low]
+                if rows.size:
+                    continue
+                break
+            trial = np.abs(trial)
+        new[rows] = trial[rows]
+        return new, rows[:0]
+    return new, rows
+
+
+def _integrate(spec, cfg, starts, h0, n_rec, m, generator):
+    """Integrate every state of the (P, n, d) stack ``starts`` over
+    ``n_rec`` recording intervals of ``m`` base steps of length ``h0``.
+
+    ``generator(p, j)`` is the noise generator of path p on interval j.
+    Each iteration evaluates the drift of all live paths in one call;
+    each path then either descends one level of its own substep tree or
+    takes the move of its leaf and goes on to the next node depth first.
+    A path whose step fails leaves the batch; the others go on.
+
+    Returns the recorded states (P, n_rec + 1, n, d), the leaf count and
+    deepest leaf of each finished path, and each path's failure reason
+    (None for the paths that finished).
+    """
+    n_paths = len(starts)
+    rec = np.empty((n_paths, n_rec + 1) + starts.shape[1:])
+    rec[:, 0] = starts
+    substeps = np.zeros(n_paths, dtype=np.int64)
+    max_depth = np.zeros(n_paths, dtype=np.int64)
+    reasons = [None] * n_paths
+    unit = h0 / _BASE_TICKS
+    interval_ticks = m * _BASE_TICKS
+    finest_split = _BASE_TICKS >> cfg.max_substep_depth  # nodes this narrow may not split
+    tamed = cfg.scheme is Scheme.TAMED_EULER
+    # state of the live paths, compacted whenever one leaves the batch
+    ids = np.arange(n_paths if n_rec else 0)
+    x = starts[ids]
+    span = np.full(len(ids), _BASE_TICKS)  # ticks covered by the current node
+    tick = np.zeros_like(span)  # where it starts in the recording interval
+    finest = span.copy()  # narrowest leaf so far
+    leaves = np.zeros_like(span)
+    interval = np.zeros_like(span)
+    gens = [generator(p, 0) for p in ids]
+    while ids.size:
+        b, singular = _drift(spec, x, cfg)
+        h = span * unit
+        noise_root_h = cfg.noise_scale * np.sqrt(h)
+        gone = list(singular)
+        for i, reason in singular.items():
+            reasons[ids[i]] = reason
+        if tamed:
+            b = b / (1.0 + h[:, None, None] * np.sqrt(np.sum(b * b, axis=2, keepdims=True)))
+            split = np.zeros(len(ids), dtype=bool)
+        else:
+            split, bmax = _split(spec, x, b, h, noise_root_h, cfg)
+            if gone:
+                split[gone] = False
+            deep = split & (span <= finest_split)
+            if deep.any():
+                for i in np.flatnonzero(deep):
+                    reasons[ids[i]] = (
+                        f"substep depth {cfg.max_substep_depth} exhausted (|b| = {bmax[i]:.3g}, h = {h[i]:.3g})"
+                    )
+                    gone.append(i)
+        leaf = ~split
+        if gone:
+            leaf[gone] = False
+        x, stuck = _moves(spec, x, b, h, noise_root_h, np.flatnonzero(leaf), gens, cfg)
+        for i in stuck:
+            reasons[ids[i]] = f"boundary rejection budget ({_REJECT_RETRIES}) exhausted"
+            leaf[i] = False
+            gone.append(i)
+
+        # split rows descend a level; leaf rows move on to the next node
+        leaves += leaf
+        np.minimum(finest, span, out=finest, where=leaf)
+        np.add(tick, span, out=tick, where=leaf)
+        span >>= split
+        np.minimum(tick & -tick, _BASE_TICKS, out=span, where=leaf)
+        full = tick == interval_ticks
+        if full.any():
+            for i in np.flatnonzero(full):
+                tick[i] = 0
+                interval[i] += 1
+                rec[ids[i], interval[i]] = x[i]
+                if interval[i] < n_rec:
+                    gens[i] = generator(ids[i], interval[i])
+                else:
+                    substeps[ids[i]] = leaves[i]
+                    max_depth[ids[i]] = _TREE_DEPTH + 1 - int(finest[i]).bit_length()
+                    gone.append(i)
+        if len(gone) == len(ids):
+            break
+        if gone:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[gone] = False
+            ids, x, span, tick, finest, leaves, interval = (
+                a[keep] for a in (ids, x, span, tick, finest, leaves, interval)
             )
-        pts = _advance(spec, pts, 0.5 * h, depth + 1, g, cfg, stats)
-        return _advance(spec, pts, 0.5 * h, depth + 1, g, cfg, stats)
-    return _leaf_move(spec, pts, b, h, g, cfg, stats, depth)
+            gens = [g for g, k in zip(gens, keep) if k]
+    return rec, substeps, max_depth, reasons
 
 
 def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> LabeledState:
@@ -261,11 +388,13 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> Label
     pts = np.array(getattr(state, "points", state), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    out = _advance(spec, pts, float(dt), 0, g, cfg, _StepStats())
+    rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g)
+    if reasons[0] is not None:
+        raise StepFailureError(reasons[0])
     scheme = getattr(
         state, "scheme", LabelScheme.ASCENDING_VALUE if pts.shape[1] == 1 else LabelScheme.ASCENDING_MODULUS
     )
-    return LabeledState(out, scheme)
+    return LabeledState(rec[0, 1], scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +402,17 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> Label
 # ---------------------------------------------------------------------------
 
 
-def _integrate_path(task):
-    spec, cfg, pts0, stream, path_idx, start_interval, n_rec = task
-    m = cfg.substeps_per_record
-    rec = np.empty((n_rec + 1,) + pts0.shape)
-    rec[0] = pts0
-    stats = _StepStats()
-    pts = pts0
-    try:
-        for j in range(n_rec):
-            g = stream.generator(path_idx, start_interval + j)
-            for _ in range(m):
-                pts = _advance(spec, pts, cfg.dt, 0, g, cfg, stats)
-            rec[j + 1] = pts
-    except StepFailureError as exc:
-        return None, stats.substeps, stats.max_depth, f"path {path_idx}: {exc}"
-    return rec, stats.substeps, stats.max_depth, None
+def _integrate_block(task):
+    spec, cfg, starts, stream, first, start_interval, n_rec = task
+    return _integrate(
+        spec,
+        cfg,
+        starts,
+        cfg.dt,
+        n_rec,
+        cfg.substeps_per_record,
+        lambda p, j: stream.generator(first + p, start_interval + j),
+    )
 
 
 def _count_order_swaps(states: np.ndarray) -> int:
@@ -313,8 +437,8 @@ def simulate(
     Noise for path p on recording interval j comes from the substream
     ``rng.generator(p, start_interval + j)``; restarting from a recorded
     state with the matching ``start_interval`` reproduces the tail
-    bitwise.  ``workers`` > 1 distributes paths over processes without
-    changing any output.
+    bitwise.  ``workers`` > 1 gives each process a contiguous block of
+    paths without changing any output.
 
     Near-collisions below the substep resolution end a path with a step
     failure.  ``on_failure="raise"`` propagates the first one with its
@@ -340,25 +464,36 @@ def simulate(
             pts = pts[:, None]
         if pts.shape[1] != spec.dimension:
             raise ValueError(f"initial state dimension {pts.shape[1]} != family dimension {spec.dimension}")
+        if pts.shape[0] != spec.n_particles:
+            raise ValueError(f"state has {pts.shape[0]} particles, spec expects {spec.n_particles}")
         starts.append(pts)
     if not starts:
         raise ValueError("at least one initial state is required")
+    starts = np.stack(starts)
 
-    tasks = [(spec, cfg, pts, rng, p, start_interval, n_rec) for p, pts in enumerate(starts)]
+    n_paths = len(starts)
+    per_block = max(1, _BLOCK_PAIR_TERMS // (spec.n_particles**2 * spec.dimension))
+    n_blocks = min(n_paths, max(workers or 1, -(-n_paths // per_block)))
+    edges = [n_paths * k // n_blocks for k in range(n_blocks + 1)]
+    tasks = [(spec, cfg, starts[lo:hi], rng, lo, start_interval, n_rec) for lo, hi in zip(edges, edges[1:])]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_integrate_path, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            results = list(pool.map(_integrate_block, tasks))
     else:
-        results = [_integrate_path(t) for t in tasks]
+        results = [_integrate_block(t) for t in tasks]
+    rec = np.concatenate([r[0] for r in results])
+    substeps = np.concatenate([r[1] for r in results])
+    max_depth = np.concatenate([r[2] for r in results])
+    reasons = [reason for r in results for reason in r[3]]
 
-    failures = tuple((p, r[3]) for p, r in enumerate(results) if r[0] is None)
+    failures = tuple((p, f"path {p}: {r}") for p, r in enumerate(reasons) if r is not None)
     if failures and on_failure == "raise":
         raise StepFailureError(failures[0][1])
-    survivors = [p for p, r in enumerate(results) if r[0] is not None]
+    survivors = [p for p, r in enumerate(reasons) if r is None]
     if not survivors:
         raise StepFailureError(f"all paths failed; first: {failures[0][1]}")
 
-    states = np.stack([results[p][0] for p in survivors])
+    states = rec[survivors] if failures else rec
     states.setflags(write=False)
     times = (start_interval + np.arange(n_rec + 1)) * rs
     violations = _count_order_swaps(states) if spec.dimension == 1 else None
@@ -367,8 +502,8 @@ def simulate(
         states=states,
         spec=spec,
         path_seeds=tuple((rng.seed, rng.stream_id, p) for p in survivors),
-        substeps=np.array([results[p][1] for p in survivors]),
-        max_depth_used=max(results[p][2] for p in survivors),
+        substeps=substeps[survivors],
+        max_depth_used=int(max_depth[survivors].max()),
         ordering_violations=violations,
         failed_paths=failures,
     )

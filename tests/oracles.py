@@ -1,19 +1,38 @@
 """Independent oracles used to freeze expected values in the test suite.
 
-Nothing here imports from the package under test.  Each oracle computes a
-reference quantity by a route deliberately different from the library's
-own (direct per-term series instead of recurrences, ODE integration
-instead of series/asymptotics, quadrature instead of closed forms,
-rejection sampling instead of matrix models), so agreement is evidence
-rather than tautology.
+Each oracle computes a reference quantity by a route deliberately
+different from the library's own (direct per-term series instead of
+recurrences, ODE integration instead of series/asymptotics, quadrature
+instead of closed forms, rejection sampling instead of matrix models), so
+agreement is evidence rather than tautology.  Only the reference path
+integrator at the end imports the package: it runs the package's drifts
+through the recursive per-path traversal the package used before its
+batched loop.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from ibrownian.core import (
+    LabeledState,
+    LabelScheme,
+    RngStream,
+    SingularConfigurationError,
+    StepFailureError,
+)
+from ibrownian.models import (
+    DiffusionKind,
+    diffusion_kind,
+    diffusion_sigma,
+    drift_finite_all,
+    drift_limit_truncated_all,
+)
+from ibrownian.sde import BoundaryPolicy, PathEnsemble, Scheme
 
 # Ai(0) and Ai'(0); standard constants, shared with any correct evaluator.
 AIRY_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -246,3 +265,222 @@ def one_sample_ks(values: np.ndarray, cdf) -> float:
 def normal_cdf(x, mean=0.0, sd=1.0):
     z = (np.asarray(x, dtype=float) - mean) / sd
     return 0.5 * np.array([math.erfc(-t / math.sqrt(2.0)) for t in np.atleast_1d(z)]).reshape(np.shape(z))
+
+
+# ---------------------------------------------------------------------------
+# reference path integrator
+# ---------------------------------------------------------------------------
+#
+# The recursive per-path Euler-Maruyama integrator that the package used
+# before its batched loop, kept verbatim as the bitwise reference for
+# ``ibrownian.sde.simulate`` and ``step``: each path walks its substep
+# tree depth first, one drift call per node.  It is the one oracle here
+# that runs library code (drifts, errors, PathEnsemble); what it checks
+# is the integrator's traversal, draw order and failure handling.
+
+_REJECT_RETRIES = 100
+
+
+class _StepStats:
+    __slots__ = ("substeps", "max_depth")
+
+    def __init__(self) -> None:
+        self.substeps = 0
+        self.max_depth = 0
+
+
+def _drift(spec: ModelSpec, pts: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    try:
+        if cfg.truncation is not None:
+            return drift_limit_truncated_all(spec, pts, cfg.truncation)
+        return drift_finite_all(spec, pts)
+    except SingularConfigurationError as exc:
+        raise StepFailureError(f"drift evaluation hit a singular configuration: {exc}") from exc
+
+
+def _min_gap(pts: np.ndarray) -> float:
+    n = pts.shape[0]
+    if n < 2:
+        return math.inf
+    if pts.shape[1] == 1:
+        x = np.sort(pts[:, 0])
+        return float(np.min(np.diff(x)))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist[np.diag_indices(n)] = np.inf
+    return float(np.min(dist))
+
+
+def _leaf_move(spec, pts, b, h, g, cfg, stats, depth):
+    sig = None
+    if diffusion_kind(spec) is not DiffusionKind.IDENTITY:
+        sig = diffusion_sigma(spec, pts)
+    root_h = math.sqrt(h)
+    for _ in range(_REJECT_RETRIES):
+        xi = g.standard_normal(pts.shape)
+        noise = xi if sig is None else sig * xi
+        new = pts + b * h + cfg.noise_scale * root_h * noise
+        if spec.nonnegative_domain and np.min(new) <= 0.0:
+            if cfg.boundary_policy is BoundaryPolicy.REJECT_STEP:
+                continue
+            new = np.abs(new)
+        stats.substeps += 1
+        stats.max_depth = max(stats.max_depth, depth)
+        return new
+    raise StepFailureError(f"boundary rejection budget ({_REJECT_RETRIES}) exhausted")
+
+
+def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
+    b = _drift(spec, pts, cfg)
+    if cfg.scheme is Scheme.TAMED_EULER:
+        norms = np.sqrt(np.sum(b * b, axis=1, keepdims=True))
+        return _leaf_move(spec, pts, b / (1.0 + h * norms), h, g, cfg, stats, depth)
+    bmax = float(np.max(np.sqrt(np.sum(b * b, axis=1)))) if b.size else 0.0
+    gap = _min_gap(pts)
+    split = bmax * h > min(cfg.drift_cap_delta, 0.1 * gap)
+    if not split and cfg.noise_scale > 0.0 and math.isfinite(gap):
+        # the drift cap alone leaves the substep noise at a fixed ~0.45
+        # fraction of the gap (both scale with it), which lets diffusion
+        # hop a crossing; also resolving the noise against the gap makes
+        # label swaps vanish while keeping the same dip statistics
+        scaled_root_h = cfg.noise_scale * math.sqrt(h)
+        if diffusion_kind(spec) is DiffusionKind.IDENTITY:
+            split = scaled_root_h > 0.1 * gap
+        else:
+            # state-dependent noise: a swap is a per-pair event, so test
+            # each adjacent pair against its own coefficient instead of
+            # the global max against the global gap (that bound forces
+            # deep substepping of well-separated high-noise particles)
+            x = np.sort(pts[:, 0])
+            sig = diffusion_sigma(spec, x[:, None])[:, 0]
+            pair_sig = np.maximum(sig[1:], sig[:-1])
+            split = bool(np.any(scaled_root_h * pair_sig > 0.1 * np.diff(x)))
+    if split:
+        if depth >= cfg.max_substep_depth:
+            raise StepFailureError(
+                f"substep depth {cfg.max_substep_depth} exhausted (|b| = {bmax:.3g}, h = {h:.3g})"
+            )
+        pts = _advance(spec, pts, 0.5 * h, depth + 1, g, cfg, stats)
+        return _advance(spec, pts, 0.5 * h, depth + 1, g, cfg, stats)
+    return _leaf_move(spec, pts, b, h, g, cfg, stats, depth)
+
+
+def reference_step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> LabeledState:
+    """One base step of length dt (substepping internally as needed)."""
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    if isinstance(rng, RngStream):
+        g = rng.generator()
+    elif isinstance(rng, np.random.Generator):
+        g = rng
+    else:
+        raise TypeError("rng must be an RngStream or numpy Generator")
+    pts = np.array(getattr(state, "points", state), dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    out = _advance(spec, pts, float(dt), 0, g, cfg, _StepStats())
+    scheme = getattr(
+        state, "scheme", LabelScheme.ASCENDING_VALUE if pts.shape[1] == 1 else LabelScheme.ASCENDING_MODULUS
+    )
+    return LabeledState(out, scheme)
+
+
+def _integrate_path(task):
+    spec, cfg, pts0, stream, path_idx, start_interval, n_rec = task
+    m = cfg.substeps_per_record
+    rec = np.empty((n_rec + 1,) + pts0.shape)
+    rec[0] = pts0
+    stats = _StepStats()
+    pts = pts0
+    try:
+        for j in range(n_rec):
+            g = stream.generator(path_idx, start_interval + j)
+            for _ in range(m):
+                pts = _advance(spec, pts, cfg.dt, 0, g, cfg, stats)
+            rec[j + 1] = pts
+    except StepFailureError as exc:
+        return None, stats.substeps, stats.max_depth, f"path {path_idx}: {exc}"
+    return rec, stats.substeps, stats.max_depth, None
+
+
+def _count_order_swaps(states: np.ndarray) -> int:
+    if states.shape[1] < 2 or states.shape[2] < 2:
+        return 0
+    sgn = np.sign(np.diff(states[..., 0], axis=2))
+    return int(np.sum(sgn[:, 1:, :] * sgn[:, :-1, :] < 0))
+
+
+def reference_simulate(
+    spec: ModelSpec,
+    initial,
+    cfg: IntegratorConfig,
+    rng: RngStream,
+    *,
+    workers: int | None = None,
+    start_interval: int = 0,
+    on_failure: str = "raise",
+) -> PathEnsemble:
+    """Integrate one trajectory per initial state.
+
+    Noise for path p on recording interval j comes from the substream
+    ``rng.generator(p, start_interval + j)``; restarting from a recorded
+    state with the matching ``start_interval`` reproduces the tail
+    bitwise.  ``workers`` > 1 distributes paths over processes without
+    changing any output.
+
+    Near-collisions below the substep resolution end a path with a step
+    failure.  ``on_failure="raise"`` propagates the first one with its
+    path index; ``"drop"`` excludes flagged paths from the ensemble and
+    lists them in ``failed_paths`` (their noise streams are untouched,
+    so surviving paths are bitwise independent of the flagged ones).
+    """
+    if not isinstance(rng, RngStream):
+        raise TypeError("simulate requires an RngStream (determinism contract)")
+    if start_interval < 0:
+        raise ValueError("start_interval must be >= 0")
+    if on_failure not in ("raise", "drop"):
+        raise ValueError("on_failure must be 'raise' or 'drop'")
+    rs = cfg.record_step
+    n_rec = round(cfg.t_final / rs)
+    if abs(cfg.t_final - n_rec * rs) > 1e-9 * rs:
+        raise ValueError("t_final must be an integer multiple of dt_record")
+
+    starts = []
+    for state in initial:
+        pts = np.array(getattr(state, "points", state), dtype=float)
+        if pts.ndim == 1:
+            pts = pts[:, None]
+        if pts.shape[1] != spec.dimension:
+            raise ValueError(f"initial state dimension {pts.shape[1]} != family dimension {spec.dimension}")
+        starts.append(pts)
+    if not starts:
+        raise ValueError("at least one initial state is required")
+
+    tasks = [(spec, cfg, pts, rng, p, start_interval, n_rec) for p, pts in enumerate(starts)]
+    if workers is not None and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_integrate_path, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    else:
+        results = [_integrate_path(t) for t in tasks]
+
+    failures = tuple((p, r[3]) for p, r in enumerate(results) if r[0] is None)
+    if failures and on_failure == "raise":
+        raise StepFailureError(failures[0][1])
+    survivors = [p for p, r in enumerate(results) if r[0] is not None]
+    if not survivors:
+        raise StepFailureError(f"all paths failed; first: {failures[0][1]}")
+
+    states = np.stack([results[p][0] for p in survivors])
+    states.setflags(write=False)
+    times = (start_interval + np.arange(n_rec + 1)) * rs
+    violations = _count_order_swaps(states) if spec.dimension == 1 else None
+    return PathEnsemble(
+        times=times,
+        states=states,
+        spec=spec,
+        path_seeds=tuple((rng.seed, rng.stream_id, p) for p in survivors),
+        substeps=np.array([results[p][1] for p in survivors]),
+        max_depth_used=max(results[p][2] for p in survivors),
+        ordering_violations=violations,
+        failed_paths=failures,
+    )

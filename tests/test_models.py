@@ -307,6 +307,79 @@ class TestDomainAndSingularityGuards:
             M.drift_finite_all(spec, np.array([1.0, 2.0]))
 
 
+# one spec per family, with the truncation its limit field takes
+_BATCH_FAMILIES = [
+    (Family.AIRY, {"beta": 2.0}, None),
+    (Family.GINIBRE, {}, "centered"),
+    (Family.GINIBRE, {}, "origin"),
+    (Family.BESSEL, {"alpha": 1.0}, None),
+    (Family.SQUARE_BESSEL, {"alpha": 1.0}, None),
+    (Family.SQRT_SQUARE_BESSEL, {"alpha": 2.0}, None),
+    (Family.LENNARD_JONES, {"beta": 1.0}, None),
+    (Family.RIESZ, {"beta": 1.0, "riesz_a": 4}, None),
+]
+
+
+def _stack(spec, n_states, seed):
+    rng = np.random.default_rng(seed)
+    size = (n_states, spec.n_particles, spec.dimension)
+    if spec.nonnegative_domain:
+        return rng.uniform(0.2, 9.0, size)
+    return rng.normal(0.0, 3.0, size)
+
+
+class TestBatchAxis:
+    """A (P, n, d) stack gives the stacked per-state drifts, bitwise."""
+
+    @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_finite_drift_equals_stacked_calls(self, fam, kw, variant, n):
+        spec = _spec(fam, n, **kw)
+        stack = _stack(spec, 6, seed=n)
+        got = M.drift_finite_all(spec, stack)
+        want = np.stack([M.drift_finite_all(spec, state) for state in stack])
+        assert got.shape == (6, n, spec.dimension)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
+    def test_truncated_drift_equals_stacked_calls(self, fam, kw, variant):
+        spec = _spec(fam, 8, **kw)
+        trunc = M.TruncationParams(radius=4.0, variant=variant)
+        stack = _stack(spec, 5, seed=3)
+        got = M.drift_limit_truncated_all(spec, stack, trunc)
+        want = np.stack([M.drift_limit_truncated_all(spec, state, trunc) for state in stack])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
+    def test_singular_member_raises(self, fam, kw, variant):
+        spec = _spec(fam, 4, **kw)
+        stack = _stack(spec, 5, seed=4)
+        stack[3, 2] = stack[3, 0] + 1e-13
+        trunc = M.TruncationParams(radius=50.0, variant=variant)
+        with pytest.raises(SingularConfigurationError):
+            M.drift_finite_all(spec, stack)
+        with pytest.raises(SingularConfigurationError):
+            M.drift_limit_truncated_all(spec, stack, trunc)
+
+    @pytest.mark.parametrize("fam", [Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL])
+    def test_out_of_domain_member_raises(self, fam):
+        spec = _spec(fam, 4, alpha=1.0)
+        stack = _stack(spec, 5, seed=5)
+        stack[4, 1, 0] = -0.5
+        with pytest.raises(DomainError):
+            M.drift_finite_all(spec, stack)
+        with pytest.raises(DomainError):
+            M.drift_limit_truncated_all(spec, stack, M.TruncationParams(radius=50.0))
+
+    def test_nan_member_does_not_hide_a_singular_one(self):
+        spec = _spec(Family.AIRY, 3)
+        stack = _stack(spec, 3, seed=6)
+        stack[0, 0, 0] = np.nan
+        stack[2, 1] = stack[2, 0] + 1e-13
+        with pytest.raises(SingularConfigurationError):
+            M.drift_finite_all(spec, stack)
+
+
 class TestDiffusion:
     def test_kind_mapping(self):
         assert M.diffusion_kind(_spec(Family.SQUARE_BESSEL, 2, alpha=1.0)) is M.DiffusionKind.SQUARE_BESSEL_4X

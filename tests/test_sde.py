@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import oracles
+
 from ibrownian.core import (
     Family,
     LabeledState,
@@ -13,6 +15,7 @@ from ibrownian.core import (
     StepFailureError,
 )
 from ibrownian.models import TruncationParams
+from ibrownian.sampling import sample_airy_ensemble
 from ibrownian.sde import (
     BoundaryPolicy,
     IntegratorConfig,
@@ -25,6 +28,17 @@ from ibrownian.sde import (
 
 def _ascending(values):
     return LabeledState(np.asarray(values, dtype=float), LabelScheme.ASCENDING_VALUE)
+
+
+def _assert_same_ensemble(got, want):
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.substeps, want.substeps)
+    assert got.substeps.dtype == want.substeps.dtype
+    assert got.max_depth_used == want.max_depth_used
+    assert got.failed_paths == want.failed_paths
+    assert got.path_seeds == want.path_seeds
+    assert got.ordering_violations == want.ordering_violations
 
 
 class TestIntegratorConfig:
@@ -246,3 +260,153 @@ class TestWeakAccuracy:
         a = direct.states[:, -1, :, 0].ravel()
         b = rooted.states[:, -1, :, 0].ravel() ** 2
         assert ks_2samp(a, b).statistic <= 0.1
+
+
+# one small start per family, with a close pair so that Euler-Maruyama
+# paths substep unevenly
+_FAMILY_STARTS = {
+    "airy": (ModelSpec(Family.AIRY, 4, beta=2.0), [-1.5, -0.3, -0.22, 1.0]),
+    "ginibre": (ModelSpec(Family.GINIBRE, 4), [[0.0, 0.0], [0.15, 0.05], [-0.5, 0.9], [0.3, -1.1]]),
+    "bessel": (ModelSpec(Family.BESSEL, 3, alpha=1.0), [0.05, 0.3, 0.38]),
+    "square_bessel": (ModelSpec(Family.SQUARE_BESSEL, 3, alpha=1.0), [0.3, 2.0, 2.4]),
+    "sqrt_square_bessel": (ModelSpec(Family.SQRT_SQUARE_BESSEL, 3, alpha=1.0), [0.2, 0.9, 1.0]),
+    "lennard_jones": (
+        ModelSpec(Family.LENNARD_JONES, 3, beta=1.0),
+        [[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 1.2, 0.1]],
+    ),
+    "riesz": (ModelSpec(Family.RIESZ, 3, beta=1.0, riesz_a=4), [[0.0, 0.0, 0.0], [0.2, 0.1, 0.0], [0.0, 0.6, 0.3]]),
+}
+
+
+def _starts(name, paths):
+    spec, start = _FAMILY_STARTS[name]
+    scheme = LabelScheme.ASCENDING_VALUE if spec.dimension == 1 else LabelScheme.ASCENDING_MODULUS
+    return spec, [LabeledState(np.asarray(start, dtype=float), scheme)] * paths
+
+
+class TestMatchesRecursiveReference:
+    """The batched loop reproduces the recursive per-path integrator bitwise."""
+
+    @pytest.mark.parametrize("name", sorted(_FAMILY_STARTS))
+    @pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.TAMED_EULER])
+    def test_every_family_and_scheme(self, name, scheme):
+        spec, init = _starts(name, 5)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=5e-3, scheme=scheme, max_substep_depth=30)
+        got = simulate(spec, init, cfg, RngStream(31), on_failure="drop")
+        want = oracles.reference_simulate(spec, init, cfg, RngStream(31), on_failure="drop")
+        _assert_same_ensemble(got, want)
+        if scheme is Scheme.EULER_MARUYAMA:
+            assert got.max_depth_used >= 5
+
+    @pytest.mark.parametrize("noise_scale", [1.5, 3.0])
+    @pytest.mark.parametrize("policy", [BoundaryPolicy.REFLECT, BoundaryPolicy.REJECT_STEP])
+    @pytest.mark.parametrize(
+        "spec,start",
+        [
+            (ModelSpec(Family.BESSEL, 3, alpha=1.0), [0.05, 1.0, 3.0]),
+            (ModelSpec(Family.SQUARE_BESSEL, 3, alpha=1.0), [0.02, 2.0, 6.0]),
+            (ModelSpec(Family.SQRT_SQUARE_BESSEL, 3, alpha=1.0), [0.05, 1.0, 2.5]),
+        ],
+        ids=["bessel", "square_bessel", "sqrt_square_bessel"],
+    )
+    def test_boundary_policies(self, noise_scale, policy, spec, start):
+        # strong noise near the hard edge makes moves cross it; at 3.0 most
+        # paths also end in a collision at the edge and are flagged
+        init = [_ascending(start)] * 6
+        cfg = IntegratorConfig(
+            dt=1e-2, t_final=0.1, dt_record=2e-2, noise_scale=noise_scale, boundary_policy=policy, max_substep_depth=30
+        )
+        got = simulate(spec, init, cfg, RngStream(32), on_failure="drop")
+        want = oracles.reference_simulate(spec, init, cfg, RngStream(32), on_failure="drop")
+        _assert_same_ensemble(got, want)
+
+    @pytest.mark.parametrize(
+        "name,trunc",
+        [
+            ("airy", TruncationParams(radius=2.0)),
+            ("ginibre", TruncationParams(radius=1.2, variant="centered")),
+            ("bessel", TruncationParams(radius=1.0)),
+        ],
+    )
+    def test_truncated_drift(self, name, trunc):
+        spec, init = _starts(name, 4)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=5e-3, truncation=trunc, max_substep_depth=30)
+        got = simulate(spec, init, cfg, RngStream(33), on_failure="drop")
+        want = oracles.reference_simulate(spec, init, cfg, RngStream(33), on_failure="drop")
+        _assert_same_ensemble(got, want)
+
+    def test_workers(self):
+        spec, init = _starts("airy", 7)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=1e-2, max_substep_depth=30)
+        got = simulate(spec, init, cfg, RngStream(34), workers=2)
+        want = oracles.reference_simulate(spec, init, cfg, RngStream(34))
+        _assert_same_ensemble(got, want)
+
+    def test_large_ensembles_run_in_blocks(self, monkeypatch):
+        spec, init = _starts("ginibre", 5)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=5e-3, max_substep_depth=30)
+        # room for two paths per block: blocks of 1, 2 and 2 paths
+        monkeypatch.setattr("ibrownian.sde._BLOCK_PAIR_TERMS", 2 * 4 * 4 * 2)
+        got = simulate(spec, init, cfg, RngStream(39), on_failure="drop")
+        want = oracles.reference_simulate(spec, init, cfg, RngStream(39), on_failure="drop")
+        _assert_same_ensemble(got, want)
+
+    def test_restart_from_recorded_state(self):
+        spec, init = _starts("square_bessel", 4)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=5e-3, max_substep_depth=30)
+        head = simulate(spec, init, cfg, RngStream(35))
+        mid = [head.states[p, -1] for p in range(4)]
+        got = simulate(spec, mid, cfg, RngStream(35), start_interval=2)
+        want = oracles.reference_simulate(spec, mid, cfg, RngStream(35), start_interval=2)
+        _assert_same_ensemble(got, want)
+
+    def test_dyson_round(self):
+        # n = 20 equilibrium starts as in the dyson-sde benchmark: deep, uneven trees
+        spec = ModelSpec(Family.AIRY, 20, beta=2.0)
+        starts, _ = sample_airy_ensemble(20, 2.0, RngStream(36), 6)
+        cfg = IntegratorConfig(dt=5e-4, t_final=0.05, dt_record=0.025, max_substep_depth=30)
+        got = simulate(spec, list(starts), cfg, RngStream(37), on_failure="drop")
+        want = oracles.reference_simulate(spec, list(starts), cfg, RngStream(37), on_failure="drop")
+        _assert_same_ensemble(got, want)
+
+    @pytest.mark.parametrize("name", sorted(_FAMILY_STARTS))
+    def test_step(self, name):
+        spec, init = _starts(name, 1)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, max_substep_depth=30)
+        g_new, g_ref = RngStream(38).generator(), RngStream(38).generator()
+        got = want = init[0]
+        for _ in range(5):
+            got = step(spec, got, 2e-3, g_new, cfg)
+            want = oracles.reference_step(spec, want, 2e-3, g_ref, cfg)
+            assert np.array_equal(got.points, want.points)
+            assert got.scheme == want.scheme
+
+
+class TestFailureIsolation:
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    def test_flagged_path_leaves_the_others_untouched(self, noise_scale):
+        spec = ModelSpec(Family.AIRY, 2, beta=2.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, max_substep_depth=0, noise_scale=noise_scale)
+        healthy = [_ascending([-1.0, 1.0]), _ascending([-0.8, 1.3]), _ascending([-1.2, 0.9])]
+        doomed = _ascending([0.0, 1e-7])
+        flagged = simulate(spec, [healthy[0], doomed, *healthy[1:]], cfg, RngStream(40), on_failure="drop")
+        assert len(flagged.failed_paths) == 1
+        index, reason = flagged.failed_paths[0]
+        assert index == 1
+        assert reason.startswith("path 1: substep depth 0 exhausted")
+        assert [seed[2] for seed in flagged.path_seeds] == [0, 2, 3]
+        clean = simulate(spec, [healthy[0], healthy[2], *healthy[1:]], cfg, RngStream(40), on_failure="drop")
+        assert clean.failed_paths == ()
+        assert np.array_equal(flagged.states, clean.states[[0, 2, 3]])
+        assert np.array_equal(flagged.substeps, clean.substeps[[0, 2, 3]])
+        want = oracles.reference_simulate(
+            spec, [healthy[0], doomed, *healthy[1:]], cfg, RngStream(40), on_failure="drop"
+        )
+        _assert_same_ensemble(flagged, want)
+
+    def test_raise_names_the_lowest_flagged_path(self):
+        spec = ModelSpec(Family.AIRY, 2, beta=2.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, max_substep_depth=0, noise_scale=0.0)
+        init = [_ascending([-1.0, 1.0]), _ascending([0.0, 1e-7]), _ascending([0.0, 1e-7])]
+        with pytest.raises(StepFailureError, match="^path 1: substep depth 0"):
+            simulate(spec, init, cfg, RngStream(41))
