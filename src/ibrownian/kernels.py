@@ -5,18 +5,15 @@ soft-edge kernel built from it, Bessel functions of the first kind with
 the hard-edge kernel in its two algebraically equal displayed forms, and
 the planar Gaussian (Ginibre) correlation determinant.
 
-Evaluation strategy, all float64:
-
-* Airy: Maclaurin series for |x| <= 6, divergent-but-truncated asymptotic
-  expansions beyond (monotone and oscillatory branches), accepted on
-  [-120, 10].  Accuracy is limited by series cancellation near x = +6
-  (~1e-12 absolute) and is far below 1e-8 everywhere on the support.
-* Bessel J: ascending power series up to argument 18, Hankel large-argument
-  expansion beyond; derivative from a separately accumulated series so the
-  two kernel forms are independently rounded.
-* Kernels are evaluated through a quadratic Taylor expansion around the
-  diagonal whenever |x - y| <= 1e-4; the expansion coefficients are exact
-  expressions in the underlying special functions, not finite differences.
+Ai, Ai', J_alpha and J_alpha' come from ``scipy.special`` (``airy``, ``jv``,
+``jvp``), accepted on ``AIRY_SUPPORT`` and [0, ``BESSEL_X_MAX``].  Off the
+diagonal the kernels are the closed forms, a numerator divided by
+(x - y).  As y -> x that numerator cancels badly, so within
+|x - y| <= ``DIAGONAL_WINDOW`` a quadratic expansion around the midpoint
+is used instead; its coefficients are exact expressions in the same
+special functions, not finite differences, and its zeroth term is the
+exact diagonal value.  The scalar kernels and ``kernel_grid`` evaluate
+the same expressions in the same order, so they agree bitwise.
 
 Correlation values are determinants of the kernel matrix (partial-pivot LU
 via LAPACK), restricted to at most 12 points.
@@ -28,6 +25,7 @@ import enum
 import math
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "AIRY_SUPPORT",
@@ -44,19 +42,10 @@ __all__ = [
     "kernel_grid",
 ]
 
-# accuracy is contract-grade on [-30, 10]; the left asymptotic branch only
-# sharpens with |x|, so the accepted range extends to -120 for wide windows
 AIRY_SUPPORT = (-120.0, 10.0)
-_SERIES_CUT = 6.0
 BESSEL_X_MAX = 100.0
-_BESSEL_SERIES_CUT = 18.0
 DIAGONAL_WINDOW = 1e-4
 MAX_DET_POINTS = 12
-
-_SQRT_PI = math.sqrt(math.pi)
-# Series values at the origin: Ai(0) = 3^(-2/3)/Gamma(2/3), Ai'(0) = -3^(-1/3)/Gamma(1/3).
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
 
 
 class KernelId(str, enum.Enum):
@@ -70,79 +59,10 @@ class KernelId(str, enum.Enum):
 # ---------------------------------------------------------------------------
 
 
-def _airy_series(x: float) -> tuple[float, float]:
-    """Maclaurin evaluation; both fundamental solutions are entire."""
-    if x == 0.0:
-        return _AI0, _AIP0
-    x3 = x * x * x
-    f, g = 1.0, x
-    fp, gp = 0.0, 1.0
-    tf, tg = 1.0, x
-    for k in range(220):
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        fp += (3 * (k + 1)) * tf / x
-        gp += (3 * (k + 1) + 1) * tg / x
-        if abs(tf) < 1e-19 * (abs(f) + 1.0) and abs(tg) < 1e-19 * (abs(g) + 1.0):
-            break
-    else:  # pragma: no cover - series always converges on the support
-        raise RuntimeError("airy series did not converge")
-    ai = _AI0 * f + _AIP0 * g
-    aip = _AI0 * fp + _AIP0 * gp
-    return ai, aip
-
-
-def _asym_coeffs(zeta: float, max_terms: int = 60):
-    """Terms u_k / zeta^k and v_k / zeta^k, truncated at the smallest term."""
-    us = [1.0]
-    vs = [1.0]
-    u = 1.0
-    for k in range(1, max_terms):
-        u *= (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        term = u / zeta**k
-        if abs(term) >= abs(us[-1]) and k > 1:
-            break
-        us.append(term)
-        vs.append(term * (6 * k + 1) / (1 - 6 * k))
-    return us, vs
-
-
-def _airy_asym_right(x: float) -> tuple[float, float]:
-    zeta = (2.0 / 3.0) * x**1.5
-    us, vs = _asym_coeffs(zeta)
-    su = math.fsum(t if k % 2 == 0 else -t for k, t in enumerate(us))
-    sv = math.fsum(t if k % 2 == 0 else -t for k, t in enumerate(vs))
-    pref = math.exp(-zeta) / (2.0 * _SQRT_PI)
-    ai = pref * su / x**0.25
-    aip = -pref * sv * x**0.25
-    return ai, aip
-
-
-def _airy_asym_left(x: float) -> tuple[float, float]:
-    t = -x
-    zeta = (2.0 / 3.0) * t**1.5
-    us, vs = _asym_coeffs(zeta)
-    even_u = math.fsum(u if k % 2 == 0 else -u for k, u in enumerate(us[0::2]))
-    odd_u = math.fsum(u if k % 2 == 0 else -u for k, u in enumerate(us[1::2]))
-    even_v = math.fsum(v if k % 2 == 0 else -v for k, v in enumerate(vs[0::2]))
-    odd_v = math.fsum(v if k % 2 == 0 else -v for k, v in enumerate(vs[1::2]))
-    c = math.cos(zeta - math.pi / 4.0)
-    s = math.sin(zeta - math.pi / 4.0)
-    ai = (c * even_u + s * odd_u) / (_SQRT_PI * t**0.25)
-    aip = (s * even_v - c * odd_v) * t**0.25 / _SQRT_PI
-    return ai, aip
-
-
-def _airy_scalar(x: float) -> tuple[float, float]:
-    if not (AIRY_SUPPORT[0] <= x <= AIRY_SUPPORT[1]):
-        raise ValueError(f"airy_fn supports x in [{AIRY_SUPPORT[0]}, {AIRY_SUPPORT[1]}], got {x}")
-    if abs(x) <= _SERIES_CUT:
-        return _airy_series(x)
-    if x > 0:
-        return _airy_asym_right(x)
-    return _airy_asym_left(x)
+def _check_airy(x: np.ndarray) -> None:
+    bad = ~((x >= AIRY_SUPPORT[0]) & (x <= AIRY_SUPPORT[1]))
+    if bad.any():
+        raise ValueError(f"airy_fn supports x in [{AIRY_SUPPORT[0]}, {AIRY_SUPPORT[1]}], got {x[bad].flat[0]}")
 
 
 def airy_fn(x):
@@ -157,11 +77,21 @@ def airy_fn(x):
     (ai, aip) : matching scalars or float arrays.
     """
     arr = np.asarray(x, dtype=float)
+    _check_airy(arr)
+    ai, aip, _, _ = special.airy(arr)
     if arr.ndim == 0:
-        return _airy_scalar(float(arr))
-    flat = [_airy_scalar(float(v)) for v in arr.ravel()]
-    out = np.array(flat, dtype=float).reshape(arr.shape + (2,))
-    return out[..., 0], out[..., 1]
+        return float(ai), float(aip)
+    return ai, aip
+
+
+def _airy_taylor(x, y):
+    """Quadratic midpoint expansion of the soft-edge kernel, elementwise;
+    its zeroth term is the exact diagonal value Ai'(m)^2 - m Ai(m)^2."""
+    m = 0.5 * (x + y)
+    a, ap, _, _ = special.airy(m)
+    k0 = ap * ap - m * a * a
+    d = x - y
+    return k0 + (d * d / 12.0) * (a * ap + 2.0 * m * k0)
 
 
 def airy_kernel(x: float, y: float) -> float:
@@ -173,15 +103,14 @@ def airy_kernel(x: float, y: float) -> float:
     """
     x = float(x)
     y = float(y)
-    if abs(x - y) > DIAGONAL_WINDOW:
-        ax, apx = _airy_scalar(x)
-        ay, apy = _airy_scalar(y)
-        return (ax * apy - apx * ay) / (x - y)
-    m = 0.5 * (x + y)
-    a, ap = _airy_scalar(m)
-    k0 = ap * ap - m * a * a
-    # quadratic midpoint correction: K = k0 + ((x-y)^2/12) (a*ap + 2 m k0)
-    return k0 + ((x - y) ** 2 / 12.0) * (a * ap + 2.0 * m * k0)
+    lo, hi = AIRY_SUPPORT
+    if not (lo <= x <= hi and lo <= y <= hi):
+        raise ValueError(f"airy_kernel supports x, y in [{lo}, {hi}], got ({x}, {y})")
+    if abs(x - y) <= DIAGONAL_WINDOW:
+        return float(_airy_taylor(x, y))
+    ax, apx, _, _ = special.airy(x)
+    ay, apy, _, _ = special.airy(y)
+    return float((ax * apy - apx * ay) / (x - y))
 
 
 # ---------------------------------------------------------------------------
@@ -189,165 +118,86 @@ def airy_kernel(x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bessel_series(alpha: float, x: float) -> float:
-    q = 0.25 * x * x
-    term = math.exp(alpha * math.log(0.5 * x) - math.lgamma(alpha + 1.0))
-    total = term
-    for k in range(400):
-        term *= -q / ((k + 1.0) * (alpha + k + 1.0))
-        total += term
-        if abs(term) < 1e-19 * (abs(total) + 1e-300):
-            return total
-    raise RuntimeError("bessel series did not converge")  # pragma: no cover
-
-
-def _bessel_series_prime(alpha: float, x: float) -> float:
-    # d/dx of sum_k (-1)^k (x/2)^(alpha+2k) / (k! Gamma(alpha+k+1)), accumulated
-    # term by term so rounding is independent of the recurrence route.
-    q = 0.25 * x * x
-    base = math.exp((alpha - 1.0) * math.log(0.5 * x) - math.lgamma(alpha + 1.0))
-    term = 0.5 * alpha * base
-    total = term
-    coef = base  # (x/2)^(alpha-1+2k) / (k! Gamma(alpha+k+1)) with the 1/2 folded later
-    for k in range(400):
-        coef *= -q / ((k + 1.0) * (alpha + k + 1.0))
-        term = 0.5 * (alpha + 2.0 * (k + 1.0)) * coef
-        total += term
-        if abs(term) < 1e-19 * (abs(total) + 1e-300):
-            return total
-    raise RuntimeError("bessel derivative series did not converge")  # pragma: no cover
-
-
-def _hankel_sums(alpha: float, x: float, max_terms: int = 40):
-    mu = 4.0 * alpha * alpha
-    terms = [1.0]
-    a = 1.0
-    for k in range(1, max_terms):
-        a *= (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(a) >= abs(terms[-1]) and k > 1:
-            break
-        terms.append(a)
-    p = math.fsum(t if k % 2 == 0 else -t for k, t in enumerate(terms[0::2]))
-    q = math.fsum(t if k % 2 == 0 else -t for k, t in enumerate(terms[1::2]))
-    return p, q
-
-
-def _bessel_scalar(alpha: float, x: float) -> float:
-    if x < 0:
-        raise ValueError("bessel_j requires x >= 0")
-    if x == 0.0:
-        return 1.0 if alpha == 0.0 else 0.0
-    if x > BESSEL_X_MAX:
-        raise ValueError(f"bessel_j supports x <= {BESSEL_X_MAX}, got {x}")
-    if x <= _BESSEL_SERIES_CUT:
-        return _bessel_series(alpha, x)
-    p, q = _hankel_sums(alpha, x)
-    omega = x - 0.5 * alpha * math.pi - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (math.cos(omega) * p - math.sin(omega) * q)
+def _bessel_values(fn, name: str, alpha: float, x):
+    """``fn(alpha, x)`` for x in [0, ``BESSEL_X_MAX``]; a float for scalar x."""
+    arr = np.asarray(x, dtype=float)
+    if (arr < 0).any():
+        raise ValueError(f"{name} requires x >= 0")
+    bad = ~(arr <= BESSEL_X_MAX)
+    if bad.any():
+        raise ValueError(f"{name} supports x <= {BESSEL_X_MAX}, got {arr[bad].flat[0]}")
+    out = fn(alpha, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_j(alpha: float, x):
     """Bessel function J_alpha (alpha >= 0 real), argument in [0, 100]."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return _bessel_scalar(alpha, float(arr))
-    return np.array([_bessel_scalar(alpha, float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    return _bessel_values(special.jv, "bessel_j", alpha, x)
 
 
 def bessel_j_prime(alpha: float, x):
-    """Derivative of J_alpha, from its own differentiated series (x <= 18)
-    or the three-term relation in the large-argument regime."""
-
-    def scalar(v: float) -> float:
-        if v < 0:
-            raise ValueError("bessel_j_prime requires x >= 0")
-        if v == 0.0:
-            if alpha == 1.0:
-                return 0.5
-            return 0.0 if alpha > 1.0 else -_bessel_scalar(1.0, v)
-        if v > BESSEL_X_MAX:
-            raise ValueError(f"bessel_j_prime supports x <= {BESSEL_X_MAX}, got {v}")
-        if v <= _BESSEL_SERIES_CUT:
-            return _bessel_series_prime(alpha, v)
-        return _bessel_scalar(alpha - 1.0, v) - (alpha / v) * _bessel_scalar(alpha, v)
-
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return scalar(float(arr))
-    return np.array([scalar(float(v)) for v in arr.ravel()]).reshape(arr.shape)
+    """Derivative of J_alpha, (J_{alpha-1} - J_{alpha+1}) / 2 as ``scipy.special.jvp``
+    computes it; argument in [0, 100]."""
+    return _bessel_values(special.jvp, "bessel_j_prime", alpha, x)
 
 
-def _phi_entire(nu: float, x: float) -> float:
-    """Entire series sum_k (-x/4)^k / (k! Gamma(nu+k+1)); J_nu(sqrt(x)) equals
-    (x/4)^(nu/2) times this."""
-    term = math.exp(-math.lgamma(nu + 1.0))
-    total = term
-    for k in range(400):
-        term *= -(0.25 * x) / ((k + 1.0) * (nu + k + 1.0))
-        total += term
-        if abs(term) < 1e-20 * (abs(total) + 1e-300):
-            return total
-    raise RuntimeError("phi series did not converge")  # pragma: no cover
+def _bessel_taylor(alpha: float, x, y):
+    """Quadratic midpoint expansion of the hard-edge kernel, elementwise,
+    valid for any x, y > 0 and exact on the diagonal.
 
-
-def _bessel_kernel_taylor(alpha: float, x: float, y: float) -> float:
-    """Quadratic midpoint expansion of the hard-edge kernel, valid for any
-    x, y > 0 and exact on the diagonal."""
+    With m the midpoint, d = (x - y) / 2, s = sqrt(m) and J_k = J_{alpha+k}(s),
+    K = (1 - d^2/m^2)^(alpha/2) (k0 + d^2 k2), where
+    k0 = (J_0^2 + J_1^2 - (2 alpha / s) J_0 J_1) / 4 is the diagonal value and
+    k2 = (6 (J_0 J_3 - J_1 J_2) / s + 4 J_1 J_3 - J_0 J_4 - 3 J_2^2) / (96 m).
+    """
     m = 0.5 * (x + y)
-    p1 = _phi_entire(alpha + 1.0, m)
-    p2 = _phi_entire(alpha + 2.0, m)
-    p3 = _phi_entire(alpha + 3.0, m)
-    p4 = _phi_entire(alpha + 4.0, m)
-    p0 = _phi_entire(alpha, m)
-    phi = 0.25 * m * p1
-    phi1 = 0.25 * p1 - (m / 16.0) * p2
-    phi2 = -0.125 * p2 + (m / 64.0) * p3
-    phi3 = (3.0 / 64.0) * p3 - (m / 256.0) * p4
-    psi = p0
-    psi1 = -0.25 * p1
-    psi2 = 0.0625 * p2
-    psi3 = -(1.0 / 64.0) * p3
-    h0 = phi1 * psi - phi * psi1
-    h2 = (phi3 * psi - phi * psi3) / 6.0 + (phi1 * psi2 - phi2 * psi1) / 2.0
-    delta = 0.5 * (x - y)
-    pref = math.exp(0.5 * alpha * (math.log(x) + math.log(y) - math.log(16.0)))
-    return pref * (h0 + delta * delta * h2)
+    d = 0.5 * (x - y)
+    s = np.sqrt(m)
+    j0, j1, j2, j3, j4 = (special.jv(alpha + k, s) for k in range(5))
+    k0 = 0.25 * (j0 * j0 + j1 * j1 - (2.0 * alpha / s) * j0 * j1)
+    k2 = (6.0 * (j0 * j3 - j1 * j2) / s + 4.0 * j1 * j3 - j0 * j4 - 3.0 * j2 * j2) / (96.0 * m)
+    r = d / m
+    return np.power(1.0 - r * r, 0.5 * alpha) * (k0 + d * d * k2)
+
+
+def _check_bessel_kernel(alpha: float, lo: float, hi: float) -> None:
+    """Order and argument range of the hard-edge kernel; ``lo`` and ``hi``
+    are the smallest and largest argument (NaN fails both tests)."""
+    if not alpha >= 1.0:
+        raise ValueError("bessel_kernel requires alpha >= 1")
+    if not lo > 0.0:
+        raise ValueError("bessel_kernel requires x, y > 0")
+    if not hi <= BESSEL_X_MAX:
+        raise ValueError(f"bessel_kernel supports arguments <= {BESSEL_X_MAX}")
 
 
 def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") -> float:
     """Hard-edge correlation kernel at squared-radius coordinates x, y > 0.
 
     ``form="recurrence"`` uses J_alpha and J_{alpha+1}; ``form="derivative"``
-    uses J_alpha and its derivative.  The two are algebraically identical;
-    evaluating both provides a floating-point consistency check.  Arguments
-    within |x - y| <= 1e-4 (including the diagonal) are routed through the
-    midpoint Taylor expansion, identical for both forms.
+    uses J_alpha and its derivative.  The two are algebraically identical,
+    but ``jvp`` builds the derivative from J_{alpha-1} and J_{alpha+1}, so
+    their agreement checks the kernel algebra rather than two independent
+    evaluators.  Arguments within |x - y| <= 1e-4 (including the diagonal)
+    are routed through the midpoint Taylor expansion, identical for both
+    forms.
     """
-    if alpha < 1.0:
-        raise ValueError("bessel_kernel requires alpha >= 1")
     if form not in ("recurrence", "derivative"):
         raise ValueError(f"unknown kernel form {form!r}")
     x = float(x)
     y = float(y)
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("bessel_kernel requires x, y > 0")
-    if x > BESSEL_X_MAX or y > BESSEL_X_MAX:
-        raise ValueError(f"bessel_kernel supports arguments <= {BESSEL_X_MAX}")
+    _check_bessel_kernel(alpha, *((x, y) if x <= y else (y, x)))
     if abs(x - y) <= DIAGONAL_WINDOW:
-        return _bessel_kernel_taylor(alpha, x, y)
+        return float(_bessel_taylor(alpha, x, y))
     sx = math.sqrt(x)
     sy = math.sqrt(y)
+    jx = special.jv(alpha, sx)
+    jy = special.jv(alpha, sy)
     if form == "recurrence":
-        num = sx * _bessel_scalar(alpha + 1.0, sx) * _bessel_scalar(alpha, sy) - _bessel_scalar(
-            alpha, sx
-        ) * sy * _bessel_scalar(alpha + 1.0, sy)
-    elif form == "derivative":
-        num = _bessel_scalar(alpha, sx) * sy * _bessel_series_prime(alpha, sy) - sx * _bessel_series_prime(
-            alpha, sx
-        ) * _bessel_scalar(alpha, sy)
+        num = sx * special.jv(alpha + 1.0, sx) * jy - jx * sy * special.jv(alpha + 1.0, sy)
     else:
-        raise ValueError("form must be 'recurrence' or 'derivative'")
-    return num / (2.0 * (x - y))
+        num = jx * sy * special.jvp(alpha, sy) - sx * special.jvp(alpha, sx) * jy
+    return float(0.5 * num / (x - y))
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +217,12 @@ def _as_complex(points) -> np.ndarray:
     raise ValueError("ginibre points must be complex scalars or (n, 2) coordinates")
 
 
+def _ginibre_matrix(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """exp(z_i conj(w_j) - |z_i|^2/2 - |w_j|^2/2), entries bounded by 1."""
+    expo = np.outer(z, np.conj(w)) - 0.5 * ((np.abs(z) ** 2)[:, None] + (np.abs(w) ** 2)[None, :])
+    return np.exp(expo)
+
+
 def ginibre_correlation(points) -> float:
     """m-point Lebesgue correlation of the planar Gaussian ensemble.
 
@@ -380,34 +236,8 @@ def ginibre_correlation(points) -> float:
         return 1.0
     if m > MAX_DET_POINTS:
         raise ValueError(f"at most {MAX_DET_POINTS} points supported")
-    sq = np.abs(z) ** 2
-    expo = np.outer(z, np.conj(z)) - 0.5 * (sq[:, None] + sq[None, :])
-    mat = np.exp(expo)
-    det = np.linalg.det(mat)
+    det = np.linalg.det(_ginibre_matrix(z, z))
     return float(det.real) / math.pi**m
-
-
-def _kernel_matrix(kernel: KernelId, points: np.ndarray, alpha: float | None) -> np.ndarray:
-    kernel = KernelId(kernel)
-    if kernel is KernelId.GINIBRE:
-        z = _as_complex(points)
-        sq = np.abs(z) ** 2
-        expo = np.outer(z, np.conj(z)) - 0.5 * (sq[:, None] + sq[None, :])
-        return np.exp(expo) / math.pi
-    pts = np.asarray(points, dtype=float).ravel()
-    n = pts.size
-    out = np.empty((n, n))
-    if kernel is KernelId.AIRY2:
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = airy_kernel(pts[i], pts[j])
-        return out
-    if alpha is None:
-        raise ValueError("bessel kernel needs alpha")
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = bessel_kernel(alpha, pts[i], pts[j])
-    return out
 
 
 def correlation_det(kernel: KernelId, points, *, alpha: float | None = None, beta: float = 2.0) -> float:
@@ -424,8 +254,23 @@ def correlation_det(kernel: KernelId, points, *, alpha: float | None = None, bet
         raise ValueError(f"at most {MAX_DET_POINTS} points supported")
     if n == 0:
         return 1.0
-    mat = _kernel_matrix(kernel, arr, alpha)
+    if KernelId(kernel) is KernelId.GINIBRE:
+        z = _as_complex(arr)
+        mat = _ginibre_matrix(z, z) / math.pi
+    else:
+        mat = kernel_grid(kernel, arr, alpha=alpha)
     return float(np.linalg.det(mat).real)
+
+
+def _closed_or_taylor(num: np.ndarray, xs: np.ndarray, ys: np.ndarray, taylor) -> np.ndarray:
+    """num / (x - y) on the grid, with ``taylor(x, y)`` on the entries
+    within the diagonal window."""
+    diff = xs[:, None] - ys[None, :]
+    near = np.abs(diff) <= DIAGONAL_WINDOW
+    out = np.divide(num, diff, out=np.empty_like(num), where=~near)
+    i, j = np.nonzero(near)
+    out[i, j] = taylor(xs[i], ys[j])
+    return out
 
 
 def kernel_grid(kernel: KernelId, xs, ys=None, *, alpha: float | None = None) -> np.ndarray:
@@ -434,19 +279,21 @@ def kernel_grid(kernel: KernelId, xs, ys=None, *, alpha: float | None = None) ->
     xs = np.asarray(xs, dtype=float).ravel()
     ys = xs if ys is None else np.asarray(ys, dtype=float).ravel()
     if kernel is KernelId.GINIBRE:
-        zx = xs.astype(complex)
-        zy = ys.astype(complex)
-        expo = np.outer(zx, np.conj(zy)) - 0.5 * (
-            (np.abs(zx) ** 2)[:, None] + (np.abs(zy) ** 2)[None, :]
-        )
-        return np.exp(expo).real / math.pi
-    out = np.empty((xs.size, ys.size))
-    for i, xv in enumerate(xs):
-        for j, yv in enumerate(ys):
-            if kernel is KernelId.AIRY2:
-                out[i, j] = airy_kernel(xv, yv)
-            else:
-                if alpha is None:
-                    raise ValueError("bessel kernel needs alpha")
-                out[i, j] = bessel_kernel(alpha, xv, yv)
-    return out
+        return _ginibre_matrix(xs.astype(complex), ys.astype(complex)).real / math.pi
+    if kernel is KernelId.AIRY2:
+        _check_airy(xs)
+        _check_airy(ys)
+        ax, apx, _, _ = special.airy(xs)
+        ay, apy, _, _ = special.airy(ys)
+        num = ax[:, None] * apy[None, :] - apx[:, None] * ay[None, :]
+        return _closed_or_taylor(num, xs, ys, _airy_taylor)
+    if alpha is None:
+        raise ValueError("bessel kernel needs alpha")
+    both = np.concatenate((xs, ys))
+    _check_bessel_kernel(alpha, both.min(initial=np.inf), both.max(initial=-np.inf))
+    sx = np.sqrt(xs)
+    sy = np.sqrt(ys)
+    jx = special.jv(alpha, sx)
+    jy = special.jv(alpha, sy)
+    num = (sx * special.jv(alpha + 1.0, sx))[:, None] * jy - (jx[:, None] * sy) * special.jv(alpha + 1.0, sy)
+    return _closed_or_taylor(0.5 * num, xs, ys, lambda x, y: _bessel_taylor(alpha, x, y))

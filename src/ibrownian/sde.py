@@ -282,7 +282,7 @@ def _moves(spec, x, b, h, noise_root_h, rows, gens, cfg):
     return new, rows
 
 
-def _integrate(spec, cfg, starts, h0, n_rec, m, generator):
+def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=False):
     """Integrate every state of the (P, n, d) stack ``starts`` over
     ``n_rec`` recording intervals of ``m`` base steps of length ``h0``.
 
@@ -290,7 +290,10 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator):
     Each iteration evaluates the drift of all live paths in one call;
     each path then either descends one level of its own substep tree or
     takes the move of its leaf and goes on to the next node depth first.
-    A path whose step fails leaves the batch; the others go on.
+    A path whose step fails leaves the batch; the others go on.  With
+    ``lowest_failure_only``, only the lowest-indexed failure is wanted:
+    once a path fails, the live paths above it leave the batch
+    unfinished, with no reason and no recorded states.
 
     Returns the recorded states (P, n_rec + 1, n, d), the leaf count and
     deepest leaf of each finished path, and each path's failure reason
@@ -363,11 +366,15 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator):
                     substeps[ids[i]] = leaves[i]
                     max_depth[ids[i]] = _TREE_DEPTH + 1 - int(finest[i]).bit_length()
                     gone.append(i)
-        if len(gone) == len(ids):
-            break
         if gone:
             keep = np.ones(len(ids), dtype=bool)
             keep[gone] = False
+            if lowest_failure_only:
+                failed = [ids[i] for i in gone if reasons[ids[i]] is not None]
+                if failed:
+                    keep &= ids < min(failed)
+            if not keep.any():
+                break
             ids, x, span, tick, finest, leaves, interval = (
                 a[keep] for a in (ids, x, span, tick, finest, leaves, interval)
             )
@@ -403,7 +410,7 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> Label
 
 
 def _integrate_block(task):
-    spec, cfg, starts, stream, first, start_interval, n_rec = task
+    spec, cfg, starts, stream, first, start_interval, n_rec, lowest_failure_only = task
     return _integrate(
         spec,
         cfg,
@@ -412,6 +419,7 @@ def _integrate_block(task):
         n_rec,
         cfg.substeps_per_record,
         lambda p, j: stream.generator(first + p, start_interval + j),
+        lowest_failure_only,
     )
 
 
@@ -441,8 +449,9 @@ def simulate(
     paths without changing any output.
 
     Near-collisions below the substep resolution end a path with a step
-    failure.  ``on_failure="raise"`` propagates the first one with its
-    path index; ``"drop"`` excludes flagged paths from the ensemble and
+    failure.  ``on_failure="raise"`` propagates the lowest-indexed one
+    with its path index, and stops integrating once no lower path can
+    still fail; ``"drop"`` excludes flagged paths from the ensemble and
     lists them in ``failed_paths`` (their noise streams are untouched,
     so surviving paths are bitwise independent of the flagged ones).
     """
@@ -475,12 +484,20 @@ def simulate(
     per_block = max(1, _BLOCK_PAIR_TERMS // (spec.n_particles**2 * spec.dimension))
     n_blocks = min(n_paths, max(workers or 1, -(-n_paths // per_block)))
     edges = [n_paths * k // n_blocks for k in range(n_blocks + 1)]
-    tasks = [(spec, cfg, starts[lo:hi], rng, lo, start_interval, n_rec) for lo, hi in zip(edges, edges[1:])]
+    # "raise" reports the lowest-indexed failure only: a block drops the
+    # paths above its lowest failure so far, and the blocks after a failed
+    # one are skipped (when run one after another)
+    halt = on_failure == "raise"
+    tasks = [(spec, cfg, starts[lo:hi], rng, lo, start_interval, n_rec, halt) for lo, hi in zip(edges, edges[1:])]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_integrate_block, tasks))
     else:
-        results = [_integrate_block(t) for t in tasks]
+        results = []
+        for t in tasks:
+            results.append(_integrate_block(t))
+            if halt and any(r is not None for r in results[-1][3]):
+                break
     rec = np.concatenate([r[0] for r in results])
     substeps = np.concatenate([r[1] for r in results])
     max_depth = np.concatenate([r[2] for r in results])

@@ -56,13 +56,9 @@ class TestAiryFunction:
             assert abs(lo - hi) <= 1e-9
 
     def test_ode_residual_by_stencil(self):
-        # five-point second derivative of the implementation itself; points
-        # whose stencil straddles the series/asymptotic switch at |x| = 6
-        # are excluded (the 1e-10 branch mismatch there, bounded by the
-        # crossover test above, is amplified by 1/h^2 in a stencil)
+        # five-point second derivative of the implementation itself
         h = 5e-3
         xs = np.linspace(-9.5, 4.5, 141)
-        xs = xs[np.abs(np.abs(xs) - 6.0) > 0.05]
         vals = {k: K.airy_fn(xs + k * h)[0] for k in (-2, -1, 0, 1, 2)}
         second = (-vals[2] + 16 * vals[1] - 30 * vals[0] + 16 * vals[-1] - vals[-2]) / (12 * h * h)
         resid = second - xs * vals[0]
@@ -186,6 +182,47 @@ class TestBesselKernel:
             K.bessel_kernel(1.0, 1.0, 1.0, form="magic")
 
 
+class TestMpmathOracle:
+    """scipy-backed evaluators against mpmath at 40 significant digits."""
+
+    @pytest.fixture(scope="class")
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        return mpmath
+
+    # |Ai'| grows like |x|^(1/4) on the left, so the far tail gets more room
+    @pytest.mark.parametrize("lo,hi,tol", [(-30.0, 10.0, 1e-13), (-120.0, -30.0, 5e-13)])
+    def test_airy(self, mp, lo, hi, tol):
+        xs = np.linspace(lo, hi, 401)
+        ai, aip = K.airy_fn(xs)
+        for x, a, ap in zip(xs, ai, aip):
+            assert abs(float(mp.airyai(x)) - a) <= tol
+            assert abs(float(mp.airyai(x, derivative=1)) - ap) <= tol
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 2.5, 3.0])
+    def test_bessel_and_derivative(self, mp, alpha):
+        xs = np.linspace(0.0, 100.0, 301)[1:]
+        j = K.bessel_j(alpha, xs)
+        jp = K.bessel_j_prime(alpha, xs)
+        for x, v, vp in zip(xs, j, jp):
+            assert abs(float(mp.besselj(alpha, x)) - v) <= 1e-13
+            assert abs(float(mp.besselj(alpha, x, derivative=1)) - vp) <= 1e-13
+
+    def test_airy_kernel_diagonal(self, mp):
+        for x in np.linspace(-30.0, 10.0, 201):
+            want = mp.airyai(x, derivative=1) ** 2 - x * mp.airyai(x) ** 2
+            assert abs(float(want) - K.airy_kernel(x, x)) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 2.5, 3.0])
+    def test_bessel_kernel_diagonal(self, mp, alpha):
+        for x in np.concatenate([np.geomspace(1e-8, 1.0, 40), np.linspace(1.0, 100.0, 100)]):
+            z = mp.sqrt(x)
+            ja, jb = mp.besselj(alpha, z), mp.besselj(alpha + 1, z)
+            want = (ja * ja + jb * jb - (2 * alpha / z) * ja * jb) / 4
+            assert abs(float(want) - K.bessel_kernel(alpha, x, x)) <= 1e-13
+
+
 class TestGinibreCorrelation:
     def test_one_point_intensity_is_inverse_pi(self):
         for z in ([0.0, 0.0], [1.3, -0.4], [-2.0, 2.0]):
@@ -256,3 +293,46 @@ class TestKernelGrid:
         g = K.kernel_grid(K.KernelId.BESSEL, xs, ys, alpha=1.0)
         assert g.shape == (4, 5)
         assert g[1, 2] == pytest.approx(K.bessel_kernel(1.0, xs[1], ys[2]))
+
+    # clusters closer than DIAGONAL_WINDOW put many entries on the midpoint expansion
+    _AIRY_POINTS = np.concatenate([b + np.array([0.0, 3e-5, 7e-5, 1e-4, 2e-4]) for b in np.linspace(-119.0, 9.0, 9)])
+    _BESSEL_POINTS = np.concatenate(
+        [b + np.array([0.0, 3e-5, 7e-5, 1e-4, 2e-4]) for b in (1e-6, 0.01, 0.5, 3.0, 17.0, 60.0, 99.5)]
+    )
+
+    def test_airy_grid_equals_scalar_kernel_bitwise(self):
+        xs = self._AIRY_POINTS
+        want = np.array([[K.airy_kernel(x, y) for y in xs] for x in xs])
+        assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs), want)
+        assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs[:7], xs[5:]), want[:7, 5:])
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
+    def test_bessel_grid_equals_scalar_kernel_bitwise(self, alpha):
+        xs = self._BESSEL_POINTS
+        want = np.array([[K.bessel_kernel(alpha, x, y) for y in xs] for x in xs])
+        assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs, alpha=alpha), want)
+        assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs[:7], xs[5:], alpha=alpha), want[:7, 5:])
+
+    def test_correlation_det_uses_the_scalar_kernel_entries(self):
+        xs = self._AIRY_POINTS[10:20]
+        mat = np.array([[K.airy_kernel(x, y) for y in xs] for x in xs])
+        assert K.correlation_det(K.KernelId.AIRY2, xs[:, None]) == float(np.linalg.det(mat))
+        xs = self._BESSEL_POINTS[10:20]
+        mat = np.array([[K.bessel_kernel(2.0, x, y) for y in xs] for x in xs])
+        assert K.correlation_det(K.KernelId.BESSEL, xs[:, None], alpha=2.0) == float(np.linalg.det(mat))
+
+    def test_grid_domain_errors(self):
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.AIRY2, [0.0, 11.0])
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.AIRY2, [0.0, np.nan])
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.BESSEL, [1.0, 2.0], alpha=0.5)
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.BESSEL, [0.0, 2.0], alpha=1.0)
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.BESSEL, [1.0], [101.0], alpha=1.0)
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.BESSEL, [1.0, np.nan], alpha=1.0)
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.BESSEL, [1.0, 2.0])

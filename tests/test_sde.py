@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -39,6 +40,32 @@ def _assert_same_ensemble(got, want):
     assert got.failed_paths == want.failed_paths
     assert got.path_seeds == want.path_seeds
     assert got.ordering_violations == want.ordering_violations
+
+
+def _matches_reference(spec, init, cfg, seed):
+    """Compare simulate with the recursive reference under "drop" and,
+    when paths are flagged, the message "raise" gives; returns the run."""
+    got = simulate(spec, init, cfg, RngStream(seed), on_failure="drop")
+    want = oracles.reference_simulate(spec, init, cfg, RngStream(seed), on_failure="drop")
+    _assert_same_ensemble(got, want)
+    if want.failed_paths:
+        with pytest.raises(StepFailureError) as raised:
+            simulate(spec, init, cfg, RngStream(seed))
+        with pytest.raises(StepFailureError) as expected:
+            oracles.reference_simulate(spec, init, cfg, RngStream(seed))
+        assert str(raised.value) == str(expected.value) == want.failed_paths[0][1]
+    return got
+
+
+@dataclass(frozen=True)
+class _CountingStream(RngStream):
+    """RngStream that records the subkeys of every generator it hands out."""
+
+    requests: list = field(default_factory=list, compare=False)
+
+    def generator(self, *subkeys):
+        self.requests.append(subkeys)
+        return super().generator(*subkeys)
 
 
 class TestIntegratorConfig:
@@ -292,9 +319,7 @@ class TestMatchesRecursiveReference:
     def test_every_family_and_scheme(self, name, scheme):
         spec, init = _starts(name, 5)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=5e-3, scheme=scheme, max_substep_depth=30)
-        got = simulate(spec, init, cfg, RngStream(31), on_failure="drop")
-        want = oracles.reference_simulate(spec, init, cfg, RngStream(31), on_failure="drop")
-        _assert_same_ensemble(got, want)
+        got = _matches_reference(spec, init, cfg, 31)
         if scheme is Scheme.EULER_MARUYAMA:
             assert got.max_depth_used >= 5
 
@@ -316,9 +341,7 @@ class TestMatchesRecursiveReference:
         cfg = IntegratorConfig(
             dt=1e-2, t_final=0.1, dt_record=2e-2, noise_scale=noise_scale, boundary_policy=policy, max_substep_depth=30
         )
-        got = simulate(spec, init, cfg, RngStream(32), on_failure="drop")
-        want = oracles.reference_simulate(spec, init, cfg, RngStream(32), on_failure="drop")
-        _assert_same_ensemble(got, want)
+        _matches_reference(spec, init, cfg, 32)
 
     @pytest.mark.parametrize(
         "name,trunc",
@@ -331,9 +354,7 @@ class TestMatchesRecursiveReference:
     def test_truncated_drift(self, name, trunc):
         spec, init = _starts(name, 4)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=5e-3, truncation=trunc, max_substep_depth=30)
-        got = simulate(spec, init, cfg, RngStream(33), on_failure="drop")
-        want = oracles.reference_simulate(spec, init, cfg, RngStream(33), on_failure="drop")
-        _assert_same_ensemble(got, want)
+        _matches_reference(spec, init, cfg, 33)
 
     def test_workers(self):
         spec, init = _starts("airy", 7)
@@ -347,9 +368,7 @@ class TestMatchesRecursiveReference:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=5e-3, max_substep_depth=30)
         # room for two paths per block: blocks of 1, 2 and 2 paths
         monkeypatch.setattr("ibrownian.sde._BLOCK_PAIR_TERMS", 2 * 4 * 4 * 2)
-        got = simulate(spec, init, cfg, RngStream(39), on_failure="drop")
-        want = oracles.reference_simulate(spec, init, cfg, RngStream(39), on_failure="drop")
-        _assert_same_ensemble(got, want)
+        _matches_reference(spec, init, cfg, 39)
 
     def test_restart_from_recorded_state(self):
         spec, init = _starts("square_bessel", 4)
@@ -365,9 +384,7 @@ class TestMatchesRecursiveReference:
         spec = ModelSpec(Family.AIRY, 20, beta=2.0)
         starts, _ = sample_airy_ensemble(20, 2.0, RngStream(36), 6)
         cfg = IntegratorConfig(dt=5e-4, t_final=0.05, dt_record=0.025, max_substep_depth=30)
-        got = simulate(spec, list(starts), cfg, RngStream(37), on_failure="drop")
-        want = oracles.reference_simulate(spec, list(starts), cfg, RngStream(37), on_failure="drop")
-        _assert_same_ensemble(got, want)
+        _matches_reference(spec, list(starts), cfg, 37)
 
     @pytest.mark.parametrize("name", sorted(_FAMILY_STARTS))
     def test_step(self, name):
@@ -410,3 +427,21 @@ class TestFailureIsolation:
         init = [_ascending([-1.0, 1.0]), _ascending([0.0, 1e-7]), _ascending([0.0, 1e-7])]
         with pytest.raises(StepFailureError, match="^path 1: substep depth 0"):
             simulate(spec, init, cfg, RngStream(41))
+
+    def test_raise_stops_at_the_first_failure(self, monkeypatch):
+        # path 0 is singular at t = 0: no path needs a generator past
+        # interval 0, and the blocks after the first are never started
+        spec = ModelSpec(Family.AIRY, 5, beta=2.0)
+        starts, _ = sample_airy_ensemble(5, 2.0, RngStream(42), 39)
+        init = [_ascending([0.0, 0.0, 1.0, 2.0, 3.0])] + list(starts)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.05, dt_record=1e-2)
+        # four blocks of ten paths
+        monkeypatch.setattr("ibrownian.sde._BLOCK_PAIR_TERMS", 10 * 5 * 5)
+        stream = _CountingStream(43)
+        with pytest.raises(StepFailureError) as raised:
+            simulate(spec, init, cfg, stream)
+        with pytest.raises(StepFailureError) as expected:
+            oracles.reference_simulate(spec, init, cfg, RngStream(43))
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value).startswith("path 0: drift evaluation hit a singular configuration")
+        assert sorted(stream.requests) == [(p, 0) for p in range(10)]
