@@ -288,25 +288,32 @@ def _draw_equilibrium(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: in
     fam = spec.family
     if fam is Family.AIRY:
         try:
-            draws, _ = sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count, method=cfg.method)
+            draws, report = sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count, method=cfg.method)
         except ValueError as exc:
             raise ConfigError("sampler.method", str(exc)) from None
-        return [Configuration(row[:, None], dimension=1) for row in draws]
-    if fam is Family.GINIBRE:
-        pts, _ = sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
-        return [Configuration(p, dimension=2) for p in pts]
-    if fam is Family.BESSEL:
-        samples, _ = sampling.sample_bessel_chain(
+        samples = [Configuration(row[:, None], dimension=1) for row in draws]
+    elif fam is Family.GINIBRE:
+        pts, report = sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
+        samples = [Configuration(p, dimension=2) for p in pts]
+    elif fam is Family.BESSEL:
+        samples, report = sampling.sample_bessel_chain(
             spec.n_particles, spec.alpha, rng, count, options=_mcmc_options(cfg)
         )
-        return samples
-    if fam in (Family.LENNARD_JONES, Family.RIESZ):
-        samples, _ = sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
-        return samples
-    supported = ", ".join(f.value for f in _SAMPLED_FAMILIES)
-    raise ConfigError(
-        "model.family", f"{fam.value} has no equilibrium sampler (one of: {supported})"
-    )
+    elif fam in (Family.LENNARD_JONES, Family.RIESZ):
+        samples, report = sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
+    else:
+        supported = ", ".join(f.value for f in _SAMPLED_FAMILIES)
+        raise ConfigError(
+            "model.family", f"{fam.value} has no equilibrium sampler (one of: {supported})"
+        )
+    if not report.converged:
+        rate = "unknown" if report.acceptance_rate is None else f"{report.acceptance_rate:.3f}"
+        print(
+            f"warning: the {fam.value} sampler did not converge (acceptance rate {rate}); "
+            "its samples are used as drawn",
+            file=sys.stderr,
+        )
+    return samples
 
 
 def _spaced_initial(spec: ModelSpec) -> np.ndarray:

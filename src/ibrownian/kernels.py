@@ -5,8 +5,9 @@ soft-edge kernel built from it, Bessel functions of the first kind with
 the hard-edge kernel in its two algebraically equal displayed forms, and
 the planar Gaussian (Ginibre) correlation determinant.
 
-Ai, Ai', J_alpha and J_alpha' come from ``scipy.special`` (``airy``, ``jv``,
-``jvp``), accepted on ``AIRY_SUPPORT`` and [0, ``BESSEL_X_MAX``].  Off the
+Ai, Ai' and J_alpha come from ``scipy.special`` (``airy``, ``jv``), and
+J_alpha' = (J_{alpha-1} - J_{alpha+1}) / 2 from two ``jv`` calls; all are
+accepted on ``AIRY_SUPPORT`` and [0, ``BESSEL_X_MAX``].  Off the
 diagonal the kernels are the closed forms, a numerator divided by
 (x - y).  As y -> x that numerator cancels badly, so within
 |x - y| <= ``DIAGONAL_WINDOW`` a quadratic expansion around the midpoint
@@ -135,10 +136,15 @@ def bessel_j(alpha: float, x):
     return _bessel_values(special.jv, "bessel_j", alpha, x)
 
 
+def _jv_prime(alpha: float, x):
+    # the relation scipy.special.jvp evaluates, without its Python wrapper,
+    # which doubles the cost of a scalar call
+    return (special.jv(alpha - 1.0, x) - special.jv(alpha + 1.0, x)) / 2.0
+
+
 def bessel_j_prime(alpha: float, x):
-    """Derivative of J_alpha, (J_{alpha-1} - J_{alpha+1}) / 2 as ``scipy.special.jvp``
-    computes it; argument in [0, 100]."""
-    return _bessel_values(special.jvp, "bessel_j_prime", alpha, x)
+    """Derivative of J_alpha, (J_{alpha-1} - J_{alpha+1}) / 2; argument in [0, 100]."""
+    return _bessel_values(_jv_prime, "bessel_j_prime", alpha, x)
 
 
 def _bessel_taylor(alpha: float, x, y):
@@ -176,7 +182,7 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
 
     ``form="recurrence"`` uses J_alpha and J_{alpha+1}; ``form="derivative"``
     uses J_alpha and its derivative.  The two are algebraically identical,
-    but ``jvp`` builds the derivative from J_{alpha-1} and J_{alpha+1}, so
+    but the derivative is built from J_{alpha-1} and J_{alpha+1}, so
     their agreement checks the kernel algebra rather than two independent
     evaluators.  Arguments within |x - y| <= 1e-4 (including the diagonal)
     are routed through the midpoint Taylor expansion, identical for both
@@ -196,7 +202,7 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
     if form == "recurrence":
         num = sx * special.jv(alpha + 1.0, sx) * jy - jx * sy * special.jv(alpha + 1.0, sy)
     else:
-        num = jx * sy * special.jvp(alpha, sy) - sx * special.jvp(alpha, sx) * jy
+        num = jx * sy * _jv_prime(alpha, sy) - sx * _jv_prime(alpha, sx) * jy
     return float(0.5 * num / (x - y))
 
 

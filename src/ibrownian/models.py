@@ -1,25 +1,36 @@
-"""Drift fields, truncations and log-derivative decompositions.
+"""Drift fields, truncations and log-derivative splits from one interaction table.
 
-For each family this module knows three things:
+Every field here comes from one identity.  The logarithmic derivative of
+the equilibrium density at x_i is
 
-* the finite-n drift of the interacting SDE system,
-* the truncated limit drift, where interaction terms are restricted to a
-  window (modulus window around the origin for the 1d families and the
-  origin-variant planar field, distance window for the centered planar
-  field and the translation-invariant 3d families) plus, for the soft-edge
-  family, the closed-form compensator 2*sqrt(r) of the truncated
-  semicircle tail,
-* the logarithmic derivative of the equilibrium density, split as
-  free + near + far with a C^1 polynomial cutoff, from which the drift is
-  reconstructed exactly via b = (1/2)(grad a + a * d).
+    d_i = u(x_i) + sum_j g(x_i, x_j),
+
+with a one-body term u and a pair term g, and the SDE drift is
+
+    b = (1/2)(grad a + a * d),
+
+where a = sigma^2 is the diffusion coefficient (1, or 4x for the squared
+process).  ``_one_body`` and ``_pair_terms`` hold u and g of each family,
+and ``_drift_of`` holds b; every public function reads them:
+
+* the finite-n drift sums g over all other particles, and u keeps the
+  n-dependent confinement;
+* the truncated limit drift sums g over a window only -- |y| < r for the
+  1d families and the origin-variant planar field, |x - y| < r for the
+  centered planar field and the translation-invariant 3d families -- and
+  u drops the n-dependent confinement; the soft-edge family puts the
+  closed-form compensator 2*sqrt(r) of the truncated semicircle tail in
+  its place, and the centered planar window drops the Gaussian term too;
+* the log derivative at a point splits the pair sum with a C^1 cutoff
+  into near + far, from which ``reconstruct_drift`` recovers the drift.
 
 Everything operates on plain float64 arrays; points of shape (n, d).
 ``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
 of states of shape (P, n, d) and return the stacked per-state drifts,
 bitwise equal to P separate calls.  Pairs closer than
-``MIN_PAIR_SEPARATION`` raise ``SingularConfigurationError``; nonpositive
-coordinates of the [0, inf) families raise ``DomainError``; in a stack,
-one such member makes the whole call raise.
+``MIN_PAIR_SEPARATION`` raise ``SingularConfigurationError`` (inside the
+window or not); nonpositive coordinates of the [0, inf) families raise
+``DomainError``; in a stack, one such member makes the whole call raise.
 """
 
 from __future__ import annotations
@@ -30,13 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Configuration,
-    DomainError,
-    Family,
-    ModelSpec,
-    SingularConfigurationError,
-)
+from .core import DomainError, Family, ModelSpec, SingularConfigurationError
 
 __all__ = [
     "MIN_PAIR_SEPARATION",
@@ -129,140 +134,6 @@ def diffusion_grad_a(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(points, dtype=float))
 
 
-# ---------------------------------------------------------------------------
-# geometry helpers
-# ---------------------------------------------------------------------------
-
-
-def _points_of(state) -> np.ndarray:
-    pts = getattr(state, "points", state)
-    arr = np.asarray(pts, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
-
-
-def _check_domain(spec: ModelSpec, arr: np.ndarray) -> None:
-    # per state of a stack, so that a NaN in one member hides nothing in another
-    if spec.nonnegative_domain and arr.size and np.any(np.min(arr, axis=(-2, -1)) <= 0.0):
-        raise DomainError(f"family {spec.family.value} requires strictly positive coordinates")
-
-
-def _check_separation(dist: np.ndarray) -> None:
-    if dist.size and np.any(np.min(dist, axis=(-2, -1)) < MIN_PAIR_SEPARATION):
-        raise SingularConfigurationError(
-            f"pair separation below {MIN_PAIR_SEPARATION:g}; configuration is singular"
-        )
-
-
-def _pair_geometry(arr: np.ndarray):
-    """Difference tensor (..., n, n, d) and distance matrix with +inf diagonal."""
-    diff = arr[..., :, None, :] - arr[..., None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
-    diag = np.arange(arr.shape[-2])
-    dist[..., diag, diag] = np.inf
-    _check_separation(dist)
-    return diff, dist
-
-
-def _line_differences(x: np.ndarray) -> np.ndarray:
-    """x_i - x_j (..., n, n) for 1d positions x (..., n), +inf on the diagonal.
-
-    The separation check uses |x_i - x_j|, which equals the Euclidean
-    distance sqrt((x_i - x_j)**2) wherever the check can go either way.
-    Off the diagonal no difference is 0 once the check has passed, so
-    1 / (x_i - x_j) needs no guard and is 0 on the diagonal.
-    """
-    d = x[..., :, None] - x[..., None, :]
-    diag = np.arange(x.shape[-1])
-    d[..., diag, diag] = np.inf
-    _check_separation(np.abs(d))
-    return d
-
-
-def _validate_trunc(spec: ModelSpec, trunc: TruncationParams) -> TruncationVariant | None:
-    if spec.family is Family.GINIBRE:
-        if trunc.variant is None:
-            raise ValueError("planar truncation needs a variant (centered or origin)")
-        return trunc.variant
-    if trunc.variant is not None:
-        raise ValueError("truncation variants apply to the planar family only")
-    return None
-
-
-# ---------------------------------------------------------------------------
-# finite-n drifts
-# ---------------------------------------------------------------------------
-
-
-def drift_finite_all(spec: ModelSpec, state) -> np.ndarray:
-    """Finite-n SDE drift for every particle; shape (n, d), or (P, n, d)
-    for a stack of P states."""
-    arr = _points_of(state)
-    if arr.shape[-1] != spec.dimension:
-        raise ValueError(f"state dimension {arr.shape[-1]} != family dimension {spec.dimension}")
-    _check_domain(spec, arr)
-    n = spec.n_particles
-    if arr.shape[-2] != n:
-        raise ValueError(f"state has {arr.shape[-2]} particles, spec expects {n}")
-    beta = spec.beta
-    fam = spec.family
-
-    if fam is Family.AIRY:
-        x = arr[..., 0]
-        s = (1.0 / _line_differences(x)).sum(axis=-1)
-        n13 = float(n) ** (1.0 / 3.0)
-        b = 0.5 * beta * (s - n13 - x / (2.0 * n13))
-        return b[..., None]
-
-    if fam is Family.GINIBRE:
-        diff, dist = _pair_geometry(arr)
-        w = np.where(np.isinf(dist), 0.0, 1.0 / np.where(np.isinf(dist), 1.0, dist**2))
-        inter = np.sum(diff * w[..., None], axis=-2)
-        return -arr + inter
-
-    if fam is Family.BESSEL:
-        x = arr[..., 0]
-        s = (1.0 / _line_differences(x)).sum(axis=-1)
-        b = -1.0 / (8.0 * n) + spec.alpha / (2.0 * x) + s
-        return b[..., None]
-
-    if fam is Family.SQUARE_BESSEL:
-        x = arr[..., 0]
-        s = (x[..., :, None] / _line_differences(x)).sum(axis=-1)
-        b = 4.0 * (-x / (8.0 * n) + 0.5 * (spec.alpha + 1.0) + s)
-        return b[..., None]
-
-    if fam is Family.SQRT_SQUARE_BESSEL:
-        x = arr[..., 0]
-        denom = _line_differences(x) * (x[..., :, None] + x[..., None, :])
-        # the product can underflow to 0 for positions near the edge
-        s = (2.0 * x[..., :, None] / np.where(denom == 0, np.inf, denom)).sum(axis=-1)
-        b = -x / (4.0 * n) + (spec.alpha + 0.5) / x + s
-        return b[..., None]
-
-    # translation-invariant 3d families with confining potential c|x|^2/n^theta
-    diff, dist = _pair_geometry(arr)
-    free = -(beta * spec.free_c / float(n) ** spec.free_theta) * arr
-    if fam is Family.LENNARD_JONES:
-        w = 12.0 / dist**14 - 6.0 / dist**8
-    else:  # Riesz
-        w = 1.0 / dist ** (spec.riesz_a + 2.0)
-    w = np.where(np.isinf(dist), 0.0, w)
-    inter = 0.5 * beta * np.sum(diff * w[..., None], axis=-2)
-    return free + inter
-
-
-def drift_finite(spec: ModelSpec, i: int, state) -> np.ndarray:
-    """Finite-n drift of particle ``i`` (0-based index into the state)."""
-    return drift_finite_all(spec, state)[i]
-
-
-# ---------------------------------------------------------------------------
-# truncated limit drifts
-# ---------------------------------------------------------------------------
-
-
 def airy_tail_integral(r: float) -> float:
     """Window integral of the edge intensity against the interaction kernel.
 
@@ -275,6 +146,169 @@ def airy_tail_integral(r: float) -> float:
     return 2.0 * math.sqrt(r)
 
 
+# ---------------------------------------------------------------------------
+# the interaction table
+# ---------------------------------------------------------------------------
+#
+# Positions enter the table as (..., m) arrays for the 1d families, without
+# a trailing coordinate axis, and as (..., m, d) arrays otherwise: the 1d
+# drifts are the hot path of the integrator, and (..., n, n, 1) pair arrays
+# make them markedly slower than (..., n, n) ones.
+
+
+def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool):
+    """Pair term g(x_i, y_j) for the points x (..., m, d) and y (..., k, d).
+
+    Returns g, (..., m, k) for the 1d families and (..., m, k, d)
+    otherwise, and the distances |x_i - y_j| (..., m, k).  With
+    ``self_pairs`` x and y are the same points: the distance is +inf on
+    the diagonal, where every g below is then 0.  Raises
+    ``SingularConfigurationError`` if any pair is closer than
+    ``MIN_PAIR_SEPARATION``, checked per state of a stack so that a NaN
+    in one member hides nothing in another.
+    """
+    if spec.dimension == 1:
+        x, y = x[..., 0], y[..., 0]
+        diff = x[..., :, None] - y[..., None, :]
+        if self_pairs:
+            diag = np.arange(x.shape[-1])
+            diff[..., diag, diag] = np.inf
+        dist = np.abs(diff)
+    else:
+        diff = x[..., :, None, :] - y[..., None, :, :]
+        dist = np.sqrt(np.sum(diff**2, axis=-1))
+        if self_pairs:
+            diag = np.arange(x.shape[-2])
+            dist[..., diag, diag] = np.inf
+    if dist.size and (dist.min(axis=(-2, -1)) < MIN_PAIR_SEPARATION).any():
+        raise SingularConfigurationError(
+            f"pair separation below {MIN_PAIR_SEPARATION:g}; configuration is singular"
+        )
+    # g is written over diff: for a large stack, one pair array fewer to allocate
+    fam = spec.family
+    if fam is Family.AIRY:
+        np.divide(spec.beta, diff, out=diff)
+    elif fam in (Family.BESSEL, Family.SQUARE_BESSEL):
+        np.divide(2.0, diff, out=diff)
+    elif fam is Family.SQRT_SQUARE_BESSEL:
+        diff *= x[..., :, None] + y[..., None, :]
+        np.divide(4.0 * x[..., :, None], diff, out=diff)
+    elif fam is Family.GINIBRE:
+        diff *= (2.0 / dist**2)[..., None]
+    else:
+        if fam is Family.LENNARD_JONES:
+            w = 12.0 / dist**14 - 6.0 / dist**8
+        else:  # Riesz
+            w = 1.0 / dist ** (spec.riesz_a + 2.0)
+        diff *= (spec.beta * w)[..., None]
+    return diff, dist
+
+
+def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
+    """One-body term u at positions x, elementwise; 0.0 where it vanishes.
+
+    ``trunc`` None gives the finite-n term, with its n-dependent
+    confinement; otherwise the term of the truncated limit field.
+    """
+    fam = spec.family
+    n = float(spec.n_particles)
+    limit = trunc is not None
+    if fam is Family.AIRY:
+        if limit:
+            return -spec.beta * airy_tail_integral(trunc.radius)
+        n13 = n ** (1.0 / 3.0)
+        return -spec.beta * (n13 + x / (2.0 * n13))
+    if fam is Family.GINIBRE:
+        return 0.0 if limit and trunc.variant is TruncationVariant.CENTERED else -2.0 * x
+    if fam in (Family.BESSEL, Family.SQUARE_BESSEL):
+        return spec.alpha / x if limit else -1.0 / (4.0 * n) + spec.alpha / x
+    if fam is Family.SQRT_SQUARE_BESSEL:
+        return (2.0 * spec.alpha + 1.0) / x if limit else -x / (2.0 * n) + (2.0 * spec.alpha + 1.0) / x
+    # translation-invariant 3d families with confining potential c|x|^2/n^theta
+    return 0.0 if limit else -(2.0 * spec.beta * spec.free_c / n**spec.free_theta) * x
+
+
+def _drift_of(spec: ModelSpec, x: np.ndarray, d) -> np.ndarray:
+    """b = (1/2)(grad a + a * d), which is d / 2 where a = 1."""
+    if diffusion_kind(spec) is DiffusionKind.IDENTITY:
+        return 0.5 * d
+    return 0.5 * (diffusion_grad_a(spec, x) + diffusion_coefficient_a(spec, x) * d)
+
+
+def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParams | None, self_pairs: bool):
+    """Drift at the points x (..., m, d) from the points y (..., k, d).
+
+    With ``trunc`` the pair sum keeps only the y in its window and u is
+    the limit field's.
+    """
+    g, dist = _pair_terms(spec, x, y, self_pairs)
+    line = spec.dimension == 1
+    if line:
+        x, y = x[..., 0], y[..., 0]
+    if trunc is not None:
+        if line or trunc.variant is TruncationVariant.ORIGIN:
+            modulus = np.abs(y) if line else np.sqrt(np.sum(y**2, axis=-1))
+            inside = (modulus < trunc.radius)[..., None, :]
+        else:
+            inside = dist < trunc.radius
+        g = np.where(inside if line else inside[..., None], g, 0.0)
+    b = _drift_of(spec, x, _one_body(spec, x, trunc) + g.sum(axis=-1 if line else -2))
+    return b[..., None] if line else b
+
+
+# ---------------------------------------------------------------------------
+# input handling
+# ---------------------------------------------------------------------------
+
+
+def _points_of(state) -> np.ndarray:
+    pts = getattr(state, "points", state)
+    arr = np.asarray(pts, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    return arr
+
+
+def _env_of(spec: ModelSpec, env) -> np.ndarray:
+    arr = None if env is None else _points_of(env)
+    return arr if arr is not None and len(arr) else np.zeros((0, spec.dimension))
+
+
+def _check_domain(spec: ModelSpec, arr: np.ndarray) -> None:
+    # per state of a stack, so that a NaN in one member hides nothing in another
+    if spec.nonnegative_domain and arr.size and (arr.min(axis=(-2, -1)) <= 0.0).any():
+        raise DomainError(f"family {spec.family.value} requires strictly positive coordinates")
+
+
+def _validate_trunc(spec: ModelSpec, trunc: TruncationParams) -> None:
+    if spec.family is Family.GINIBRE and trunc.variant is None:
+        raise ValueError("planar truncation needs a variant (centered or origin)")
+    if spec.family is not Family.GINIBRE and trunc.variant is not None:
+        raise ValueError("truncation variants apply to the planar family only")
+
+
+# ---------------------------------------------------------------------------
+# finite-n and truncated limit drifts
+# ---------------------------------------------------------------------------
+
+
+def drift_finite_all(spec: ModelSpec, state) -> np.ndarray:
+    """Finite-n SDE drift for every particle; shape (n, d), or (P, n, d)
+    for a stack of P states."""
+    arr = _points_of(state)
+    if arr.shape[-1] != spec.dimension:
+        raise ValueError(f"state dimension {arr.shape[-1]} != family dimension {spec.dimension}")
+    _check_domain(spec, arr)
+    if arr.shape[-2] != spec.n_particles:
+        raise ValueError(f"state has {arr.shape[-2]} particles, spec expects {spec.n_particles}")
+    return _field(spec, arr, arr, None, self_pairs=True)
+
+
+def drift_finite(spec: ModelSpec, i: int, state) -> np.ndarray:
+    """Finite-n drift of particle ``i`` (0-based index into the state)."""
+    return drift_finite_all(spec, state)[i]
+
+
 def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.ndarray:
     """Truncated limit drift felt at position ``x`` from environment ``env``.
 
@@ -283,94 +317,28 @@ def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.n
     origin variant, |x - y| < r for the planar centered variant and the 3d
     families.  The particle-indexed form is ``drift_limit_truncated``.
     """
-    variant = _validate_trunc(spec, trunc)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    env_arr = _points_of(env) if (env is not None and len(_points_of(env))) else np.zeros((0, spec.dimension))
-    if xv.shape != (spec.dimension,):
+    _validate_trunc(spec, trunc)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    if xv.shape != (1, spec.dimension):
         raise ValueError(f"position must be a {spec.dimension}-vector")
-    r = trunc.radius
-    beta = spec.beta
-    fam = spec.family
-
-    if spec.nonnegative_domain:
-        if np.min(xv) <= 0 or (env_arr.size and np.min(env_arr) <= 0):
-            raise DomainError("positive coordinates required")
-
-    if fam is Family.AIRY:
-        y = env_arr[:, 0] if env_arr.size else np.zeros(0)
-        sel = y[np.abs(y) < r]
-        d = xv[0] - sel
-        if d.size and np.min(np.abs(d)) < MIN_PAIR_SEPARATION:
-            raise SingularConfigurationError("test position coincides with an environment point")
-        s = math.fsum(1.0 / v for v in d)
-        return np.array([0.5 * beta * (s - airy_tail_integral(r))])
-
-    if fam is Family.GINIBRE:
-        diff = xv[None, :] - env_arr
-        dist = np.sqrt(np.sum(diff**2, axis=1)) if env_arr.size else np.zeros(0)
-        if dist.size and np.min(dist) < MIN_PAIR_SEPARATION:
-            raise SingularConfigurationError("test position coincides with an environment point")
-        if variant is TruncationVariant.CENTERED:
-            sel = dist < r
-            contrib = diff[sel] / (dist[sel] ** 2)[:, None]
-            return contrib.sum(axis=0) if contrib.size else np.zeros(2)
-        sel = (np.sqrt(np.sum(env_arr**2, axis=1)) < r) if env_arr.size else np.zeros(0, dtype=bool)
-        contrib = diff[sel] / (dist[sel] ** 2)[:, None]
-        inter = contrib.sum(axis=0) if contrib.size else np.zeros(2)
-        return -xv + inter
-
-    if fam in (Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL):
-        y = env_arr[:, 0] if env_arr.size else np.zeros(0)
-        sel = y[y < r]
-        x0 = xv[0]
-        if fam is Family.BESSEL:
-            d = x0 - sel
-            if d.size and np.min(np.abs(d)) < MIN_PAIR_SEPARATION:
-                raise SingularConfigurationError("test position coincides with an environment point")
-            s = math.fsum(1.0 / v for v in d)
-            return np.array([0.5 * spec.alpha / x0 + s])
-        if fam is Family.SQUARE_BESSEL:
-            d = x0 - sel
-            if d.size and np.min(np.abs(d)) < MIN_PAIR_SEPARATION:
-                raise SingularConfigurationError("test position coincides with an environment point")
-            s = math.fsum(x0 / v for v in d)
-            return np.array([4.0 * (0.5 * (spec.alpha + 1.0) + s)])
-        d = (x0 - sel) * (x0 + sel)
-        if d.size and np.min(np.abs(x0 - sel)) < MIN_PAIR_SEPARATION:
-            raise SingularConfigurationError("test position coincides with an environment point")
-        s = math.fsum(2.0 * x0 / v for v in d)
-        return np.array([(spec.alpha + 0.5) / x0 + s])
-
-    # 3d families: distance window, no free term in the limit field
-    diff = xv[None, :] - env_arr
-    dist = np.sqrt(np.sum(diff**2, axis=1)) if env_arr.size else np.zeros(0)
-    if dist.size and np.min(dist) < MIN_PAIR_SEPARATION:
-        raise SingularConfigurationError("test position coincides with an environment point")
-    sel = dist < r
-    diff = diff[sel]
-    dist = dist[sel]
-    if fam is Family.LENNARD_JONES:
-        w = 12.0 / dist**14 - 6.0 / dist**8
-    else:
-        w = 1.0 / dist ** (spec.riesz_a + 2.0)
-    inter = (diff * w[:, None]).sum(axis=0) if diff.size else np.zeros(3)
-    return 0.5 * beta * inter
+    env_arr = _env_of(spec, env)
+    _check_domain(spec, xv)
+    _check_domain(spec, env_arr)
+    return _field(spec, xv, env_arr, trunc, self_pairs=False)[0]
 
 
 def drift_limit_truncated(spec: ModelSpec, i: int, state, trunc: TruncationParams) -> np.ndarray:
     """Truncated limit drift of particle ``i`` within ``state``."""
-    arr = _points_of(state)
-    env = np.delete(arr, i, axis=0)
-    return truncated_drift_at(spec, arr[i], env, trunc)
+    return drift_limit_truncated_all(spec, state, trunc)[i]
 
 
 def drift_limit_truncated_all(spec: ModelSpec, state, trunc: TruncationParams) -> np.ndarray:
     """Truncated limit drift of every particle; shape (n, d), or (P, n, d)
     for a stack of P states."""
+    _validate_trunc(spec, trunc)
     arr = _points_of(state)
-    if arr.ndim == 3:
-        return np.stack([drift_limit_truncated_all(spec, a, trunc) for a in arr])
-    return np.stack([drift_limit_truncated(spec, i, arr, trunc) for i in range(arr.shape[0])])
+    _check_domain(spec, arr)
+    return _field(spec, arr, arr, trunc, self_pairs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,46 +366,15 @@ def pair_interaction(spec: ModelSpec, x, y) -> np.ndarray:
     """Interaction kernel g(x, y): the two-body part of the log derivative."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     yv = np.atleast_1d(np.asarray(y, dtype=float))
-    diff = xv - yv
-    dist = float(np.sqrt(np.sum(diff**2)))
-    if dist < MIN_PAIR_SEPARATION:
-        raise SingularConfigurationError("coincident pair in interaction kernel")
-    fam = spec.family
-    if fam is Family.AIRY:
-        return np.array([spec.beta / diff[0]])
-    if fam is Family.GINIBRE:
-        return 2.0 * diff / dist**2
-    if fam in (Family.BESSEL, Family.SQUARE_BESSEL):
-        return np.array([2.0 / diff[0]])
-    if fam is Family.SQRT_SQUARE_BESSEL:
-        return np.array([4.0 * xv[0] / (diff[0] * (xv[0] + yv[0]))])
-    if fam is Family.LENNARD_JONES:
-        return spec.beta * (12.0 / dist**14 - 6.0 / dist**8) * diff
-    return spec.beta * diff / dist ** (spec.riesz_a + 2.0)
+    g, _ = _pair_terms(spec, xv[None, :], yv[None, :], self_pairs=False)
+    return g.reshape(spec.dimension)
 
 
 def free_log_derivative(spec: ModelSpec, x) -> np.ndarray:
     """One-body part u of the log derivative of the equilibrium density."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    n = spec.n_particles
-    fam = spec.family
-    if fam is Family.AIRY:
-        n13 = float(n) ** (1.0 / 3.0)
-        return -spec.beta * (n13 + xv / (2.0 * n13))
-    if fam is Family.GINIBRE:
-        return -2.0 * xv
-    if fam in (Family.BESSEL, Family.SQUARE_BESSEL):
-        _require_positive(xv)
-        return -1.0 / (4.0 * n) + spec.alpha / xv
-    if fam is Family.SQRT_SQUARE_BESSEL:
-        _require_positive(xv)
-        return -xv / (2.0 * n) + (2.0 * spec.alpha + 1.0) / xv
-    return -(2.0 * spec.beta * spec.free_c / float(n) ** spec.free_theta) * xv
-
-
-def _require_positive(xv: np.ndarray) -> None:
-    if np.min(xv) <= 0:
-        raise DomainError("positive coordinates required")
+    _check_domain(spec, xv[None, :])
+    return _one_body(spec, xv, None)
 
 
 def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
@@ -449,25 +386,13 @@ def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     of ``s`` up to rounding.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    env_arr = _points_of(env) if (env is not None and len(_points_of(env))) else np.zeros((0, spec.dimension))
     free = free_log_derivative(spec, xv)
-    d = spec.dimension
-    near_parts: list[list[float]] = [[] for _ in range(d)]
-    far_parts: list[list[float]] = [[] for _ in range(d)]
-    for y in env_arr:
-        g = pair_interaction(spec, xv, y)
-        w = cutoff_chi(float(np.sqrt(np.sum((xv - y) ** 2))), s)
-        for k in range(d):
-            near_parts[k].append(w * g[k])
-            far_parts[k].append((1.0 - w) * g[k])
-    near = np.array([math.fsum(p) for p in near_parts])
-    far = np.array([math.fsum(p) for p in far_parts])
-    return LogDerivDecomposition(free=free, near=near, far=far)
+    g, dist = _pair_terms(spec, xv[None, :], _env_of(spec, env), self_pairs=False)
+    g = g[0].reshape(-1, spec.dimension)
+    w = cutoff_chi(dist[0], s)[:, None]
+    return LogDerivDecomposition(free=free, near=(w * g).sum(axis=0), far=((1.0 - w) * g).sum(axis=0))
 
 
 def reconstruct_drift(spec: ModelSpec, x, decomp: LogDerivDecomposition) -> np.ndarray:
     """Drift from a decomposition: b = (1/2)(grad a + a * (u + g_s + r_s))."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    a = diffusion_coefficient_a(spec, xv)
-    ga = diffusion_grad_a(spec, xv)
-    return 0.5 * (ga + a * decomp.total())
+    return _drift_of(spec, np.atleast_1d(np.asarray(x, dtype=float)), decomp.total())

@@ -253,6 +253,51 @@ def drift_oracle_riesz(beta, a, c, theta, n, pts, i):
     return acc
 
 
+def truncated_drift_oracle(family, x, env, r, *, beta=2.0, alpha=None, riesz_a=None, variant=None):
+    """Truncated limit drift at ``x`` from the points of ``env`` in the window.
+
+    ``family`` is the family's name.  The window is |y| < r for the 1d
+    families and the planar origin variant, |x - y| < r for the planar
+    centered variant and the 3d families.
+    """
+    x = [float(v) for v in np.atleast_1d(x)]
+    distance_window = family in ("lennard_jones", "riesz") or variant == "centered"
+    acc = [0.0] * len(x)
+    for y in env:
+        y = [float(v) for v in np.atleast_1d(y)]
+        diff = [a - b for a, b in zip(x, y)]
+        dist = math.sqrt(sum(c * c for c in diff))
+        if (dist if distance_window else math.sqrt(sum(c * c for c in y))) >= r:
+            continue
+        if family == "airy":
+            terms = [0.5 * beta / diff[0]]
+        elif family == "bessel":
+            terms = [1.0 / diff[0]]
+        elif family == "square_bessel":
+            terms = [4.0 * x[0] / diff[0]]
+        elif family == "sqrt_square_bessel":
+            terms = [2.0 * x[0] / (x[0] ** 2 - y[0] ** 2)]
+        elif family == "ginibre":
+            terms = [c / dist**2 for c in diff]
+        elif family == "lennard_jones":
+            terms = [0.5 * beta * (12.0 / dist**14 - 6.0 / dist**8) * c for c in diff]
+        else:
+            terms = [0.5 * beta * c / dist ** (riesz_a + 2.0) for c in diff]
+        acc = [a + t for a, t in zip(acc, terms)]
+    # one-body part of the limit field
+    if family == "airy":
+        acc[0] -= beta * math.sqrt(r)
+    elif family == "ginibre" and variant == "origin":
+        acc = [a - c for a, c in zip(acc, x)]
+    elif family == "bessel":
+        acc[0] += alpha / (2.0 * x[0])
+    elif family == "square_bessel":
+        acc[0] += 2.0 * (alpha + 1.0)
+    elif family == "sqrt_square_bessel":
+        acc[0] += (alpha + 0.5) / x[0]
+    return np.array(acc)
+
+
 def one_sample_ks(values: np.ndarray, cdf) -> float:
     """Kolmogorov distance of an empirical sample to a reference CDF."""
     v = np.sort(np.asarray(values, dtype=float))

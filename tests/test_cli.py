@@ -1,6 +1,9 @@
+import dataclasses
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,25 @@ class TestSampleCommand:
         run_cli(base + ["--seed", "1", "--out", str(tmp_path / "a")])
         run_cli(base + ["--seed", "2", "--out", str(tmp_path / "b")])
         assert (tmp_path / "a" / "samples.csv").read_text() != (tmp_path / "b" / "samples.csv").read_text()
+
+    def test_unconverged_chain_warns_and_still_writes(self, tmp_path, capsys, monkeypatch):
+        real = cli.sampling.sample_bessel_chain
+
+        def unconverged(*args, **kwargs):
+            samples, report = real(*args, **kwargs)
+            return samples, dataclasses.replace(report, acceptance_rate=0.05, converged=False)
+
+        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", unconverged)
+        argv = ["sample", "--model", "bessel", "--n", "3", "--n-samples", "2", "--seed", "5"]
+        assert run_cli(argv + ["--burn-in-sweeps", "10", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and "bessel" in err and "0.050" in err
+        assert (tmp_path / "samples.csv").read_text().count("\n\n") == 1
+
+    def test_converged_sampler_prints_no_warning(self, tmp_path, capsys):
+        argv = ["sample", "--model", "ginibre", "--n", "5", "--n-samples", "2", "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_family_without_sampler_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["sample", "--model", "square-bessel", "--out", str(tmp_path)])
@@ -251,11 +273,15 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # the child imports the package this process imported
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         res = subprocess.run(
             [sys.executable, "-m", "ibrownian.cli", "kernel", "--kernel", "airy2",
              "--grid", "0:1:0.5", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert res.returncode == 0
         assert (tmp_path / "kernel.csv").exists()

@@ -134,6 +134,15 @@ class TestBesselJ:
                 num = (K.bessel_j(a, x + h) - K.bessel_j(a, x - h)) / (2 * h)
                 assert K.bessel_j_prime(a, x) == pytest.approx(num, abs=1e-8)
 
+    def test_derivative_bitwise_equal_to_scipy_jvp(self):
+        from scipy import special
+
+        xs = np.concatenate([np.random.default_rng(17).uniform(0.0, 100.0, 200_000), [0.0, 1e-300, 100.0]])
+        for a in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 7.25):
+            assert np.array_equal(K.bessel_j_prime(a, xs), special.jvp(a, xs))
+            for x in xs[-5:]:
+                assert K.bessel_j_prime(a, float(x)) == special.jvp(a, float(x))
+
     def test_argument_cap(self):
         with pytest.raises(ValueError):
             K.bessel_j(1.0, 150.0)

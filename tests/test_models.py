@@ -380,6 +380,38 @@ class TestBatchAxis:
             M.drift_finite_all(spec, stack)
 
 
+class TestTruncatedDriftAgainstLoopOracle:
+    """Every family and planar variant, with some points outside the window."""
+
+    @staticmethod
+    def _want(spec, trunc, state):
+        return np.stack([
+            oracles.truncated_drift_oracle(
+                spec.family.value, state[i], np.delete(state, i, axis=0), trunc.radius,
+                beta=spec.beta, alpha=spec.alpha, riesz_a=spec.riesz_a,
+                variant=None if trunc.variant is None else trunc.variant.value,
+            )
+            for i in range(len(state))
+        ])
+
+    @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
+    def test_matches_loop_oracle(self, fam, kw, variant):
+        spec = _spec(fam, 9, **kw)
+        trunc = M.TruncationParams(radius=3.0, variant=variant)
+        stack = _stack(spec, 3, seed=21)
+        wants = [self._want(spec, trunc, state) for state in stack]
+        for state, want in zip(stack, wants):
+            if variant == "centered" or spec.dimension == 3:
+                window = np.linalg.norm(state[:, None] - state[None, :], axis=-1)
+            else:
+                window = np.linalg.norm(state, axis=-1)
+            assert (window >= trunc.radius).any()
+            at = np.stack([M.truncated_drift_at(spec, state[i], np.delete(state, i, axis=0), trunc) for i in range(9)])
+            np.testing.assert_allclose(at, want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(M.drift_limit_truncated_all(spec, state, trunc), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(M.drift_limit_truncated_all(spec, stack, trunc), np.stack(wants), rtol=1e-12, atol=1e-12)
+
+
 class TestDiffusion:
     def test_kind_mapping(self):
         assert M.diffusion_kind(_spec(Family.SQUARE_BESSEL, 2, alpha=1.0)) is M.DiffusionKind.SQUARE_BESSEL_4X
