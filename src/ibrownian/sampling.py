@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .core import Configuration, Family, ModelSpec, RngStream
 
@@ -148,6 +148,10 @@ def sample_airy_ensemble(
     n: int, beta: float, rng, n_samples: int, *, method: str = "tridiagonal"
 ) -> tuple[np.ndarray, SamplerReport]:
     """n_samples independent draws; rows ascending, shape (n_samples, n)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not beta > 0:
+        raise ValueError("beta must be > 0")
     if method not in ("tridiagonal", "dense"):
         raise ValueError(f"unknown method {method!r}")
     g, seed = _resolve_rng(rng)
@@ -183,6 +187,8 @@ def sample_ginibre(n: int, rng) -> Configuration:
 
 
 def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, SamplerReport]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
     out = np.empty((n_samples, n, 2))
@@ -197,25 +203,127 @@ def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, Sa
 # ---------------------------------------------------------------------------
 
 
+# cap on samples * r * r chain-rule coefficients held per block (r = kept
+# eigenvectors, about 32 MB); larger requests run as consecutive blocks
+_BLOCK_COEFFS = 1 << 22
+
+
+def _field_basis(lo: float, hi: float, grid_step: float):
+    """Midpoint grid, cell width, and the eigenpairs of h*K above 1e-12."""
+    from .kernels import airy_fn
+
+    m = int(math.ceil((hi - lo) / grid_step))
+    h = (hi - lo) / m
+    x = lo + h * (np.arange(m) + 0.5)
+    ai, aip = airy_fn(x)
+    # built in place: a few m x m arrays fewer at the peak
+    km = np.multiply.outer(ai, aip)
+    km -= np.multiply.outer(aip, ai)
+    denom = np.subtract.outer(x, x)
+    np.fill_diagonal(denom, 1.0)
+    km /= denom
+    del denom
+    np.fill_diagonal(km, aip * aip - x * ai * ai)
+    km *= h
+    # km is exactly symmetric, so its transpose is the same matrix in the
+    # Fortran order LAPACK overwrites without a copy
+    lam, vecs = eigh(km.T, subset_by_value=(1e-12, np.inf), overwrite_a=True)
+    return x, h, np.clip(lam, 0.0, 1.0), np.ascontiguousarray(vecs)
+
+
+def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) -> list[np.ndarray]:
+    """Chain-rule cells for a block of samples of the projection kernels
+    ``vecs[:, mask] @ vecs[:, mask].T``; ``picks[b]`` holds sample b's pick
+    uniforms and ``first`` is the block's first sample index.
+
+    Column t of a sample's Cholesky factor is kept as coefficients a_t in
+    the eigenbasis, col_t = vecs @ a_t.  With v = vecs[i] for the picked
+    cell i, a_t = (mask * v - sum_j a_j (v . a_j)) / sqrt(pivot), so step t
+    of every sample in the block is one shared product of the (B, r)
+    coefficients with vecs.T plus O(B r t) work.  Samples run in order of
+    decreasing point count, so the samples still picking at step t are a
+    prefix of the block.
+    """
+    m, r = vecs.shape
+    vt = np.ascontiguousarray(vecs.T)
+    counts = masks.sum(axis=1)
+    order = np.argsort(-counts, kind="stable")
+    counts = counts[order]
+    n_max = int(counts[0])
+    sel = masks[order].astype(float)
+    u = np.zeros((len(order), n_max))
+    for row, b in enumerate(order):
+        u[row, : counts[row]] = picks[b]
+    coef = np.empty((len(order), n_max, r))
+    cells = np.empty((len(order), n_max), dtype=np.intp)
+    trouble = {}
+    # a row in trouble goes on with placeholder values, so the error names
+    # the lowest sample index whatever the blocking
+    with np.errstate(all="ignore"):
+        diag = sel @ (vt * vt)
+        for t in range(n_max):
+            k = int(np.count_nonzero(counts > t))
+            cdf = np.cumsum(np.maximum(diag[:k], 0.0), axis=1)
+            mass = cdf[:, -1].copy()
+            cdf /= mass[:, None]
+            bad = ~((mass > 0.0) & (mass < np.inf))
+            if bad.any():
+                for row in np.flatnonzero(bad):
+                    trouble.setdefault(int(row), (t, float(mass[row])))
+                cdf[bad] = 1.0
+            # searchsorted(cdf, u, "right") per row, as Generator.choice does
+            i = np.count_nonzero(cdf <= u[:k, t, None], axis=1)
+            vi = vecs[i]
+            a = sel[:k] * vi
+            if t:
+                prev = coef[:k, :t]
+                a -= np.matmul(np.matmul(prev, vi[:, :, None]).transpose(0, 2, 1), prev)[:, 0]
+            col = a @ vt
+            scale = np.sqrt(np.maximum(col[np.arange(k), i], 1e-300))[:, None]
+            col /= scale
+            coef[:k, t] = a / scale
+            diag[:k] -= col * col
+            cells[:k, t] = i
+    if trouble:
+        row = min(trouble, key=lambda j: order[j])
+        t, mass = trouble[row]
+        raise ValueError(
+            f"sample_airy_field: sample {first + int(order[row])}, step {t}: "
+            f"remaining kernel mass {mass!r} is not finite and positive"
+        )
+    out = [None] * len(order)
+    for row, b in enumerate(order):
+        out[b] = cells[row, : counts[row]]
+    return out
+
+
 def sample_airy_field(
     window: tuple[float, float], rng, n_samples: int, *, grid_step: float = 0.04
 ) -> tuple[list[np.ndarray], SamplerReport]:
     """Draws of the beta = 2 soft-edge limit field restricted to a window.
 
     The correlation kernel is discretized on a midpoint grid over
-    ``window = (lo, hi)``, its eigenfunctions are Bernoulli-thinned, and
-    points are then selected sequentially through Schur complements of
-    the projection kernel.  Each selected cell gets a uniform jitter of
-    one cell width.  Returns one ascending array per sample (the point
-    count varies) plus a report.
+    ``window = (lo, hi)``; a partial eigendecomposition keeps its
+    eigenpairs above 1e-12.  Each sample Bernoulli-thins the
+    eigenfunctions and then selects cells sequentially by the chain rule
+    for projection kernels (Schur complements, Hough-Krishnapur-Peres-
+    Virag), and each selected cell gets a uniform jitter of one cell
+    width.  The chain rule runs batched: samples go in blocks, and one
+    matrix product with the eigenvectors serves every sample of a block
+    at each step.  Per sample the generator gives, in this order, one
+    uniform per kept eigenvalue, one per point for the cell picks and one
+    per point for the jitter -- the stream of a sample-by-sample loop that
+    picks cells with ``Generator.choice``, so the draws do not depend on
+    the blocking.  Returns one ascending array per sample (the point count
+    varies) plus a report.  Raises ValueError, naming the sample and the
+    step, if the remaining kernel mass of a pick is not finite and
+    positive.
 
     Unlike the matrix models this realizes the infinite system's own
     equilibrium on the window: the mean density is the kernel diagonal
     with no finite-matrix distortion, which matters when window sums are
     compared against limit formulas.
     """
-    from .kernels import airy_fn
-
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
@@ -226,40 +334,20 @@ def sample_airy_field(
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
 
-    m = int(math.ceil((hi - lo) / grid_step))
-    h = (hi - lo) / m
-    x = lo + h * (np.arange(m) + 0.5)
-    ai, aip = airy_fn(x)
-    denom = x[:, None] - x[None, :]
-    np.fill_diagonal(denom, 1.0)
-    km = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / denom
-    np.fill_diagonal(km, aip * aip - x * ai * ai)
-    lam, vecs = np.linalg.eigh(h * km)
-    keep = lam > 1e-12
-    lam = np.clip(lam[keep], 0.0, 1.0)
-    vecs = vecs[:, keep]
-
+    x, h, lam, vecs = _field_basis(lo, hi, grid_step)
+    per_block = max(1, _BLOCK_COEFFS // max(1, lam.size * lam.size))
     out = []
-    for _ in range(n_samples):
-        sel = vecs[:, g.random(lam.size) < lam]
-        n = sel.shape[1]
-        if n == 0:
-            out.append(np.zeros(0))
-            continue
-        diag = np.einsum("ij,ij->i", sel, sel)
-        chol = np.empty((m, n))
-        cells = np.empty(n, dtype=int)
-        for t in range(n):
-            p = np.clip(diag, 0.0, None)
-            i = g.choice(m, p=p / p.sum())
-            col = sel @ sel[i]
-            if t:
-                col -= chol[:, :t] @ chol[i, :t]
-            col /= math.sqrt(max(col[i], 1e-300))
-            chol[:, t] = col
-            diag -= col * col
-            cells[t] = i
-        out.append(np.sort(x[cells] + (g.random(n) - 0.5) * h))
+    for first in range(0, n_samples, per_block):
+        size = min(per_block, n_samples - first)
+        masks = np.empty((size, lam.size), dtype=bool)
+        picks, jitters = [], []
+        for b in range(size):
+            masks[b] = g.random(lam.size) < lam
+            n = int(np.count_nonzero(masks[b]))
+            picks.append(g.random(n))
+            jitters.append(g.random(n))
+        cells = _pick_cells(vecs, masks, picks, first)
+        out.extend(np.sort(x[c] + (u - 0.5) * h) for c, u in zip(cells, jitters))
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
 

@@ -4,10 +4,11 @@ Each oracle computes a reference quantity by a route deliberately
 different from the library's own (direct per-term series instead of
 recurrences, ODE integration instead of series/asymptotics, quadrature
 instead of closed forms, rejection sampling instead of matrix models), so
-agreement is evidence rather than tautology.  Only the reference path
-integrator at the end imports the package: it runs the package's drifts
-through the recursive per-path traversal the package used before its
-batched loop.
+agreement is evidence rather than tautology.  Only the two references
+at the end import the package: the path integrator runs the package's
+drifts through the recursive per-path traversal the package used before
+its batched loop, and the field sampler runs the package's Airy functions
+through the sample-by-sample chain rule it used before its batched one.
 """
 
 from __future__ import annotations
@@ -529,3 +530,68 @@ def reference_simulate(
         ordering_violations=violations,
         failed_paths=failures,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference soft-edge field sampler
+# ---------------------------------------------------------------------------
+#
+# The sample-by-sample window sampler that the package used before its
+# batched chain rule, kept verbatim as the bitwise reference for
+# ``ibrownian.sampling.sample_airy_field``: a full eigendecomposition, and
+# per point one ``Generator.choice`` and one Schur-complement column of
+# m x n matrix-vector products.
+
+
+def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
+    import time
+
+    from ibrownian.kernels import airy_fn
+    from ibrownian.sampling import SamplerReport, _resolve_rng
+
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("window must satisfy lo < hi")
+    if grid_step <= 0 or (hi - lo) / grid_step > 50_000:
+        raise ValueError("grid_step must be positive and resolve the window into <= 50000 cells")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    g, seed = _resolve_rng(rng)
+    t0 = time.perf_counter()
+
+    m = int(math.ceil((hi - lo) / grid_step))
+    h = (hi - lo) / m
+    x = lo + h * (np.arange(m) + 0.5)
+    ai, aip = airy_fn(x)
+    denom = x[:, None] - x[None, :]
+    np.fill_diagonal(denom, 1.0)
+    km = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / denom
+    np.fill_diagonal(km, aip * aip - x * ai * ai)
+    lam, vecs = np.linalg.eigh(h * km)
+    keep = lam > 1e-12
+    lam = np.clip(lam[keep], 0.0, 1.0)
+    vecs = vecs[:, keep]
+
+    out = []
+    for _ in range(n_samples):
+        sel = vecs[:, g.random(lam.size) < lam]
+        n = sel.shape[1]
+        if n == 0:
+            out.append(np.zeros(0))
+            continue
+        diag = np.einsum("ij,ij->i", sel, sel)
+        chol = np.empty((m, n))
+        cells = np.empty(n, dtype=int)
+        for t in range(n):
+            p = np.clip(diag, 0.0, None)
+            i = g.choice(m, p=p / p.sum())
+            col = sel @ sel[i]
+            if t:
+                col -= chol[:, :t] @ chol[i, :t]
+            col /= math.sqrt(max(col[i], 1e-300))
+            chol[:, t] = col
+            diag -= col * col
+            cells[t] = i
+        out.append(np.sort(x[cells] + (g.random(n) - 0.5) * h))
+    rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
+    return out, rep

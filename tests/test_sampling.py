@@ -66,6 +66,14 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError):
             S.sample_airy_equilibrium(3, 2.0, RngStream(1), method="nope")
 
+    def test_ensemble_validation(self):
+        with pytest.raises(ValueError, match="n must be"):
+            S.sample_airy_ensemble(0, 2.0, RngStream(1), 5)
+        with pytest.raises(ValueError, match="beta must be"):
+            S.sample_airy_ensemble(5, -1.0, RngStream(1), 5)
+        with pytest.raises(ValueError, match="beta must be"):
+            S.sample_airy_ensemble(5, 0.0, RngStream(1), 5, method="dense")
+
 
 class TestPlanarSampler:
     def test_single_point_squared_modulus_is_exponential(self):
@@ -87,6 +95,10 @@ class TestPlanarSampler:
         assert c.points.shape == (7, 2)
         d = S.sample_ginibre(7, RngStream(14))
         assert np.array_equal(c.points, d.points)
+
+    def test_ensemble_validation(self):
+        with pytest.raises(ValueError, match="n must be"):
+            S.sample_ginibre_ensemble(0, RngStream(1), 5)
 
 
 class TestSoftEdgeField:
@@ -139,6 +151,109 @@ class TestSoftEdgeField:
             S.sample_airy_field((-2.0, 2.0), RngStream(1), 10, grid_step=1e-6)
         with pytest.raises(ValueError):
             S.sample_airy_field((-2.0, 2.0), RngStream(1), 0)
+
+    def test_number_variance_matches_kernel_formula(self):
+        # Var N = int K(x,x) - int int K(x,y)^2 on the window, by the midpoint
+        # rule on 1400 cells (it moves by 1e-5 from 700 to 2800 cells)
+        lo, hi, n_samples = -6.0, 1.0, 10_000
+        h = (hi - lo) / 1400
+        grid = lo + h * (np.arange(1400) + 0.5)
+        km = K.kernel_grid("airy2", grid)
+        var = h * np.trace(km) - h * h * np.sum(km * km)
+        # the count is a sum of independent Bernoullis, whose fourth cumulants
+        # p q (1 - 6 p q) are at most p q, so Var(s^2) <= (2 var^2 + var) / N
+        tol = 4.0 * math.sqrt((2.0 * var * var + var) / n_samples)
+        envs, _ = S.sample_airy_field((lo, hi), RngStream(44), n_samples)
+        counts = np.array([len(e) for e in envs])
+        assert abs(counts.var(ddof=1) - var) <= tol
+
+
+def _same_draws(a, b):
+    return len(a) == len(b) and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _set_samples_per_block(monkeypatch, window, per_block):
+    # the block holds samples * r * r coefficients, r = kept eigenvectors
+    r = S._field_basis(*window, 0.04)[2].size
+    monkeypatch.setattr(S, "_BLOCK_COEFFS", per_block * r * r)
+
+
+class TestFieldMatchesReference:
+    # the batched chain rule against the sample-by-sample loop it replaced:
+    # the same generator stream, so every draw is bitwise equal
+
+    @pytest.mark.parametrize(
+        "window, seed, n_samples, per_block",
+        [
+            ((-10.0, 2.0), 41, 800, None),
+            ((-10.0, 2.0), 41, 800, 300),
+            ((-6.0, 1.0), 43, 250, None),
+            ((-6.0, 1.0), 43, 250, 64),
+            ((-92.0, 6.0), 701, 10, None),
+            ((-92.0, 6.0), 701, 10, 4),
+            ((1.0, 6.0), 45, 2000, None),
+            ((3.0, 6.0), 46, 200, None),
+        ],
+        ids=["bulk", "bulk-3-blocks", "short", "short-4-blocks", "check-window", "check-window-3-blocks", "right-edge", "empty"],
+    )
+    def test_bitwise_equal_to_reference(self, monkeypatch, window, seed, n_samples, per_block):
+        if per_block is not None:
+            _set_samples_per_block(monkeypatch, window, per_block)
+        got, rep = S.sample_airy_field(window, RngStream(seed), n_samples)
+        ref, _ = oracles.reference_airy_field(window, RngStream(seed), n_samples)
+        assert rep.n_samples == n_samples and rep.seed == seed
+        assert _same_draws(got, ref)
+
+    def test_right_edge_window_is_mostly_empty(self):
+        envs, _ = S.sample_airy_field((1.0, 6.0), RngStream(45), 2000)
+        counts = np.array([len(e) for e in envs])
+        assert 0 < np.count_nonzero(counts) < 0.01 * len(counts)
+
+    def test_blocking_does_not_change_the_draws(self, monkeypatch):
+        window = (-10.0, 2.0)
+        base, _ = S.sample_airy_field(window, RngStream(47), 60)
+        for per_block in (1, 7):
+            _set_samples_per_block(monkeypatch, window, per_block)
+            got, _ = S.sample_airy_field(window, RngStream(47), 60)
+            assert _same_draws(got, base)
+
+
+class TestFieldNumericalTrouble:
+    def test_nan_kernel_raises(self, monkeypatch):
+        monkeypatch.setattr(K, "airy_fn", lambda x: (np.full_like(x, np.nan), np.full_like(x, np.nan)))
+        with pytest.raises(ValueError):
+            S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
+
+    @pytest.mark.parametrize("blocking", ["default", "one sample"])
+    def test_exhausted_mass_names_sample_and_step(self, monkeypatch, blocking):
+        # a rank-one kernel behind two selectable vectors: column 0 is 2 e_0,
+        # column 1 is zero, so a sample holding column 1 runs out of mass at
+        # step 1 (both held) or step 0 (column 1 alone)
+        def rank_one_eigh(a, **_):
+            vecs = np.zeros((a.shape[0], 2))
+            vecs[0, 0] = 2.0
+            return np.array([0.5, 0.5]), vecs
+
+        monkeypatch.setattr(S, "eigh", rank_one_eigh)
+        if blocking == "one sample":
+            monkeypatch.setattr(S, "_BLOCK_COEFFS", 1)
+        g = RngStream(48).generator()
+        for sample in range(1000):
+            held = g.random(2) < 0.5
+            n = int(held.sum())
+            if held[1]:
+                step = n - 1
+                break
+            g.random(2 * n)
+        assert sample > 0
+        with pytest.raises(ValueError, match=rf"sample {sample}, step {step}: remaining kernel mass 0\.0"):
+            S.sample_airy_field((-2.0, 1.0), RngStream(48), 1000)
+
+    @pytest.mark.parametrize("entry, shown", [(np.nan, "nan"), (1e200, "inf")])
+    def test_non_finite_mass_raises_at_step_zero(self, monkeypatch, entry, shown):
+        monkeypatch.setattr(S, "eigh", lambda a, **_: (np.ones(1), np.full((a.shape[0], 1), entry)))
+        with pytest.raises(ValueError, match=rf"sample 0, step 0: remaining kernel mass {shown}"):
+            S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
 
 
 class TestHardEdgeChain:
