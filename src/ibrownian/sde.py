@@ -10,12 +10,15 @@ All paths of a run are integrated together as one (P, n, d) array.  Each
 path sits at its own node of its own binary substep tree, tracked as an
 integer tick and span in units of dt / 2**30, and the paths meet again
 only at the end.  One iteration makes one drift call for all live paths;
-every path then either descends one level or, at a leaf, takes its move
-and goes on to the next node depth first.  A path whose step fails
+every path then descends from its node to a leaf in that iteration (its
+state, and so its drift, do not change on the way down), takes the leaf's
+move and goes on to the next node depth first, so each drift evaluation
+serves exactly one leaf.  A path reads its noise from its own buffer of
+draws, refilled from its generator in one call.  A path whose step fails
 (singular drift, depth or boundary budget exhausted) leaves the batch
-with its reason and the others go on.  Per path, the nodes visited, the
-drifts evaluated and the noise drawn are those of a depth-first walk of
-that path alone, so the batch changes no output bit.
+with its reason and the others go on.  Per path, the split tests, the
+drifts and the noise used are those of a depth-first walk of that path
+alone, so the batch changes no output bit.
 
 Recording is decoupled from integration: states land on the grid
 t_k = k * dt_record.  Every (path, recording interval) pair draws from
@@ -185,6 +188,11 @@ _BASE_TICKS = 1 << _TREE_DEPTH
 # drift call allocates; larger ensembles run as consecutive blocks
 _BLOCK_PAIR_TERMS = 1 << 22
 
+# leaf draws a path takes from its generator in one call; a batch's noise
+# buffer also holds at most _BLOCK_PAIR_TERMS numbers, so a full block's
+# buffer is no larger than its pair tensors
+_NOISE_DEPTH = 32
+
 
 def _drift_of(spec: ModelSpec, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     if cfg.truncation is not None:
@@ -209,11 +217,15 @@ def _drift(spec, x, cfg):
     return b, singular
 
 
-def _split(spec, x, b, h, noise_root_h, cfg):
-    """Which rows halve their substep, and each row's largest drift norm.
+def _split_rule(spec, x, b, cfg):
+    """Each row's largest drift norm, and the rule that says which rows
+    halve their substep.
 
     A row splits while its drift move |b| h exceeds the cap or a tenth of
-    its smallest gap, or while its substep noise does.
+    its smallest gap, or while its substep noise does.  A row keeps its
+    state, and so its drift and gaps, all the way down its descent, so
+    the rule is built once per state: ``split(rows, h, noise_root_h)``
+    tests the listed rows at their current substep h.
     """
     bmax = np.maximum.reduce(np.sqrt(np.add.reduce(b * b, axis=2)), axis=1)
     n_rows, n, d = x.shape
@@ -231,69 +243,87 @@ def _split(spec, x, b, h, noise_root_h, cfg):
         dist[:, diag, diag] = np.inf
         gap = np.minimum.reduce(dist, axis=(1, 2))
     tenth = 0.1 * gap
-    split = bmax * h > np.fmin(tenth, cfg.drift_cap_delta)
-    if cfg.noise_scale > 0.0 and n >= 2:
-        # the drift cap alone leaves the substep noise at a fixed ~0.45
-        # fraction of the gap (both scale with it), which lets diffusion
-        # hop a crossing; also resolving the noise against the gap makes
-        # label swaps vanish while keeping the same dip statistics
-        if diffusion_kind(spec) is DiffusionKind.IDENTITY:
-            split |= noise_root_h > tenth
-        else:
-            # state-dependent noise: a swap is a per-pair event, so test
-            # each adjacent pair against its own coefficient instead of
-            # the global max against the global gap (that bound forces
-            # deep substepping of well-separated high-noise particles)
-            sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
-            pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
-            split |= np.isfinite(gap) & np.any(noise_root_h[:, None] * pair_sig > 0.1 * gaps, axis=1)
-    return split, bmax
+    drift_limit = np.fmin(tenth, cfg.drift_cap_delta)
+    if not (cfg.noise_scale > 0.0 and n >= 2):
+        return bmax, lambda rows, h, noise_root_h: bmax[rows] * h > drift_limit[rows]
+    # the drift cap alone leaves the substep noise at a fixed ~0.45
+    # fraction of the gap (both scale with it), which lets diffusion
+    # hop a crossing; also resolving the noise against the gap makes
+    # label swaps vanish while keeping the same dip statistics
+    if diffusion_kind(spec) is DiffusionKind.IDENTITY:
+
+        def split(rows, h, noise_root_h):
+            return (bmax[rows] * h > drift_limit[rows]) | (noise_root_h > tenth[rows])
+
+        return bmax, split
+    # state-dependent noise: a swap is a per-pair event, so test each
+    # adjacent pair against its own coefficient instead of the global
+    # max against the global gap (that bound forces deep substepping of
+    # well-separated high-noise particles)
+    sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
+    pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
+    tenth_gaps = 0.1 * gaps
+    finite = np.isfinite(gap)
+
+    def split(rows, h, noise_root_h):
+        noisy = np.any(noise_root_h[:, None] * pair_sig[rows] > tenth_gaps[rows], axis=1)
+        return (bmax[rows] * h > drift_limit[rows]) | (finite[rows] & noisy)
+
+    return bmax, split
 
 
-def _moves(spec, x, b, h, noise_root_h, rows, gens, cfg):
-    """Euler-Maruyama moves of the leaf ``rows`` of the (L, n, d) stack.
+def _moves(spec, x, b, h, noise_root_h, pids, noise, cfg):
+    """Euler-Maruyama moves of every row of the (L, n, d) stack.
 
-    Row i draws from ``gens[i]``; the other rows keep their state.
-    Returns the new stack and the rows whose boundary rejection budget
-    ran out (those keep their state too).
+    Row i is path ``pids[i]``; ``noise(p)`` returns the next standard
+    normal (n, d) draw of each path of the id array p.  Returns the moved
+    stack and the rows whose boundary rejection budget ran out (those
+    keep their state).
     """
     sig = None if diffusion_kind(spec) is DiffusionKind.IDENTITY else diffusion_sigma(spec, x)
     drifted = x + b * h[:, None, None]
     scale = noise_root_h[:, None, None]
-    new = x.copy()
-    for _ in range(_REJECT_RETRIES):
-        noise = np.zeros_like(x)
-        for i in rows:
-            gens[i].standard_normal(out=noise[i])
-        if sig is not None:
-            noise = sig * noise
-        trial = drifted + scale * noise
-        if spec.nonnegative_domain:
-            if cfg.boundary_policy is BoundaryPolicy.REJECT_STEP:
-                low = np.min(trial[rows], axis=(1, 2)) <= 0.0
-                new[rows[~low]] = trial[rows[~low]]
-                rows = rows[low]
-                if rows.size:
-                    continue
-                break
-            trial = np.abs(trial)
-        new[rows] = trial[rows]
-        return new, rows[:0]
+    xi = noise(pids)
+    new = drifted + scale * (xi if sig is None else sig * xi)
+    rows = np.arange(0)
+    if not spec.nonnegative_domain:
+        return new, rows
+    if cfg.boundary_policy is BoundaryPolicy.REFLECT:
+        return np.abs(new), rows
+    # a rejected move is drawn again, from the same path's next noise
+    rows = np.flatnonzero(np.min(new, axis=(1, 2)) <= 0.0)
+    for _ in range(_REJECT_RETRIES - 1):
+        if not rows.size:
+            break
+        xi = noise(pids[rows])
+        new[rows] = drifted[rows] + scale[rows] * (xi if sig is None else sig[rows] * xi)
+        rows = rows[np.min(new[rows], axis=(1, 2)) <= 0.0]
+    new[rows] = x[rows]
     return new, rows
 
 
-def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=False):
+def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=False, noise_depth=None):
     """Integrate every state of the (P, n, d) stack ``starts`` over
     ``n_rec`` recording intervals of ``m`` base steps of length ``h0``.
 
     ``generator(p, j)`` is the noise generator of path p on interval j.
-    Each iteration evaluates the drift of all live paths in one call;
-    each path then either descends one level of its own substep tree or
-    takes the move of its leaf and goes on to the next node depth first.
-    A path whose step fails leaves the batch; the others go on.  With
-    ``lowest_failure_only``, only the lowest-indexed failure is wanted:
-    once a path fails, the live paths above it leave the batch
-    unfinished, with no reason and no recorded states.
+    Each iteration evaluates the drift of all live paths in one call.
+    Each path then descends its own substep tree from its current node
+    to a leaf, halving its substep while the split rule holds (its state
+    and drift do not change on the way down), takes the move of that
+    leaf and goes on to the next node depth first: an iteration moves
+    every live path by exactly one leaf.  A path whose step fails leaves
+    the batch; the others go on.  With ``lowest_failure_only``, only the
+    lowest-indexed failure is wanted: once a path fails, the live paths
+    above it leave the batch unfinished, with no reason and no recorded
+    states.
+
+    A path reads its noise from a buffer of ``noise_depth`` draws (by
+    default ``_NOISE_DEPTH``, fewer for a large batch), refilled from its
+    generator in one call when empty and discarded at each new recording
+    interval.  One call of k draws gives the numbers of k successive
+    calls, so the buffer changes no output bit; depth 1 takes from a
+    generator no more than the moves use.
 
     Returns the recorded states (P, n_rec + 1, n, d), the leaf count and
     deepest leaf of each finished path, and each path's failure reason
@@ -317,42 +347,70 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     finest = span.copy()  # narrowest leaf so far
     leaves = np.zeros_like(span)
     interval = np.zeros_like(span)
+    # noise generators and buffers, indexed by path id
+    depth = noise_depth or min(_NOISE_DEPTH, max(1, _BLOCK_PAIR_TERMS // starts.size))
     gens = [generator(p, 0) for p in ids]
+    buf = np.empty((n_paths, depth) + starts.shape[1:])
+    used = np.full(n_paths, depth)  # draws read from each buffer
+
+    def noise(pids):
+        k = used[pids]
+        empty = pids[k == depth]
+        if empty.size:
+            for p in empty:
+                gens[p].standard_normal(out=buf[p])
+            used[empty] = 0
+            k = used[pids]
+        used[pids] = k + 1
+        return buf[pids, k]
+
     while ids.size:
         b, singular = _drift(spec, x, cfg)
-        h = span * unit
-        noise_root_h = cfg.noise_scale * np.sqrt(h)
         gone = list(singular)
         for i, reason in singular.items():
             reasons[ids[i]] = reason
+        h = span * unit
+        noise_root_h = cfg.noise_scale * np.sqrt(h)
         if tamed:
             b = b / (1.0 + h[:, None, None] * np.sqrt(np.sum(b * b, axis=2, keepdims=True)))
-            split = np.zeros(len(ids), dtype=bool)
         else:
-            split, bmax = _split(spec, x, b, h, noise_root_h, cfg)
+            # descend to the leaf: the state, and so the rule, stay fixed
+            # while the substep of the rows that still split halves
+            bmax, splits = _split_rule(spec, x, b, cfg)
+            split = splits(slice(None), h, noise_root_h)
             if gone:
                 split[gone] = False
-            deep = split & (span <= finest_split)
-            if deep.any():
-                for i in np.flatnonzero(deep):
-                    reasons[ids[i]] = (
-                        f"substep depth {cfg.max_substep_depth} exhausted (|b| = {bmax[i]:.3g}, h = {h[i]:.3g})"
-                    )
-                    gone.append(i)
-        leaf = ~split
+            rows = np.flatnonzero(split)
+            while rows.size:
+                deep = span[rows] <= finest_split
+                if deep.any():
+                    for i in rows[deep]:
+                        reasons[ids[i]] = (
+                            f"substep depth {cfg.max_substep_depth} exhausted (|b| = {bmax[i]:.3g}, h = {h[i]:.3g})"
+                        )
+                        gone.append(i)
+                    rows = rows[~deep]
+                span[rows] >>= 1
+                h[rows] = h_rows = span[rows] * unit
+                noise_root_h[rows] = root_rows = cfg.noise_scale * np.sqrt(h_rows)
+                rows = rows[splits(rows, h_rows, root_rows)]
+        leaf = np.ones(len(ids), dtype=bool)
         if gone:
             leaf[gone] = False
-        x, stuck = _moves(spec, x, b, h, noise_root_h, np.flatnonzero(leaf), gens, cfg)
+            rows = np.flatnonzero(leaf)
+            x[rows], stuck = _moves(spec, x[rows], b[rows], h[rows], noise_root_h[rows], ids[rows], noise, cfg)
+            stuck = rows[stuck]
+        else:
+            x, stuck = _moves(spec, x, b, h, noise_root_h, ids, noise, cfg)
         for i in stuck:
             reasons[ids[i]] = f"boundary rejection budget ({_REJECT_RETRIES}) exhausted"
             leaf[i] = False
             gone.append(i)
 
-        # split rows descend a level; leaf rows move on to the next node
+        # leaf rows move on to the next node
         leaves += leaf
         np.minimum(finest, span, out=finest, where=leaf)
         np.add(tick, span, out=tick, where=leaf)
-        span >>= split
         np.minimum(tick & -tick, _BASE_TICKS, out=span, where=leaf)
         full = tick == interval_ticks
         if full.any():
@@ -361,7 +419,8 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
                 interval[i] += 1
                 rec[ids[i], interval[i]] = x[i]
                 if interval[i] < n_rec:
-                    gens[i] = generator(ids[i], interval[i])
+                    gens[ids[i]] = generator(ids[i], interval[i])
+                    used[ids[i]] = depth
                 else:
                     substeps[ids[i]] = leaves[i]
                     max_depth[ids[i]] = _TREE_DEPTH + 1 - int(finest[i]).bit_length()
@@ -378,7 +437,6 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
             ids, x, span, tick, finest, leaves, interval = (
                 a[keep] for a in (ids, x, span, tick, finest, leaves, interval)
             )
-            gens = [g for g, k in zip(gens, keep) if k]
     return rec, substeps, max_depth, reasons
 
 
@@ -395,7 +453,8 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> Label
     pts = np.array(getattr(state, "points", state), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g)
+    # one draw at a time leaves a caller's generator where the moves leave it
+    rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)
     if reasons[0] is not None:
         raise StepFailureError(reasons[0])
     scheme = getattr(

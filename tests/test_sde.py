@@ -15,7 +15,7 @@ from ibrownian.core import (
     RngStream,
     StepFailureError,
 )
-from ibrownian.models import TruncationParams
+from ibrownian.models import TruncationParams, drift_finite_all
 from ibrownian.sampling import sample_airy_ensemble
 from ibrownian.sde import (
     BoundaryPolicy,
@@ -397,6 +397,55 @@ class TestMatchesRecursiveReference:
             want = oracles.reference_step(spec, want, 2e-3, g_ref, cfg)
             assert np.array_equal(got.points, want.points)
             assert got.scheme == want.scheme
+        # a caller's generator is left where the unbuffered walk leaves it
+        assert g_new.bit_generator.state == g_ref.bit_generator.state
+
+    def test_depth_exhausted_partway_through_a_descent(self):
+        # the noise rule needs depth 1, 2, 4, 6 and 3 at the start: the
+        # fourth path fails in its first descent (levels 0 to 4 in one
+        # iteration), the third sits at the budget and may fail later
+        spec = ModelSpec(Family.AIRY, 3, beta=2.0)
+        init = [_ascending([-1.0, 0.0, gap]) for gap in (0.3, 0.2, 0.1, 0.05, 0.15)]
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=5e-3, max_substep_depth=4)
+        got = _matches_reference(spec, init, cfg, 44)
+        assert 3 in [p for p, _ in got.failed_paths]
+        assert all("substep depth 4 exhausted" in reason for _, reason in got.failed_paths)
+        assert got.n_paths >= 1
+
+
+class TestNoiseBufferRefills:
+    """Reference cases again with noise buffers of 1 and 3 draws, so that
+    refills fall inside descents, at interval starts and between the
+    retries of a rejected boundary move."""
+
+    @pytest.fixture(autouse=True, params=[1, 3], ids=["depth1", "depth3"])
+    def noise_depth(self, request, monkeypatch):
+        monkeypatch.setattr("ibrownian.sde._NOISE_DEPTH", request.param)
+
+    test_dyson_round = TestMatchesRecursiveReference.test_dyson_round
+    test_boundary_policies = TestMatchesRecursiveReference.test_boundary_policies
+    test_restart_from_recorded_state = TestMatchesRecursiveReference.test_restart_from_recorded_state
+
+
+class TestOneDriftPerLeaf:
+    """Every drift evaluation ends in a leaf move: a path descends to its
+    leaf in the iteration that evaluated its drift."""
+
+    @pytest.mark.parametrize("name", ["airy", "square_bessel"])
+    def test_rows_evaluated_equal_leaves(self, name, monkeypatch):
+        rows = []
+
+        def counting(spec, x):
+            rows.append(1 if x.ndim == 2 else len(x))
+            return drift_finite_all(spec, x)
+
+        monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
+        spec, init = _starts(name, 6)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=5e-3, max_substep_depth=30)
+        ens = simulate(spec, init, cfg, RngStream(45), on_failure="drop")
+        assert ens.failed_paths == ()
+        assert ens.max_depth_used >= 5
+        assert sum(rows) == ens.substeps.sum()
 
 
 class TestFailureIsolation:
