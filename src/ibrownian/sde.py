@@ -395,14 +395,10 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
                 noise_root_h[rows] = root_rows = cfg.noise_scale * np.sqrt(h_rows)
                 rows = rows[splits(rows, h_rows, root_rows)]
         leaf = np.ones(len(ids), dtype=bool)
-        if gone:
-            leaf[gone] = False
-            rows = np.flatnonzero(leaf)
-            x[rows], stuck = _moves(spec, x[rows], b[rows], h[rows], noise_root_h[rows], ids[rows], noise, cfg)
-            stuck = rows[stuck]
-        else:
-            x, stuck = _moves(spec, x, b, h, noise_root_h, ids, noise, cfg)
-        for i in stuck:
+        leaf[gone] = False
+        rows = np.flatnonzero(leaf)
+        x[rows], stuck = _moves(spec, x[rows], b[rows], h[rows], noise_root_h[rows], ids[rows], noise, cfg)
+        for i in rows[stuck]:
             reasons[ids[i]] = f"boundary rejection budget ({_REJECT_RETRIES}) exhausted"
             leaf[i] = False
             gone.append(i)
