@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -258,32 +258,6 @@ class RngStream:
             entropy=int(self.seed), spawn_key=(int(self.stream_id), *map(int, subkeys))
         )
         return np.random.default_rng(ss)
-
-    def child(self, *subkeys: int) -> "RngStream":
-        """Stream addressing a sub-computation; flattened into spawn keys."""
-        return _ChildStream(self.seed, self.stream_id, tuple(map(int, subkeys)))
-
-
-@dataclass(frozen=True)
-class _ChildStream(RngStream):
-    subkeys: tuple[int, ...] = field(default_factory=tuple)
-
-    def __init__(self, seed: int, stream_id: int, subkeys: tuple[int, ...]):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream_id", stream_id)
-        object.__setattr__(self, "subkeys", subkeys)
-
-    def generator(self, *subkeys: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed),
-            spawn_key=(int(self.stream_id), *self.subkeys, *map(int, subkeys)),
-        )
-        return np.random.default_rng(ss)
-
-    def child(self, *subkeys: int) -> "RngStream":
-        return _ChildStream(
-            self.seed, self.stream_id, self.subkeys + tuple(map(int, subkeys))
-        )
 
 
 _HEADERS = {1: ["x"], 2: ["x", "y"], 3: ["x", "y", "z"]}

@@ -2,15 +2,17 @@
 
 Exact matrix models cover the soft-edge ensemble (symmetric tridiagonal
 model for any beta > 0, dense Gaussian matrices for beta in {1, 2, 4})
-and the planar ensemble (eigenvalues of a complex Gaussian matrix).  The
-hard-edge equilibrium and the 3d Gibbs measures are sampled by a
-Metropolis chain with per-particle Gaussian moves whose scales adapt
-toward a target acceptance during burn-in and are frozen afterwards.
+and the planar ensemble (eigenvalues of a complex Gaussian matrix).  One
+Metropolis chain samples the rest: the hard-edge (Bessel) equilibrium
+and the 3d Gibbs measures of the Lennard-Jones and Riesz systems.  It
+makes per-particle Gaussian moves whose scales adapt toward a 0.3
+acceptance during burn-in and are frozen afterwards; each family only
+supplies its starting state and its energy change.
 
 Samplers accept an RngStream (preferred; the seed lands in the report)
-or a bare numpy Generator.  Single-draw functions return a
-Configuration; chain/ensemble helpers return the draws plus a
-SamplerReport.
+or a bare numpy Generator.  The single-draw functions return a
+Configuration and are the one-sample case of the ensemble functions,
+which return the draws plus a SamplerReport, as the chains do.
 """
 
 from __future__ import annotations
@@ -32,9 +34,7 @@ __all__ = [
     "sample_airy_field",
     "sample_ginibre",
     "sample_ginibre_ensemble",
-    "sample_bessel_equilibrium",
     "sample_bessel_chain",
-    "sample_gibbs_mcmc",
     "sample_gibbs_chain",
 ]
 
@@ -45,7 +45,6 @@ class SamplerReport:
     acceptance_rate: float | None
     seed: int | None
     wall_time: float
-    proposal_scale: float | None = None
     converged: bool = True
 
     def __post_init__(self) -> None:
@@ -57,14 +56,10 @@ class SamplerReport:
 class McmcOptions:
     burn_in_sweeps: int = 10_000
     thin_sweeps: int = 10
-    target_acceptance: float = 0.3
-    initial_scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.burn_in_sweeps < 0 or self.thin_sweeps < 1:
             raise ValueError("burn_in_sweeps >= 0 and thin_sweeps >= 1 required")
-        if not (0.0 < self.target_acceptance < 1.0):
-            raise ValueError("target_acceptance must lie in (0, 1)")
 
 
 def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
@@ -130,18 +125,8 @@ def sample_airy_equilibrium(n: int, beta: float, rng, *, method: str = "tridiago
     ascending.  ``method`` is "tridiagonal" (any beta > 0) or "dense"
     (beta in {1, 2, 4}).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
-    g, _ = _resolve_rng(rng)
-    if method == "tridiagonal":
-        x = _edge_spectrum_tridiagonal(n, beta, g)
-    elif method == "dense":
-        x = _edge_spectrum_dense(n, beta, g)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Configuration(x)
+    draws, _ = sample_airy_ensemble(n, beta, rng, 1, method=method)
+    return Configuration(draws[0])
 
 
 def sample_airy_ensemble(
@@ -180,10 +165,8 @@ def sample_ginibre(n: int, rng) -> Configuration:
 
     The point density fills the disk of radius sqrt(n) with intensity 1/pi.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g, _ = _resolve_rng(rng)
-    return Configuration(_planar_points(n, g))
+    pts, _ = sample_ginibre_ensemble(n, rng, 1)
+    return Configuration(pts[0])
 
 
 def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, SamplerReport]:
@@ -353,117 +336,97 @@ def sample_airy_field(
 
 
 # ---------------------------------------------------------------------------
-# Metropolis chains
+# Metropolis chain
 # ---------------------------------------------------------------------------
 
 
-def _adapt(scale: float, accepted: bool, rate: float, target: float) -> float:
-    return scale * math.exp(rate * ((1.0 if accepted else 0.0) - target))
+# acceptance share the proposal scales adapt toward during burn-in
+_TARGET_ACCEPTANCE = 0.3
 
 
-class _HardEdgeChain:
-    """Target: exp(-sum x/(4n)) * prod x^alpha * prod |x_i-x_j|^2 on (0,inf)^n."""
+class _Chain:
+    """Per-particle Gaussian Metropolis moves on ``state`` (one row per
+    particle), one proposal scale per particle.  ``delta_energy(x, i, v)``
+    is the change of the target's energy when particle i of x moves to v;
+    it is +inf where the target vanishes, so such a move is rejected."""
 
-    def __init__(self, n: int, alpha: float, opts: McmcOptions):
-        self.n = n
-        self.alpha = alpha
-        self.opts = opts
-        # support stretches to roughly 16 n^2 (quadratic repulsion pushes the
-        # top eigenvalue scale to O(n) times the weight scale 4n)
-        self.state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
-        base = opts.initial_scale if opts.initial_scale is not None else max(4.0, 16.0 * n / 4.0)
-        self.scales = np.full(n, float(base))
-
-    def _delta_energy(self, i: int, v: float) -> float:
-        x = self.state
-        old = x[i]
-        de = (v - old) / (4.0 * self.n) - self.alpha * (math.log(v) - math.log(old))
-        if self.n > 1:
-            others = np.delete(x, i)
-            de -= 2.0 * float(np.sum(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
-        return de
+    def __init__(self, state: np.ndarray, scale: float, delta_energy):
+        self.state = state
+        self.scales = np.full(len(state), float(scale))
+        self.delta_energy = delta_energy
 
     def sweep(self, g: np.random.Generator, rate: float) -> int:
+        n = len(self.state)
         accepted = 0
-        target = self.opts.target_acceptance
-        xi = g.standard_normal(self.n)
+        xi = g.standard_normal(self.state.shape)
         # -Exp(1) draws are log-uniforms without the log(0) edge
-        logu = -g.exponential(size=self.n)
-        for i in range(self.n):
+        logu = -g.exponential(size=n)
+        for i in range(n):
             v = self.state[i] + self.scales[i] * xi[i]
-            ok = False
-            if v > 0.0:
-                de = self._delta_energy(i, v)
-                ok = logu[i] < -de
+            ok = logu[i] < -self.delta_energy(self.state, i, v)
             if ok:
                 self.state[i] = v
                 accepted += 1
             if rate > 0.0:
-                self.scales[i] = _adapt(self.scales[i], ok, rate, target)
+                self.scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - _TARGET_ACCEPTANCE))
         return accepted
 
 
-class _GibbsChain:
+def _hard_edge_chain(n: int, alpha: float) -> _Chain:
+    """Target: exp(-sum x/(4n)) * prod x^alpha * prod |x_i-x_j|^2 on (0,inf)^n."""
+
+    def delta_energy(x: np.ndarray, i: int, v: float) -> float:
+        if not v > 0.0:
+            return math.inf
+        old = x[i]
+        de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
+        if n > 1:
+            others = np.delete(x, i)
+            de -= 2.0 * float(np.sum(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
+        return de
+
+    # support stretches to roughly 16 n^2 (quadratic repulsion pushes the
+    # top eigenvalue scale to O(n) times the weight scale 4n)
+    state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
+    return _Chain(state, max(4.0, 16.0 * n / 4.0), delta_energy)
+
+
+def _gibbs_chain(spec: ModelSpec, interaction: bool) -> _Chain:
     """Target: exp(-beta sum Phi - beta sum_{i<j} Psi) in three dimensions."""
+    if spec.family not in (Family.LENNARD_JONES, Family.RIESZ):
+        raise ValueError("gibbs chain supports the 3d families only")
+    n = spec.n_particles
+    confinement = spec.beta * (spec.free_c / n**spec.free_theta)
+    a = spec.riesz_a
 
-    def __init__(self, spec: ModelSpec, opts: McmcOptions, interaction: bool):
-        if spec.family not in (Family.LENNARD_JONES, Family.RIESZ):
-            raise ValueError("gibbs chain supports the 3d families only")
-        self.spec = spec
-        self.opts = opts
-        self.interaction = interaction
-        n = spec.n_particles
-        side = max(1, math.ceil(n ** (1.0 / 3.0)))
-        grid = np.array(
-            [(i, j, k) for i in range(side) for j in range(side) for k in range(side)],
-            dtype=float,
-        )[:n]
-        self.state = 1.4 * (grid - grid.mean(axis=0))
-        base = opts.initial_scale if opts.initial_scale is not None else 0.4
-        self.scales = np.full(n, float(base))
-        self.n = n
-
-    def _pair_sum(self, i: int, pos: np.ndarray) -> float:
-        d = self.state - pos
+    def pair_sum(x: np.ndarray, i: int, pos: np.ndarray) -> float:
+        d = x - pos
         d[i] = np.inf
         r2 = np.sum(d * d, axis=1)
-        if self.spec.family is Family.LENNARD_JONES:
+        if spec.family is Family.LENNARD_JONES:
             inv6 = 1.0 / r2**3
             vals = inv6 * inv6 - inv6
         else:
-            a = self.spec.riesz_a
             vals = r2 ** (-a / 2.0) / a
         vals[i] = 0.0
         return float(np.sum(vals))
 
-    def _delta_energy(self, i: int, v: np.ndarray) -> float:
-        spec = self.spec
-        old = self.state[i]
-        scale = spec.free_c / spec.n_particles**spec.free_theta
-        de = spec.beta * scale * (float(v @ v) - float(old @ old))
-        if self.interaction and self.n > 1:
-            de += spec.beta * (self._pair_sum(i, v) - self._pair_sum(i, old))
+    def delta_energy(x: np.ndarray, i: int, v: np.ndarray) -> float:
+        old = x[i]
+        de = confinement * (float(v @ v) - float(old @ old))
+        if interaction and n > 1:
+            de += spec.beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
         return de
 
-    def sweep(self, g: np.random.Generator, rate: float) -> int:
-        accepted = 0
-        target = self.opts.target_acceptance
-        xi = g.standard_normal((self.n, 3))
-        logu = -g.exponential(size=self.n)
-        for i in range(self.n):
-            v = self.state[i] + self.scales[i] * xi[i]
-            de = self._delta_energy(i, v)
-            # log-space comparison; an infinite de (overlap) rejects on its own
-            ok = logu[i] < -de
-            if ok:
-                self.state[i] = v.copy()
-                accepted += 1
-            if rate > 0.0:
-                self.scales[i] = _adapt(self.scales[i], ok, rate, target)
-        return accepted
+    side = max(1, math.ceil(n ** (1.0 / 3.0)))
+    grid = np.array(
+        [(i, j, k) for i in range(side) for j in range(side) for k in range(side)],
+        dtype=float,
+    )[:n]
+    return _Chain(1.4 * (grid - grid.mean(axis=0)), 0.4, delta_energy)
 
 
-def _run_chain(chain, g: np.random.Generator, n_samples: int, opts: McmcOptions, seed):
+def _run_chain(chain: _Chain, g: np.random.Generator, n_samples: int, opts: McmcOptions, seed):
     t0 = time.perf_counter()
     for sweep in range(opts.burn_in_sweeps):
         # Robbins-Monro style decay keeps late adaptation gentle
@@ -475,7 +438,7 @@ def _run_chain(chain, g: np.random.Generator, n_samples: int, opts: McmcOptions,
     for _ in range(n_samples):
         for _ in range(opts.thin_sweeps):
             accepted += chain.sweep(g, 0.0)
-            proposals += chain.n
+            proposals += len(chain.state)
         kept.append(Configuration(chain.state.copy()))
     acc = accepted / proposals if proposals else 0.0
     rep = SamplerReport(
@@ -483,7 +446,6 @@ def _run_chain(chain, g: np.random.Generator, n_samples: int, opts: McmcOptions,
         acceptance_rate=acc,
         seed=seed,
         wall_time=time.perf_counter() - t0,
-        proposal_scale=float(np.mean(chain.scales)),
         converged=0.1 <= acc <= 0.9,
     )
     return kept, rep
@@ -497,17 +459,8 @@ def sample_bessel_chain(
         raise ValueError("alpha must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    opts = options or McmcOptions()
     g, seed = _resolve_rng(rng)
-    chain = _HardEdgeChain(n, alpha, opts)
-    return _run_chain(chain, g, n_samples, opts, seed)
-
-
-def sample_bessel_equilibrium(n: int, alpha: float, rng, *, options: McmcOptions | None = None) -> Configuration:
-    """Single hard-edge equilibrium draw (full burn-in; use the chain helper
-    when many draws are needed)."""
-    samples, _ = sample_bessel_chain(n, alpha, rng, 1, options=options)
-    return samples[0]
+    return _run_chain(_hard_edge_chain(n, alpha), g, n_samples, options or McmcOptions(), seed)
 
 
 def sample_gibbs_chain(
@@ -524,15 +477,5 @@ def sample_gibbs_chain(
     into independent centered Gaussians of variance n^theta / (2 beta c)
     per coordinate, which anchors the chain against a closed form.
     """
-    opts = options or McmcOptions()
     g, seed = _resolve_rng(rng)
-    chain = _GibbsChain(spec, opts, interaction)
-    return _run_chain(chain, g, n_samples, opts, seed)
-
-
-def sample_gibbs_mcmc(
-    spec: ModelSpec, rng, *, options: McmcOptions | None = None, interaction: bool = True
-) -> Configuration:
-    """Single draw of the 3d Gibbs equilibrium."""
-    samples, _ = sample_gibbs_chain(spec, rng, 1, options=options, interaction=interaction)
-    return samples[0]
+    return _run_chain(_gibbs_chain(spec, interaction), g, n_samples, options or McmcOptions(), seed)

@@ -202,19 +202,20 @@ def _drift_of(spec: ModelSpec, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarr
 
 def _drift(spec, x, cfg):
     """Drift of every state of the (L, n, d) stack, plus {row: reason} for
-    the rows at a singular configuration (their drift rows are zero)."""
+    the rows at a singular configuration (their drift rows are zero).
+
+    A stack that raises is split in halves until each singular row stands
+    alone; a row of a stack gets the drift of a separate call, so the
+    split changes no bit."""
     try:
         return _drift_of(spec, x, cfg), {}
-    except SingularConfigurationError:
-        pass
-    b = np.zeros_like(x)
-    singular = {}
-    for i, pts in enumerate(x):
-        try:
-            b[i] = _drift_of(spec, pts, cfg)
-        except SingularConfigurationError as exc:
-            singular[i] = f"drift evaluation hit a singular configuration: {exc}"
-    return b, singular
+    except SingularConfigurationError as exc:
+        if len(x) == 1:
+            return np.zeros_like(x), {0: f"drift evaluation hit a singular configuration: {exc}"}
+    half = len(x) // 2
+    b_lo, lo = _drift(spec, x[:half], cfg)
+    b_hi, hi = _drift(spec, x[half:], cfg)
+    return np.concatenate([b_lo, b_hi]), {**lo, **{half + i: reason for i, reason in hi.items()}}
 
 
 def _split_rule(spec, x, b, cfg):

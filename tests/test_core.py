@@ -158,12 +158,6 @@ class TestRngStream:
         b = s.generator(1).standard_normal(3)
         assert not np.array_equal(a, b)
 
-    def test_child_composes_with_generator(self):
-        s = RngStream(seed=9, stream_id=2)
-        direct = s.generator(3, 4).standard_normal(4)
-        nested = s.child(3).generator(4).standard_normal(4)
-        assert np.array_equal(direct, nested)
-
 
 class TestCsvRoundtrip:
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -337,8 +337,6 @@ class TestHardEdgeChain:
             S.sample_bessel_chain(2, 0.5, RngStream(1), 1)
         with pytest.raises(ValueError):
             S.McmcOptions(thin_sweeps=0)
-        with pytest.raises(ValueError):
-            S.McmcOptions(target_acceptance=1.5)
 
 
 class TestGibbsChain:
@@ -381,32 +379,34 @@ class TestGibbsChain:
         ks = max(np.max(i / len(dists) - cdf), np.max(cdf - (i - 1) / len(dists)))
         assert ks <= 0.035
 
-    def test_delta_energy_antisymmetry(self):
-        # detailed balance of the Metropolis rule reduces to Delta E(x -> y)
-        # being exactly minus Delta E(y -> x); check on the live chain
-        spec = ModelSpec(Family.LENNARD_JONES, 2, beta=1.5)
-        chain = S._GibbsChain(spec, S.McmcOptions(), True)
-        rng = np.random.default_rng(40)
-        for _ in range(50):
-            i = int(rng.integers(0, 2))
-            v = chain.state[i] + rng.normal(0, 0.5, 3)
-            forward = chain._delta_energy(i, v)
-            old = chain.state[i].copy()
-            chain.state[i] = v
-            backward = chain._delta_energy(i, old)
-            chain.state[i] = old
-            assert forward == pytest.approx(-backward, rel=1e-10, abs=1e-12)
-
     def test_family_validation(self):
         with pytest.raises(ValueError):
             S.sample_gibbs_chain(ModelSpec(Family.AIRY, 2), RngStream(1), 1)
 
-    def test_single_draw_api(self):
-        spec = ModelSpec(Family.RIESZ, 3, beta=1.0, riesz_a=4)
-        opts = S.McmcOptions(burn_in_sweeps=100, thin_sweeps=1)
-        c = S.sample_gibbs_mcmc(spec, RngStream(50), options=opts)
-        assert isinstance(c, Configuration)
-        assert c.points.shape == (3, 3)
+
+class TestChain:
+    @pytest.mark.parametrize("family", ["hard_edge", "lennard_jones", "riesz"])
+    def test_delta_energy_antisymmetry(self, family):
+        # detailed balance of the Metropolis rule reduces to Delta E(x -> y)
+        # being exactly minus Delta E(y -> x); check on the live chain
+        if family == "hard_edge":
+            chain = S._hard_edge_chain(3, 1.5)
+            # the target vanishes off (0, inf): such a move is never accepted
+            assert chain.delta_energy(chain.state, 0, 0.0) == math.inf
+            assert chain.delta_energy(chain.state, 2, -1.0) == math.inf
+        else:
+            spec = ModelSpec(Family(family), 2, beta=1.5, riesz_a=4 if family == "riesz" else None)
+            chain = S._gibbs_chain(spec, True)
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            i = int(rng.integers(0, len(chain.state)))
+            v = chain.state[i] + rng.normal(0, 0.5, chain.state[i].shape)
+            forward = chain.delta_energy(chain.state, i, v)
+            old = chain.state[i].copy()
+            chain.state[i] = v
+            backward = chain.delta_energy(chain.state, i, old)
+            chain.state[i] = old
+            assert forward == pytest.approx(-backward, rel=1e-10, abs=1e-12)
 
 
 class TestReports:

@@ -13,6 +13,7 @@ from ibrownian.core import (
     LabelScheme,
     ModelSpec,
     RngStream,
+    SingularConfigurationError,
     StepFailureError,
 )
 from ibrownian.models import TruncationParams, drift_finite_all
@@ -21,6 +22,7 @@ from ibrownian.sde import (
     BoundaryPolicy,
     IntegratorConfig,
     Scheme,
+    _drift,
     check_ordering,
     simulate,
     step,
@@ -446,6 +448,31 @@ class TestOneDriftPerLeaf:
         assert ens.failed_paths == ()
         assert ens.max_depth_used >= 5
         assert sum(rows) == ens.substeps.sum()
+
+    def test_singular_row_is_isolated_by_halving(self, monkeypatch):
+        spec = ModelSpec(Family.AIRY, 20, beta=2.0)
+        starts, _ = sample_airy_ensemble(20, 2.0, RngStream(46), 64)
+        x = starts[:, :, None]
+        x[37, 5] = x[37, 4]
+        want, reasons = np.zeros_like(x), {}
+        for i, pts in enumerate(x):
+            try:
+                want[i] = drift_finite_all(spec, pts)
+            except SingularConfigurationError as exc:
+                reasons[i] = f"drift evaluation hit a singular configuration: {exc}"
+        calls = []
+
+        def counting(spec, x):
+            calls.append(len(x))
+            return drift_finite_all(spec, x)
+
+        monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
+        b, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01))
+        assert list(reasons) == [37]
+        assert singular == reasons
+        assert np.array_equal(b, want)
+        # the whole stack, then two halves at each of six levels
+        assert len(calls) <= 13
 
 
 class TestFailureIsolation:
