@@ -575,8 +575,8 @@ def _cmd_verify(cfg: RunConfig, out: Path) -> int:
     target = out / "verify.csv"
     _write_csv(
         target,
-        ["name", "passed", "value", "threshold", "wall_time"],
-        ([r.name, int(r.passed), _fmt(r.value), _fmt(r.threshold), _fmt(r.wall_time)] for r in results),
+        ["name", "passed", "value", "threshold", "margin", "wall_time"],
+        ([r.name, int(r.passed), _fmt(r.value), _fmt(r.threshold), _fmt(r.margin), _fmt(r.wall_time)] for r in results),
     )
     failed = [r.name for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed; wrote {target}")

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .core import Configuration, Family, ModelSpec, RngStream
 
@@ -75,18 +75,33 @@ def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def _edge_spectrum_tridiagonal(n: int, beta: float, g: np.random.Generator) -> np.ndarray:
+# margin by which a window is widened before bisection, so that rounding in
+# the map to edge coordinates cannot lose a point on its boundary
+_WINDOW_PAD = 1e-6
+
+
+def _edge_spectrum_tridiagonal(n: int, beta: float, g: np.random.Generator, window=None) -> np.ndarray:
+    """One draw of the edge-scaled spectrum; with ``window = (lo, hi)`` only
+    the points in [lo, hi], found by bisection, from the same stream."""
     diag = g.standard_normal(n)
+    # tridiagonal model realizes the quadratic weight exp(-sum l^2/2);
+    # rescaling matches the target weight exp(-(beta/4) sum l^2)
+    scale = math.sqrt(2.0 / beta)
     if n > 1:
         df = beta * np.arange(n - 1, 0, -1)
         off = np.sqrt(g.chisquare(df)) / math.sqrt(2.0)
-        lam = eigvalsh_tridiagonal(diag, off)
+        if window is None:
+            lam = eigvalsh_tridiagonal(diag, off)
+        else:
+            span = [(v / n ** (1.0 / 6.0) + 2.0 * math.sqrt(n)) / scale for v in window]
+            pad = _WINDOW_PAD / n ** (1.0 / 6.0) / scale
+            lam = eigvalsh_tridiagonal(diag, off, select="v", select_range=(span[0] - pad, span[1] + pad))
     else:
         lam = diag
-    # tridiagonal model realizes the quadratic weight exp(-sum l^2/2);
-    # rescaling matches the target weight exp(-(beta/4) sum l^2)
-    lam = np.sort(lam) * math.sqrt(2.0 / beta)
-    return n ** (1.0 / 6.0) * (lam - 2.0 * math.sqrt(n))
+    x = n ** (1.0 / 6.0) * (np.sort(lam) * scale - 2.0 * math.sqrt(n))
+    if window is not None:
+        x = x[(x >= window[0]) & (x <= window[1])]
+    return x
 
 
 def _edge_spectrum_dense(n: int, beta: float, g: np.random.Generator) -> np.ndarray:
@@ -130,21 +145,36 @@ def sample_airy_equilibrium(n: int, beta: float, rng, *, method: str = "tridiago
 
 
 def sample_airy_ensemble(
-    n: int, beta: float, rng, n_samples: int, *, method: str = "tridiagonal"
-) -> tuple[np.ndarray, SamplerReport]:
-    """n_samples independent draws; rows ascending, shape (n_samples, n)."""
+    n: int, beta: float, rng, n_samples: int, *, method: str = "tridiagonal", window=None
+) -> tuple[np.ndarray | list[np.ndarray], SamplerReport]:
+    """n_samples independent draws; rows ascending, shape (n_samples, n).
+
+    With ``window = (lo, hi)`` (tridiagonal method only) each draw keeps
+    only its points in [lo, hi], computed by bisection rather than as the
+    full spectrum, and the rows come as a list of ascending arrays.  The
+    generator stream is that of the full draws, so a windowed row holds
+    the full row's points in the window, up to the rounding of the
+    eigenvalue solver.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not beta > 0:
         raise ValueError("beta must be > 0")
     if method not in ("tridiagonal", "dense"):
         raise ValueError(f"unknown method {method!r}")
+    if window is not None:
+        window = (float(window[0]), float(window[1]))
+        if method != "tridiagonal" or not window[0] < window[1]:
+            raise ValueError("a window needs method='tridiagonal' and lo < hi")
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
-    out = np.empty((n_samples, n))
-    draw = _edge_spectrum_tridiagonal if method == "tridiagonal" else _edge_spectrum_dense
-    for k in range(n_samples):
-        out[k] = draw(n, beta, g)
+    if window is not None:
+        out = [_edge_spectrum_tridiagonal(n, beta, g, window) for _ in range(n_samples)]
+    else:
+        out = np.empty((n_samples, n))
+        draw = _edge_spectrum_tridiagonal if method == "tridiagonal" else _edge_spectrum_dense
+        for k in range(n_samples):
+            out[k] = draw(n, beta, g)
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
 
@@ -190,28 +220,80 @@ def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, Sa
 # eigenvectors, about 32 MB); larger requests run as consecutive blocks
 _BLOCK_COEFFS = 1 << 22
 
+# rows of the kernel matrix built per block: the temporaries stay at
+# _KERNEL_ROWS x m, so the matrix itself is the only m x m array alive
+_KERNEL_ROWS = 256
 
-def _field_basis(lo: float, hi: float, grid_step: float):
-    """Midpoint grid, cell width, and the eigenpairs of h*K above 1e-12."""
+# eigenvalues of h*K at or below this cut are dropped from the basis
+_EIG_CUT = 1e-12
+
+# columns the range finder's sketch holds beyond the expected point count,
+# and the fixed seed of its Gaussian test matrix: the basis never touches
+# the caller's generator
+_SKETCH_SLACK = 50
+_SKETCH_SEED = 20110217
+
+
+def _field_kernel(lo: float, hi: float, grid_step: float):
+    """Midpoint grid, cell width, and the matrix h*K of the Airy kernel on
+    the grid, built in row blocks.  Every entry is the elementwise formula
+    of a one-shot outer-product build, so the blocking changes no bit."""
     from .kernels import airy_fn
 
     m = int(math.ceil((hi - lo) / grid_step))
     h = (hi - lo) / m
     x = lo + h * (np.arange(m) + 0.5)
     ai, aip = airy_fn(x)
-    # built in place: a few m x m arrays fewer at the peak
-    km = np.multiply.outer(ai, aip)
-    km -= np.multiply.outer(aip, ai)
-    denom = np.subtract.outer(x, x)
-    np.fill_diagonal(denom, 1.0)
-    km /= denom
-    del denom
-    np.fill_diagonal(km, aip * aip - x * ai * ai)
-    km *= h
-    # km is exactly symmetric, so its transpose is the same matrix in the
-    # Fortran order LAPACK overwrites without a copy
-    lam, vecs = eigh(km.T, subset_by_value=(1e-12, np.inf), overwrite_a=True)
-    return x, h, np.clip(lam, 0.0, 1.0), np.ascontiguousarray(vecs)
+    km = np.empty((m, m))
+    for s in range(0, m, _KERNEL_ROWS):
+        e = min(m, s + _KERNEL_ROWS)
+        rows = km[s:e]
+        np.multiply.outer(ai[s:e], aip, out=rows)
+        rows -= np.multiply.outer(aip[s:e], ai)
+        denom = np.subtract.outer(x[s:e], x)
+        diag = (np.arange(e - s), np.arange(s, e))
+        denom[diag] = 1.0
+        rows /= denom
+        rows[diag] = aip[s:e] * aip[s:e] - x[s:e] * ai[s:e] * ai[s:e]
+        rows *= h
+    return x, h, km
+
+
+def _field_basis(lo: float, hi: float, grid_step: float):
+    """Midpoint grid, cell width, and the eigenpairs of h*K above 1e-12,
+    eigenvalues ascending and clipped to [0, 1].
+
+    The eigenpairs come from a randomized range finder with one power
+    iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217):
+    Q = qr(hK qr(hK Omega)) with a Gaussian Omega of width
+    ell = min(m, ceil(tr hK) + 50), where the trace is the expected point
+    count, followed by Rayleigh-Ritz on Q^T hK Q.  The kernel's eigenvalues
+    fall super-exponentially past the point count, so the Ritz values of
+    the kept pairs match a full eigensolve to rounding.  The sketch checks
+    itself: unless half the slack of its Ritz values falls below the cut,
+    it doubles ell and runs again, up to the full space.
+    """
+    x, h, km = _field_kernel(lo, hi, grid_step)
+    m = x.size
+    count = float(np.trace(km))
+    if not math.isfinite(count):
+        raise ValueError("sample_airy_field: kernel matrix is not finite")
+    ell = min(m, math.ceil(count) + _SKETCH_SLACK)
+    while True:
+        omega = np.random.default_rng(_SKETCH_SEED).standard_normal((m, ell))
+        # numpy's QR and eigh run on the OpenBLAS that does numpy's products;
+        # scipy bundles a second one, and its QR ran about twice as slow
+        # right after these products
+        q = np.linalg.qr(km @ np.linalg.qr(km @ omega)[0])[0]
+        ritz = q.T @ (km @ q)
+        if not np.isfinite(ritz).all():
+            raise ValueError("sample_airy_field: kernel matrix is not finite")
+        lam, w = np.linalg.eigh(ritz)
+        keep = lam > _EIG_CUT
+        if ell == m or ell - np.count_nonzero(keep) >= _SKETCH_SLACK // 2:
+            break
+        ell = min(m, 2 * ell)
+    return x, h, np.clip(lam[keep], 0.0, 1.0), q @ w[:, keep]
 
 
 def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) -> list[np.ndarray]:
@@ -286,19 +368,22 @@ def sample_airy_field(
     """Draws of the beta = 2 soft-edge limit field restricted to a window.
 
     The correlation kernel is discretized on a midpoint grid over
-    ``window = (lo, hi)``; a partial eigendecomposition keeps its
-    eigenpairs above 1e-12.  Each sample Bernoulli-thins the
-    eigenfunctions and then selects cells sequentially by the chain rule
-    for projection kernels (Schur complements, Hough-Krishnapur-Peres-
-    Virag), and each selected cell gets a uniform jitter of one cell
-    width.  The chain rule runs batched: samples go in blocks, and one
-    matrix product with the eigenvectors serves every sample of a block
-    at each step.  Per sample the generator gives, in this order, one
-    uniform per kept eigenvalue, one per point for the cell picks and one
-    per point for the jitter -- the stream of a sample-by-sample loop that
-    picks cells with ``Generator.choice``, so the draws do not depend on
-    the blocking.  Returns one ascending array per sample (the point count
-    varies) plus a report.  Raises ValueError, naming the sample and the
+    ``window = (lo, hi)``.  Its eigenpairs above 1e-12 come from a
+    randomized range finder with Rayleigh-Ritz (``_field_basis``), whose
+    Gaussian test matrix has a fixed seed of its own, so the basis depends
+    on the window and the grid alone and draws nothing from ``rng``.  Each
+    sample Bernoulli-thins the eigenfunctions and then selects cells
+    sequentially by the chain rule for projection kernels (Schur
+    complements, Hough-Krishnapur-Peres-Virag), and each selected cell gets
+    a uniform jitter of one cell width.  The chain rule runs batched:
+    samples go in blocks, and one matrix product with the eigenvectors
+    serves every sample of a block at each step.  Per sample the generator
+    gives, in this order, one uniform per kept eigenvalue, one per point
+    for the cell picks and one per point for the jitter -- the stream of a
+    sample-by-sample loop that picks cells with ``Generator.choice``, so
+    the draws do not depend on the blocking.  Returns one ascending array
+    per sample (the point count varies) plus a report.  Raises ValueError
+    if the kernel matrix is not finite, and, naming the sample and the
     step, if the remaining kernel mass of a pick is not finite and
     positive.
 

@@ -540,13 +540,27 @@ def reference_simulate(
 # batched chain rule, kept verbatim as the bitwise reference for
 # ``ibrownian.sampling.sample_airy_field``: a full eigendecomposition, and
 # per point one ``Generator.choice`` and one Schur-complement column of
-# m x n matrix-vector products.
+# m x n matrix-vector products.  ``reference_field_kernel`` is its one-shot
+# outer-product build of the matrix h*K.
+
+
+def reference_field_kernel(lo, hi, grid_step):
+    from ibrownian.kernels import airy_fn
+
+    m = int(math.ceil((hi - lo) / grid_step))
+    h = (hi - lo) / m
+    x = lo + h * (np.arange(m) + 0.5)
+    ai, aip = airy_fn(x)
+    denom = x[:, None] - x[None, :]
+    np.fill_diagonal(denom, 1.0)
+    km = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / denom
+    np.fill_diagonal(km, aip * aip - x * ai * ai)
+    return x, h, h * km
 
 
 def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
     import time
 
-    from ibrownian.kernels import airy_fn
     from ibrownian.sampling import SamplerReport, _resolve_rng
 
     lo, hi = float(window[0]), float(window[1])
@@ -559,15 +573,9 @@ def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
 
-    m = int(math.ceil((hi - lo) / grid_step))
-    h = (hi - lo) / m
-    x = lo + h * (np.arange(m) + 0.5)
-    ai, aip = airy_fn(x)
-    denom = x[:, None] - x[None, :]
-    np.fill_diagonal(denom, 1.0)
-    km = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / denom
-    np.fill_diagonal(km, aip * aip - x * ai * ai)
-    lam, vecs = np.linalg.eigh(h * km)
+    x, h, hkm = reference_field_kernel(lo, hi, grid_step)
+    m = x.size
+    lam, vecs = np.linalg.eigh(hkm)
     keep = lam > 1e-12
     lam = np.clip(lam[keep], 0.0, 1.0)
     vecs = vecs[:, keep]

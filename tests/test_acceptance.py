@@ -6,8 +6,11 @@ output of failures).  The twelve tests mirror the registry order; all
 seeds are frozen inside the checks, so the printed numbers are stable.
 """
 
+import math
+
 import pytest
 
+from ibrownian import acceptance as A
 from ibrownian.acceptance import CHECKS
 
 
@@ -15,6 +18,7 @@ def _run(name: str):
     result = CHECKS[name]()
     print(result.line())
     assert result.passed, result.line()
+    assert result.margin >= 0.0, result.line()
 
 
 @pytest.mark.acceptance
@@ -80,3 +84,39 @@ def test_criterion_12_sampler_closed_forms():
 def test_registry_covers_every_criterion():
     # twelve criteria, twelve named checks, no extras
     assert len(CHECKS) == 12
+
+
+@pytest.mark.parametrize(
+    "rule, value, want",
+    [
+        (lambda v: A._at_most(v, 0.15), 0.1353, (True, 0.15 - 0.1353)),
+        (lambda v: A._at_most(v, 0.15), 0.15, (True, 0.0)),
+        (lambda v: A._at_most(v, 0.15), 0.2, (False, 0.15 - 0.2)),
+        (lambda v: A._below(v, 0.0), -0.01, (True, 0.01)),
+        (lambda v: A._below(v, 0.0), 0.0, (False, 0.0)),
+        (lambda v: A._at_least(v, 10.0), 12.0, (True, 2.0)),
+        (lambda v: A._at_least(v, 10.0), 9.0, (False, -1.0)),
+        (lambda v: A._above(v, 0.0), 0.5, (True, 0.5)),
+        (lambda v: A._within(v, 1.8, 2.2), 1.9, (True, 1.9 - 1.8)),
+        (lambda v: A._within(v, 1.8, 2.2), 2.3, (False, 2.2 - 2.3)),
+        (lambda v: A._within(v, 1.8, 2.2), math.nan, (False, math.nan)),
+    ],
+)
+def test_pass_rules_sign_their_margin(rule, value, want):
+    passed, margin = rule(value)
+    assert passed is want[0]
+    assert margin == pytest.approx(want[1], nan_ok=True)
+
+
+def test_side_rule_margin_counts_only_when_it_fails():
+    # the margin stays in the units of the reported value while the side
+    # rules hold, and turns negative as soon as one fails
+    assert A._all_of(A._at_least(30.0, 10.0), A._at_most(-1.0, 1e-12)) == (True, 20.0)
+    assert A._all_of(A._at_least(30.0, 10.0), A._at_most(0.5, 1e-12)) == (False, 1e-12 - 0.5)
+    assert A._all_of(A._at_most(0.0, 0.0), A._above(0.02, 0.0)) == (True, 0.0)
+    assert A._all_of(A._at_most(3.0, 0.0), A._above(-0.1, 0.0)) == (False, -3.0)
+
+
+def test_line_shows_the_margin():
+    res = A.CheckResult("x", True, 0.1, 0.15, "detail", 1.0, 0.05)
+    assert "margin 0.05" in res.line()

@@ -254,8 +254,12 @@ class TestVerifyCommand:
         text = capsys.readouterr().out
         assert "PASS tail-sum-decay" in text
         rows = (out / "verify.csv").read_text().splitlines()
-        assert rows[0] == "name,passed,value,threshold,wall_time"
+        assert rows[0] == "name,passed,value,threshold,margin,wall_time"
         assert rows[1].startswith("tail-sum-decay,1,")
+        _, _, value, threshold, margin, _ = rows[1].split(",")
+        # tail-sum-decay passes at value >= threshold
+        assert float(margin) == float(value) - float(threshold) > 0
+        assert f"margin {float(margin):.4g}" in text
 
     def test_unknown_check_is_config_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--checks", "bogus", "--out", str(tmp_path)]) == 2

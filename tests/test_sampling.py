@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
@@ -65,6 +66,28 @@ class TestSoftEdgeSampler:
             S.sample_airy_equilibrium(3, 3.0, RngStream(1), method="dense")
         with pytest.raises(ValueError):
             S.sample_airy_equilibrium(3, 2.0, RngStream(1), method="nope")
+
+    @pytest.mark.parametrize(
+        "n, beta, window",
+        [(400, 2.0, (-4.0, 2.0)), (30, 1.0, (-3.0, 0.5)), (5, 4.0, (-6.0, -2.0)), (1, 2.0, (-3.0, -1.0))],
+    )
+    def test_window_is_the_full_spectrum_restricted(self, n, beta, window):
+        a, b = np.random.default_rng(51), np.random.default_rng(51)
+        full, _ = S.sample_airy_ensemble(n, beta, a, 300)
+        part, _ = S.sample_airy_ensemble(n, beta, b, 300, window=window)
+        assert a.bit_generator.state == b.bit_generator.state
+        lo, hi = window
+        assert len(part) == 300 and sum(p.size for p in part) > 0
+        for row, got in zip(full, part):
+            want = row[(row >= lo) & (row <= hi)]
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_window_validation(self):
+        with pytest.raises(ValueError, match="window"):
+            S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, window=(1.0, -1.0))
+        with pytest.raises(ValueError, match="window"):
+            S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, method="dense", window=(-1.0, 1.0))
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -218,10 +241,92 @@ class TestFieldMatchesReference:
             assert _same_draws(got, base)
 
 
+def _full_basis(km):
+    lam, vecs = scipy.linalg.eigh(km)
+    keep = lam > 1e-12
+    return np.clip(lam[keep], 0.0, 1.0), vecs[:, keep]
+
+
+class TestFieldBasis:
+    # the sketched eigenbasis against a full eigensolve of the same matrix
+
+    @pytest.mark.parametrize("window", [(-10.0, 2.0), (-6.0, 1.0), (-6.0, 2.0), (1.0, 6.0), (3.0, 6.0), (-92.0, 6.0)])
+    def test_sketch_matches_full_eigh(self, window):
+        _, _, km = S._field_kernel(*window, 0.04)
+        _, _, lam, vecs = S._field_basis(*window, 0.04)
+        ref_lam, ref_vecs = _full_basis(km)
+        assert lam.size == ref_lam.size
+        assert np.all(np.diff(lam) >= 0)
+        assert np.max(np.abs(lam - ref_lam)) <= 1e-13
+        # eigenvectors of close eigenvalues may rotate; their projector may not
+        big, ref_big = vecs[:, lam > 1e-6], ref_vecs[:, ref_lam > 1e-6]
+        assert big.shape == ref_big.shape
+        assert np.max(np.abs(big @ big.T - ref_big @ ref_big.T)) <= 1e-10
+
+    def test_short_sketch_widens(self, monkeypatch):
+        # ten columns of slack leave (-10, 2) with fewer than five Ritz values
+        # below the cut, so the sketch must double its width once
+        calls = []
+        real = np.linalg.eigh
+
+        def eigh(a, *args, **kw):
+            calls.append(a.shape[0])
+            return real(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(S, "_SKETCH_SLACK", 10)
+        _, _, km = S._field_kernel(-10.0, 2.0, 0.04)
+        _, _, lam, _ = S._field_basis(-10.0, 2.0, 0.04)
+        ell = math.ceil(np.trace(km)) + 10
+        assert calls == [ell, 2 * ell]
+        ref_lam, _ = _full_basis(km)
+        assert lam.size == ref_lam.size and np.max(np.abs(lam - ref_lam)) <= 1e-13
+
+    @pytest.mark.parametrize("window", [(-92.0, 6.0), (-10.0, 2.0), (3.0, 6.0)])
+    def test_row_blocks_equal_one_shot_build(self, monkeypatch, window):
+        want = oracles.reference_field_kernel(*window, 0.04)
+        for rows in (S._KERNEL_ROWS, 7):
+            monkeypatch.setattr(S, "_KERNEL_ROWS", rows)
+            got = S._field_kernel(*window, 0.04)
+            assert got[1] == want[1] and np.array_equal(got[0], want[0])
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_caller_generator_is_left_as_the_reference_leaves_it(self):
+        a, b = np.random.default_rng(49), np.random.default_rng(49)
+        S.sample_airy_field((-6.0, 1.0), a, 30)
+        oracles.reference_airy_field((-6.0, 1.0), b, 30)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def _inject_basis(monkeypatch, lam, vecs):
+    # replaces the grid-space basis: eigenvalues lam, eigenvectors vecs(m)
+    real = S._field_basis
+
+    def basis(lo, hi, grid_step):
+        x, h, _, _ = real(lo, hi, grid_step)
+        return x, h, lam, vecs(x.size)
+
+    monkeypatch.setattr(S, "_field_basis", basis)
+
+
 class TestFieldNumericalTrouble:
     def test_nan_kernel_raises(self, monkeypatch):
         monkeypatch.setattr(K, "airy_fn", lambda x: (np.full_like(x, np.nan), np.full_like(x, np.nan)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kernel matrix is not finite"):
+            S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_off_diagonal_raises(self, monkeypatch, entry):
+        # the trace stays finite, so the sketch itself must refuse the matrix
+        real = S._field_kernel
+
+        def kernel(lo, hi, grid_step):
+            x, h, km = real(lo, hi, grid_step)
+            km[3, 5] = km[5, 3] = entry
+            return x, h, km
+
+        monkeypatch.setattr(S, "_field_kernel", kernel)
+        with pytest.raises(ValueError, match="kernel matrix is not finite"):
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
 
     @pytest.mark.parametrize("blocking", ["default", "one sample"])
@@ -229,12 +334,12 @@ class TestFieldNumericalTrouble:
         # a rank-one kernel behind two selectable vectors: column 0 is 2 e_0,
         # column 1 is zero, so a sample holding column 1 runs out of mass at
         # step 1 (both held) or step 0 (column 1 alone)
-        def rank_one_eigh(a, **_):
-            vecs = np.zeros((a.shape[0], 2))
+        def rank_one(m):
+            vecs = np.zeros((m, 2))
             vecs[0, 0] = 2.0
-            return np.array([0.5, 0.5]), vecs
+            return vecs
 
-        monkeypatch.setattr(S, "eigh", rank_one_eigh)
+        _inject_basis(monkeypatch, np.array([0.5, 0.5]), rank_one)
         if blocking == "one sample":
             monkeypatch.setattr(S, "_BLOCK_COEFFS", 1)
         g = RngStream(48).generator()
@@ -251,7 +356,7 @@ class TestFieldNumericalTrouble:
 
     @pytest.mark.parametrize("entry, shown", [(np.nan, "nan"), (1e200, "inf")])
     def test_non_finite_mass_raises_at_step_zero(self, monkeypatch, entry, shown):
-        monkeypatch.setattr(S, "eigh", lambda a, **_: (np.ones(1), np.full((a.shape[0], 1), entry)))
+        _inject_basis(monkeypatch, np.ones(1), lambda m: np.full((m, 1), entry))
         with pytest.raises(ValueError, match=rf"sample 0, step 0: remaining kernel mass {shown}"):
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
 
