@@ -3,9 +3,9 @@
 Every check freezes its seeds and tolerances, so a pass is reproducible
 bit for bit; ``run_all`` executes them in registry order and returns one
 ``CheckResult`` per check, whose ``margin`` is the signed distance of the
-value to the check's pass rule, positive on the passing side.  The heavy
-SDE checks take a few minutes each; the whole suite runs in under ten
-minutes on one core.
+value to the ``threshold`` its pass rule reports, positive on the passing
+side.  On a 2-vCPU VM the slowest check takes about 25 s and the whole
+suite under a minute.
 
 Usage:
     from ibrownian.acceptance import CHECKS, run_all
@@ -19,14 +19,16 @@ Usage:
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import gammainc
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from .core import Family, ModelSpec, RngStream
 from . import kernels
@@ -59,76 +61,85 @@ class CheckResult:
         )
 
 
-# pass rules: each returns (passed, margin), the margin signed so that it is
-# positive on the passing side (zero on the boundary of an inclusive rule)
+# pass rules: each returns (passed, margin, threshold), the margin signed so
+# that it is positive on the passing side (zero on the boundary of an
+# inclusive rule) and measured from the threshold, the limit it reports
 
 
-def _at_most(value: float, limit: float) -> tuple[bool, float]:
-    return value <= limit, limit - value
+def _at_most(value: float, limit: float) -> tuple[bool, float, float]:
+    return value <= limit, limit - value, limit
 
 
-def _below(value: float, limit: float) -> tuple[bool, float]:
-    return value < limit, limit - value
+def _below(value: float, limit: float) -> tuple[bool, float, float]:
+    return value < limit, limit - value, limit
 
 
-def _at_least(value: float, limit: float) -> tuple[bool, float]:
-    return value >= limit, value - limit
+def _at_least(value: float, limit: float) -> tuple[bool, float, float]:
+    return value >= limit, value - limit, limit
 
 
-def _above(value: float, limit: float) -> tuple[bool, float]:
-    return value > limit, value - limit
+def _above(value: float, limit: float) -> tuple[bool, float, float]:
+    return value > limit, value - limit, limit
 
 
-def _within(value: float, lo: float, hi: float) -> tuple[bool, float]:
-    return lo <= value <= hi, min(value - lo, hi - value)
+def _within(value: float, lo: float, hi: float) -> tuple[bool, float, float]:
+    """The interval [lo, hi]; the margin is measured from the nearer end."""
+    margin, limit = min((value - lo, lo), (hi - value, hi))
+    return lo <= value <= hi, margin, limit
 
 
-def _all_of(rule, *side_rules) -> tuple[bool, float]:
+def _all_of(rule, *side_rules) -> tuple[bool, float, float]:
     """All rules must hold.  The margin is the first rule's, which is the rule
     on the reported value, unless a side rule fails: then the smallest
-    margin among the failing rules stands in for it."""
-    passed = rule[0] and all(ok for ok, _ in side_rules)
-    failing = [m for ok, m in side_rules if not ok]
-    return passed, min([rule[1]] + failing)
+    margin among the failing rules stands in for it.  The threshold is
+    always the first rule's."""
+    passed = rule[0] and all(ok for ok, _, _ in side_rules)
+    failing = [m for ok, m, _ in side_rules if not ok]
+    return passed, min([rule[1]] + failing), rule[2]
 
 
-def _one_sample_ks(values: np.ndarray, cdf) -> float:
-    v = np.sort(np.asarray(values, dtype=float))
-    n = v.size
-    c = np.asarray(cdf(v), dtype=float)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(np.abs(c - hi)), np.max(np.abs(c - lo))))
+CHECKS: dict[str, Callable[[], CheckResult]] = {}
 
 
-def check_ginibre_bulk_intensity() -> CheckResult:
+def _check(name: str):
+    """Register a check under name, in definition order.  The decorated body
+    returns (value, rule, detail), where rule is what a pass rule returned;
+    the registered check times the body and builds its CheckResult."""
+
+    def register(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            value, (passed, margin, threshold), detail = body()
+            return CheckResult(name=name, passed=passed, value=value, threshold=threshold,
+                               detail=detail, wall_time=time.perf_counter() - t0, margin=margin)
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
+
+@_check("ginibre-bulk-intensity")
+def check_ginibre_bulk_intensity():
     # 50 planar samples at n = 100; the point density well inside the
     # cloud must match the flat value 1/pi to 10% relative
-    t0 = time.perf_counter()
     pts, _ = sampling.sample_ginibre_ensemble(100, RngStream(101), 50)
     radius = 0.6 * math.sqrt(100)
     est = stats.estimate_rho(list(pts), 1, bins=np.array([0.0, radius]))
     scaled = float(est.density[0]) * math.pi
     value = abs(scaled - 1.0)
-    passed, margin = _at_most(value, 0.1)
-    return CheckResult(
-        name="ginibre-bulk-intensity",
-        passed=passed,
-        value=value,
-        threshold=0.1,
-        detail=f"relative error of pi * rho = {scaled:.4f} inside radius {radius:.1f}",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"relative error of pi * rho = {scaled:.4f} inside radius {radius:.1f}"
+    return value, _at_most(value, 0.1), detail
 
 
-def check_airy_edge_density() -> CheckResult:
+@_check("airy-edge-density")
+def check_airy_edge_density():
     # 5000 tridiagonal samples at n = 400; scaled one-point density on
     # [-4, 2] vs the soft-edge kernel diagonal, sup discrepancy <= 0.05.
     # Bin width 0.5 keeps the per-bin counting noise (sigma ~ 0.01)
     # well under the tolerance; the reference is bin-averaged to match.
     # Only the points in the window are computed.
-    t0 = time.perf_counter()
     draws, _ = sampling.sample_airy_ensemble(400, 2.0, RngStream(201), 5000, window=(-4.0, 2.0))
     edges = np.linspace(-4.0, 2.0, 13)
     hist, _ = np.histogram(np.concatenate(draws), bins=edges)
@@ -138,22 +149,13 @@ def check_airy_edge_density() -> CheckResult:
         g = np.linspace(edges[i], edges[i + 1], 21)
         ref[i] = np.trapezoid([kernels.airy_kernel(v, v) for v in g], g) / width
     value = float(np.max(np.abs(hist / (5000.0 * width) - ref)))
-    passed, margin = _at_most(value, 0.05)
-    return CheckResult(
-        name="airy-edge-density",
-        passed=passed,
-        value=value,
-        threshold=0.05,
-        detail="sup |empirical - kernel diagonal| over [-4, 2], width 0.5",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    return value, _at_most(value, 0.05), "sup |empirical - kernel diagonal| over [-4, 2], width 0.5"
 
 
-def check_airy_special_function() -> CheckResult:
+@_check("airy-special-function")
+def check_airy_special_function():
     # evaluator vs a high-order ODE integration of y'' = x y started from
     # the exact values at 0, plus a direct second-difference residual
-    t0 = time.perf_counter()
     ai0 = 1.0 / (3.0 ** (2.0 / 3.0) * math.gamma(2.0 / 3.0))
     aip0 = -1.0 / (3.0 ** (1.0 / 3.0) * math.gamma(1.0 / 3.0))
 
@@ -177,22 +179,14 @@ def check_airy_special_function() -> CheckResult:
     second = (-vals[2] + 16 * vals[1] - 30 * vals[0] + 16 * vals[-1] - vals[-2]) / (12 * h * h)
     resid = float(np.max(np.abs(second - grid * vals[0])))
     value = max(err, resid)
-    passed, margin = _at_most(value, 1e-8)
-    return CheckResult(
-        name="airy-special-function",
-        passed=passed,
-        value=value,
-        threshold=1e-8,
-        detail=f"max(ODE oracle gap {err:.2e}, stencil residual {resid:.2e}) on [-10, 5]",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"max(ODE oracle gap {err:.2e}, stencil residual {resid:.2e}) on [-10, 5]"
+    return value, _at_most(value, 1e-8), detail
 
 
-def check_bessel_kernel_identity() -> CheckResult:
+@_check("bessel-kernel-identity")
+def check_bessel_kernel_identity():
     # the recurrence and derivative forms of the hard-edge kernel are
     # algebraically identical; require 1e-9 agreement on a 50 x 50 grid
-    t0 = time.perf_counter()
     grid = np.linspace(0.5, 80.0, 50)
     value = 0.0
     for a in (1.0, 2.0):
@@ -201,22 +195,13 @@ def check_bessel_kernel_identity() -> CheckResult:
                 v1 = kernels.bessel_kernel(a, x, y, form="recurrence")
                 v2 = kernels.bessel_kernel(a, x, y, form="derivative")
                 value = max(value, abs(v1 - v2))
-    passed, margin = _at_most(value, 1e-9)
-    return CheckResult(
-        name="bessel-kernel-identity",
-        passed=passed,
-        value=value,
-        threshold=1e-9,
-        detail="max |recurrence - derivative| over (0.5, 80)^2, alpha in {1, 2}",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    return value, _at_most(value, 1e-9), "max |recurrence - derivative| over (0.5, 80)^2, alpha in {1, 2}"
 
 
-def check_dyson_stationarity() -> CheckResult:
+@_check("dyson-stationarity")
+def check_dyson_stationarity():
     # start 2000 paths from exact equilibrium, run to T = 0.5, and compare
     # every particle's marginal between t = 0 and t = T
-    t0 = time.perf_counter()
     spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=20)
     starts, _ = sampling.sample_airy_ensemble(20, 2.0, RngStream(501), 2000)
     cfg = IntegratorConfig(dt=5e-4, t_final=0.5, dt_record=0.5, max_substep_depth=30)
@@ -224,22 +209,14 @@ def check_dyson_stationarity() -> CheckResult:
     first = np.sort(ens.states[:, 0, :, 0], axis=1)
     last = np.sort(ens.states[:, -1, :, 0], axis=1)
     value = max(ks_2samp(first[:, i], last[:, i]).statistic for i in range(20))
-    passed, margin = _at_most(value, 0.05)
-    return CheckResult(
-        name="dyson-stationarity",
-        passed=passed,
-        value=value,
-        threshold=0.05,
-        detail=f"max per-particle KS(t=0, t=0.5), {len(ens.failed_paths)} of 2000 paths flagged",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"max per-particle KS(t=0, t=0.5), {len(ens.failed_paths)} of 2000 paths flagged"
+    return value, _at_most(value, 0.05), detail
 
 
-def check_ito_square_root_consistency() -> CheckResult:
+@_check("ito-square-root-consistency")
+def check_ito_square_root_consistency():
     # the squared-coordinate system mapped through sqrt must match the
     # direct system in law; compare per-particle marginals at t = 0.2
-    t0 = time.perf_counter()
     z0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
     sq = ModelSpec(family=Family.SQUARE_BESSEL, beta=2.0, alpha=1.0, n_particles=5)
     rt = ModelSpec(family=Family.SQRT_SQUARE_BESSEL, beta=2.0, alpha=1.0, n_particles=5)
@@ -251,25 +228,17 @@ def check_ito_square_root_consistency() -> CheckResult:
     value = max(float(ks_2samp(a[:, i], b[:, i]).statistic) for i in range(5))
     pooled = float(ks_2samp(a.ravel(), b.ravel()).statistic)
     flagged = len(ens_sq.failed_paths) + len(ens_rt.failed_paths)
-    passed, margin = _at_most(value, 0.05)
-    return CheckResult(
-        name="ito-square-root-consistency",
-        passed=passed,
-        value=value,
-        threshold=0.05,
-        detail=f"max per-particle KS (pooled marginal {pooled:.4f}), {flagged} paths flagged",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"max per-particle KS (pooled marginal {pooled:.4f}), {flagged} paths flagged"
+    return value, _at_most(value, 0.05), detail
 
 
-def check_airy_drift_truncation_trend() -> CheckResult:
+@_check("airy-drift-truncation-trend")
+def check_airy_drift_truncation_trend():
     # 1000 window realizations of the infinite edge system; the truncated
     # interaction at x = -1 must show the Cauchy-sequence trend in r.
     # Environments come from the window sampler (a matrix approximant
     # carries a finite-size density bend that reverses the trend) and are
     # rescaled to the density convention of the compensator 2*sqrt(r).
-    t0 = time.perf_counter()
     envs, _ = sampling.sample_airy_field((-92.0, 6.0), RngStream(701), 1000)
     scale = math.pi ** (-2.0 / 3.0)
     spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=1000)
@@ -277,93 +246,60 @@ def check_airy_drift_truncation_trend() -> CheckResult:
     m10, m20, m40 = (float(scan.mean[i, 0]) for i in range(3))
     inner = abs(m20 - m10)
     value = abs(m40 - m20)
-    passed, margin = _at_most(value, min(inner, 0.15))
-    return CheckResult(
-        name="airy-drift-truncation-trend",
-        passed=passed,
-        value=value,
-        threshold=0.15,
-        detail=f"|D(40)-D(20)| vs |D(20)-D(10)| = {inner:.4f}, means ({m10:.3f}, {m20:.3f}, {m40:.3f})",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"|D(40)-D(20)| vs |D(20)-D(10)| = {inner:.4f}, means ({m10:.3f}, {m20:.3f}, {m40:.3f})"
+    return value, _at_most(value, min(inner, 0.15)), detail
 
 
-def check_ginibre_variant_gap() -> CheckResult:
+@_check("ginibre-variant-gap")
+def check_ginibre_variant_gap():
     # the two truncated-drift windows agree as r grows: the mean gap
     # |centered - origin| must fall strictly across r = (6, 10, 16)
-    t0 = time.perf_counter()
     pts, _ = sampling.sample_ginibre_ensemble(400, RngStream(801), 200)
     spec = ModelSpec(family=Family.GINIBRE, beta=2.0, n_particles=400)
     radii = [0.3 * 20.0, 0.5 * 20.0, 0.8 * 20.0]
     scan = stats.drift_truncation_scan(list(pts), spec, np.array([1.0, 0.0]), radii)
     g = [float(v) for v in scan.variant_gap_mean]
     value = max(g[1] - g[0], g[2] - g[1])
-    passed, margin = _below(value, 0.0)
-    return CheckResult(
-        name="ginibre-variant-gap",
-        passed=passed,
-        value=value,
-        threshold=0.0,
-        detail=f"max successive gap increase, gaps ({g[0]:.3f}, {g[1]:.3f}, {g[2]:.3f})",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"max successive gap increase, gaps ({g[0]:.3f}, {g[1]:.3f}, {g[2]:.3f})"
+    return value, _below(value, 0.0), detail
 
 
-def check_non_collision() -> CheckResult:
+@_check("non-collision")
+def check_non_collision():
     # 500 soft-edge paths must keep their ordering on every recorded
     # interval, and hard-edge paths must stay strictly positive
-    t0 = time.perf_counter()
     airy = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=10)
     starts, _ = sampling.sample_airy_ensemble(10, 2.0, RngStream(901), 500)
     cfg = IntegratorConfig(dt=1e-4, t_final=0.05, dt_record=1e-3)
     ens = simulate(airy, list(starts), cfg, RngStream(902))
-    swaps = int(ens.ordering_violations)
+    swaps = float(ens.ordering_violations)
 
     bes = ModelSpec(family=Family.BESSEL, beta=2.0, alpha=1.0, n_particles=10)
     opts = sampling.McmcOptions(burn_in_sweeps=3000, thin_sweeps=10)
     bstarts, _ = sampling.sample_bessel_chain(10, 1.0, RngStream(903), 50, options=opts)
     ens_b = simulate(bes, bstarts, cfg, RngStream(904))
     min_state = float(np.min(ens_b.states))
-    passed, margin = _all_of(_at_most(float(swaps), 0.0), _above(min_state, 0.0))
-    return CheckResult(
-        name="non-collision",
-        passed=passed,
-        value=float(swaps),
-        threshold=0.0,
-        detail=f"ordering violations over 500 paths; min hard-edge state {min_state:.3f} > 0",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"ordering violations over 500 paths; min hard-edge state {min_state:.3f} > 0"
+    return swaps, _all_of(_at_most(swaps, 0.0), _above(min_state, 0.0)), detail
 
 
-def check_holder_moment_slope() -> CheckResult:
+@_check("holder-moment-slope")
+def check_holder_moment_slope():
     # fourth moment of increments over dyadic lags: diffusive scaling
     # means slope 2 in log-log, accepted within [1.8, 2.2]
-    t0 = time.perf_counter()
     spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=10)
     starts, _ = sampling.sample_airy_ensemble(10, 2.0, RngStream(1001), 200)
     cfg = IntegratorConfig(dt=2e-4, t_final=0.128, dt_record=2e-3)
     ens = simulate(spec, list(starts), cfg, RngStream(1002))
     lags = [0.002 * 2**k for k in range(6)]
     value = stats.log_log_slope(lags, stats.holder_moment(ens, lags))
-    passed, margin = _within(value, 1.8, 2.2)
-    return CheckResult(
-        name="holder-moment-slope",
-        passed=passed,
-        value=value,
-        threshold=2.2,
-        detail="log-log slope of E|increment|^4 over lags 0.002 * 2^k, k < 6",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    return value, _within(value, 1.8, 2.2), "log-log slope of E|increment|^4 over lags 0.002 * 2^k, k < 6"
 
 
-def check_tail_sum_decay() -> CheckResult:
+@_check("tail-sum-decay")
+def check_tail_sum_decay():
     # the far-particle tail sum is nonincreasing in the label cutoff and
     # collapses by >= 10x between cutoffs n/4 and 3n/4
-    t0 = time.perf_counter()
     draws, _ = sampling.sample_airy_ensemble(200, 2.0, RngStream(1101), 300)
     params = stats.TightnessParams(r=10.0, L=50, T=20.0, c=1.0)
     cuts = list(range(0, 201, 10))
@@ -371,40 +307,32 @@ def check_tail_sum_decay() -> CheckResult:
     drops = np.diff(vals)
     monotone = _at_most(float(np.max(drops)), 1e-12)
     ratio = float(vals[cuts.index(50)] / vals[cuts.index(150)])
-    passed, margin = _all_of(_at_least(ratio, 10.0), monotone)
-    return CheckResult(
-        name="tail-sum-decay",
-        passed=passed,
-        value=ratio,
-        threshold=10.0,
-        detail=f"value(L=50)/value(L=150), monotone nonincreasing: {monotone[0]}",
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
+    detail = f"value(L=50)/value(L=150), monotone nonincreasing: {monotone[0]}"
+    return ratio, _all_of(_at_least(ratio, 10.0), monotone), detail
 
 
-def check_sampler_closed_forms() -> CheckResult:
+@_check("sampler-closed-forms")
+def check_sampler_closed_forms():
     # single-particle laws against exact distributions at 10^4 draws,
     # plus tridiagonal vs dense spectra at n = 50
-    t0 = time.perf_counter()
     worst = 0.0
     parts = []
 
     draws, _ = sampling.sample_airy_ensemble(1, 2.0, RngStream(1201), 10_000)
-    ks = _one_sample_ks(draws[:, 0], lambda v: 1.0 - stats.erf_fn(v + 2.0))
+    ks = float(kstest(draws[:, 0], lambda v: 1.0 - stats.erf_fn(v + 2.0)).statistic)
     worst = max(worst, ks)
     parts.append(f"gaussian {ks:.4f}")
 
     pts, _ = sampling.sample_ginibre_ensemble(1, RngStream(1202), 10_000)
     r2 = np.sum(pts[:, 0, :] ** 2, axis=1)
-    ks = _one_sample_ks(r2, lambda v: 1.0 - np.exp(-v))
+    ks = float(kstest(r2, lambda v: 1.0 - np.exp(-v)).statistic)
     worst = max(worst, ks)
     parts.append(f"complex-gaussian {ks:.4f}")
 
     opts = sampling.McmcOptions(burn_in_sweeps=2000, thin_sweeps=10)
     samples, _ = sampling.sample_bessel_chain(1, 1.0, RngStream(1203), 10_000, options=opts)
     xs = np.array([s.points[0, 0] for s in samples])
-    ks = _one_sample_ks(xs, lambda v: gammainc(2.0, v / 4.0))
+    ks = float(kstest(xs, lambda v: gammainc(2.0, v / 4.0)).statistic)
     worst = max(worst, ks)
     parts.append(f"gamma {ks:.4f}")
 
@@ -414,32 +342,7 @@ def check_sampler_closed_forms() -> CheckResult:
     worst = max(worst, ks)
     parts.append(f"tri-vs-dense {ks:.4f}")
 
-    passed, margin = _at_most(worst, 0.02)
-    return CheckResult(
-        name="sampler-closed-forms",
-        passed=passed,
-        value=worst,
-        threshold=0.02,
-        detail=", ".join(parts),
-        wall_time=time.perf_counter() - t0,
-        margin=margin,
-    )
-
-
-CHECKS = {
-    "ginibre-bulk-intensity": check_ginibre_bulk_intensity,
-    "airy-edge-density": check_airy_edge_density,
-    "airy-special-function": check_airy_special_function,
-    "bessel-kernel-identity": check_bessel_kernel_identity,
-    "dyson-stationarity": check_dyson_stationarity,
-    "ito-square-root-consistency": check_ito_square_root_consistency,
-    "airy-drift-truncation-trend": check_airy_drift_truncation_trend,
-    "ginibre-variant-gap": check_ginibre_variant_gap,
-    "non-collision": check_non_collision,
-    "holder-moment-slope": check_holder_moment_slope,
-    "tail-sum-decay": check_tail_sum_decay,
-    "sampler-closed-forms": check_sampler_closed_forms,
-}
+    return worst, _at_most(worst, 0.02), ", ".join(parts)
 
 
 def run_all(names=None) -> list[CheckResult]:

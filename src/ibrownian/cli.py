@@ -48,13 +48,14 @@ from . import kernels
 from .models import TruncationParams, TruncationVariant, log_derivative
 from . import sampling
 from . import stats
-from .acceptance import CHECKS, run_all
+from .acceptance import CHECKS
 from .sde import IntegratorConfig, simulate
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-# checks lasting minutes are excluded from the quick suite
-_SLOW_CHECKS = ("dyson-stationarity", "ito-square-root-consistency")
+# the three slowest checks (each 6 s or more; the others take 2 s or less)
+# are excluded from the quick suite
+_SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
 
 _SAMPLED_FAMILIES = (
     Family.AIRY,

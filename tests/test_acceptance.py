@@ -19,6 +19,8 @@ def _run(name: str):
     print(result.line())
     assert result.passed, result.line()
     assert result.margin >= 0.0, result.line()
+    # the margin is measured from the threshold the line reports
+    assert abs(result.margin) == abs(result.value - result.threshold), result.line()
 
 
 @pytest.mark.acceptance
@@ -82,8 +84,33 @@ def test_criterion_12_sampler_closed_forms():
 
 
 def test_registry_covers_every_criterion():
-    # twelve criteria, twelve named checks, no extras
-    assert len(CHECKS) == 12
+    # twelve criteria, twelve named checks in criterion order, no extras
+    assert list(CHECKS) == [
+        "ginibre-bulk-intensity",
+        "airy-edge-density",
+        "airy-special-function",
+        "bessel-kernel-identity",
+        "dyson-stationarity",
+        "ito-square-root-consistency",
+        "airy-drift-truncation-trend",
+        "ginibre-variant-gap",
+        "non-collision",
+        "holder-moment-slope",
+        "tail-sum-decay",
+        "sampler-closed-forms",
+    ]
+
+
+def test_runner_builds_the_result_from_the_rule():
+    try:
+        check = A._check("probe")(lambda: (1.9, A._within(1.9, 1.8, 2.2), "probe detail"))
+        assert A.CHECKS["probe"] is check
+        res = check()
+    finally:
+        A.CHECKS.pop("probe", None)
+    assert (res.name, res.passed, res.value, res.threshold, res.detail) == ("probe", True, 1.9, 1.8, "probe detail")
+    assert res.margin == 1.9 - 1.8
+    assert res.wall_time >= 0.0
 
 
 @pytest.mark.parametrize(
@@ -103,18 +130,52 @@ def test_registry_covers_every_criterion():
     ],
 )
 def test_pass_rules_sign_their_margin(rule, value, want):
-    passed, margin = rule(value)
+    passed, margin, _ = rule(value)
     assert passed is want[0]
     assert margin == pytest.approx(want[1], nan_ok=True)
 
 
+@pytest.mark.parametrize(
+    "rule, value, ends",
+    [
+        (lambda v: A._at_most(v, 0.15), 0.1353, {0.15}),
+        (lambda v: A._at_most(v, 0.15), 0.2, {0.15}),
+        (lambda v: A._below(v, 0.0), -0.01, {0.0}),
+        (lambda v: A._below(v, 0.0), 0.0, {0.0}),
+        (lambda v: A._at_least(v, 10.0), 12.0, {10.0}),
+        (lambda v: A._at_least(v, 10.0), 9.0, {10.0}),
+        (lambda v: A._above(v, 0.0), 0.5, {0.0}),
+        (lambda v: A._above(v, 0.0), -0.5, {0.0}),
+        # the interval reports its nearer end, on either side of the midpoint
+        (lambda v: A._within(v, 1.8, 2.2), 1.9649, {1.8}),
+        (lambda v: A._within(v, 1.8, 2.2), 2.1, {2.2}),
+        (lambda v: A._within(v, 1.8, 2.2), 1.7, {1.8}),
+        (lambda v: A._within(v, 1.8, 2.2), 2.3, {2.2}),
+        (lambda v: A._within(v, 1.8, 2.2), math.nan, {1.8, 2.2}),
+        # side rules that hold leave the first rule's threshold and margin
+        (lambda v: A._all_of(A._at_least(v, 10.0), A._at_most(-1.0, 1e-12)), 30.0, {10.0}),
+        (lambda v: A._all_of(A._at_most(v, 0.0), A._above(0.02, 0.0)), 3.0, {0.0}),
+    ],
+)
+def test_margin_is_signed_distance_to_reported_threshold(rule, value, ends):
+    passed, margin, threshold = rule(value)
+    assert threshold in ends
+    if math.isnan(value):
+        assert math.isnan(margin) and not passed
+        return
+    assert abs(margin) == abs(value - threshold)
+    # positive on the passing side, negative on the failing side
+    assert margin == 0.0 or passed == (margin > 0.0)
+
+
 def test_side_rule_margin_counts_only_when_it_fails():
     # the margin stays in the units of the reported value while the side
-    # rules hold, and turns negative as soon as one fails
-    assert A._all_of(A._at_least(30.0, 10.0), A._at_most(-1.0, 1e-12)) == (True, 20.0)
-    assert A._all_of(A._at_least(30.0, 10.0), A._at_most(0.5, 1e-12)) == (False, 1e-12 - 0.5)
-    assert A._all_of(A._at_most(0.0, 0.0), A._above(0.02, 0.0)) == (True, 0.0)
-    assert A._all_of(A._at_most(3.0, 0.0), A._above(-0.1, 0.0)) == (False, -3.0)
+    # rules hold, and turns negative as soon as one fails; the threshold is
+    # always the first rule's
+    assert A._all_of(A._at_least(30.0, 10.0), A._at_most(-1.0, 1e-12)) == (True, 20.0, 10.0)
+    assert A._all_of(A._at_least(30.0, 10.0), A._at_most(0.5, 1e-12)) == (False, 1e-12 - 0.5, 10.0)
+    assert A._all_of(A._at_most(0.0, 0.0), A._above(0.02, 0.0)) == (True, 0.0, 0.0)
+    assert A._all_of(A._at_most(3.0, 0.0), A._above(-0.1, 0.0)) == (False, -3.0, 0.0)
 
 
 def test_line_shows_the_margin():
