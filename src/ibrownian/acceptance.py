@@ -301,7 +301,7 @@ def check_tail_sum_decay():
     # the far-particle tail sum is nonincreasing in the label cutoff and
     # collapses by >= 10x between cutoffs n/4 and 3n/4
     draws, _ = sampling.sample_airy_ensemble(200, 2.0, RngStream(1101), 300)
-    params = stats.TightnessParams(r=10.0, L=50, T=20.0, c=1.0)
+    params = stats.TightnessParams(r=10.0, T=20.0, c=1.0)
     cuts = list(range(0, 201, 10))
     vals = stats.erf_tail_sum(list(draws), params, cuts)
     drops = np.diff(vals)

@@ -29,7 +29,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,13 +58,7 @@ __all__ = ["RunConfig", "ConfigError", "run", "main"]
 # are excluded from the quick suite
 _SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
 
-_SAMPLED_FAMILIES = (
-    Family.AIRY,
-    Family.GINIBRE,
-    Family.BESSEL,
-    Family.LENNARD_JONES,
-    Family.RIESZ,
-)
+_SAMPLED_FAMILIES = (Family.AIRY, Family.GINIBRE, Family.BESSEL, Family.LENNARD_JONES, Family.RIESZ)
 
 
 class ConfigError(Exception):
@@ -74,106 +69,83 @@ class ConfigError(Exception):
         self.key = key
 
 
-@dataclass
-class RunConfig:
-    """Flat run configuration; every field has a default.
-
-    The INI section of each field is the prefix in _SECTIONS below; flags
-    use the same names with dashes.  List-valued fields are comma strings
-    so the whole config stays diff-able plain text.
-    """
-
-    # model
-    family: str = "airy"
-    n: int = 10
-    beta: float = 2.0
-    alpha: float = 1.0
-    riesz_a: int = 5
-    free_c: float = 0.5
-    free_theta: float = 1.0
-    # integrator
-    dt: float = 1e-3
-    t_final: float = 0.1
-    dt_record: float = 0.0  # 0 records every base step
-    max_substep_depth: int = 20
-    drift_cap_delta: float = 0.5
-    scheme: str = "euler_maruyama"
-    truncation_radius: float = 0.0  # 0 keeps the full finite-system drift
-    truncation_variant: str = "centered"
-    # sampler
-    n_samples: int = 100
-    method: str = "tridiagonal"
-    burn_in_sweeps: int = 10_000
-    thin_sweeps: int = 10
-    paths: int = 100
-    initial: str = "auto"  # auto | equilibrium | spaced
-    # diagnostics
-    order: int = 1
-    bins: str = "auto"  # "auto" or comma-separated edges
-    window: float = 0.0  # planar pair-estimate window radius (0 = unset)
-    x: str = "-1.0"  # evaluation point, comma-separated per dimension
-    r_list: str = "5,10,20"
-    s: float = 2.0
-    L_list: str = "0,25,50,75,100"
-    lags: str = "0.002,0.004,0.008,0.016,0.032"
-    kernel: str = "airy2"
-    grid: str = "-4:2:0.05"
-    r: float = 10.0
-    T: float = 20.0
-    c: float = 1.0
-    q: float = 1.0
-    # run
-    seed: int = 0
-    out: str = "ibrownian-out"
-    suite: str = "full"  # quick | full
-    checks: str = ""  # comma-separated check names; overrides suite
-
+# Every key, by INI section, with its default; a key's type is the type
+# of its default.  Flags use the key names with dashes (see _FLAGS for the
+# one exception).  List-valued keys are comma strings so the whole config
+# stays diff-able plain text.
 _SECTIONS = {
-    "model": ("family", "n", "beta", "alpha", "riesz_a", "free_c", "free_theta"),
-    "integrator": (
-        "dt",
-        "t_final",
-        "dt_record",
-        "max_substep_depth",
-        "drift_cap_delta",
-        "scheme",
-        "truncation_radius",
-        "truncation_variant",
-    ),
-    "sampler": ("n_samples", "method", "burn_in_sweeps", "thin_sweeps", "paths", "initial"),
-    "diagnostics": (
-        "order",
-        "bins",
-        "window",
-        "x",
-        "r_list",
-        "s",
-        "L_list",
-        "lags",
-        "kernel",
-        "grid",
-        "r",
-        "T",
-        "c",
-        "q",
-    ),
-    "run": ("seed", "out", "suite", "checks"),
+    "model": {
+        "family": "airy",
+        "n": 10,
+        "beta": 2.0,
+        "alpha": 1.0,
+        "riesz_a": 5,
+        "free_c": 0.5,
+        "free_theta": 1.0,
+    },
+    "integrator": {
+        "dt": 1e-3,
+        "t_final": 0.1,
+        "dt_record": 0.0,  # 0 records every base step
+        "max_substep_depth": 20,
+        "drift_cap_delta": 0.5,
+        "scheme": "euler_maruyama",
+        "truncation_radius": 0.0,  # 0 keeps the full finite-system drift
+        "truncation_variant": "centered",
+    },
+    "sampler": {
+        "n_samples": 100,
+        "method": "tridiagonal",
+        "burn_in_sweeps": 10_000,
+        "thin_sweeps": 10,
+        "paths": 100,
+        "initial": "auto",  # auto | equilibrium | spaced
+    },
+    "diagnostics": {
+        "order": 1,
+        "bins": "auto",  # "auto" or comma-separated edges
+        "window": 0.0,  # planar pair-estimate window radius (0 = unset)
+        "x": "-1.0",  # evaluation point, comma-separated per dimension
+        "r_list": "5,10,20",
+        "s": 2.0,
+        "L_list": "0,25,50,75,100",
+        "lags": "0.002,0.004,0.008,0.016,0.032",
+        "kernel": "airy2",
+        "grid": "-4:2:0.05",
+        "r": 10.0,
+        "T": 20.0,
+        "c": 1.0,
+    },
+    "run": {
+        "seed": 0,
+        "out": "ibrownian-out",
+        "suite": "full",  # quick | full
+        "checks": "",  # comma-separated check names; overrides suite
+    },
 }
 
-_FIELD_SECTION = {name: section for section, names in _SECTIONS.items() for name in names}
-_FIELD_TYPE = {f.name: f.type for f in fields(RunConfig)}
+_FLAGS = {"family": "--model"}
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(name, type(default), default) for keys in _SECTIONS.values() for name, default in keys.items()],
+    namespace={"__module__": __name__, "__doc__": "Flat run configuration: one field per key of _SECTIONS."},
+)
 
 
-def _coerce(key: str, name: str, raw: str):
-    kind = _FIELD_TYPE[name]
+@contextmanager
+def _keyed(key: str):
+    """Report a library ValueError as a ConfigError naming ``key``.
+
+    SingularConfigurationError and DomainError subclass ValueError but are
+    numerical failures (exit 3), so they pass through unchanged.
+    """
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return str(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected {kind}, got {raw!r}") from None
+        yield
+    except (SingularConfigurationError, DomainError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -191,10 +163,17 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             for name, raw in parser.items(section):
                 if name not in _SECTIONS[section]:
                     raise ConfigError(f"{section}.{name}", "unknown config key")
-                setattr(cfg, name, _coerce(f"{section}.{name}", name, raw))
+                kind = type(_SECTIONS[section][name])
+                try:
+                    setattr(cfg, name, kind(raw))
+                except ValueError:
+                    raise ConfigError(f"{section}.{name}", f"expected {kind.__name__}, got {raw!r}") from None
     for name, value in overrides.items():
         if value is not None:
             setattr(cfg, name, value)
+    for name in ("n_samples", "paths"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"sampler.{name}", f"expected a count >= 1, got {getattr(cfg, name)}")
     return cfg
 
 
@@ -223,7 +202,10 @@ def _floats(key: str, text: str) -> list[float]:
 
 
 def _ints(key: str, text: str) -> list[int]:
-    return [int(round(v)) for v in _floats(key, text)]
+    values = _floats(key, text)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(key, f"expected integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _grid(key: str, text: str) -> np.ndarray:
@@ -234,8 +216,8 @@ def _grid(key: str, text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(key, f"expected numbers in lo:hi:step, got {text!r}") from None
-    if step <= 0 or hi < lo:
-        raise ConfigError(key, "grid needs lo <= hi and step > 0")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and 0 < step < math.inf):
+        raise ConfigError(key, "grid needs finite lo <= hi and 0 < step < inf")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 
@@ -259,10 +241,8 @@ def _model_spec(cfg: RunConfig) -> ModelSpec:
     if fam in (Family.LENNARD_JONES, Family.RIESZ):
         kwargs["free_c"] = cfg.free_c
         kwargs["free_theta"] = cfg.free_theta
-    try:
+    with _keyed("model"):
         return ModelSpec(family=fam, n_particles=cfg.n, beta=cfg.beta, **kwargs)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
 
 
 def _workers() -> int | None:
@@ -279,19 +259,15 @@ def _workers() -> int | None:
 
 
 def _mcmc_options(cfg: RunConfig) -> sampling.McmcOptions:
-    try:
+    with _keyed("sampler"):
         return sampling.McmcOptions(burn_in_sweeps=cfg.burn_in_sweeps, thin_sweeps=cfg.thin_sweeps)
-    except ValueError as exc:
-        raise ConfigError("sampler", str(exc)) from None
 
 
 def _draw_equilibrium(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int) -> list[Configuration]:
     fam = spec.family
     if fam is Family.AIRY:
-        try:
+        with _keyed("sampler.method"):
             draws, report = sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count, method=cfg.method)
-        except ValueError as exc:
-            raise ConfigError("sampler.method", str(exc)) from None
         samples = [Configuration(row[:, None], dimension=1) for row in draws]
     elif fam is Family.GINIBRE:
         pts, report = sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
@@ -304,9 +280,7 @@ def _draw_equilibrium(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: in
         samples, report = sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
     else:
         supported = ", ".join(f.value for f in _SAMPLED_FAMILIES)
-        raise ConfigError(
-            "model.family", f"{fam.value} has no equilibrium sampler (one of: {supported})"
-        )
+        raise ConfigError("model.family", f"{fam.value} has no equilibrium sampler (one of: {supported})")
     if not report.converged:
         rate = "unknown" if report.acceptance_rate is None else f"{report.acceptance_rate:.3f}"
         print(
@@ -351,8 +325,8 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
                     "integrator.truncation_variant",
                     f"expected centered or origin, got {cfg.truncation_variant!r}",
                 ) from None
-        trunc = TruncationParams(radius=cfg.truncation_radius, cutoff=cfg.s, variant=variant)
-    try:
+        trunc = TruncationParams(radius=cfg.truncation_radius, variant=variant)
+    with _keyed("integrator"):
         return IntegratorConfig(
             dt=cfg.dt,
             t_final=cfg.t_final,
@@ -362,8 +336,15 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
             scheme=cfg.scheme,
             truncation=trunc,
         )
-    except ValueError as exc:
-        raise ConfigError("integrator", str(exc)) from None
+
+
+def _simulate(cfg: RunConfig):
+    """Integrate cfg.paths paths of the configured model; returns (spec, ensemble)."""
+    spec = _model_spec(cfg)
+    icfg = _integrator_config(cfg, spec)
+    initial = _initial_states(cfg, spec, RngStream(cfg.seed, 0))
+    with _keyed("integrator"):
+        return spec, simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=_workers())
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -392,10 +373,7 @@ def _cmd_sample(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    spec = _model_spec(cfg)
-    icfg = _integrator_config(cfg, spec)
-    initial = _initial_states(cfg, spec, RngStream(cfg.seed, 0))
-    ens = simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=_workers())
+    spec, ens = _simulate(cfg)
     coords = ["x", "y", "z"][: spec.dimension]
     rows = []
     for p in range(ens.states.shape[0]):
@@ -419,15 +397,13 @@ def _cmd_kernel(cfg: RunConfig, out: Path) -> int:
     except ValueError:
         known = ", ".join(k.value for k in kernels.KernelId)
         raise ConfigError("diagnostics.kernel", f"unknown kernel {cfg.kernel!r} (one of: {known})") from None
-    try:
+    with _keyed("diagnostics.grid"):
         if kid is kernels.KernelId.AIRY2:
             vals = [kernels.airy_kernel(v, v) for v in xs]
         elif kid is kernels.KernelId.BESSEL:
             vals = [kernels.bessel_kernel(cfg.alpha, v, v) for v in xs]
         else:
             vals = [1.0 / math.pi] * len(xs)
-    except (ValueError, DomainError) as exc:
-        raise ConfigError("diagnostics.grid", str(exc)) from None
     target = out / "kernel.csv"
     _write_csv(target, ["x", "value"], ([_fmt(v), _fmt(k)] for v, k in zip(xs, vals)))
     print(f"wrote {len(xs)} diagonal values of {kid.value} to {target}")
@@ -443,10 +419,8 @@ def _cmd_correlate(cfg: RunConfig, out: Path) -> int:
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     edges = None if cfg.bins.strip().lower() == "auto" else np.asarray(_floats("diagnostics.bins", cfg.bins))
     window = None if cfg.window == 0 else cfg.window
-    try:
+    with _keyed("diagnostics"):
         est = stats.estimate_rho(configs, cfg.order, bins=edges, window=window)
-    except ValueError as exc:
-        raise ConfigError("diagnostics", str(exc)) from None
     target = out / "correlation.csv"
     b = est.bins
     if est.density.ndim == 2:
@@ -475,7 +449,7 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     r_list = _floats("diagnostics.r_list", cfg.r_list)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     try:
-        scan = stats.drift_truncation_scan(configs, spec, x if spec.dimension > 1 else float(x[0]), r_list)
+        scan = stats.drift_truncation_scan(configs, spec, x, r_list)
     except ValueError as exc:
         key = "sampler.n_samples" if "environment samples" in str(exc) else "diagnostics.r_list"
         raise ConfigError(key, str(exc)) from None
@@ -496,21 +470,11 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     dec_rows = []
     for j, config in enumerate(configs):
         try:
-            dec = log_derivative(spec, x if spec.dimension > 1 else float(x[0]), config, cfg.s)
+            dec = log_derivative(spec, x, config, cfg.s)
         except SingularConfigurationError as exc:
             raise SingularConfigurationError(f"sample {j}: {exc}") from None
-        dec_rows.append(
-            [j]
-            + [_fmt(v) for v in np.atleast_1d(dec.free)]
-            + [_fmt(v) for v in np.atleast_1d(dec.near)]
-            + [_fmt(v) for v in np.atleast_1d(dec.far)]
-        )
-    dec_header = (
-        ["sample_id"]
-        + [f"free_{c}" for c in coords]
-        + [f"near_{c}" for c in coords]
-        + [f"far_{c}" for c in coords]
-    )
+        dec_rows.append([j] + [_fmt(v) for part in (dec.free, dec.near, dec.far) for v in np.atleast_1d(part)])
+    dec_header = ["sample_id"] + [f"{part}_{c}" for part in ("free", "near", "far") for c in coords]
     dec_target = out / "decomposition.csv"
     _write_csv(dec_target, dec_header, dec_rows)
     print(f"wrote truncation scan over r = {r_list} to {target} and cutoff split (s = {cfg.s}) to {dec_target}")
@@ -523,10 +487,8 @@ def _cmd_tightness(cfg: RunConfig, out: Path) -> int:
     if any(v < 0 for v in L_list):
         raise ConfigError("diagnostics.L_list", "label cutoffs must be >= 0")
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
-    try:
-        params = stats.TightnessParams(r=cfg.r, L=max(1, L_list[0]), T=cfg.T, c=cfg.c, Q=cfg.q)
-    except ValueError as exc:
-        raise ConfigError("diagnostics", str(exc)) from None
+    with _keyed("diagnostics"):
+        params = stats.TightnessParams(r=cfg.r, T=cfg.T, c=cfg.c)
     vals = stats.erf_tail_sum(configs, params, L_list)
     target = out / "tightness.csv"
     _write_csv(target, ["L", "value"], ([lv, _fmt(v)] for lv, v in zip(L_list, vals)))
@@ -535,15 +497,10 @@ def _cmd_tightness(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_moments(cfg: RunConfig, out: Path) -> int:
-    spec = _model_spec(cfg)
-    icfg = _integrator_config(cfg, spec)
     lags = _floats("diagnostics.lags", cfg.lags)
-    initial = _initial_states(cfg, spec, RngStream(cfg.seed, 0))
-    ens = simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=_workers())
-    try:
+    _, ens = _simulate(cfg)
+    with _keyed("diagnostics.lags"):
         moments = stats.holder_moment(ens, lags)
-    except ValueError as exc:
-        raise ConfigError("diagnostics.lags", str(exc)) from None
     target = out / "moments.csv"
     _write_csv(target, ["lag", "moment4"], ([_fmt(l), _fmt(m)] for l, m in zip(lags, moments)))
     positive = [(l, m) for l, m in zip(lags, moments) if l > 0 and m > 0]
@@ -612,12 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Interacting Brownian particle systems: sampling, integration, diagnostics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    flag_of = {
-        "family": "--model",
-        "n": "--n",
-        "T": "--T",
-        "L_list": "--L-list",
-    }
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"{name} run (see module docstring)")
         # values like "-4:2:0.05" or "-1,0" must parse as values, not flags;
@@ -625,9 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p._negative_number_matcher = re.compile(r"^-\d")
         p.add_argument("--config", default=None, help="INI config file; flags override it")
         for field in fields(RunConfig):
-            flag = flag_of.get(field.name, "--" + field.name.replace("_", "-"))
-            kind = {"int": int, "float": float, "str": str}[field.type]
-            p.add_argument(flag, dest=field.name, type=kind, default=None)
+            flag = _FLAGS.get(field.name, "--" + field.name.replace("_", "-"))
+            p.add_argument(flag, dest=field.name, type=field.type, default=None)
     return parser
 
 

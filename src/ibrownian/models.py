@@ -76,17 +76,18 @@ class TruncationVariant(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Truncation radius, cutoff scale, and (planar only) window variant."""
+    """Truncation radius and (planar only) window variant.
+
+    The cutoff scale of the near/far split is an argument of
+    ``log_derivative``, not a truncation parameter.
+    """
 
     radius: float
-    cutoff: float = 2.0
     variant: TruncationVariant | None = None
 
     def __post_init__(self) -> None:
         if not (self.radius > 0):
             raise ValueError("truncation radius must be > 0")
-        if not (self.cutoff > 0):
-            raise ValueError("cutoff scale must be > 0")
         if self.variant is not None:
             object.__setattr__(self, "variant", TruncationVariant(self.variant))
 

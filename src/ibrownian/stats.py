@@ -3,12 +3,11 @@
 Covers binned correlation estimates with a factorial-moment-consistent
 normalization, the truncated-drift scan used to probe the finite-window
 limit fields, the labeled tail sum that tracks how much high-label mass
-can reach a window, fourth-moment path regularity, and a two-sample KS
-distance.
+can reach a window, and fourth-moment path regularity.
 
     est = estimate_rho(samples, 1, np.linspace(-4.0, 2.0, 61))
     scan = drift_truncation_scan(envs, spec, -1.0, [10.0, 20.0, 40.0])
-    tail = erf_tail_sum(samples, TightnessParams(r=10, L=50, T=20, c=1, Q=1), [50, 150])
+    tail = erf_tail_sum(samples, TightnessParams(r=10, T=20, c=1), [50, 150])
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "erf_tail_sum",
     "holder_moment",
     "log_log_slope",
-    "ks_distance",
 ]
 
 
@@ -70,16 +68,17 @@ class CorrelationEstimate:
 
 @dataclass(frozen=True)
 class TightnessParams:
-    """Window radius r, label cutoff L, horizon T, diffusion bound c, tail constant Q."""
+    """Window radius r, horizon T and diffusion bound c of the tail sum.
+
+    The label cutoffs are not parameters: ``erf_tail_sum`` takes a list.
+    """
 
     r: float
-    L: int
     T: float
     c: float
-    Q: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.r, self.T, self.c, self.Q) <= 0 or self.L <= 0:
+        if min(self.r, self.T, self.c) <= 0:
             raise ValueError("all tightness parameters must be positive")
 
 
@@ -314,15 +313,3 @@ def log_log_slope(x, y) -> float:
         raise ValueError("need at least two points")
     design = np.column_stack([lx, np.ones_like(lx)])
     return float(np.linalg.lstsq(design, ly, rcond=None)[0][0])
-
-
-def ks_distance(sample_a, sample_b) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.sort(np.asarray(sample_a, dtype=float).ravel())
-    b = np.sort(np.asarray(sample_b, dtype=float).ravel())
-    if a.size == 0 or b.size == 0:
-        raise ValueError("samples must be nonempty")
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))

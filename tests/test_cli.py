@@ -1,3 +1,5 @@
+import argparse
+import configparser
 import dataclasses
 import math
 import os
@@ -10,6 +12,7 @@ import pytest
 from ibrownian import cli
 from ibrownian import kernels as K
 from ibrownian.acceptance import CHECKS
+from ibrownian.core import DomainError, SingularConfigurationError
 
 
 def run_cli(args):
@@ -98,6 +101,69 @@ class TestConfigResolution:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run_cli(["sample", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_every_key_round_trips_through_flag_and_echo(self, tmp_path):
+        # one subcommand's flags; every subcommand gets the same set
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flag_of = {a.dest: a.option_strings for a in sub.choices["kernel"]._actions}
+        keys = dataclasses.fields(cli.RunConfig)
+        flags = [flag for f in keys for flag in flag_of[f.name]]
+        assert len(flags) == len(set(flags)) == len(keys)
+        argv = ["kernel"]
+        for k, f in enumerate(keys):
+            value = f"{f.name}-changed" if f.type is str else f.default + k + 1
+            argv += [flag_of[f.name][0], str(value)]
+        args = parser.parse_args(argv)
+        cfg = cli.load_config(None, {f.name: getattr(args, f.name) for f in keys})
+        assert all(getattr(cfg, f.name) != f.default for f in keys)
+
+        cli.echo_config(cfg, tmp_path)
+        echoed = configparser.ConfigParser()
+        echoed.optionxform = str
+        echoed.read(tmp_path / "config.ini")
+        assert {s: dict(echoed[s]) for s in echoed.sections()} == {
+            section: {name: str(getattr(cfg, name)) for name in names}
+            for section, names in cli._SECTIONS.items()
+        }
+        assert cli.load_config(str(tmp_path / "config.ini"), {}) == cfg
+
+    def test_removed_q_key_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(["kernel", "--q", "1"])
+        ini = tmp_path / "old.ini"
+        ini.write_text("[diagnostics]\nq = 1.0\n")
+        assert run_cli(["kernel", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert "diagnostics.q" in capsys.readouterr().err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["kernel", "--grid", "0:1:nan"], "diagnostics.grid"),
+            (["kernel", "--grid", "0:inf:1"], "diagnostics.grid"),
+            (["simulate", "--paths", "0"], "sampler.paths"),
+            (["simulate", "--dt", "1e-3", "--t-final", "0.0025"], "integrator"),
+            (["sample", "--n-samples", "-1"], "sampler.n_samples"),
+            (["tightness", "--L-list", "0,2.5"], "diagnostics.L_list"),
+        ],
+        ids=["grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L"],
+    )
+    def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
+    def test_numerical_failures_keep_their_type(self, numerical):
+        # both subclass ValueError, yet must reach main as exit 3
+        with pytest.raises(numerical):
+            with cli._keyed("model"):
+                raise numerical("collision")
+        with pytest.raises(cli.ConfigError, match="^model: bad"):
+            with cli._keyed("model"):
+                raise ValueError("bad")
 
 
 class TestKernelCommand:

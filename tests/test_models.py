@@ -282,7 +282,9 @@ class TestTruncatedDrift:
         with pytest.raises(ValueError):
             M.TruncationParams(radius=0.0)
         with pytest.raises(ValueError):
-            M.TruncationParams(radius=1.0, cutoff=-1.0)
+            M.TruncationParams(radius=float("nan"))
+        with pytest.raises(ValueError):
+            M.TruncationParams(radius=1.0, variant="sideways")
 
 
 class TestDomainAndSingularityGuards:

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from ibrownian.core import Configuration, Family, ModelSpec, RngStream
 from ibrownian.kernels import ginibre_correlation
@@ -23,7 +22,6 @@ from ibrownian.stats import (
     estimate_rho,
     freedman_diaconis_edges,
     holder_moment,
-    ks_distance,
     log_log_slope,
     palm_intensity,
 )
@@ -247,13 +245,13 @@ class TestDriftTruncationScan:
 
 class TestErfTailSum:
     def test_cutoff_beyond_sample_is_zero(self):
-        params = TightnessParams(r=5.0, L=1, T=1.0, c=1.0)
+        params = TightnessParams(r=5.0, T=1.0, c=1.0)
         samples = [np.array([[0.1], [0.2], [0.3]])]
         vals = erf_tail_sum(samples, params, [3, 7])
         assert vals.tolist() == [0.0, 0.0]
 
     def test_matches_direct_loop(self):
-        params = TightnessParams(r=1.5, L=1, T=2.0, c=0.5)
+        params = TightnessParams(r=1.5, T=2.0, c=0.5)
         samples = [np.array([[0.4], [-2.0], [3.1]]), np.array([[1.0], [0.2], [-5.0]])]
         vals = erf_tail_sum(samples, params, [1])
         denom = math.sqrt(0.5) * 2.0
@@ -265,7 +263,7 @@ class TestErfTailSum:
 
     def test_nonincreasing_in_label_cutoff(self):
         arr, _ = sample_airy_ensemble(50, 2.0, RngStream(334), 10)
-        params = TightnessParams(r=3.0, L=1, T=5.0, c=1.0)
+        params = TightnessParams(r=3.0, T=5.0, c=1.0)
         vals = erf_tail_sum([a[:, None] for a in arr], params, list(range(0, 51, 5)))
         assert np.all(np.diff(vals) <= 1e-15)
 
@@ -273,26 +271,26 @@ class TestErfTailSum:
         # the Erf argument falls as r grows, so every term grows
         arr, _ = sample_airy_ensemble(50, 2.0, RngStream(334), 10)
         samples = [a[:, None] for a in arr]
-        lo = erf_tail_sum(samples, TightnessParams(r=2.0, L=1, T=5.0, c=1.0), [10])
-        hi = erf_tail_sum(samples, TightnessParams(r=5.0, L=1, T=5.0, c=1.0), [10])
+        lo = erf_tail_sum(samples, TightnessParams(r=2.0, T=5.0, c=1.0), [10])
+        hi = erf_tail_sum(samples, TightnessParams(r=5.0, T=5.0, c=1.0), [10])
         assert hi[0] >= lo[0]
 
     def test_desk_scale_decay(self):
         arr, _ = sample_airy_ensemble(100, 2.0, RngStream(332), 50)
-        params = TightnessParams(r=10.0, L=1, T=20.0, c=1.0)
+        params = TightnessParams(r=10.0, T=20.0, c=1.0)
         vals = erf_tail_sum([a[:, None] for a in arr], params, [25, 75])
         assert vals[0] >= 10.0 * vals[1]
 
     def test_validation(self):
-        params = TightnessParams(r=1.0, L=1, T=1.0, c=1.0)
+        params = TightnessParams(r=1.0, T=1.0, c=1.0)
         with pytest.raises(ValueError):
             erf_tail_sum([], params, [1])
         with pytest.raises(ValueError):
             erf_tail_sum([np.array([[1.0]])], params, [-1])
         with pytest.raises(ValueError):
-            TightnessParams(r=0.0, L=1, T=1.0, c=1.0)
+            TightnessParams(r=0.0, T=1.0, c=1.0)
         with pytest.raises(ValueError):
-            TightnessParams(r=1.0, L=0, T=1.0, c=1.0)
+            TightnessParams(r=1.0, T=1.0, c=0.0)
 
 
 class _FakeEnsemble:
@@ -369,36 +367,6 @@ class TestLogLogSlope:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             log_log_slope([1.0], [1.0])
-
-
-class TestKsDistance:
-    def test_identical(self):
-        a = np.array([0.3, -1.0, 2.0])
-        assert ks_distance(a, a.copy()) == 0.0
-
-    def test_disjoint(self):
-        assert ks_distance([1.0, 2.0], [5.0, 6.0]) == 1.0
-
-    def test_matches_reference_implementation(self):
-        g = np.random.default_rng(43)
-        for _ in range(5):
-            a = g.normal(size=g.integers(5, 200))
-            b = g.normal(size=g.integers(5, 200))
-            ref = scipy.stats.ks_2samp(a, b).statistic
-            assert abs(ks_distance(a, b) - ref) <= 1e-12
-        # ties across samples
-        a = np.array([1, 2, 2, 3], dtype=float)
-        b = np.array([2, 2, 4], dtype=float)
-        assert abs(ks_distance(a, b) - scipy.stats.ks_2samp(a, b).statistic) <= 1e-12
-
-    def test_noise_floor(self):
-        a = np.random.default_rng(11).normal(size=10000)
-        b = np.random.default_rng(12).normal(size=10000)
-        assert ks_distance(a, b) <= 0.03
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ks_distance([], [1.0])
 
 
 class TestCorrelationEstimateType:
