@@ -30,7 +30,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, make_dataclass
+from dataclasses import fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -327,15 +327,18 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
                 ) from None
         trunc = TruncationParams(radius=cfg.truncation_radius, variant=variant)
     with _keyed("integrator"):
-        return IntegratorConfig(
+        icfg = IntegratorConfig(
             dt=cfg.dt,
-            t_final=cfg.t_final,
+            t_final=0.0,
             dt_record=None if cfg.dt_record == 0 else cfg.dt_record,
             max_substep_depth=cfg.max_substep_depth,
             drift_cap_delta=cfg.drift_cap_delta,
             scheme=cfg.scheme,
             truncation=trunc,
         )
+    # the horizon is set on its own, so that an error in it names its key
+    with _keyed("integrator.t_final"):
+        return replace(icfg, t_final=cfg.t_final)
 
 
 def _simulate(cfg: RunConfig):

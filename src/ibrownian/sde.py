@@ -11,14 +11,17 @@ path sits at its own node of its own binary substep tree, tracked as an
 integer tick and span in units of dt / 2**30, and the paths meet again
 only at the end.  One iteration makes one drift call for all live paths;
 every path then descends from its node to a leaf in that iteration (its
-state, and so its drift, do not change on the way down), takes the leaf's
-move and goes on to the next node depth first, so each drift evaluation
-serves exactly one leaf.  A path reads its noise from its own buffer of
-draws, refilled from its generator in one call.  A path whose step fails
-(singular drift, depth or boundary budget exhausted) leaves the batch
-with its reason and the others go on.  Per path, the split tests, the
-drifts and the noise used are those of a depth-first walk of that path
-alone, so the batch changes no output bit.
+state, and so its drift, do not change on the way down).  A path whose
+step failed there (singular drift, depth budget exhausted) leaves the
+batch with its reason before the move, so one in-place move of the whole
+live stack serves every path that remains: each takes its leaf's move and
+goes on to the next node depth first, and each drift evaluation serves
+exactly one leaf.  A path whose boundary rejection budget ran out leaves
+after the move, as does a finished one; the others go on.  A path reads
+its noise from its own buffer of draws, refilled from its generator in
+one call.  Per path, the split tests, the drifts and the noise used are
+those of a depth-first walk of that path alone, so the batch changes no
+output bit.
 
 Recording is decoupled from integration: states land on the grid
 t_k = k * dt_record.  Every (path, recording interval) pair draws from
@@ -31,7 +34,7 @@ the worker count and of which other paths share the batch.
     start = label(sample_airy_equilibrium(10, 2.0, RngStream(1)),
                   LabelScheme.ASCENDING_VALUE)
     ens = simulate(spec, [start] * 100, cfg, RngStream(2))
-    assert check_ordering(ens) == 0
+    assert ens.ordering_violations == 0
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ __all__ = [
     "PathEnsemble",
     "step",
     "simulate",
-    "check_ordering",
 ]
 
 _REJECT_RETRIES = 100
@@ -87,9 +89,9 @@ class IntegratorConfig:
     """Numerical parameters of one integration run.
 
     ``dt_record`` defaults to ``dt`` and must be an integer multiple of
-    it.  ``truncation`` switches the drift to the radius-r truncated
-    limit field.  ``noise_scale`` is a test hook (0 silences the noise);
-    production runs leave it at 1.
+    it, as ``t_final`` must be of ``dt_record``.  ``truncation`` switches
+    the drift to the radius-r truncated limit field.  ``noise_scale`` is
+    a test hook (0 silences the noise); production runs leave it at 1.
     """
 
     dt: float
@@ -107,8 +109,8 @@ class IntegratorConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.t_final < 0:
-            raise ValueError("t_final must be >= 0")
+        if not 0 <= self.t_final < np.inf:
+            raise ValueError("t_final must be finite and >= 0")
         if not 0 <= self.max_substep_depth <= 30:
             raise ValueError("max_substep_depth must lie in [0, 30]")
         if not self.drift_cap_delta > 0:
@@ -121,6 +123,9 @@ class IntegratorConfig:
             m = round(self.dt_record / self.dt)
             if m < 1 or abs(self.dt_record - m * self.dt) > 1e-9 * self.dt:
                 raise ValueError("dt_record must be a positive integer multiple of dt")
+        rs = self.record_step
+        if abs(self.t_final - round(self.t_final / rs) * rs) > 1e-9 * rs:
+            raise ValueError("t_final must be an integer multiple of dt_record")
 
     @property
     def record_step(self) -> float:
@@ -194,12 +199,6 @@ _BLOCK_PAIR_TERMS = 1 << 22
 _NOISE_DEPTH = 32
 
 
-def _drift_of(spec: ModelSpec, x: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    if cfg.truncation is not None:
-        return drift_limit_truncated_all(spec, x, cfg.truncation)
-    return drift_finite_all(spec, x)
-
-
 def _drift(spec, x, cfg):
     """Drift of every state of the (L, n, d) stack, plus {row: reason} for
     the rows at a singular configuration (their drift rows are zero).
@@ -208,7 +207,9 @@ def _drift(spec, x, cfg):
     alone; a row of a stack gets the drift of a separate call, so the
     split changes no bit."""
     try:
-        return _drift_of(spec, x, cfg), {}
+        if cfg.truncation is None:
+            return drift_finite_all(spec, x), {}
+        return drift_limit_truncated_all(spec, x, cfg.truncation), {}
     except SingularConfigurationError as exc:
         if len(x) == 1:
             return np.zeros_like(x), {0: f"drift evaluation hit a singular configuration: {exc}"}
@@ -218,23 +219,27 @@ def _drift(spec, x, cfg):
     return np.concatenate([b_lo, b_hi]), {**lo, **{half + i: reason for i, reason in hi.items()}}
 
 
-def _split_rule(spec, x, b, cfg):
-    """Each row's largest drift norm, and the rule that says which rows
-    halve their substep.
+def _split_rule(spec, x, b, drift_cap, noise_rule):
+    """Which rows of the (L, n, d) stack halve their substep, as data for
+    ``_splits``: (bmax, drift_limit, noise_limit, pair_sig), each row's
+    largest drift norm, and the drift move and the noise it may take.
 
     A row splits while its drift move |b| h exceeds the cap or a tenth of
-    its smallest gap, or while its substep noise does.  A row keeps its
-    state, and so its drift and gaps, all the way down its descent, so
-    the rule is built once per state: ``split(rows, h, noise_root_h)``
-    tests the listed rows at their current substep h.
+    its smallest gap, or while its substep noise does.  ``noise_rule`` is
+    None when the noise is not resolved (no noise, or one particle), else
+    whether the noise is state-dependent.  A row keeps its state, and so
+    its rule, all the way down its descent.
     """
-    bmax = np.maximum.reduce(np.sqrt(np.add.reduce(b * b, axis=2)), axis=1)
     n_rows, n, d = x.shape
+    # sqrt is monotone, so the norm of the largest square is the largest norm
+    b2 = b * b
+    bmax = np.sqrt(np.maximum.reduce(b2[:, :, 0] if d == 1 else np.add.reduce(b2, axis=2), axis=1))
     if n < 2:
         gap = np.full(n_rows, np.inf)
     elif d == 1:
         # the smallest gap is an adjacent one, and the sort is needed below
-        xs = np.sort(x[:, :, 0], axis=1)
+        xs = x[:, :, 0].copy()
+        xs.sort(axis=1)
         gaps = xs[:, 1:] - xs[:, :-1]
         gap = np.minimum.reduce(gaps, axis=1)
     else:
@@ -244,63 +249,66 @@ def _split_rule(spec, x, b, cfg):
         dist[:, diag, diag] = np.inf
         gap = np.minimum.reduce(dist, axis=(1, 2))
     tenth = 0.1 * gap
-    drift_limit = np.fmin(tenth, cfg.drift_cap_delta)
-    if not (cfg.noise_scale > 0.0 and n >= 2):
-        return bmax, lambda rows, h, noise_root_h: bmax[rows] * h > drift_limit[rows]
+    drift_limit = np.fmin(tenth, drift_cap)
+    if noise_rule is None:
+        return bmax, drift_limit, None, None
     # the drift cap alone leaves the substep noise at a fixed ~0.45
     # fraction of the gap (both scale with it), which lets diffusion
     # hop a crossing; also resolving the noise against the gap makes
     # label swaps vanish while keeping the same dip statistics
-    if diffusion_kind(spec) is DiffusionKind.IDENTITY:
-
-        def split(rows, h, noise_root_h):
-            return (bmax[rows] * h > drift_limit[rows]) | (noise_root_h > tenth[rows])
-
-        return bmax, split
+    if not noise_rule:
+        return bmax, drift_limit, tenth, None
     # state-dependent noise: a swap is a per-pair event, so test each
     # adjacent pair against its own coefficient instead of the global
     # max against the global gap (that bound forces deep substepping of
     # well-separated high-noise particles)
     sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
     pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
-    tenth_gaps = 0.1 * gaps
-    finite = np.isfinite(gap)
-
-    def split(rows, h, noise_root_h):
-        noisy = np.any(noise_root_h[:, None] * pair_sig[rows] > tenth_gaps[rows], axis=1)
-        return (bmax[rows] * h > drift_limit[rows]) | (finite[rows] & noisy)
-
-    return bmax, split
+    noise_limit = 0.1 * gaps
+    noise_limit[~np.isfinite(gap)] = np.inf  # no noise split without a finite gap
+    return bmax, drift_limit, noise_limit, pair_sig
 
 
-def _moves(spec, x, b, h, noise_root_h, pids, noise, cfg):
-    """Euler-Maruyama moves of every row of the (L, n, d) stack.
+def _splits(rule, h, noise_root_h):
+    """Which rows of a ``_split_rule`` halve their substep h."""
+    bmax, drift_limit, noise_limit, pair_sig = rule
+    split = bmax * h > drift_limit
+    if noise_limit is None:
+        return split
+    if pair_sig is None:
+        return split | (noise_root_h > noise_limit)
+    return split | np.any(noise_root_h[:, None] * pair_sig > noise_limit, axis=1)
 
-    Row i is path ``pids[i]``; ``noise(p)`` returns the next standard
-    normal (n, d) draw of each path of the id array p.  Returns the moved
-    stack and the rows whose boundary rejection budget ran out (those
-    keep their state).
+
+def _move(spec, x, b, h, noise_root_h, draw, state_noise, boundary):
+    """Euler-Maruyama move of every row of the (L, n, d) stack x, in place
+    (b is overwritten).
+
+    ``draw(rows)`` returns the next standard normal (n, d) draw of each
+    row that ``rows`` indexes.  ``boundary`` is the policy of a
+    nonnegative domain, None elsewhere.  Returns the rows whose boundary
+    rejection budget ran out; their state is left undefined.
     """
-    sig = None if diffusion_kind(spec) is DiffusionKind.IDENTITY else diffusion_sigma(spec, x)
-    drifted = x + b * h[:, None, None]
+    sig = diffusion_sigma(spec, x) if state_noise else None
+    b *= h[:, None, None]
+    drifted = x + b
     scale = noise_root_h[:, None, None]
-    xi = noise(pids)
-    new = drifted + scale * (xi if sig is None else sig * xi)
-    rows = np.arange(0)
-    if not spec.nonnegative_domain:
-        return new, rows
-    if cfg.boundary_policy is BoundaryPolicy.REFLECT:
-        return np.abs(new), rows
-    # a rejected move is drawn again, from the same path's next noise
-    rows = np.flatnonzero(np.min(new, axis=(1, 2)) <= 0.0)
-    for _ in range(_REJECT_RETRIES - 1):
+    rows = np.s_[:]
+    for _ in range(_REJECT_RETRIES):
+        xi = draw(rows)
+        if sig is not None:
+            xi *= sig[rows]
+        xi *= scale[rows]
+        x[rows] = drifted[rows] + xi
+        if boundary is not BoundaryPolicy.REJECT_STEP:
+            break
+        # a rejected move is drawn again, from the same path's next noise
+        rows = np.arange(len(x))[rows][np.min(x[rows], axis=(1, 2)) <= 0.0]
         if not rows.size:
             break
-        xi = noise(pids[rows])
-        new[rows] = drifted[rows] + scale[rows] * (xi if sig is None else sig[rows] * xi)
-        rows = rows[np.min(new[rows], axis=(1, 2)) <= 0.0]
-    new[rows] = x[rows]
-    return new, rows
+    if boundary is BoundaryPolicy.REFLECT:
+        np.abs(x, out=x)
+    return rows if boundary is BoundaryPolicy.REJECT_STEP else ()
 
 
 def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=False, noise_depth=None):
@@ -308,16 +316,16 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     ``n_rec`` recording intervals of ``m`` base steps of length ``h0``.
 
     ``generator(p, j)`` is the noise generator of path p on interval j.
-    Each iteration evaluates the drift of all live paths in one call.
-    Each path then descends its own substep tree from its current node
-    to a leaf, halving its substep while the split rule holds (its state
-    and drift do not change on the way down), takes the move of that
-    leaf and goes on to the next node depth first: an iteration moves
-    every live path by exactly one leaf.  A path whose step fails leaves
-    the batch; the others go on.  With ``lowest_failure_only``, only the
-    lowest-indexed failure is wanted: once a path fails, the live paths
-    above it leave the batch unfinished, with no reason and no recorded
-    states.
+    An iteration evaluates the drift of all live paths in one call, and
+    each path descends its own substep tree from its node to a leaf while
+    the split rule holds.  Paths whose step failed there (singular drift,
+    depth budget exhausted) leave the batch before the move; every other
+    live path then takes its leaf's move in one in-place move of the
+    whole stack.  Paths whose boundary rejection budget ran out leave
+    after it, as do finished ones.  With ``lowest_failure_only``, only
+    the lowest-indexed failure is wanted: once a path fails, the live
+    paths above it leave the batch unfinished, with no reason and no
+    recorded states.
 
     A path reads its noise from a buffer of ``noise_depth`` draws (by
     default ``_NOISE_DEPTH``, fewer for a large batch), refilled from its
@@ -333,28 +341,32 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     n_paths = len(starts)
     rec = np.empty((n_paths, n_rec + 1) + starts.shape[1:])
     rec[:, 0] = starts
-    substeps = np.zeros(n_paths, dtype=np.int64)
-    max_depth = np.zeros(n_paths, dtype=np.int64)
+    substeps, max_depth = np.zeros((2, n_paths), dtype=np.int64)
     reasons = [None] * n_paths
     unit = h0 / _BASE_TICKS
     interval_ticks = m * _BASE_TICKS
     finest_split = _BASE_TICKS >> cfg.max_substep_depth  # nodes this narrow may not split
+    # per-run constants of the scheme, the noise and the boundary
     tamed = cfg.scheme is Scheme.TAMED_EULER
+    state_noise = diffusion_kind(spec) is not DiffusionKind.IDENTITY
+    noise_rule = state_noise if cfg.noise_scale > 0.0 and starts.shape[1] >= 2 else None
+    boundary = cfg.boundary_policy if spec.nonnegative_domain else None
     # state of the live paths, compacted whenever one leaves the batch
     ids = np.arange(n_paths if n_rec else 0)
     x = starts[ids]
     span = np.full(len(ids), _BASE_TICKS)  # ticks covered by the current node
     tick = np.zeros_like(span)  # where it starts in the recording interval
     finest = span.copy()  # narrowest leaf so far
-    leaves = np.zeros_like(span)
     interval = np.zeros_like(span)
+    moves = 0  # iterations so far: every live path has taken one leaf in each
     # noise generators and buffers, indexed by path id
     depth = noise_depth or min(_NOISE_DEPTH, max(1, _BLOCK_PAIR_TERMS // starts.size))
     gens = [generator(p, 0) for p in ids]
     buf = np.empty((n_paths, depth) + starts.shape[1:])
     used = np.full(n_paths, depth)  # draws read from each buffer
 
-    def noise(pids):
+    def draw(rows):
+        pids = ids[rows]
         k = used[pids]
         empty = pids[k == depth]
         if empty.size:
@@ -364,6 +376,18 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
             k = used[pids]
         used[pids] = k + 1
         return buf[pids, k]
+
+    def leave(gone, *rows):
+        """Drop the rows ``gone`` from the live state and from ``rows``."""
+        nonlocal ids, x, span, tick, finest, interval
+        keep = np.ones(len(ids), dtype=bool)
+        keep[gone] = False
+        if lowest_failure_only:
+            failed = [ids[i] for i in gone if reasons[ids[i]] is not None]
+            if failed:
+                keep &= ids < min(failed)
+        ids, x, span, tick, finest, interval, *rows = (a[keep] for a in (ids, x, span, tick, finest, interval, *rows))
+        return rows
 
     while ids.size:
         b, singular = _drift(spec, x, cfg)
@@ -377,63 +401,53 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
         else:
             # descend to the leaf: the state, and so the rule, stay fixed
             # while the substep of the rows that still split halves
-            bmax, splits = _split_rule(spec, x, b, cfg)
-            split = splits(slice(None), h, noise_root_h)
+            rule = _split_rule(spec, x, b, cfg.drift_cap_delta, noise_rule)
+            split = _splits(rule, h, noise_root_h)
             if gone:
                 split[gone] = False
-            rows = np.flatnonzero(split)
-            while rows.size:
-                deep = span[rows] <= finest_split
-                if deep.any():
-                    for i in rows[deep]:
-                        reasons[ids[i]] = (
-                            f"substep depth {cfg.max_substep_depth} exhausted (|b| = {bmax[i]:.3g}, h = {h[i]:.3g})"
-                        )
-                        gone.append(i)
-                    rows = rows[~deep]
-                span[rows] >>= 1
-                h[rows] = h_rows = span[rows] * unit
-                noise_root_h[rows] = root_rows = cfg.noise_scale * np.sqrt(h_rows)
-                rows = rows[splits(rows, h_rows, root_rows)]
-        leaf = np.ones(len(ids), dtype=bool)
-        leaf[gone] = False
-        rows = np.flatnonzero(leaf)
-        x[rows], stuck = _moves(spec, x[rows], b[rows], h[rows], noise_root_h[rows], ids[rows], noise, cfg)
-        for i in rows[stuck]:
-            reasons[ids[i]] = f"boundary rejection budget ({_REJECT_RETRIES}) exhausted"
-            leaf[i] = False
-            gone.append(i)
+            while np.count_nonzero(split):
+                for i in np.flatnonzero(split & (span <= finest_split)):
+                    reasons[ids[i]] = (
+                        f"substep depth {cfg.max_substep_depth} exhausted (|b| = {rule[0][i]:.3g}, h = {h[i]:.3g})"
+                    )
+                    split[i] = False
+                    gone.append(i)
+                np.right_shift(span, 1, out=span, where=split)
+                np.multiply(span, unit, out=h)
+                np.sqrt(h, out=noise_root_h)
+                noise_root_h *= cfg.noise_scale
+                split &= _splits(rule, h, noise_root_h)
+            np.minimum(finest, span, out=finest)
+        if gone:
+            b, h, noise_root_h = leave(gone, b, h, noise_root_h)
+            if not ids.size:
+                break
 
-        # leaf rows move on to the next node
-        leaves += leaf
-        np.minimum(finest, span, out=finest, where=leaf)
-        np.add(tick, span, out=tick, where=leaf)
-        np.minimum(tick & -tick, _BASE_TICKS, out=span, where=leaf)
-        full = tick == interval_ticks
-        if full.any():
-            for i in np.flatnonzero(full):
+        # every live row takes its leaf and moves on to the next node
+        stuck = _move(spec, x, b, h, noise_root_h, draw, state_noise, boundary)
+        moves += 1
+        tick += span
+        np.minimum(tick & -tick, _BASE_TICKS, out=span)
+        gone = list(stuck)
+        for i in gone:
+            reasons[ids[i]] = f"boundary rejection budget ({_REJECT_RETRIES}) exhausted"
+        if np.maximum.reduce(tick) == interval_ticks:
+            for i in np.flatnonzero(tick == interval_ticks):
+                p = ids[i]
+                if reasons[p] is not None:
+                    continue
                 tick[i] = 0
                 interval[i] += 1
-                rec[ids[i], interval[i]] = x[i]
+                rec[p, interval[i]] = x[i]
                 if interval[i] < n_rec:
-                    gens[ids[i]] = generator(ids[i], interval[i])
-                    used[ids[i]] = depth
+                    gens[p] = generator(p, interval[i])
+                    used[p] = depth
                 else:
-                    substeps[ids[i]] = leaves[i]
-                    max_depth[ids[i]] = _TREE_DEPTH + 1 - int(finest[i]).bit_length()
+                    substeps[p] = moves
+                    max_depth[p] = _TREE_DEPTH + 1 - int(finest[i]).bit_length()
                     gone.append(i)
         if gone:
-            keep = np.ones(len(ids), dtype=bool)
-            keep[gone] = False
-            if lowest_failure_only:
-                failed = [ids[i] for i in gone if reasons[ids[i]] is not None]
-                if failed:
-                    keep &= ids < min(failed)
-            if not keep.any():
-                break
-            ids, x, span, tick, finest, leaves, interval = (
-                a[keep] for a in (ids, x, span, tick, finest, leaves, interval)
-            )
+            leave(gone)
     return rec, substeps, max_depth, reasons
 
 
@@ -467,16 +481,11 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> Label
 
 def _integrate_block(task):
     spec, cfg, starts, stream, first, start_interval, n_rec, lowest_failure_only = task
-    return _integrate(
-        spec,
-        cfg,
-        starts,
-        cfg.dt,
-        n_rec,
-        cfg.substeps_per_record,
-        lambda p, j: stream.generator(first + p, start_interval + j),
-        lowest_failure_only,
-    )
+
+    def generator(p, j):
+        return stream.generator(first + p, start_interval + j)
+
+    return _integrate(spec, cfg, starts, cfg.dt, n_rec, cfg.substeps_per_record, generator, lowest_failure_only)
 
 
 def _count_order_swaps(states: np.ndarray) -> int:
@@ -519,8 +528,6 @@ def simulate(
         raise ValueError("on_failure must be 'raise' or 'drop'")
     rs = cfg.record_step
     n_rec = round(cfg.t_final / rs)
-    if abs(cfg.t_final - n_rec * rs) > 1e-9 * rs:
-        raise ValueError("t_final must be an integer multiple of dt_record")
 
     starts = []
     for state in initial:
@@ -554,9 +561,7 @@ def simulate(
             results.append(_integrate_block(t))
             if halt and any(r is not None for r in results[-1][3]):
                 break
-    rec = np.concatenate([r[0] for r in results])
-    substeps = np.concatenate([r[1] for r in results])
-    max_depth = np.concatenate([r[2] for r in results])
+    rec, substeps, max_depth = (np.concatenate([r[k] for r in results]) for k in range(3))
     reasons = [reason for r in results for reason in r[3]]
 
     failures = tuple((p, f"path {p}: {r}") for p, r in enumerate(reasons) if r is not None)
@@ -581,12 +586,3 @@ def simulate(
         failed_paths=failures,
     )
 
-
-def check_ordering(ensemble: PathEnsemble) -> int:
-    """Adjacent-pair order swaps between consecutive recorded states.
-
-    Defined for 1d families only; 0 means no recorded collision/crossing.
-    """
-    if ensemble.states.shape[3] != 1:
-        raise ValueError("ordering is defined for 1d families only")
-    return _count_order_swaps(ensemble.states)

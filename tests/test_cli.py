@@ -144,7 +144,7 @@ class TestBadInput:
             (["kernel", "--grid", "0:1:nan"], "diagnostics.grid"),
             (["kernel", "--grid", "0:inf:1"], "diagnostics.grid"),
             (["simulate", "--paths", "0"], "sampler.paths"),
-            (["simulate", "--dt", "1e-3", "--t-final", "0.0025"], "integrator"),
+            (["simulate", "--dt", "1e-3", "--t-final", "0.0025"], "integrator.t_final"),
             (["sample", "--n-samples", "-1"], "sampler.n_samples"),
             (["tightness", "--L-list", "0,2.5"], "diagnostics.L_list"),
         ],
@@ -154,6 +154,15 @@ class TestBadInput:
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}:")
+
+    def test_off_grid_horizon_fails_before_any_start_is_drawn(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
+        argv = ["simulate", "--model", "bessel", "--n", "10", "--paths", "200", "--dt", "1e-3", "--t-final", "0.0025"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: integrator.t_final:")
 
     @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
     def test_numerical_failures_keep_their_type(self, numerical):

@@ -23,7 +23,6 @@ from ibrownian.sde import (
     IntegratorConfig,
     Scheme,
     _drift,
-    check_ordering,
     simulate,
     step,
 )
@@ -195,10 +194,9 @@ class TestSimulate:
             simulate(spec, [_ascending([0.0, 1e-7])], cfg, RngStream(1))
 
     def test_horizon_must_fit_grid(self):
-        spec = ModelSpec(Family.AIRY, 1, beta=2.0)
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.0105, dt_record=1e-2)
-        with pytest.raises(ValueError):
-            simulate(spec, [_ascending([0.0])], cfg, RngStream(1))
+        # rejected when the config is built, before any path is set up
+        with pytest.raises(ValueError, match="t_final must be an integer multiple of dt_record"):
+            IntegratorConfig(dt=1e-3, t_final=0.0105, dt_record=1e-2)
 
     def test_requires_stream(self):
         spec = ModelSpec(Family.AIRY, 1, beta=2.0)
@@ -224,22 +222,19 @@ class TestOrderingAndBoundary:
         spec = ModelSpec(Family.AIRY, 4, beta=2.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.05, dt_record=5e-3, noise_scale=0.0)
         ens = simulate(spec, [_ascending([-2.0, -0.5, 0.5, 2.0])] * 4, cfg, RngStream(4))
-        assert check_ordering(ens) == 0
         assert ens.ordering_violations == 0
 
     def test_noisy_airy_short_run_keeps_order(self):
         spec = ModelSpec(Family.AIRY, 5, beta=2.0)
         cfg = IntegratorConfig(dt=1e-4, t_final=0.01, dt_record=1e-3)
         ens = simulate(spec, [_ascending([-4.0, -2.5, -1.0, 0.2, 1.5])] * 20, cfg, RngStream(6))
-        assert check_ordering(ens) == 0
+        assert ens.ordering_violations == 0
 
     def test_single_particle_always_zero(self):
         spec = ModelSpec(Family.GINIBRE, 1)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
         ens = simulate(spec, [LabeledState([[0.0, 0.0]], LabelScheme.ASCENDING_MODULUS)], cfg, RngStream(7))
         assert ens.ordering_violations is None
-        with pytest.raises(ValueError):
-            check_ordering(ens)
 
     @pytest.mark.parametrize("policy", [BoundaryPolicy.REFLECT, BoundaryPolicy.REJECT_STEP])
     def test_hard_edge_positivity(self, policy):
@@ -255,7 +250,7 @@ class TestOrderingAndBoundary:
         init = [_ascending([2.0, 8.0, 20.0])] * 10
         ens = simulate(spec, init, cfg, RngStream(15))
         assert np.min(ens.states) > 0.0
-        assert check_ordering(ens) == 0
+        assert ens.ordering_violations == 0
 
 
 class TestWeakAccuracy:
@@ -345,6 +340,23 @@ class TestMatchesRecursiveReference:
         )
         _matches_reference(spec, init, cfg, 32)
 
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
+    def test_boundary_rejection_budget(self, noise_scale):
+        # the tamed drift of the close pair throws its lower particle below
+        # zero whatever the noise, so every redraw is rejected
+        spec = ModelSpec(Family.BESSEL, 2, alpha=1.0)
+        init = [_ascending(start) for start in ([1.0, 2.0], [1e-3, 1.1e-3], [0.5, 3.0])]
+        cfg = IntegratorConfig(
+            dt=1e-2,
+            t_final=0.04,
+            dt_record=2e-2,
+            noise_scale=noise_scale,
+            scheme=Scheme.TAMED_EULER,
+            boundary_policy=BoundaryPolicy.REJECT_STEP,
+        )
+        got = _matches_reference(spec, init, cfg, 47)
+        assert got.failed_paths == ((1, "path 1: boundary rejection budget (100) exhausted"),)
+
     @pytest.mark.parametrize(
         "name,trunc",
         [
@@ -426,6 +438,7 @@ class TestNoiseBufferRefills:
 
     test_dyson_round = TestMatchesRecursiveReference.test_dyson_round
     test_boundary_policies = TestMatchesRecursiveReference.test_boundary_policies
+    test_boundary_rejection_budget = TestMatchesRecursiveReference.test_boundary_rejection_budget
     test_restart_from_recorded_state = TestMatchesRecursiveReference.test_restart_from_recorded_state
 
 
