@@ -4,7 +4,7 @@ Submodules:
 
 * ``core``      state types, labels, RNG streams, CSV formats
 * ``models``    drift fields, truncations, log-derivative decompositions
-* ``kernels``   Airy / Bessel / planar-Gaussian reference kernels
+* ``kernels``   Airy / Bessel reference kernels
 * ``sampling``  equilibrium ensemble samplers (matrix models and MCMC)
 * ``sde``       adaptive Euler-Maruyama path integrator
 * ``stats``     correlation estimators and tightness diagnostics
@@ -21,7 +21,6 @@ from .core import (
     RngStream,
     SingularConfigurationError,
     StepFailureError,
-    delabel,
     label,
     load_configurations,
     save_configurations,
@@ -39,7 +38,6 @@ __all__ = [
     "RngStream",
     "SingularConfigurationError",
     "StepFailureError",
-    "delabel",
     "label",
     "load_configurations",
     "save_configurations",

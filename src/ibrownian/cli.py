@@ -315,7 +315,7 @@ def _initial_states(cfg: RunConfig, spec: ModelSpec, rng: RngStream) -> list:
 
 def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
     trunc = None
-    if cfg.truncation_radius > 0:
+    if cfg.truncation_radius != 0:  # any value but 0 is a radius, checked below
         variant = None
         if spec.family is Family.GINIBRE:
             try:
@@ -325,18 +325,22 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
                     "integrator.truncation_variant",
                     f"expected centered or origin, got {cfg.truncation_variant!r}",
                 ) from None
-        trunc = TruncationParams(radius=cfg.truncation_radius, variant=variant)
+        with _keyed("integrator.truncation_radius"):
+            trunc = TruncationParams(radius=cfg.truncation_radius, variant=variant)
+    # the step, the recording step and the horizon are each set on their
+    # own, so that an error in one of them names its key
+    with _keyed("integrator.dt"):
+        icfg = IntegratorConfig(dt=cfg.dt, t_final=0.0)
+    with _keyed("integrator.dt_record"):
+        icfg = replace(icfg, dt_record=None if cfg.dt_record == 0 else cfg.dt_record)
     with _keyed("integrator"):
-        icfg = IntegratorConfig(
-            dt=cfg.dt,
-            t_final=0.0,
-            dt_record=None if cfg.dt_record == 0 else cfg.dt_record,
+        icfg = replace(
+            icfg,
             max_substep_depth=cfg.max_substep_depth,
             drift_cap_delta=cfg.drift_cap_delta,
             scheme=cfg.scheme,
             truncation=trunc,
         )
-    # the horizon is set on its own, so that an error in it names its key
     with _keyed("integrator.t_final"):
         return replace(icfg, t_final=cfg.t_final)
 

@@ -31,7 +31,6 @@ __all__ = [
     "DomainError",
     "StepFailureError",
     "label",
-    "delabel",
     "save_configurations",
     "load_configurations",
 ]
@@ -170,17 +169,6 @@ class Configuration:
     def dimension(self) -> int:
         return self.points.shape[1]
 
-    def moduli(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.points**2, axis=1))
-
-    def same_multiset(self, other: "Configuration", tol: float = 0.0) -> bool:
-        """Multiset equality, insensitive to point order."""
-        if len(self) != len(other) or self.dimension != other.dimension:
-            return False
-        a = _canonical_order(self.points)
-        b = _canonical_order(other.points)
-        return bool(np.allclose(a, b, rtol=0.0, atol=tol))
-
 
 @dataclass(frozen=True, eq=False)
 class LabeledState:
@@ -201,14 +189,6 @@ class LabeledState:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-
-def _canonical_order(arr: np.ndarray) -> np.ndarray:
-    """Sort rows lexicographically (for multiset comparison)."""
-    if arr.shape[0] == 0:
-        return arr
-    keys = tuple(arr[:, j] for j in range(arr.shape[1] - 1, -1, -1))
-    return arr[np.lexsort(keys)]
 
 
 def label(config: Configuration, scheme: LabelScheme) -> LabeledState:
@@ -233,11 +213,6 @@ def label(config: Configuration, scheme: LabelScheme) -> LabeledState:
         coord_keys = tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
         order = np.lexsort((np.arange(n),) + coord_keys + (moduli,))
     return LabeledState(pts[order], scheme)
-
-
-def delabel(state: LabeledState) -> Configuration:
-    """Forget the ordering; inverse of ``label`` on multisets."""
-    return Configuration(state.points)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,19 @@
 """Reference kernels for edge and hard-edge scaled ensembles.
 
 Provides the decaying Airy solution of y'' = x*y together with the
-soft-edge kernel built from it, Bessel functions of the first kind with
-the hard-edge kernel in its two algebraically equal displayed forms, and
-the planar Gaussian (Ginibre) correlation determinant.
+soft-edge kernel built from it, and the hard-edge Bessel kernel in its
+two algebraically equal displayed forms.
 
 Ai, Ai' and J_alpha come from ``scipy.special`` (``airy``, ``jv``), and
-J_alpha' = (J_{alpha-1} - J_{alpha+1}) / 2 from two ``jv`` calls; all are
-accepted on ``AIRY_SUPPORT`` and [0, ``BESSEL_X_MAX``].  Off the
-diagonal the kernels are the closed forms, a numerator divided by
-(x - y).  As y -> x that numerator cancels badly, so within
+J_alpha' = (J_{alpha-1} - J_{alpha+1}) / 2 from two ``jv`` calls; the
+kernels accept arguments in ``AIRY_SUPPORT`` and (0, ``BESSEL_X_MAX``].
+Off the diagonal the kernels are the closed forms, a numerator divided
+by (x - y).  As y -> x that numerator cancels badly, so within
 |x - y| <= ``DIAGONAL_WINDOW`` a quadratic expansion around the midpoint
 is used instead; its coefficients are exact expressions in the same
 special functions, not finite differences, and its zeroth term is the
 exact diagonal value.  The scalar kernels and ``kernel_grid`` evaluate
 the same expressions in the same order, so they agree bitwise.
-
-Correlation values are determinants of the kernel matrix (partial-pivot LU
-via LAPACK), restricted to at most 12 points.
 """
 
 from __future__ import annotations
@@ -35,24 +31,19 @@ __all__ = [
     "KernelId",
     "airy_fn",
     "airy_kernel",
-    "bessel_j",
-    "bessel_j_prime",
     "bessel_kernel",
-    "ginibre_correlation",
-    "correlation_det",
     "kernel_grid",
 ]
 
 AIRY_SUPPORT = (-120.0, 10.0)
 BESSEL_X_MAX = 100.0
 DIAGONAL_WINDOW = 1e-4
-MAX_DET_POINTS = 12
 
 
 class KernelId(str, enum.Enum):
     AIRY2 = "airy2"
     BESSEL = "bessel"
-    GINIBRE = "ginibre"
+    GINIBRE = "ginibre"  # diagonal only, the constant 1/pi; kernel_grid rejects it
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +106,14 @@ def airy_kernel(x: float, y: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind
+# hard-edge Bessel kernel
 # ---------------------------------------------------------------------------
-
-
-def _bessel_values(fn, name: str, alpha: float, x):
-    """``fn(alpha, x)`` for x in [0, ``BESSEL_X_MAX``]; a float for scalar x."""
-    arr = np.asarray(x, dtype=float)
-    if (arr < 0).any():
-        raise ValueError(f"{name} requires x >= 0")
-    bad = ~(arr <= BESSEL_X_MAX)
-    if bad.any():
-        raise ValueError(f"{name} supports x <= {BESSEL_X_MAX}, got {arr[bad].flat[0]}")
-    out = fn(alpha, arr)
-    return float(out) if arr.ndim == 0 else out
-
-
-def bessel_j(alpha: float, x):
-    """Bessel function J_alpha (alpha >= 0 real), argument in [0, 100]."""
-    return _bessel_values(special.jv, "bessel_j", alpha, x)
 
 
 def _jv_prime(alpha: float, x):
     # the relation scipy.special.jvp evaluates, without its Python wrapper,
     # which doubles the cost of a scalar call
     return (special.jv(alpha - 1.0, x) - special.jv(alpha + 1.0, x)) / 2.0
-
-
-def bessel_j_prime(alpha: float, x):
-    """Derivative of J_alpha, (J_{alpha-1} - J_{alpha+1}) / 2; argument in [0, 100]."""
-    return _bessel_values(_jv_prime, "bessel_j_prime", alpha, x)
 
 
 def _bessel_taylor(alpha: float, x, y):
@@ -206,68 +175,6 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
     return float(0.5 * num / (x - y))
 
 
-# ---------------------------------------------------------------------------
-# Planar Gaussian ensemble correlations
-# ---------------------------------------------------------------------------
-
-
-def _as_complex(points) -> np.ndarray:
-    arr = np.asarray(points)
-    if np.iscomplexobj(arr):
-        return arr.astype(complex).ravel()
-    arr = np.asarray(arr, dtype=float)
-    if arr.ndim == 1:
-        return arr.astype(complex)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0] + 1j * arr[:, 1]
-    raise ValueError("ginibre points must be complex scalars or (n, 2) coordinates")
-
-
-def _ginibre_matrix(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """exp(z_i conj(w_j) - |z_i|^2/2 - |w_j|^2/2), entries bounded by 1."""
-    expo = np.outer(z, np.conj(w)) - 0.5 * ((np.abs(z) ** 2)[:, None] + (np.abs(w) ** 2)[None, :])
-    return np.exp(expo)
-
-
-def ginibre_correlation(points) -> float:
-    """m-point Lebesgue correlation of the planar Gaussian ensemble.
-
-    Equals pi^(-m) exp(-sum |z_i|^2) det[exp(z_i conj(z_j))]; computed from
-    the symmetrized matrix exp(z_i conj(z_j) - |z_i|^2/2 - |z_j|^2/2) whose
-    entries are bounded by 1, so no overflow occurs for any separation.
-    """
-    z = _as_complex(points)
-    m = z.size
-    if m == 0:
-        return 1.0
-    if m > MAX_DET_POINTS:
-        raise ValueError(f"at most {MAX_DET_POINTS} points supported")
-    det = np.linalg.det(_ginibre_matrix(z, z))
-    return float(det.real) / math.pi**m
-
-
-def correlation_det(kernel: KernelId, points, *, alpha: float | None = None, beta: float = 2.0) -> float:
-    """Correlation value det[K(x_i, x_j)] for up to 12 points.
-
-    Matrix-kernel correlations are defined for beta = 2 only; requesting any
-    other beta is an error (beta = 1, 4 ensembles are sampled, not evaluated).
-    """
-    if beta != 2.0:
-        raise ValueError("kernel-based correlations are available for beta = 2 only")
-    arr = np.asarray(points)
-    n = arr.shape[0] if arr.ndim else arr.size
-    if n > MAX_DET_POINTS:
-        raise ValueError(f"at most {MAX_DET_POINTS} points supported")
-    if n == 0:
-        return 1.0
-    if KernelId(kernel) is KernelId.GINIBRE:
-        z = _as_complex(arr)
-        mat = _ginibre_matrix(z, z) / math.pi
-    else:
-        mat = kernel_grid(kernel, arr, alpha=alpha)
-    return float(np.linalg.det(mat).real)
-
-
 def _closed_or_taylor(num: np.ndarray, xs: np.ndarray, ys: np.ndarray, taylor) -> np.ndarray:
     """num / (x - y) on the grid, with ``taylor(x, y)`` on the entries
     within the diagonal window."""
@@ -280,12 +187,10 @@ def _closed_or_taylor(num: np.ndarray, xs: np.ndarray, ys: np.ndarray, taylor) -
 
 
 def kernel_grid(kernel: KernelId, xs, ys=None, *, alpha: float | None = None) -> np.ndarray:
-    """Kernel values on a rectangular grid; rows index ``xs``."""
+    """Airy2 or Bessel kernel values on a rectangular grid; rows index ``xs``."""
     kernel = KernelId(kernel)
     xs = np.asarray(xs, dtype=float).ravel()
     ys = xs if ys is None else np.asarray(ys, dtype=float).ravel()
-    if kernel is KernelId.GINIBRE:
-        return _ginibre_matrix(xs.astype(complex), ys.astype(complex)).real / math.pi
     if kernel is KernelId.AIRY2:
         _check_airy(xs)
         _check_airy(ys)
@@ -293,6 +198,8 @@ def kernel_grid(kernel: KernelId, xs, ys=None, *, alpha: float | None = None) ->
         ay, apy, _, _ = special.airy(ys)
         num = ax[:, None] * apy[None, :] - apx[:, None] * ay[None, :]
         return _closed_or_taylor(num, xs, ys, _airy_taylor)
+    if kernel is not KernelId.BESSEL:
+        raise ValueError(f"kernel_grid evaluates the airy2 and bessel kernels, not {kernel.value}")
     if alpha is None:
         raise ValueError("bessel kernel needs alpha")
     both = np.concatenate((xs, ys))

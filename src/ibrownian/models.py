@@ -22,7 +22,8 @@ and ``_drift_of`` holds b; every public function reads them:
   closed-form compensator 2*sqrt(r) of the truncated semicircle tail in
   its place, and the centered planar window drops the Gaussian term too;
 * the log derivative at a point splits the pair sum with a C^1 cutoff
-  into near + far, from which ``reconstruct_drift`` recovers the drift.
+  into near + far, so that d = free + near + far and the drift follows
+  from the identity above.
 
 Everything operates on plain float64 arrays; points of shape (n, d).
 ``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
@@ -51,19 +52,12 @@ __all__ = [
     "DiffusionKind",
     "diffusion_kind",
     "diffusion_sigma",
-    "diffusion_coefficient_a",
-    "diffusion_grad_a",
-    "drift_finite",
     "drift_finite_all",
-    "drift_limit_truncated",
     "drift_limit_truncated_all",
     "truncated_drift_at",
     "airy_tail_integral",
     "cutoff_chi",
-    "pair_interaction",
-    "free_log_derivative",
     "log_derivative",
-    "reconstruct_drift",
 ]
 
 MIN_PAIR_SEPARATION = 1e-12
@@ -86,8 +80,8 @@ class TruncationParams:
     variant: TruncationVariant | None = None
 
     def __post_init__(self) -> None:
-        if not (self.radius > 0):
-            raise ValueError("truncation radius must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("truncation radius must be finite and > 0")
         if self.variant is not None:
             object.__setattr__(self, "variant", TruncationVariant(self.variant))
 
@@ -99,9 +93,6 @@ class LogDerivDecomposition:
     free: np.ndarray
     near: np.ndarray
     far: np.ndarray
-
-    def total(self) -> np.ndarray:
-        return self.free + self.near + self.far
 
 
 class DiffusionKind(str, enum.Enum):
@@ -120,19 +111,6 @@ def diffusion_sigma(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
     if diffusion_kind(spec) is DiffusionKind.SQUARE_BESSEL_4X:
         return 2.0 * np.sqrt(np.maximum(points, 0.0))
     return np.ones_like(points)
-
-
-def diffusion_coefficient_a(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
-    """a = sigma^2: 1, or 4x for the squared process."""
-    if diffusion_kind(spec) is DiffusionKind.SQUARE_BESSEL_4X:
-        return 4.0 * np.asarray(points, dtype=float)
-    return np.ones_like(np.asarray(points, dtype=float))
-
-
-def diffusion_grad_a(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
-    if diffusion_kind(spec) is DiffusionKind.SQUARE_BESSEL_4X:
-        return np.full_like(np.asarray(points, dtype=float), 4.0)
-    return np.zeros_like(np.asarray(points, dtype=float))
 
 
 def airy_tail_integral(r: float) -> float:
@@ -230,10 +208,11 @@ def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
 
 
 def _drift_of(spec: ModelSpec, x: np.ndarray, d) -> np.ndarray:
-    """b = (1/2)(grad a + a * d), which is d / 2 where a = 1."""
+    """b = (1/2)(grad a + a * d): d / 2 where a = 1, and (1/2)(4 + 4x d)
+    where a = 4x (the squared process)."""
     if diffusion_kind(spec) is DiffusionKind.IDENTITY:
         return 0.5 * d
-    return 0.5 * (diffusion_grad_a(spec, x) + diffusion_coefficient_a(spec, x) * d)
+    return 0.5 * (4.0 + 4.0 * x * d)
 
 
 def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParams | None, self_pairs: bool):
@@ -305,18 +284,14 @@ def drift_finite_all(spec: ModelSpec, state) -> np.ndarray:
     return _field(spec, arr, arr, None, self_pairs=True)
 
 
-def drift_finite(spec: ModelSpec, i: int, state) -> np.ndarray:
-    """Finite-n drift of particle ``i`` (0-based index into the state)."""
-    return drift_finite_all(spec, state)[i]
-
-
 def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.ndarray:
     """Truncated limit drift felt at position ``x`` from environment ``env``.
 
     ``x`` is a d-vector (or scalar for 1d); ``env`` contains the other
     particles.  The window is |y| < r for the 1d families and the planar
     origin variant, |x - y| < r for the planar centered variant and the 3d
-    families.  The particle-indexed form is ``drift_limit_truncated``.
+    families.  ``drift_limit_truncated_all(spec, state, trunc)[i]`` is the
+    same drift at particle i with the other particles as ``env``.
     """
     _validate_trunc(spec, trunc)
     xv = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
@@ -326,11 +301,6 @@ def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.n
     _check_domain(spec, xv)
     _check_domain(spec, env_arr)
     return _field(spec, xv, env_arr, trunc, self_pairs=False)[0]
-
-
-def drift_limit_truncated(spec: ModelSpec, i: int, state, trunc: TruncationParams) -> np.ndarray:
-    """Truncated limit drift of particle ``i`` within ``state``."""
-    return drift_limit_truncated_all(spec, state, trunc)[i]
 
 
 def drift_limit_truncated_all(spec: ModelSpec, state, trunc: TruncationParams) -> np.ndarray:
@@ -363,21 +333,6 @@ def cutoff_chi(t, s: float):
     return val
 
 
-def pair_interaction(spec: ModelSpec, x, y) -> np.ndarray:
-    """Interaction kernel g(x, y): the two-body part of the log derivative."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    g, _ = _pair_terms(spec, xv[None, :], yv[None, :], self_pairs=False)
-    return g.reshape(spec.dimension)
-
-
-def free_log_derivative(spec: ModelSpec, x) -> np.ndarray:
-    """One-body part u of the log derivative of the equilibrium density."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(spec, xv[None, :])
-    return _one_body(spec, xv, None)
-
-
 def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     """Logarithmic derivative at ``x`` given environment ``env``, split by
     the cutoff scale ``s`` into free + near (within the plateau) + far.
@@ -387,13 +342,10 @@ def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     of ``s`` up to rounding.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    free = free_log_derivative(spec, xv)
+    _check_domain(spec, xv[None, :])
+    free = _one_body(spec, xv, None)
     g, dist = _pair_terms(spec, xv[None, :], _env_of(spec, env), self_pairs=False)
     g = g[0].reshape(-1, spec.dimension)
     w = cutoff_chi(dist[0], s)[:, None]
     return LogDerivDecomposition(free=free, near=(w * g).sum(axis=0), far=((1.0 - w) * g).sum(axis=0))
 
-
-def reconstruct_drift(spec: ModelSpec, x, decomp: LogDerivDecomposition) -> np.ndarray:
-    """Drift from a decomposition: b = (1/2)(grad a + a * (u + g_s + r_s))."""
-    return _drift_of(spec, np.atleast_1d(np.asarray(x, dtype=float)), decomp.total())

@@ -58,6 +58,7 @@ from .models import (
     diffusion_kind,
     diffusion_sigma,
     DiffusionKind,
+    _points_of,
     drift_finite_all,
     drift_limit_truncated_all,
 )
@@ -107,8 +108,8 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "boundary_policy", BoundaryPolicy(self.boundary_policy))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be finite and > 0")
         if not 0 <= self.t_final < np.inf:
             raise ValueError("t_final must be finite and >= 0")
         if not 0 <= self.max_substep_depth <= 30:
@@ -120,6 +121,8 @@ class IntegratorConfig:
         if self.truncation is not None and not isinstance(self.truncation, TruncationParams):
             raise ValueError("truncation must be a TruncationParams or None")
         if self.dt_record is not None:
+            if not 0 < self.dt_record < np.inf:
+                raise ValueError("dt_record must be finite and > 0")
             m = round(self.dt_record / self.dt)
             if m < 1 or abs(self.dt_record - m * self.dt) > 1e-9 * self.dt:
                 raise ValueError("dt_record must be a positive integer multiple of dt")
@@ -171,10 +174,6 @@ class PathEnsemble:
     @property
     def n_paths(self) -> int:
         return self.states.shape[0]
-
-    def trajectory(self, path: int) -> list[LabeledState]:
-        scheme = LabelScheme.ASCENDING_VALUE if self.states.shape[3] == 1 else LabelScheme.ASCENDING_MODULUS
-        return [LabeledState(self.states[path, k], scheme) for k in range(len(self.times))]
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +452,15 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
 
 def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> LabeledState:
     """One base step of length dt (substepping internally as needed)."""
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
+    if not 0 < dt < np.inf:
+        raise ValueError("dt must be finite and > 0")
     if isinstance(rng, RngStream):
         g = rng.generator()
     elif isinstance(rng, np.random.Generator):
         g = rng
     else:
         raise TypeError("rng must be an RngStream or numpy Generator")
-    pts = np.array(getattr(state, "points", state), dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points_of(state)
     # one draw at a time leaves a caller's generator where the moves leave it
     rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)
     if reasons[0] is not None:
@@ -531,9 +528,7 @@ def simulate(
 
     starts = []
     for state in initial:
-        pts = np.array(getattr(state, "points", state), dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _points_of(state)
         if pts.shape[1] != spec.dimension:
             raise ValueError(f"initial state dimension {pts.shape[1]} != family dimension {spec.dimension}")
         if pts.shape[0] != spec.n_particles:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .core import Family, ModelSpec
-from .models import TruncationParams, TruncationVariant, truncated_drift_at
+from .models import TruncationParams, TruncationVariant, _points_of, truncated_drift_at
 
 __all__ = [
     "CorrelationEstimate",
@@ -28,7 +28,6 @@ __all__ = [
     "erf_fn",
     "freedman_diaconis_edges",
     "estimate_rho",
-    "palm_intensity",
     "drift_truncation_scan",
     "erf_tail_sum",
     "holder_moment",
@@ -92,16 +91,6 @@ class TruncationScan:
     variant_gap_stderr: np.ndarray | None = None
 
 
-def _points_list(samples) -> list[np.ndarray]:
-    out = []
-    for s in samples:
-        pts = np.asarray(getattr(s, "points", s), dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        out.append(pts)
-    return out
-
-
 def freedman_diaconis_edges(values: np.ndarray, floor: float = 0.05) -> np.ndarray:
     """Histogram edges with the Freedman-Diaconis width, floored below."""
     v = np.sort(np.asarray(values, dtype=float).ravel())
@@ -124,7 +113,7 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     every other point.  ``bins=None`` picks Freedman-Diaconis edges
     from the pooled data.
     """
-    pts = _points_list(samples)
+    pts = [_points_of(s) for s in samples]
     if len(pts) < 1:
         raise ValueError("need at least one sample")
     if order not in (1, 2):
@@ -191,22 +180,6 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     )
 
 
-def palm_intensity(pair: CorrelationEstimate, point: CorrelationEstimate, min_count: float = 10.0) -> np.ndarray:
-    """Conditional intensity rho2(x, y) / rho1(x) on the shared 1d grid.
-
-    Rows with fewer than ``min_count`` points in the conditioning bin are
-    NaN (the ratio degenerates on empty bins).
-    """
-    if pair.order != 2 or point.order != 1:
-        raise ValueError("palm_intensity expects (order-2, order-1) estimates")
-    if pair.density.ndim != 2 or not np.array_equal(pair.bins, point.bins):
-        raise ValueError("estimates must share one position grid")
-    out = np.full_like(pair.density, np.nan)
-    ok = point.counts > min_count
-    out[ok, :] = pair.density[ok, :] / point.density[ok, None]
-    return out
-
-
 def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> TruncationScan:
     """Ensemble mean and standard error of the truncated drift at x.
 
@@ -214,7 +187,7 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     variants; ``mean`` follows the centered one and the variant gap
     |centered - origin| is reported alongside.
     """
-    envs = _points_list(env_samples)
+    envs = [_points_of(s) for s in env_samples]
     if len(envs) < 100:
         raise ValueError("need at least 100 environment samples")
     r_values = np.asarray(list(r_list), dtype=float)
@@ -254,7 +227,7 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
     (far) particles; it is nonincreasing in L.  Indices beyond a sample's
     particle count contribute nothing.
     """
-    pts = _points_list(samples)
+    pts = [_points_of(s) for s in samples]
     if not pts:
         raise ValueError("need at least one sample")
     ls = np.asarray(list(L_list), dtype=int)

@@ -147,8 +147,17 @@ class TestBadInput:
             (["simulate", "--dt", "1e-3", "--t-final", "0.0025"], "integrator.t_final"),
             (["sample", "--n-samples", "-1"], "sampler.n_samples"),
             (["tightness", "--L-list", "0,2.5"], "diagnostics.L_list"),
+            (["simulate", "--dt", "inf"], "integrator.dt"),
+            (["simulate", "--dt-record", "inf"], "integrator.dt_record"),
+            (["simulate", "--dt-record", "nan"], "integrator.dt_record"),
+            (["simulate", "--truncation-radius", "nan"], "integrator.truncation_radius"),
+            (["simulate", "--truncation-radius", "-1"], "integrator.truncation_radius"),
+            (["simulate", "--truncation-radius", "inf"], "integrator.truncation_radius"),
         ],
-        ids=["grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L"],
+        ids=[
+            "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
+            "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
+        ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2

@@ -7,7 +7,6 @@ from ibrownian.core import (
     LabelScheme,
     ModelSpec,
     RngStream,
-    delabel,
     label,
     load_configurations,
     save_configurations,
@@ -85,22 +84,6 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             c.points[0, 0] = 5.0
 
-    def test_moduli(self):
-        c = Configuration([[3.0, 4.0], [0.0, 1.0]])
-        assert np.allclose(c.moduli(), [5.0, 1.0])
-
-    def test_same_multiset_ignores_order(self):
-        a = Configuration([[1.0, 2.0], [3.0, 4.0]])
-        b = Configuration([[3.0, 4.0], [1.0, 2.0]])
-        assert a.same_multiset(b)
-        assert not a.same_multiset(Configuration([[1.0, 2.0], [3.0, 4.1]]))
-
-    def test_same_multiset_tolerance(self):
-        a = Configuration([1.0, 2.0])
-        b = Configuration([2.0 + 1e-12, 1.0])
-        assert a.same_multiset(b, tol=1e-9)
-        assert not a.same_multiset(b, tol=1e-15)
-
 
 class TestLabeling:
     def test_ascending_value(self):
@@ -131,7 +114,8 @@ class TestLabeling:
         rng = np.random.default_rng(1)
         c = Configuration(rng.normal(size=(7, 2)))
         st = label(c, LabelScheme.ASCENDING_MODULUS)
-        assert delabel(st).same_multiset(c)
+        # the labelled points are the configuration's, reordered
+        assert sorted(map(tuple, st.points)) == sorted(map(tuple, c.points))
 
     def test_label_is_permutation_invariant(self):
         rng = np.random.default_rng(2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from ibrownian import kernels as K
 
@@ -105,47 +106,44 @@ class TestAiryKernel:
 
 
 class TestBesselJ:
+    """J_alpha (``scipy.special.jv``) and J_alpha' (``_jv_prime``), as the
+    hard-edge kernel evaluates them."""
+
     def test_frozen_values(self):
         for (a, x), want in BESSEL_J.items():
-            assert K.bessel_j(a, x) == pytest.approx(want, abs=1e-10)
+            assert special.jv(a, x) == pytest.approx(want, abs=1e-10)
 
     def test_against_series_oracle_nonint_order(self):
         for a in (1.0, 1.5, 2.5):
             for x in (0.05, 0.7, 3.0, 9.0):
-                assert K.bessel_j(a, x) == pytest.approx(oracles.bessel_series_oracle(a, x), abs=2e-10)
+                assert special.jv(a, x) == pytest.approx(oracles.bessel_series_oracle(a, x), abs=2e-10)
 
     def test_against_integral_oracle_large_argument(self):
         # exercises the large-argument expansion past the series cut
         for a in (1, 2):
             for x in (20.0, 40.0, 80.0):
-                assert K.bessel_j(a, x) == pytest.approx(oracles.bessel_integral_oracle(a, x), abs=1e-12)
+                assert special.jv(a, x) == pytest.approx(oracles.bessel_integral_oracle(a, x), abs=1e-12)
 
     def test_derivative_against_series_oracle(self):
         for a in (1.0, 2.0, 1.5):
             for x in (0.5, 3.0, 12.0):
                 want = oracles.bessel_series_prime_oracle(a, x)
-                assert K.bessel_j_prime(a, x) == pytest.approx(want, abs=1e-9)
+                assert K._jv_prime(a, x) == pytest.approx(want, abs=1e-9)
 
     def test_derivative_by_central_difference_large_argument(self):
         # past the series cut; h chosen so stencil noise stays below tolerance
         h = 1e-4
         for a in (1.0, 2.0, 1.5):
             for x in (25.0, 60.0):
-                num = (K.bessel_j(a, x + h) - K.bessel_j(a, x - h)) / (2 * h)
-                assert K.bessel_j_prime(a, x) == pytest.approx(num, abs=1e-8)
+                num = (special.jv(a, x + h) - special.jv(a, x - h)) / (2 * h)
+                assert K._jv_prime(a, x) == pytest.approx(num, abs=1e-8)
 
     def test_derivative_bitwise_equal_to_scipy_jvp(self):
-        from scipy import special
-
         xs = np.concatenate([np.random.default_rng(17).uniform(0.0, 100.0, 200_000), [0.0, 1e-300, 100.0]])
         for a in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 7.25):
-            assert np.array_equal(K.bessel_j_prime(a, xs), special.jvp(a, xs))
+            assert np.array_equal(K._jv_prime(a, xs), special.jvp(a, xs))
             for x in xs[-5:]:
-                assert K.bessel_j_prime(a, float(x)) == special.jvp(a, float(x))
-
-    def test_argument_cap(self):
-        with pytest.raises(ValueError):
-            K.bessel_j(1.0, 150.0)
+                assert K._jv_prime(a, float(x)) == special.jvp(a, float(x))
 
 
 class TestBesselKernel:
@@ -162,8 +160,8 @@ class TestBesselKernel:
         for a in (1.0, 2.0):
             for x in (0.3, 2.0, 17.5, 60.0):
                 z = math.sqrt(x)
-                ja = K.bessel_j(a, z)
-                jb = K.bessel_j(a + 1.0, z)
+                ja = special.jv(a, z)
+                jb = special.jv(a + 1.0, z)
                 want = 0.25 * (ja * ja + jb * jb - (2.0 * a / z) * ja * jb)
                 assert K.bessel_kernel(a, x, x) == pytest.approx(want, rel=1e-10, abs=1e-13)
 
@@ -212,8 +210,8 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0, 2.5, 3.0])
     def test_bessel_and_derivative(self, mp, alpha):
         xs = np.linspace(0.0, 100.0, 301)[1:]
-        j = K.bessel_j(alpha, xs)
-        jp = K.bessel_j_prime(alpha, xs)
+        j = special.jv(alpha, xs)
+        jp = K._jv_prime(alpha, xs)
         for x, v, vp in zip(xs, j, jp):
             assert abs(float(mp.besselj(alpha, x)) - v) <= 1e-13
             assert abs(float(mp.besselj(alpha, x, derivative=1)) - vp) <= 1e-13
@@ -230,62 +228,6 @@ class TestMpmathOracle:
             ja, jb = mp.besselj(alpha, z), mp.besselj(alpha + 1, z)
             want = (ja * ja + jb * jb - (2 * alpha / z) * ja * jb) / 4
             assert abs(float(want) - K.bessel_kernel(alpha, x, x)) <= 1e-13
-
-
-class TestGinibreCorrelation:
-    def test_one_point_intensity_is_inverse_pi(self):
-        for z in ([0.0, 0.0], [1.3, -0.4], [-2.0, 2.0]):
-            assert K.ginibre_correlation([z]) == pytest.approx(1.0 / math.pi, rel=1e-12)
-
-    def test_two_point_closed_form(self):
-        for u in (0.2, 0.7, 1.5, 3.0):
-            got = K.ginibre_correlation([[0.0, 0.0], [u, 0.0]])
-            want = (1.0 - math.exp(-u * u)) / math.pi**2
-            assert got == pytest.approx(want, rel=1e-12)
-
-    def test_translation_invariance(self):
-        a = K.ginibre_correlation([[0.0, 0.0], [0.8, 0.3]])
-        b = K.ginibre_correlation([[5.0, -2.0], [5.8, -1.7]])
-        assert a == pytest.approx(b, rel=1e-10)
-
-    def test_nonnegative_on_random_triples(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            pts = rng.normal(0, 1.5, size=(3, 2))
-            assert K.ginibre_correlation(pts) >= -1e-12
-
-    def test_permutation_invariance(self):
-        pts = [[0.0, 0.0], [1.0, 0.2], [-0.5, 0.7]]
-        assert K.ginibre_correlation(pts) == pytest.approx(K.ginibre_correlation(pts[::-1]), rel=1e-12)
-
-
-class TestCorrelationDet:
-    def test_airy_two_point(self):
-        x, y = -2.0, 1.0
-        kxx = K.airy_kernel(x, x)
-        kyy = K.airy_kernel(y, y)
-        kxy = K.airy_kernel(x, y)
-        want = kxx * kyy - kxy * kxy
-        got = K.correlation_det(K.KernelId.AIRY2, [[x], [y]])
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_bessel_needs_alpha(self):
-        with pytest.raises(ValueError):
-            K.correlation_det(K.KernelId.BESSEL, [[1.0]])
-
-    def test_beta_restriction(self):
-        with pytest.raises(ValueError):
-            K.correlation_det(K.KernelId.AIRY2, [[0.0]], beta=1.0)
-
-    def test_point_cap(self):
-        pts = [[float(i)] for i in range(13)]
-        with pytest.raises(ValueError):
-            K.correlation_det(K.KernelId.AIRY2, pts)
-
-    def test_ginibre_dispatch(self):
-        got = K.correlation_det(K.KernelId.GINIBRE, [[0.0, 0.0], [1.0, 0.0]])
-        want = (1.0 - math.exp(-1.0)) / math.pi**2
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestKernelGrid:
@@ -322,14 +264,6 @@ class TestKernelGrid:
         assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs, alpha=alpha), want)
         assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs[:7], xs[5:], alpha=alpha), want[:7, 5:])
 
-    def test_correlation_det_uses_the_scalar_kernel_entries(self):
-        xs = self._AIRY_POINTS[10:20]
-        mat = np.array([[K.airy_kernel(x, y) for y in xs] for x in xs])
-        assert K.correlation_det(K.KernelId.AIRY2, xs[:, None]) == float(np.linalg.det(mat))
-        xs = self._BESSEL_POINTS[10:20]
-        mat = np.array([[K.bessel_kernel(2.0, x, y) for y in xs] for x in xs])
-        assert K.correlation_det(K.KernelId.BESSEL, xs[:, None], alpha=2.0) == float(np.linalg.det(mat))
-
     def test_grid_domain_errors(self):
         with pytest.raises(ValueError):
             K.kernel_grid(K.KernelId.AIRY2, [0.0, 11.0])
@@ -345,3 +279,7 @@ class TestKernelGrid:
             K.kernel_grid(K.KernelId.BESSEL, [1.0, np.nan], alpha=1.0)
         with pytest.raises(ValueError):
             K.kernel_grid(K.KernelId.BESSEL, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.GINIBRE, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            K.kernel_grid(K.KernelId.GINIBRE, [1.0, 2.0], alpha=1.0)

@@ -17,16 +17,16 @@ class TestFiniteDriftFrozenExamples:
     def test_hard_edge_two_particles(self):
         # -1/16 + 1/2 + 1/(1-2) = -0.5625
         spec = _spec(Family.BESSEL, 2, alpha=1.0)
-        assert M.drift_finite(spec, 0, np.array([1.0, 2.0]))[0] == pytest.approx(-0.5625, abs=1e-15)
+        assert M.drift_finite_all(spec, np.array([1.0, 2.0]))[0, 0] == pytest.approx(-0.5625, abs=1e-15)
 
     def test_planar_two_particles(self):
         spec = _spec(Family.GINIBRE, 2)
-        b = M.drift_finite(spec, 0, np.array([[0.0, 0.0], [1.0, 0.0]]))
+        b = M.drift_finite_all(spec, np.array([[0.0, 0.0], [1.0, 0.0]]))[0]
         assert np.allclose(b, [-1.0, 0.0], atol=1e-15)
 
     def test_soft_edge_single_particle(self):
         spec = _spec(Family.AIRY, 1)
-        assert M.drift_finite(spec, 0, np.array([0.0]))[0] == pytest.approx(-1.0, abs=1e-15)
+        assert M.drift_finite_all(spec, np.array([0.0]))[0, 0] == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestFiniteDriftAgainstLoopOracles:
@@ -111,10 +111,13 @@ class TestLogDerivativeDecomposition:
             if arr.ndim == 1:
                 arr = arr[:, None]
             direct = M.drift_finite_all(spec, arr)
+            # a = sigma^2 is 4x for the squared process and 1 otherwise
+            squared = spec.family is Family.SQUARE_BESSEL
             for i in range(arr.shape[0]):
                 env = np.delete(arr, i, axis=0)
                 dec = M.log_derivative(spec, arr[i], env, s=1.3)
-                rec = M.reconstruct_drift(spec, arr[i], dec)
+                a, grad_a = (4.0 * arr[i], 4.0) if squared else (1.0, 0.0)
+                rec = 0.5 * (grad_a + a * (dec.free + dec.near + dec.far))
                 scale = max(1.0, float(np.max(np.abs(direct[i]))))
                 assert np.max(np.abs(rec - direct[i])) / scale <= 1e-12
 
@@ -123,7 +126,8 @@ class TestLogDerivativeDecomposition:
         rng = np.random.default_rng(13)
         arr = np.sort(rng.uniform(0.5, 8, 5))[:, None]
         env = np.delete(arr, 2, axis=0)
-        totals = [M.log_derivative(spec, arr[2], env, s=s).total()[0] for s in (0.5, 1.0, 2.0, 7.0)]
+        decs = [M.log_derivative(spec, arr[2], env, s=s) for s in (0.5, 1.0, 2.0, 7.0)]
+        totals = [(d.free + d.near + d.far)[0] for d in decs]
         assert max(totals) - min(totals) <= 1e-12
 
     def test_split_weights_are_complementary(self):
@@ -131,8 +135,8 @@ class TestLogDerivativeDecomposition:
         env = np.array([[1.2, 0.0], [0.0, 2.4]])
         x = np.array([0.1, 0.1])
         dec = M.log_derivative(spec, x, env, s=1.0)
-        # recompute near+far directly from the pair kernel
-        total_pairs = sum(M.pair_interaction(spec, x, y) for y in env)
+        # recompute near+far directly from the pair kernel g(x, y) = 2 (x - y) / |x - y|^2
+        total_pairs = sum(2.0 * (x - y) / np.sum((x - y) ** 2) for y in env)
         assert np.allclose(dec.near + dec.far, total_pairs, atol=1e-14)
 
     def test_far_vanishes_for_large_cutoff(self):
@@ -148,20 +152,26 @@ class TestLogDerivativeDecomposition:
         assert np.allclose(dec.near, 0.0)
 
 
+def _pair_term(spec, x, y):
+    """g(x, y): the pair part of the log derivative at x with the one-point environment y."""
+    dec = M.log_derivative(spec, x, y[None, :], s=1.0)
+    return dec.near + dec.far
+
+
 class TestPairKernelProperties:
     def test_antisymmetry(self):
         for spec, pts in _random_states(14):
             if spec.family is Family.SQRT_SQUARE_BESSEL:
                 continue
             arr = np.asarray(pts, float).reshape(len(pts), -1)
-            g_xy = M.pair_interaction(spec, arr[0], arr[1])
-            g_yx = M.pair_interaction(spec, arr[1], arr[0])
+            g_xy = _pair_term(spec, arr[0], arr[1])
+            g_yx = _pair_term(spec, arr[1], arr[0])
             assert np.allclose(g_xy, -g_yx, atol=1e-12)
 
     def test_coincident_pair_raises(self):
         spec = _spec(Family.AIRY, 2)
         with pytest.raises(SingularConfigurationError):
-            M.pair_interaction(spec, np.array([1.0]), np.array([1.0]))
+            _pair_term(spec, np.array([1.0]), np.array([1.0]))
 
 
 class TestCutoff:
@@ -245,7 +255,7 @@ class TestTruncatedDrift:
         pts = np.array([-3.0, -1.0, 0.5, 2.0])
         tp = M.TruncationParams(radius=10.0)
         for i in range(4):
-            a = M.drift_limit_truncated(spec, i, pts, tp)
+            a = M.drift_limit_truncated_all(spec, pts, tp)[i]
             b = M.truncated_drift_at(spec, np.array([pts[i]]), np.delete(pts, i)[:, None], tp)
             assert np.allclose(a, b)
 
@@ -257,8 +267,8 @@ class TestTruncatedDrift:
         tp = M.TruncationParams(radius=50.0)
         i = 1
         n13 = 4.0 ** (1.0 / 3.0)
-        s_fin = M.drift_finite(spec, i, pts)[0] + (n13 + pts[i] / (2 * n13))
-        s_tru = M.drift_limit_truncated(spec, i, pts, tp)[0] + 2.0 * math.sqrt(50.0)
+        s_fin = M.drift_finite_all(spec, pts)[i, 0] + (n13 + pts[i] / (2 * n13))
+        s_tru = M.drift_limit_truncated_all(spec, pts, tp)[i, 0] + 2.0 * math.sqrt(50.0)
         assert s_fin == pytest.approx(s_tru, rel=1e-13)
 
     def test_hard_edge_truncated(self):
@@ -283,6 +293,10 @@ class TestTruncatedDrift:
             M.TruncationParams(radius=0.0)
         with pytest.raises(ValueError):
             M.TruncationParams(radius=float("nan"))
+        with pytest.raises(ValueError):
+            M.TruncationParams(radius=-1.0)
+        with pytest.raises(ValueError):
+            M.TruncationParams(radius=math.inf)
         with pytest.raises(ValueError):
             M.TruncationParams(radius=1.0, variant="sideways")
 
@@ -423,15 +437,20 @@ class TestDiffusion:
         spec = _spec(Family.SQUARE_BESSEL, 2, alpha=1.0)
         x = np.array([4.0, 9.0])
         assert np.allclose(M.diffusion_sigma(spec, x), [4.0, 6.0])
-        assert np.allclose(M.diffusion_coefficient_a(spec, x), [16.0, 36.0])
-        assert np.allclose(M.diffusion_grad_a(spec, x), [4.0, 4.0])
+        # a = sigma^2 = 4x, so grad a = 4: the drift is (1/2)(4 + 4x d)
+        assert np.allclose(M.diffusion_sigma(spec, x) ** 2, [16.0, 36.0])
+        d = M.log_derivative(spec, x[:1], x[1:], s=1.0)
+        b = M.drift_finite_all(spec, x)[0]
+        assert b == pytest.approx(0.5 * (4.0 + 16.0 * (d.free + d.near + d.far)), rel=1e-14)
 
     def test_identity_coefficients(self):
         spec = _spec(Family.AIRY, 2)
         x = np.array([4.0, 9.0])
         assert np.allclose(M.diffusion_sigma(spec, x), 1.0)
-        assert np.allclose(M.diffusion_coefficient_a(spec, x), 1.0)
-        assert np.allclose(M.diffusion_grad_a(spec, x), 0.0)
+        # a = 1, so grad a = 0: the drift is d / 2
+        d = M.log_derivative(spec, x[:1], x[1:], s=1.0)
+        b = M.drift_finite_all(spec, x)[0]
+        assert b == pytest.approx(0.5 * (d.free + d.near + d.far), rel=1e-14)
 
 
 class TestChangeOfVariables:

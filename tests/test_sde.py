@@ -94,11 +94,18 @@ class TestIntegratorConfig:
             {"dt": 1e-3, "t_final": 1.0, "drift_cap_delta": 0.0},
             {"dt": 1e-3, "t_final": 1.0, "noise_scale": -1.0},
             {"dt": 1e-3, "t_final": 1.0, "truncation": 3.0},
+            {"dt": np.inf, "t_final": 1.0},
+            {"dt": 1e-3, "t_final": 1.0, "dt_record": np.inf},
+            {"dt": 1e-3, "t_final": 1.0, "dt_record": np.nan},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+    def test_infinite_drift_cap_is_accepted(self):
+        # an infinite cap is meaningful: only the gap rule then splits a step
+        assert IntegratorConfig(dt=1e-3, t_final=1.0, drift_cap_delta=np.inf).drift_cap_delta == np.inf
 
 
 class TestStep:
@@ -124,6 +131,13 @@ class TestStep:
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
         with pytest.raises(TypeError):
             step(spec, np.array([[0.0, 0.0]]), 1e-3, 7, cfg)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        spec = ModelSpec(Family.AIRY, 2, beta=2.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        with pytest.raises(ValueError, match="dt must be finite and > 0"):
+            step(spec, _ascending([0.0, 1.0]), dt, RngStream(1), cfg)
 
     def test_tamed_scheme_bounds_singular_drift(self):
         # gap 1e-6 gives |b| ~ 1e6; the tamed move stays below dt * |b| / (dt |b|) = 1

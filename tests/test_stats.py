@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ibrownian.core import Configuration, Family, ModelSpec, RngStream
-from ibrownian.kernels import ginibre_correlation
 from ibrownian.sampling import sample_airy_ensemble, sample_ginibre_ensemble
 from ibrownian.sde import IntegratorConfig, simulate
 from ibrownian.stats import (
@@ -23,7 +22,6 @@ from ibrownian.stats import (
     freedman_diaconis_edges,
     holder_moment,
     log_log_slope,
-    palm_intensity,
 )
 
 from oracles import gauss_tail_oracle
@@ -134,7 +132,8 @@ class TestEstimateRhoPlanar:
         edges = np.arange(0.0, 3.0 + 1e-9, 0.25)
         est = estimate_rho(list(arr), 2, edges, window=4.0)
         mids = 0.5 * (edges[1:] + edges[:-1])
-        ref = np.array([ginibre_correlation(np.array([[0.0, 0.0], [u, 0.0]])) for u in mids])
+        # planar pair density at separation u: (1 - exp(-u^2)) / pi^2
+        ref = (1.0 - np.exp(-mids**2)) / math.pi**2
         ok = est.counts >= 100
         assert ok.sum() >= 8
         assert np.all(np.abs(est.density[ok] / ref[ok] - 1.0) <= 0.2)
@@ -163,41 +162,6 @@ class TestAiryPairRepulsion:
         assert g[0] < g[2] < g[4]
         assert g[4] > 0.25
         assert prof[2] >= 2.0 * prof[0]
-
-
-class TestPalmIntensity:
-    def _pair(self, counts, bins, n_samples):
-        w = np.diff(bins)
-        vol = w[:, None] * w[None, :]
-        return CorrelationEstimate(
-            bins=bins, counts=counts, density=counts / (n_samples * vol),
-            n_samples=n_samples, stderr=np.sqrt(counts) / (n_samples * vol), order=2,
-        )
-
-    def _point(self, counts, bins, n_samples):
-        w = np.diff(bins)
-        return CorrelationEstimate(
-            bins=bins, counts=counts, density=counts / (n_samples * w),
-            n_samples=n_samples, stderr=np.sqrt(counts) / (n_samples * w), order=1,
-        )
-
-    def test_ratio_and_floor(self):
-        bins = np.array([0.0, 1.0, 2.0])
-        pair = self._pair(np.array([[0.0, 30.0], [30.0, 0.0]]), bins, 10)
-        point = self._point(np.array([20.0, 5.0]), bins, 10)
-        palm = palm_intensity(pair, point)
-        assert np.allclose(palm[0], pair.density[0] / point.density[0])
-        assert np.all(np.isnan(palm[1]))
-
-    def test_validation(self):
-        bins = np.array([0.0, 1.0, 2.0])
-        pair = self._pair(np.zeros((2, 2)), bins, 3)
-        point = self._point(np.zeros(2), bins, 3)
-        with pytest.raises(ValueError):
-            palm_intensity(point, point)
-        other = self._point(np.zeros(2), np.array([0.0, 0.5, 1.0]), 3)
-        with pytest.raises(ValueError):
-            palm_intensity(pair, other)
 
 
 AIRY2 = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=5)
