@@ -46,7 +46,7 @@ from .core import (
     save_configurations,
 )
 from . import kernels
-from .models import TruncationParams, TruncationVariant, log_derivative
+from .models import TruncationParams, TruncationVariant, _check_domain, cutoff_chi, log_derivative
 from . import sampling
 from . import stats
 from .acceptance import CHECKS
@@ -453,10 +453,18 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     x = np.asarray(_floats("diagnostics.x", cfg.x))
     if x.size != spec.dimension:
         raise ConfigError("diagnostics.x", f"expected {spec.dimension} coordinates, got {x.size}")
+    try:
+        _check_domain(spec, x[None, :])
+    except DomainError as exc:
+        raise ConfigError("diagnostics.x", str(exc)) from None
+    with _keyed("diagnostics.s"):
+        cutoff_chi(0.0, cfg.s)
     r_list = _floats("diagnostics.r_list", cfg.r_list)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     try:
         scan = stats.drift_truncation_scan(configs, spec, x, r_list)
+    except (SingularConfigurationError, DomainError):
+        raise
     except ValueError as exc:
         key = "sampler.n_samples" if "environment samples" in str(exc) else "diagnostics.r_list"
         raise ConfigError(key, str(exc)) from None

@@ -16,12 +16,15 @@ step failed there (singular drift, depth budget exhausted) leaves the
 batch with its reason before the move, so one in-place move of the whole
 live stack serves every path that remains: each takes its leaf's move and
 goes on to the next node depth first, and each drift evaluation serves
-exactly one leaf.  A path whose boundary rejection budget ran out leaves
-after the move, as does a finished one; the others go on.  A path reads
-its noise from its own buffer of draws, refilled from its generator in
-one call.  Per path, the split tests, the drifts and the noise used are
-those of a depth-first walk of that path alone, so the batch changes no
-output bit.
+exactly one leaf.  A finished path leaves after the move; the others go
+on.  A path reads its noise from its own buffer of draws, refilled from
+its generator in one call.  Per path, the split tests, the drifts and the
+noise used are those of a depth-first walk of that path alone, so the
+batch changes no output bit.
+
+The SDEs have no boundary rule of their own: on the [0, inf) families a
+move that overshoots 0 is reflected (made absolute), the integrator's one
+guard against Euler overshoot at the hard edge.
 
 Recording is decoupled from integration: states land on the grid
 t_k = k * dt_record.  Every (path, recording interval) pair draws from
@@ -65,24 +68,16 @@ from .models import (
 
 __all__ = [
     "Scheme",
-    "BoundaryPolicy",
     "IntegratorConfig",
     "PathEnsemble",
     "step",
     "simulate",
 ]
 
-_REJECT_RETRIES = 100
-
 
 class Scheme(str, enum.Enum):
     EULER_MARUYAMA = "euler_maruyama"
     TAMED_EULER = "tamed_euler"
-
-
-class BoundaryPolicy(str, enum.Enum):
-    REFLECT = "reflect"
-    REJECT_STEP = "reject_step"
 
 
 @dataclass(frozen=True)
@@ -93,6 +88,7 @@ class IntegratorConfig:
     it, as ``t_final`` must be of ``dt_record``.  ``truncation`` switches
     the drift to the radius-r truncated limit field.  ``noise_scale`` is
     a test hook (0 silences the noise); production runs leave it at 1.
+    Moves on the [0, inf) families are reflected at 0, the one boundary rule.
     """
 
     dt: float
@@ -100,13 +96,11 @@ class IntegratorConfig:
     dt_record: float | None = None
     max_substep_depth: int = 20
     drift_cap_delta: float = 0.5
-    boundary_policy: BoundaryPolicy = BoundaryPolicy.REFLECT
     scheme: Scheme = Scheme.EULER_MARUYAMA
     truncation: TruncationParams | None = None
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "boundary_policy", BoundaryPolicy(self.boundary_policy))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be finite and > 0")
@@ -279,35 +273,22 @@ def _splits(rule, h, noise_root_h):
     return split | np.any(noise_root_h[:, None] * pair_sig > noise_limit, axis=1)
 
 
-def _move(spec, x, b, h, noise_root_h, draw, state_noise, boundary):
-    """Euler-Maruyama move of every row of the (L, n, d) stack x, in place
-    (b is overwritten).
+def _move(spec, x, b, h, noise_root_h, draw, state_noise):
+    """Euler-Maruyama move (x + b h) + noise of every row of the (L, n, d)
+    stack x, in place (b is overwritten), reflected at 0 on the [0, inf)
+    families.
 
-    ``draw(rows)`` returns the next standard normal (n, d) draw of each
-    row that ``rows`` indexes.  ``boundary`` is the policy of a
-    nonnegative domain, None elsewhere.  Returns the rows whose boundary
-    rejection budget ran out; their state is left undefined.
+    ``draw()`` returns the next standard normal (n, d) draw of every row.
     """
-    sig = diffusion_sigma(spec, x) if state_noise else None
+    noise = draw()
+    if state_noise:
+        noise *= diffusion_sigma(spec, x)
+    noise *= noise_root_h[:, None, None]
     b *= h[:, None, None]
-    drifted = x + b
-    scale = noise_root_h[:, None, None]
-    rows = np.s_[:]
-    for _ in range(_REJECT_RETRIES):
-        xi = draw(rows)
-        if sig is not None:
-            xi *= sig[rows]
-        xi *= scale[rows]
-        x[rows] = drifted[rows] + xi
-        if boundary is not BoundaryPolicy.REJECT_STEP:
-            break
-        # a rejected move is drawn again, from the same path's next noise
-        rows = np.arange(len(x))[rows][np.min(x[rows], axis=(1, 2)) <= 0.0]
-        if not rows.size:
-            break
-    if boundary is BoundaryPolicy.REFLECT:
+    x += b
+    x += noise
+    if spec.nonnegative_domain:
         np.abs(x, out=x)
-    return rows if boundary is BoundaryPolicy.REJECT_STEP else ()
 
 
 def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=False, noise_depth=None):
@@ -320,11 +301,11 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     the split rule holds.  Paths whose step failed there (singular drift,
     depth budget exhausted) leave the batch before the move; every other
     live path then takes its leaf's move in one in-place move of the
-    whole stack.  Paths whose boundary rejection budget ran out leave
-    after it, as do finished ones.  With ``lowest_failure_only``, only
-    the lowest-indexed failure is wanted: once a path fails, the live
-    paths above it leave the batch unfinished, with no reason and no
-    recorded states.
+    whole stack, reflected at 0 on the [0, inf) families; the finished
+    paths leave after it.  With ``lowest_failure_only``, only the
+    lowest-indexed failure is wanted: once a path fails, the live paths
+    above it leave the batch unfinished, with no reason and no recorded
+    states.
 
     A path reads its noise from a buffer of ``noise_depth`` draws (by
     default ``_NOISE_DEPTH``, fewer for a large batch), refilled from its
@@ -345,11 +326,10 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     unit = h0 / _BASE_TICKS
     interval_ticks = m * _BASE_TICKS
     finest_split = _BASE_TICKS >> cfg.max_substep_depth  # nodes this narrow may not split
-    # per-run constants of the scheme, the noise and the boundary
+    # per-run constants of the scheme and the noise
     tamed = cfg.scheme is Scheme.TAMED_EULER
     state_noise = diffusion_kind(spec) is not DiffusionKind.IDENTITY
     noise_rule = state_noise if cfg.noise_scale > 0.0 and starts.shape[1] >= 2 else None
-    boundary = cfg.boundary_policy if spec.nonnegative_domain else None
     # state of the live paths, compacted whenever one leaves the batch
     ids = np.arange(n_paths if n_rec else 0)
     x = starts[ids]
@@ -364,20 +344,19 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     buf = np.empty((n_paths, depth) + starts.shape[1:])
     used = np.full(n_paths, depth)  # draws read from each buffer
 
-    def draw(rows):
-        pids = ids[rows]
-        k = used[pids]
-        empty = pids[k == depth]
+    def draw():
+        k = used[ids]
+        empty = ids[k == depth]
         if empty.size:
             for p in empty:
                 gens[p].standard_normal(out=buf[p])
             used[empty] = 0
-            k = used[pids]
-        used[pids] = k + 1
-        return buf[pids, k]
+            k = used[ids]
+        used[ids] = k + 1
+        return buf[ids, k]
 
     def leave(gone, *rows):
-        """Drop the rows ``gone`` from the live state and from ``rows``."""
+        """Drop the failed or finished rows ``gone`` from the live state and from ``rows``."""
         nonlocal ids, x, span, tick, finest, interval
         keep = np.ones(len(ids), dtype=bool)
         keep[gone] = False
@@ -423,18 +402,14 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
                 break
 
         # every live row takes its leaf and moves on to the next node
-        stuck = _move(spec, x, b, h, noise_root_h, draw, state_noise, boundary)
+        _move(spec, x, b, h, noise_root_h, draw, state_noise)
         moves += 1
         tick += span
         np.minimum(tick & -tick, _BASE_TICKS, out=span)
-        gone = list(stuck)
-        for i in gone:
-            reasons[ids[i]] = f"boundary rejection budget ({_REJECT_RETRIES}) exhausted"
         if np.maximum.reduce(tick) == interval_ticks:
+            gone = []
             for i in np.flatnonzero(tick == interval_ticks):
                 p = ids[i]
-                if reasons[p] is not None:
-                    continue
                 tick[i] = 0
                 interval[i] += 1
                 rec[p, interval[i]] = x[i]
@@ -445,8 +420,8 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
                     substeps[p] = moves
                     max_depth[p] = _TREE_DEPTH + 1 - int(finest[i]).bit_length()
                     gone.append(i)
-        if gone:
-            leave(gone)
+            if gone:
+                leave(gone)
     return rec, substeps, max_depth, reasons
 
 

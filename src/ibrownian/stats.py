@@ -91,13 +91,17 @@ class TruncationScan:
     variant_gap_stderr: np.ndarray | None = None
 
 
-def freedman_diaconis_edges(values: np.ndarray, floor: float = 0.05) -> np.ndarray:
-    """Histogram edges with the Freedman-Diaconis width, floored below."""
+# floor of the Freedman-Diaconis bin width
+_MIN_BIN_WIDTH = 0.05
+
+
+def freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
+    """Histogram edges with the Freedman-Diaconis width, at least _MIN_BIN_WIDTH."""
     v = np.sort(np.asarray(values, dtype=float).ravel())
     if v.size < 2:
         raise ValueError("need at least two values to bin")
     q75, q25 = np.quantile(v, 0.75), np.quantile(v, 0.25)
-    width = max(2.0 * (q75 - q25) / v.size ** (1.0 / 3.0), floor)
+    width = max(2.0 * (q75 - q25) / v.size ** (1.0 / 3.0), _MIN_BIN_WIDTH)
     lo, hi = v[0], v[-1]
     n_bins = max(1, int(math.ceil((hi - lo) / width)))
     return lo + width * np.arange(n_bins + 1)

@@ -33,7 +33,7 @@ from ibrownian.models import (
     drift_finite_all,
     drift_limit_truncated_all,
 )
-from ibrownian.sde import BoundaryPolicy, PathEnsemble, Scheme
+from ibrownian.sde import PathEnsemble, Scheme
 
 # Ai(0) and Ai'(0); standard constants, shared with any correct evaluator.
 AIRY_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -324,8 +324,6 @@ def normal_cdf(x, mean=0.0, sd=1.0):
 # that runs library code (drifts, errors, PathEnsemble); what it checks
 # is the integrator's traversal, draw order and failure handling.
 
-_REJECT_RETRIES = 100
-
 
 class _StepStats:
     __slots__ = ("substeps", "max_depth")
@@ -362,18 +360,14 @@ def _leaf_move(spec, pts, b, h, g, cfg, stats, depth):
     if diffusion_kind(spec) is not DiffusionKind.IDENTITY:
         sig = diffusion_sigma(spec, pts)
     root_h = math.sqrt(h)
-    for _ in range(_REJECT_RETRIES):
-        xi = g.standard_normal(pts.shape)
-        noise = xi if sig is None else sig * xi
-        new = pts + b * h + cfg.noise_scale * root_h * noise
-        if spec.nonnegative_domain and np.min(new) <= 0.0:
-            if cfg.boundary_policy is BoundaryPolicy.REJECT_STEP:
-                continue
-            new = np.abs(new)
-        stats.substeps += 1
-        stats.max_depth = max(stats.max_depth, depth)
-        return new
-    raise StepFailureError(f"boundary rejection budget ({_REJECT_RETRIES}) exhausted")
+    xi = g.standard_normal(pts.shape)
+    noise = xi if sig is None else sig * xi
+    new = pts + b * h + cfg.noise_scale * root_h * noise
+    if spec.nonnegative_domain and np.min(new) <= 0.0:
+        new = np.abs(new)
+    stats.substeps += 1
+    stats.max_depth = max(stats.max_depth, depth)
+    return new
 
 
 def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:

@@ -128,6 +128,28 @@ class TestConfigResolution:
         }
         assert cli.load_config(str(tmp_path / "config.ini"), {}) == cfg
 
+    def test_every_integrator_field_is_set_by_a_key(self):
+        # an IntegratorConfig field that no [integrator] key reaches is an
+        # option only tests can use; noise_scale is the one test hook
+        changed = {
+            "dt": 2e-3,
+            "t_final": 0.2,
+            "dt_record": 4e-3,
+            "max_substep_depth": 10,
+            "drift_cap_delta": 0.25,
+            "scheme": "tamed_euler",
+            "truncation_radius": 3.0,
+            "truncation_variant": "origin",
+        }
+        defaults = cli._SECTIONS["integrator"]
+        assert changed.keys() == defaults.keys()
+        assert all(value != defaults[key] for key, value in changed.items())
+        spec = cli._model_spec(cli.RunConfig(family="ginibre"))
+        base = cli._integrator_config(cli.RunConfig(), spec)
+        icfg = cli._integrator_config(dataclasses.replace(cli.RunConfig(), **changed), spec)
+        unchanged = [f.name for f in dataclasses.fields(icfg) if getattr(icfg, f.name) == getattr(base, f.name)]
+        assert unchanged == ["noise_scale"]
+
     def test_removed_q_key_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             cli._build_parser().parse_args(["kernel", "--q", "1"])
@@ -153,10 +175,14 @@ class TestBadInput:
             (["simulate", "--truncation-radius", "nan"], "integrator.truncation_radius"),
             (["simulate", "--truncation-radius", "-1"], "integrator.truncation_radius"),
             (["simulate", "--truncation-radius", "inf"], "integrator.truncation_radius"),
+            (["drift-diag", "--model", "bessel", "--n", "5", "--x", "-1"], "diagnostics.x"),
+            (["drift-diag", "--model", "airy", "--n", "5", "--s", "0"], "diagnostics.s"),
+            (["drift-diag", "--model", "airy", "--n", "5", "--s", "nan"], "diagnostics.s"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
+            "x-outside-domain", "s-zero", "s-nan",
         ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
@@ -172,6 +198,25 @@ class TestBadInput:
         argv = ["simulate", "--model", "bessel", "--n", "10", "--paths", "200", "--dt", "1e-3", "--t-final", "0.0025"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: integrator.t_final:")
+
+    def test_x_outside_domain_fails_before_any_sample_is_drawn(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
+        argv = ["drift-diag", "--model", "bessel", "--n", "5", "--n-samples", "100", "--r-list", "5,10"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: diagnostics.x:")
+
+    @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
+    def test_drift_scan_numerical_failure_exits_3(self, numerical, tmp_path, capsys, monkeypatch):
+        def failing(*args):
+            raise numerical("collision")
+
+        monkeypatch.setattr(cli.stats, "drift_truncation_scan", failing)
+        argv = ["drift-diag", "--model", "airy", "--n", "5", "--n-samples", "100", "--out", str(tmp_path)]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: collision")
 
     @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
     def test_numerical_failures_keep_their_type(self, numerical):

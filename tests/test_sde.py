@@ -19,7 +19,6 @@ from ibrownian.core import (
 from ibrownian.models import TruncationParams, drift_finite_all
 from ibrownian.sampling import sample_airy_ensemble
 from ibrownian.sde import (
-    BoundaryPolicy,
     IntegratorConfig,
     Scheme,
     _drift,
@@ -71,9 +70,8 @@ class _CountingStream(RngStream):
 
 class TestIntegratorConfig:
     def test_defaults_and_coercion(self):
-        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, scheme="tamed_euler", boundary_policy="reject_step")
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, scheme="tamed_euler")
         assert cfg.scheme is Scheme.TAMED_EULER
-        assert cfg.boundary_policy is BoundaryPolicy.REJECT_STEP
         assert cfg.record_step == 1e-3
         assert cfg.substeps_per_record == 1
 
@@ -250,10 +248,11 @@ class TestOrderingAndBoundary:
         ens = simulate(spec, [LabeledState([[0.0, 0.0]], LabelScheme.ASCENDING_MODULUS)], cfg, RngStream(7))
         assert ens.ordering_violations is None
 
-    @pytest.mark.parametrize("policy", [BoundaryPolicy.REFLECT, BoundaryPolicy.REJECT_STEP])
-    def test_hard_edge_positivity(self, policy):
+    # the id names the boundary rule under test, reflection at 0
+    @pytest.mark.parametrize("noise_scale", [3.0], ids=["reflect"])
+    def test_hard_edge_positivity(self, noise_scale):
         spec = ModelSpec(Family.BESSEL, 1, alpha=1.0)
-        cfg = IntegratorConfig(dt=1e-2, t_final=0.5, dt_record=1e-2, noise_scale=3.0, boundary_policy=policy)
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.5, dt_record=1e-2, noise_scale=noise_scale)
         init = [LabeledState([[0.05]], LabelScheme.ASCENDING_VALUE)] * 10
         ens = simulate(spec, init, cfg, RngStream(8))
         assert np.min(ens.states) > 0.0
@@ -334,8 +333,8 @@ class TestMatchesRecursiveReference:
         if scheme is Scheme.EULER_MARUYAMA:
             assert got.max_depth_used >= 5
 
-    @pytest.mark.parametrize("noise_scale", [1.5, 3.0])
-    @pytest.mark.parametrize("policy", [BoundaryPolicy.REFLECT, BoundaryPolicy.REJECT_STEP])
+    # the ids name the boundary rule under test, reflection at 0
+    @pytest.mark.parametrize("noise_scale", [1.5, 3.0], ids=lambda s: f"reflect-{s}")
     @pytest.mark.parametrize(
         "spec,start",
         [
@@ -345,31 +344,25 @@ class TestMatchesRecursiveReference:
         ],
         ids=["bessel", "square_bessel", "sqrt_square_bessel"],
     )
-    def test_boundary_policies(self, noise_scale, policy, spec, start):
-        # strong noise near the hard edge makes moves cross it; at 3.0 most
-        # paths also end in a collision at the edge and are flagged
+    def test_boundary_policies(self, noise_scale, spec, start):
+        # strong noise near the hard edge makes moves cross it, and they are
+        # reflected at 0; at 3.0 most paths also end in a collision at the
+        # edge and are flagged
         init = [_ascending(start)] * 6
-        cfg = IntegratorConfig(
-            dt=1e-2, t_final=0.1, dt_record=2e-2, noise_scale=noise_scale, boundary_policy=policy, max_substep_depth=30
-        )
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.1, dt_record=2e-2, noise_scale=noise_scale, max_substep_depth=30)
         _matches_reference(spec, init, cfg, 32)
 
     @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
-    def test_boundary_rejection_budget(self, noise_scale):
+    def test_tamed_close_pair_reflects(self, noise_scale):
         # the tamed drift of the close pair throws its lower particle below
-        # zero whatever the noise, so every redraw is rejected
+        # zero whatever the noise, and reflection brings it back
         spec = ModelSpec(Family.BESSEL, 2, alpha=1.0)
         init = [_ascending(start) for start in ([1.0, 2.0], [1e-3, 1.1e-3], [0.5, 3.0])]
         cfg = IntegratorConfig(
-            dt=1e-2,
-            t_final=0.04,
-            dt_record=2e-2,
-            noise_scale=noise_scale,
-            scheme=Scheme.TAMED_EULER,
-            boundary_policy=BoundaryPolicy.REJECT_STEP,
+            dt=1e-2, t_final=0.04, dt_record=2e-2, noise_scale=noise_scale, scheme=Scheme.TAMED_EULER
         )
         got = _matches_reference(spec, init, cfg, 47)
-        assert got.failed_paths == ((1, "path 1: boundary rejection budget (100) exhausted"),)
+        assert np.min(got.states) > 0.0
 
     @pytest.mark.parametrize(
         "name,trunc",
@@ -443,8 +436,8 @@ class TestMatchesRecursiveReference:
 
 class TestNoiseBufferRefills:
     """Reference cases again with noise buffers of 1 and 3 draws, so that
-    refills fall inside descents, at interval starts and between the
-    retries of a rejected boundary move."""
+    refills fall inside descents, at interval starts and before a move
+    reflected at 0."""
 
     @pytest.fixture(autouse=True, params=[1, 3], ids=["depth1", "depth3"])
     def noise_depth(self, request, monkeypatch):
@@ -452,7 +445,7 @@ class TestNoiseBufferRefills:
 
     test_dyson_round = TestMatchesRecursiveReference.test_dyson_round
     test_boundary_policies = TestMatchesRecursiveReference.test_boundary_policies
-    test_boundary_rejection_budget = TestMatchesRecursiveReference.test_boundary_rejection_budget
+    test_tamed_close_pair_reflects = TestMatchesRecursiveReference.test_tamed_close_pair_reflects
     test_restart_from_recorded_state = TestMatchesRecursiveReference.test_restart_from_recorded_state
 
 
