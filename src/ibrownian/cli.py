@@ -453,6 +453,8 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     x = np.asarray(_floats("diagnostics.x", cfg.x))
     if x.size != spec.dimension:
         raise ConfigError("diagnostics.x", f"expected {spec.dimension} coordinates, got {x.size}")
+    if not np.isfinite(x).all():
+        raise ConfigError("diagnostics.x", f"coordinates must be finite, got {cfg.x!r}")
     try:
         _check_domain(spec, x[None, :])
     except DomainError as exc:
@@ -460,14 +462,13 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     with _keyed("diagnostics.s"):
         cutoff_chi(0.0, cfg.s)
     r_list = _floats("diagnostics.r_list", cfg.r_list)
+    with _keyed("diagnostics.r_list"):
+        for r in r_list:
+            TruncationParams(radius=r)
+    if cfg.n_samples < stats._MIN_SCAN_SAMPLES:
+        raise ConfigError("sampler.n_samples", f"the scan needs at least {stats._MIN_SCAN_SAMPLES} environment samples")
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
-    try:
-        scan = stats.drift_truncation_scan(configs, spec, x, r_list)
-    except (SingularConfigurationError, DomainError):
-        raise
-    except ValueError as exc:
-        key = "sampler.n_samples" if "environment samples" in str(exc) else "diagnostics.r_list"
-        raise ConfigError(key, str(exc)) from None
+    scan = stats.drift_truncation_scan(configs, spec, x, r_list)
     coords = ["x", "y", "z"][: spec.dimension]
     header = ["r"] + [f"mean_{c}" for c in coords] + [f"stderr_{c}" for c in coords]
     rows = []

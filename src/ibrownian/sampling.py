@@ -233,6 +233,11 @@ _EIG_CUT = 1e-12
 _SKETCH_SLACK = 50
 _SKETCH_SEED = 20110217
 
+# cells per chunk of the two-level pick search (``_pick_cells``); near the
+# square root of the cell count, so the chunk totals and the one chunk
+# searched per pick are both short
+_PICK_CHUNK = 64
+
 
 def _field_kernel(lo: float, hi: float, grid_step: float):
     """Midpoint grid, cell width, and the matrix h*K of the Airy kernel on
@@ -303,14 +308,28 @@ def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) ->
 
     Column t of a sample's Cholesky factor is kept as coefficients a_t in
     the eigenbasis, col_t = vecs @ a_t.  With v = vecs[i] for the picked
-    cell i, a_t = (mask * v - sum_j a_j (v . a_j)) / sqrt(pivot), so step t
-    of every sample in the block is one shared product of the (B, r)
+    cell i, a_t = (mask * v - sum_j a_j (v . a_j)) / sqrt(pivot), where the
+    pivot is the r-length dot of the unscaled a_t with v, so step t of
+    every sample in the block is one shared product of the (B, r)
     coefficients with vecs.T plus O(B r t) work.  Samples run in order of
     decreasing point count, so the samples still picking at step t are a
     prefix of the block.
+
+    A pick inverts the cumulative remaining mass in two levels, so no
+    cumulative sum over all m cells is taken: the cells are padded with
+    zero-mass cells to whole chunks of ``_PICK_CHUNK``, a running sum of
+    the chunk totals finds the chunk in which u times the total mass is
+    first passed, and a cumulative sum inside that one chunk finds the
+    cell.  This is the ``searchsorted`` of ``Generator.choice`` up to the
+    rounding of the sums, which can move a pick only when u lies within
+    rounding of a cell boundary.  A pick that rounding leaves at or past
+    the mass of its row or of its chunk goes to the last cell with mass.
     """
     m, r = vecs.shape
-    vt = np.ascontiguousarray(vecs.T)
+    w = _PICK_CHUNK
+    n_chunks = -(-m // w)
+    vt = np.zeros((r, n_chunks * w))
+    vt[:, :m] = vecs.T
     counts = masks.sum(axis=1)
     order = np.argsort(-counts, kind="stable")
     counts = counts[order]
@@ -326,28 +345,44 @@ def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) ->
     # the lowest sample index whatever the blocking
     with np.errstate(all="ignore"):
         diag = sel @ (vt * vt)
+        # remaining mass per cell, clipped at 0, and the running mass of
+        # the chunks: run[:, c] sums the chunks before chunk c
+        left = np.empty_like(diag)
+        run = np.zeros((len(order), n_chunks + 1))
         for t in range(n_max):
             k = int(np.count_nonzero(counts > t))
-            cdf = np.cumsum(np.maximum(diag[:k], 0.0), axis=1)
-            mass = cdf[:, -1].copy()
-            cdf /= mass[:, None]
+            rows = np.arange(k)
+            p = np.maximum(diag[:k], 0.0, out=left[:k]).reshape(k, n_chunks, w)
+            np.cumsum(p.sum(axis=2), axis=1, out=run[:k, 1:])
+            mass = run[:k, -1]
             bad = ~((mass > 0.0) & (mass < np.inf))
-            if bad.any():
-                for row in np.flatnonzero(bad):
-                    trouble.setdefault(int(row), (t, float(mass[row])))
-                cdf[bad] = 1.0
-            # searchsorted(cdf, u, "right") per row, as Generator.choice does
-            i = np.count_nonzero(cdf <= u[:k, t, None], axis=1)
+            for row in np.flatnonzero(bad):
+                trouble.setdefault(int(row), (t, float(mass[row])))
+            level = u[:k, t] * mass
+            # clamping to the last chunk with mass keeps every index in range
+            c = np.minimum(
+                np.count_nonzero(run[:k, 1:] <= level[:, None], axis=1),
+                np.count_nonzero(run[:k, 1:] < mass[:, None], axis=1),
+            )
+            cum = p[rows, c]
+            cum[:, 0] += run[rows, c]
+            np.cumsum(cum, axis=1, out=cum)
+            j = np.minimum(
+                np.count_nonzero(cum <= level[:, None], axis=1),
+                np.count_nonzero(cum < cum[:, -1:], axis=1),
+            )
+            i = c * w + j
             vi = vecs[i]
             a = sel[:k] * vi
             if t:
                 prev = coef[:k, :t]
                 a -= np.matmul(np.matmul(prev, vi[:, :, None]).transpose(0, 2, 1), prev)[:, 0]
+            pivot = np.einsum("kr,kr->k", a, vi)
+            a /= np.sqrt(np.maximum(pivot, 1e-300))[:, None]
+            coef[:k, t] = a
             col = a @ vt
-            scale = np.sqrt(np.maximum(col[np.arange(k), i], 1e-300))[:, None]
-            col /= scale
-            coef[:k, t] = a / scale
-            diag[:k] -= col * col
+            col *= col
+            diag[:k] -= col
             cells[:k, t] = i
     if trouble:
         row = min(trouble, key=lambda j: order[j])
@@ -377,15 +412,17 @@ def sample_airy_field(
     complements, Hough-Krishnapur-Peres-Virag), and each selected cell gets
     a uniform jitter of one cell width.  The chain rule runs batched:
     samples go in blocks, and one matrix product with the eigenvectors
-    serves every sample of a block at each step.  Per sample the generator
-    gives, in this order, one uniform per kept eigenvalue, one per point
-    for the cell picks and one per point for the jitter -- the stream of a
-    sample-by-sample loop that picks cells with ``Generator.choice``, so
-    the draws do not depend on the blocking.  Returns one ascending array
-    per sample (the point count varies) plus a report.  Raises ValueError
-    if the kernel matrix is not finite, and, naming the sample and the
-    step, if the remaining kernel mass of a pick is not finite and
-    positive.
+    serves every sample of a block at each step; each pick searches the
+    totals of chunks of cells and then one chunk (``_pick_cells``).  Per
+    sample the generator gives, in this order, one uniform per kept
+    eigenvalue, one per point for the cell picks and one per point for
+    the jitter -- the stream of a sample-by-sample loop that picks cells
+    with ``Generator.choice``, whose picks these match up to the rounding
+    of the cumulative sums, so the draws do not depend on the blocking.
+    Returns one ascending array per sample (the point count varies) plus
+    a report.  Raises ValueError if the kernel matrix is not finite, and,
+    naming the sample and the step, if the remaining kernel mass of a
+    pick is not finite and positive.
 
     Unlike the matrix models this realizes the infinite system's own
     equilibrium on the window: the mean density is the kernel diagonal

@@ -94,6 +94,9 @@ class TruncationScan:
 # floor of the Freedman-Diaconis bin width
 _MIN_BIN_WIDTH = 0.05
 
+# fewest environments ``drift_truncation_scan`` averages over
+_MIN_SCAN_SAMPLES = 100
+
 
 def freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
     """Histogram edges with the Freedman-Diaconis width, at least _MIN_BIN_WIDTH."""
@@ -110,8 +113,9 @@ def freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
 def estimate_rho(samples, order: int, bins=None, *, window: float | None = None) -> CorrelationEstimate:
     """Binned correlation estimate of order 1 or 2.
 
-    1d families: order 1 bins positions, order 2 bins ordered pairs on
-    the (x, y) product grid (density is then a matrix).  Planar samples:
+    1d families: order 1 bins positions, order 2 bins ordered pairs of
+    unequal values on the (x, y) product grid (density is then a matrix),
+    counted from each sample's 1d histogram.  Planar samples:
     order 1 bins |x| into annuli, order 2 bins the separations from
     points inside the disk of radius ``window`` (required there) to
     every other point.  ``bins=None`` picks Freedman-Diaconis edges
@@ -141,12 +145,18 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
                 counts += np.histogram(v, bins)[0]
             vol = widths
         else:
-            counts = np.zeros((len(bins) - 1, len(bins) - 1))
-            for v in values:
-                a = np.repeat(v, len(v))
-                b = np.tile(v, len(v))
-                keep = a != b
-                counts += np.histogram2d(a[keep], b[keep], bins=(bins, bins))[0]
+            # ordered pairs of unequal values: the product of each sample's
+            # histogram with itself, less the c^2 pairs of every value that
+            # occurs c times, which sit on the diagonal; all counts are
+            # integers, so the float sums are exact in any order
+            hist = np.empty((n_samples, len(bins) - 1))
+            same = np.zeros(len(bins) - 1)
+            for s, v in enumerate(values):
+                hist[s] = np.histogram(v, bins)[0]
+                uniq, mult = np.unique(v, return_counts=True)
+                same += np.histogram(uniq, bins, weights=mult * mult)[0]
+            counts = hist.T @ hist
+            counts[np.diag_indices_from(counts)] -= same
             vol = widths[:, None] * widths[None, :]
     else:
         radii = [np.sqrt(np.sum(p * p, axis=1)) for p in pts]
@@ -192,8 +202,8 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     |centered - origin| is reported alongside.
     """
     envs = [_points_of(s) for s in env_samples]
-    if len(envs) < 100:
-        raise ValueError("need at least 100 environment samples")
+    if len(envs) < _MIN_SCAN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SCAN_SAMPLES} environment samples")
     r_values = np.asarray(list(r_list), dtype=float)
     if r_values.size == 0 or np.any(r_values <= 0):
         raise ValueError("r_list must contain positive radii")

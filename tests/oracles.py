@@ -9,6 +9,8 @@ at the end import the package: the path integrator runs the package's
 drifts through the recursive per-path traversal the package used before
 its batched loop, and the field sampler runs the package's Airy functions
 through the sample-by-sample chain rule it used before its batched one.
+The pair counter keeps the per-sample 2d histogram of ordered pairs that
+the package's order-2 line estimator used before its histogram products.
 """
 
 from __future__ import annotations
@@ -311,6 +313,19 @@ def one_sample_ks(values: np.ndarray, cdf) -> float:
 def normal_cdf(x, mean=0.0, sd=1.0):
     z = (np.asarray(x, dtype=float) - mean) / sd
     return 0.5 * np.array([math.erfc(-t / math.sqrt(2.0)) for t in np.atleast_1d(z)]).reshape(np.shape(z))
+
+
+def reference_pair_counts(values, bins):
+    """Order-2 counts of ``stats.estimate_rho`` on 1d samples, as its old
+    per-sample loop made them: a 2d histogram of every ordered pair of
+    unequal values, summed over the samples."""
+    counts = np.zeros((len(bins) - 1, len(bins) - 1))
+    for v in values:
+        a = np.repeat(v, len(v))
+        b = np.tile(v, len(v))
+        keep = a != b
+        counts += np.histogram2d(a[keep], b[keep], bins=(bins, bins))[0]
+    return counts
 
 
 # ---------------------------------------------------------------------------

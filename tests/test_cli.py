@@ -178,11 +178,13 @@ class TestBadInput:
             (["drift-diag", "--model", "bessel", "--n", "5", "--x", "-1"], "diagnostics.x"),
             (["drift-diag", "--model", "airy", "--n", "5", "--s", "0"], "diagnostics.s"),
             (["drift-diag", "--model", "airy", "--n", "5", "--s", "nan"], "diagnostics.s"),
+            (["drift-diag", "--model", "airy", "--n", "5", "--x", "nan"], "diagnostics.x"),
+            (["drift-diag", "--model", "bessel", "--n", "5", "--x", "nan"], "diagnostics.x"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
-            "x-outside-domain", "s-zero", "s-nan",
+            "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel",
         ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
@@ -207,6 +209,26 @@ class TestBadInput:
         argv = ["drift-diag", "--model", "bessel", "--n", "5", "--n-samples", "100", "--r-list", "5,10"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: diagnostics.x:")
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["--model", "bessel", "--x", "1", "--r-list", "-1"], "diagnostics.r_list"),
+            (["--model", "airy", "--r-list", "5,nan"], "diagnostics.r_list"),
+            (["--model", "airy", "--r-list", "inf"], "diagnostics.r_list"),
+            (["--model", "bessel", "--x", "1", "--n-samples", "20", "--r-list", "0.5"], "sampler.n_samples"),
+            (["--model", "airy", "--n-samples", "99"], "sampler.n_samples"),
+        ],
+        ids=["r-negative-bessel", "r-nan-airy", "r-inf-airy", "few-samples-bessel", "few-samples-airy"],
+    )
+    def test_drift_diag_scan_settings_fail_before_any_sample_is_drawn(self, argv, key, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
+        assert run_cli(["drift-diag", "--n", "5"] + argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
     @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
     def test_drift_scan_numerical_failure_exits_3(self, numerical, tmp_path, capsys, monkeypatch):

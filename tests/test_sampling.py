@@ -216,8 +216,13 @@ class TestFieldMatchesReference:
             ((-92.0, 6.0), 701, 10, 4),
             ((1.0, 6.0), 45, 2000, None),
             ((3.0, 6.0), 46, 200, None),
+            ((-8.0, -6.0), 48, 400, None),
+            ((-10.0, -4.86), 49, 400, None),
         ],
-        ids=["bulk", "bulk-3-blocks", "short", "short-4-blocks", "check-window", "check-window-3-blocks", "right-edge", "empty"],
+        ids=[
+            "bulk", "bulk-3-blocks", "short", "short-4-blocks", "check-window", "check-window-3-blocks", "right-edge",
+            "empty", "under-one-chunk", "chunks-plus-one-cell",
+        ],
     )
     def test_bitwise_equal_to_reference(self, monkeypatch, window, seed, n_samples, per_block):
         if per_block is not None:
@@ -226,6 +231,12 @@ class TestFieldMatchesReference:
         ref, _ = oracles.reference_airy_field(window, RngStream(seed), n_samples)
         assert rep.n_samples == n_samples and rep.seed == seed
         assert _same_draws(got, ref)
+
+    def test_chunk_edge_windows_keep_their_cell_counts(self):
+        # the last two reference cases pin the pick search's chunk edges: a
+        # grid shorter than one chunk, and one cell past whole chunks
+        assert S._field_kernel(-8.0, -6.0, 0.04)[0].size < S._PICK_CHUNK
+        assert S._field_kernel(-10.0, -4.86, 0.04)[0].size % S._PICK_CHUNK == 1
 
     def test_right_edge_window_is_mostly_empty(self):
         envs, _ = S.sample_airy_field((1.0, 6.0), RngStream(45), 2000)

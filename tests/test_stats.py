@@ -24,7 +24,7 @@ from ibrownian.stats import (
     log_log_slope,
 )
 
-from oracles import gauss_tail_oracle
+from oracles import gauss_tail_oracle, reference_pair_counts
 
 
 class TestErfFn:
@@ -96,6 +96,27 @@ class TestEstimateRhoLine:
         integral = np.sum(est.density * (w[:, None] * w[None, :]))
         counts = np.array([s.points.shape[0] for s in samples], dtype=float)
         assert abs(integral - np.mean(counts * (counts - 1))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [[0.3, 0.3, 0.7, 0.3, 1.2, 0.7], [0.5, 0.5], [1.5, 0.25, 1.5]],
+            [[0.5, 1.0, 2.0, 2.0, 0.0, 1.0], [2.0, 0.5, 0.75]],
+            [[-1.0, 3.0, 0.2, 2.5, 0.2, -1.0, 2.0], [-0.5, 4.0]],
+            [[], [0.4], [0.4, 0.4]],
+            [[]],
+            list(np.random.default_rng(45).uniform(-0.5, 2.5, size=(7, 30)).round(1)),
+        ],
+        ids=["duplicates", "on-edges", "outside-bins", "empty-and-one-point", "only-empty", "rounded-uniform"],
+    )
+    def test_order_two_counts_equal_the_pair_histogram(self, values):
+        bins = np.array([0.0, 0.5, 1.0, 2.0])
+        values = [np.asarray(v, dtype=float) for v in values]
+        est = estimate_rho([Configuration(v) for v in values], 2, bins)
+        want = reference_pair_counts(values, bins)
+        w = np.diff(bins)
+        assert est.counts.tobytes() == want.tobytes()
+        assert est.density.tobytes() == (want / (len(values) * (w[:, None] * w[None, :]))).tobytes()
 
     def test_order_two_no_self_pairs(self):
         est = estimate_rho([Configuration(np.array([0.5]))], 2, np.array([0.0, 1.0]))
