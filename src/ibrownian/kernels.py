@@ -155,7 +155,10 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
     their agreement checks the kernel algebra rather than two independent
     evaluators.  Arguments within |x - y| <= 1e-4 (including the diagonal)
     are routed through the midpoint Taylor expansion, identical for both
-    forms.
+    forms.  Off that window one call evaluates its Bessel values together,
+    on short order/argument arrays (one ``jv`` call for the recurrence
+    form; J_alpha at both points and one J' pair for the derivative form),
+    and stays bitwise equal to ``kernel_grid``.
     """
     if form not in ("recurrence", "derivative"):
         raise ValueError(f"unknown kernel form {form!r}")
@@ -166,13 +169,16 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
         return float(_bessel_taylor(alpha, x, y))
     sx = math.sqrt(x)
     sy = math.sqrt(y)
-    jx = special.jv(alpha, sx)
-    jy = special.jv(alpha, sy)
+    # elementwise ufuncs give each element the bits of a scalar call
     if form == "recurrence":
-        num = sx * special.jv(alpha + 1.0, sx) * jy - jx * sy * special.jv(alpha + 1.0, sy)
+        jx, j1x, jy, j1y = special.jv((alpha, alpha + 1.0, alpha, alpha + 1.0), (sx, sx, sy, sy)).tolist()
+        num = sx * j1x * jy - jx * sy * j1y
     else:
-        num = jx * sy * _jv_prime(alpha, sy) - sx * _jv_prime(alpha, sx) * jy
-    return float(0.5 * num / (x - y))
+        s = np.array((sx, sy))
+        jx, jy = special.jv(alpha, s).tolist()
+        jpx, jpy = _jv_prime(alpha, s).tolist()
+        num = jx * sy * jpy - sx * jpx * jy
+    return 0.5 * num / (x - y)
 
 
 def _closed_or_taylor(num: np.ndarray, xs: np.ndarray, ys: np.ndarray, taylor) -> np.ndarray:

@@ -28,10 +28,12 @@ and ``_drift_of`` holds b; every public function reads them:
 Everything operates on plain float64 arrays; points of shape (n, d).
 ``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
 of states of shape (P, n, d) and return the stacked per-state drifts,
-bitwise equal to P separate calls.  Pairs closer than
-``MIN_PAIR_SEPARATION`` raise ``SingularConfigurationError`` (inside the
-window or not); nonpositive coordinates of the [0, inf) families raise
-``DomainError``; in a stack, one such member makes the whole call raise.
+bitwise equal to P separate calls; both can also hand back the smallest
+pair distance of each state, which the integrator's substep rule reads.
+Pairs closer than ``MIN_PAIR_SEPARATION`` raise
+``SingularConfigurationError`` (inside the window or not); nonpositive
+coordinates of the [0, inf) families raise ``DomainError``; in a stack,
+one such member makes the whole call raise.
 """
 
 from __future__ import annotations
@@ -139,27 +141,30 @@ def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool)
     """Pair term g(x_i, y_j) for the points x (..., m, d) and y (..., k, d).
 
     Returns g, (..., m, k) for the 1d families and (..., m, k, d)
-    otherwise, and the distances |x_i - y_j| (..., m, k).  With
+    otherwise, the distances |x_i - y_j| (..., m, k), and the smallest
+    distance of each state (...,), +inf where there is no pair.  With
     ``self_pairs`` x and y are the same points: the distance is +inf on
     the diagonal, where every g below is then 0.  Raises
     ``SingularConfigurationError`` if any pair is closer than
     ``MIN_PAIR_SEPARATION``, checked per state of a stack so that a NaN
     in one member hides nothing in another.
     """
+    # the pair arrays are made in C order, so that their flat reshape below
+    # is a view whatever the layout of x and y; every (m + 1)-th entry of
+    # it lies on the diagonal
     if spec.dimension == 1:
         x, y = x[..., 0], y[..., 0]
-        diff = x[..., :, None] - y[..., None, :]
+        diff = np.subtract(x[..., :, None], y[..., None, :], order="C")
         if self_pairs:
-            diag = np.arange(x.shape[-1])
-            diff[..., diag, diag] = np.inf
+            diff.reshape(diff.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1] = np.inf
         dist = np.abs(diff)
     else:
         diff = x[..., :, None, :] - y[..., None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
+        dist = np.sqrt(np.sum(diff**2, axis=-1), order="C")
         if self_pairs:
-            diag = np.arange(x.shape[-2])
-            dist[..., diag, diag] = np.inf
-    if dist.size and (dist.min(axis=(-2, -1)) < MIN_PAIR_SEPARATION).any():
+            dist.reshape(dist.shape[:-2] + (-1,))[..., :: x.shape[-2] + 1] = np.inf
+    sep = dist.min(axis=(-2, -1), initial=np.inf)
+    if (sep < MIN_PAIR_SEPARATION).any():
         raise SingularConfigurationError(
             f"pair separation below {MIN_PAIR_SEPARATION:g}; configuration is singular"
         )
@@ -180,7 +185,7 @@ def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool)
         else:  # Riesz
             w = 1.0 / dist ** (spec.riesz_a + 2.0)
         diff *= (spec.beta * w)[..., None]
-    return diff, dist
+    return diff, dist, sep
 
 
 def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
@@ -216,12 +221,13 @@ def _drift_of(spec: ModelSpec, x: np.ndarray, d) -> np.ndarray:
 
 
 def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParams | None, self_pairs: bool):
-    """Drift at the points x (..., m, d) from the points y (..., k, d).
+    """Drift at the points x (..., m, d) from the points y (..., k, d), and
+    the smallest pair distance of each state (...,).
 
     With ``trunc`` the pair sum keeps only the y in its window and u is
     the limit field's.
     """
-    g, dist = _pair_terms(spec, x, y, self_pairs)
+    g, dist, sep = _pair_terms(spec, x, y, self_pairs)
     line = spec.dimension == 1
     if line:
         x, y = x[..., 0], y[..., 0]
@@ -233,7 +239,7 @@ def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParam
             inside = dist < trunc.radius
         g = np.where(inside if line else inside[..., None], g, 0.0)
     b = _drift_of(spec, x, _one_body(spec, x, trunc) + g.sum(axis=-1 if line else -2))
-    return b[..., None] if line else b
+    return (b[..., None] if line else b), sep
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +278,23 @@ def _validate_trunc(spec: ModelSpec, trunc: TruncationParams) -> None:
 # ---------------------------------------------------------------------------
 
 
-def drift_finite_all(spec: ModelSpec, state) -> np.ndarray:
+def drift_finite_all(spec: ModelSpec, state, *, separation: np.ndarray | None = None) -> np.ndarray:
     """Finite-n SDE drift for every particle; shape (n, d), or (P, n, d)
-    for a stack of P states."""
+    for a stack of P states.
+
+    ``separation``, shape () or (P,), receives the smallest pair distance
+    of each state (+inf below two particles).
+    """
     arr = _points_of(state)
     if arr.shape[-1] != spec.dimension:
         raise ValueError(f"state dimension {arr.shape[-1]} != family dimension {spec.dimension}")
     _check_domain(spec, arr)
     if arr.shape[-2] != spec.n_particles:
         raise ValueError(f"state has {arr.shape[-2]} particles, spec expects {spec.n_particles}")
-    return _field(spec, arr, arr, None, self_pairs=True)
+    b, sep = _field(spec, arr, arr, None, self_pairs=True)
+    if separation is not None:
+        separation[...] = sep
+    return b
 
 
 def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.ndarray:
@@ -300,16 +313,22 @@ def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.n
     env_arr = _env_of(spec, env)
     _check_domain(spec, xv)
     _check_domain(spec, env_arr)
-    return _field(spec, xv, env_arr, trunc, self_pairs=False)[0]
+    b, _ = _field(spec, xv, env_arr, trunc, self_pairs=False)
+    return b[0]
 
 
-def drift_limit_truncated_all(spec: ModelSpec, state, trunc: TruncationParams) -> np.ndarray:
+def drift_limit_truncated_all(
+    spec: ModelSpec, state, trunc: TruncationParams, *, separation: np.ndarray | None = None
+) -> np.ndarray:
     """Truncated limit drift of every particle; shape (n, d), or (P, n, d)
-    for a stack of P states."""
+    for a stack of P states.  ``separation`` is as in ``drift_finite_all``."""
     _validate_trunc(spec, trunc)
     arr = _points_of(state)
     _check_domain(spec, arr)
-    return _field(spec, arr, arr, trunc, self_pairs=True)
+    b, sep = _field(spec, arr, arr, trunc, self_pairs=True)
+    if separation is not None:
+        separation[...] = sep
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +363,7 @@ def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     _check_domain(spec, xv[None, :])
     free = _one_body(spec, xv, None)
-    g, dist = _pair_terms(spec, xv[None, :], _env_of(spec, env), self_pairs=False)
+    g, dist, _ = _pair_terms(spec, xv[None, :], _env_of(spec, env), self_pairs=False)
     g = g[0].reshape(-1, spec.dimension)
     w = cutoff_chi(dist[0], s)[:, None]
     return LogDerivDecomposition(free=free, near=(w * g).sum(axis=0), far=((1.0 - w) * g).sum(axis=0))

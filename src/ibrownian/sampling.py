@@ -496,6 +496,8 @@ class _Chain:
 
 def _hard_edge_chain(n: int, alpha: float) -> _Chain:
     """Target: exp(-sum x/(4n)) * prod x^alpha * prod |x_i-x_j|^2 on (0,inf)^n."""
+    # indices of the particles other than i, in order: x[rest[i]] is np.delete(x, i)
+    rest = [np.delete(np.arange(n), i) for i in range(n)]
 
     def delta_energy(x: np.ndarray, i: int, v: float) -> float:
         if not v > 0.0:
@@ -503,8 +505,9 @@ def _hard_edge_chain(n: int, alpha: float) -> _Chain:
         old = x[i]
         de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
         if n > 1:
-            others = np.delete(x, i)
-            de -= 2.0 * float(np.sum(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
+            others = x[rest[i]]
+            # the reduction np.sum makes, so the summation order is its own
+            de -= 2.0 * float(np.add.reduce(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
         return de
 
     # support stretches to roughly 16 n^2 (quadratic repulsion pushes the

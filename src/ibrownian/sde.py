@@ -193,29 +193,33 @@ _NOISE_DEPTH = 32
 
 
 def _drift(spec, x, cfg):
-    """Drift of every state of the (L, n, d) stack, plus {row: reason} for
-    the rows at a singular configuration (their drift rows are zero).
+    """Drift of every state of the (L, n, d) stack, its smallest pair
+    separation (L,), and {row: reason} for the rows at a singular
+    configuration (their drift rows and separations are zero).
 
     A stack that raises is split in halves until each singular row stands
     alone; a row of a stack gets the drift of a separate call, so the
     split changes no bit."""
+    sep = np.empty(len(x))
     try:
         if cfg.truncation is None:
-            return drift_finite_all(spec, x), {}
-        return drift_limit_truncated_all(spec, x, cfg.truncation), {}
+            return drift_finite_all(spec, x, separation=sep), sep, {}
+        return drift_limit_truncated_all(spec, x, cfg.truncation, separation=sep), sep, {}
     except SingularConfigurationError as exc:
         if len(x) == 1:
-            return np.zeros_like(x), {0: f"drift evaluation hit a singular configuration: {exc}"}
+            return np.zeros_like(x), np.zeros(1), {0: f"drift evaluation hit a singular configuration: {exc}"}
     half = len(x) // 2
-    b_lo, lo = _drift(spec, x[:half], cfg)
-    b_hi, hi = _drift(spec, x[half:], cfg)
-    return np.concatenate([b_lo, b_hi]), {**lo, **{half + i: reason for i, reason in hi.items()}}
+    b_lo, sep_lo, lo = _drift(spec, x[:half], cfg)
+    b_hi, sep_hi, hi = _drift(spec, x[half:], cfg)
+    singular = {**lo, **{half + i: reason for i, reason in hi.items()}}
+    return np.concatenate([b_lo, b_hi]), np.concatenate([sep_lo, sep_hi]), singular
 
 
-def _split_rule(spec, x, b, drift_cap, noise_rule):
+def _split_rule(spec, x, b, sep, drift_cap, noise_rule):
     """Which rows of the (L, n, d) stack halve their substep, as data for
     ``_splits``: (bmax, drift_limit, noise_limit, pair_sig), each row's
     largest drift norm, and the drift move and the noise it may take.
+    ``sep`` is each row's smallest pair separation, its smallest gap.
 
     A row splits while its drift move |b| h exceeds the cap or a tenth of
     its smallest gap, or while its substep noise does.  ``noise_rule`` is
@@ -223,25 +227,11 @@ def _split_rule(spec, x, b, drift_cap, noise_rule):
     whether the noise is state-dependent.  A row keeps its state, and so
     its rule, all the way down its descent.
     """
-    n_rows, n, d = x.shape
+    d = x.shape[2]
     # sqrt is monotone, so the norm of the largest square is the largest norm
     b2 = b * b
     bmax = np.sqrt(np.maximum.reduce(b2[:, :, 0] if d == 1 else np.add.reduce(b2, axis=2), axis=1))
-    if n < 2:
-        gap = np.full(n_rows, np.inf)
-    elif d == 1:
-        # the smallest gap is an adjacent one, and the sort is needed below
-        xs = x[:, :, 0].copy()
-        xs.sort(axis=1)
-        gaps = xs[:, 1:] - xs[:, :-1]
-        gap = np.minimum.reduce(gaps, axis=1)
-    else:
-        diff = x[:, :, None, :] - x[:, None, :, :]
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=3))
-        diag = np.arange(n)
-        dist[:, diag, diag] = np.inf
-        gap = np.minimum.reduce(dist, axis=(1, 2))
-    tenth = 0.1 * gap
+    tenth = 0.1 * sep
     drift_limit = np.fmin(tenth, drift_cap)
     if noise_rule is None:
         return bmax, drift_limit, None, None
@@ -254,11 +244,14 @@ def _split_rule(spec, x, b, drift_cap, noise_rule):
     # state-dependent noise: a swap is a per-pair event, so test each
     # adjacent pair against its own coefficient instead of the global
     # max against the global gap (that bound forces deep substepping of
-    # well-separated high-noise particles)
+    # well-separated high-noise particles); rounding is monotone, so the
+    # smallest adjacent gap of the sorted row is bitwise ``sep``
+    xs = x[:, :, 0].copy()
+    xs.sort(axis=1)
     sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
     pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
-    noise_limit = 0.1 * gaps
-    noise_limit[~np.isfinite(gap)] = np.inf  # no noise split without a finite gap
+    noise_limit = 0.1 * (xs[:, 1:] - xs[:, :-1])
+    noise_limit[~np.isfinite(sep)] = np.inf  # no noise split without a finite gap
     return bmax, drift_limit, noise_limit, pair_sig
 
 
@@ -270,7 +263,7 @@ def _splits(rule, h, noise_root_h):
         return split
     if pair_sig is None:
         return split | (noise_root_h > noise_limit)
-    return split | np.any(noise_root_h[:, None] * pair_sig > noise_limit, axis=1)
+    return split | np.logical_or.reduce(noise_root_h[:, None] * pair_sig > noise_limit, axis=1)
 
 
 def _move(spec, x, b, h, noise_root_h, draw, state_noise):
@@ -368,7 +361,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
         return rows
 
     while ids.size:
-        b, singular = _drift(spec, x, cfg)
+        b, sep, singular = _drift(spec, x, cfg)
         gone = list(singular)
         for i, reason in singular.items():
             reasons[ids[i]] = reason
@@ -379,7 +372,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
         else:
             # descend to the leaf: the state, and so the rule, stay fixed
             # while the substep of the rows that still split halves
-            rule = _split_rule(spec, x, b, cfg.drift_cap_delta, noise_rule)
+            rule = _split_rule(spec, x, b, sep, cfg.drift_cap_delta, noise_rule)
             split = _splits(rule, h, noise_root_h)
             if gone:
                 split[gone] = False

@@ -4,13 +4,16 @@ Each oracle computes a reference quantity by a route deliberately
 different from the library's own (direct per-term series instead of
 recurrences, ODE integration instead of series/asymptotics, quadrature
 instead of closed forms, rejection sampling instead of matrix models), so
-agreement is evidence rather than tautology.  Only the two references
-at the end import the package: the path integrator runs the package's
+agreement is evidence rather than tautology.  Only the references near
+the end import the package: the path integrator runs the package's
 drifts through the recursive per-path traversal the package used before
 its batched loop, and the field sampler runs the package's Airy functions
 through the sample-by-sample chain rule it used before its batched one.
 The pair counter keeps the per-sample 2d histogram of ordered pairs that
 the package's order-2 line estimator used before its histogram products.
+The hard-edge chain and the scalar Bessel kernel at the end keep the
+per-proposal ``np.delete`` energy and the one-call-per-value Bessel
+evaluations the package used before it batched them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from scipy import special
 from scipy.integrate import solve_ivp
+from scipy.stats import ncx2
 
 from ibrownian.core import (
     LabeledState,
@@ -168,6 +173,23 @@ def wishart_hard_edge_oracle(n: int, alpha: int, n_samples: int, rng: np.random.
         u = np.linalg.eigvalsh(g.conj().T @ g)
         out[k] = 4.0 * n * np.sort(u)
     return out
+
+
+def square_bessel_sum_cdf(n: int, alpha: float, s0: float, t: float):
+    """CDF of S_t = sum_i x_i(t) for the n-particle squared hard-edge
+    process (``square_bessel``) started from a state with sum ``s0``.
+
+    Summed over i, the pair drifts 4 sum_j x_i / (x_i - x_j) add up to the
+    constant 2 n (n - 1) and the noises 2 sqrt(x_i) dW_i to 2 sqrt(S) dW,
+    so S is the CIR process dS = (2n(alpha + n) - S/(2n)) dt + 2 sqrt(S) dW.
+    With b = 1/(2n) and c = (1 - e^{-bt}) / b, S_t / c is noncentral
+    chi-square with 2n(alpha + n) degrees of freedom and noncentrality
+    s0 e^{-bt} / c.  The same law holds for sum_i y_i^2 of the square-root
+    process ``sqrt_square_bessel``.
+    """
+    b = 1.0 / (2.0 * n)
+    c = -math.expm1(-b * t) / b
+    return ncx2(2.0 * n * (alpha + n), s0 * math.exp(-b * t) / c, scale=c).cdf
 
 
 def pair_distance_cdf_oracle(
@@ -612,3 +634,84 @@ def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
         out.append(np.sort(x[cells] + (g.random(n) - 0.5) * h))
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
+
+
+# ---------------------------------------------------------------------------
+# reference hard-edge chain and scalar Bessel kernel
+# ---------------------------------------------------------------------------
+#
+# ``ibrownian.sampling.sample_bessel_chain`` as its loop ran when each
+# proposal's energy called ``np.delete`` and ``np.sum``, and
+# ``ibrownian.kernels.bessel_kernel`` as it was when each Bessel value was
+# one scalar ``scipy.special.jv`` or ``jvp`` call: the bitwise references
+# for the batched versions.
+
+
+def reference_bessel_delta_energy(alpha, x, i, v):
+    """Change of the hard-edge chain's energy when particle i of x moves to v."""
+    n = len(x)
+    if not v > 0.0:
+        return math.inf
+    old = x[i]
+    de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
+    if n > 1:
+        others = np.delete(x, i)
+        de -= 2.0 * float(np.sum(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
+    return de
+
+
+def reference_bessel_chain(n, alpha, g, n_samples, burn_in_sweeps, thin_sweeps):
+    """Draws (n_samples, n) and acceptance rate of the hard-edge Metropolis
+    chain on the generator ``g``."""
+    state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
+    scales = np.full(n, max(4.0, 16.0 * n / 4.0))
+
+    def sweep(rate):
+        accepted = 0
+        xi = g.standard_normal(n)
+        logu = -g.exponential(size=n)
+        for i in range(n):
+            v = state[i] + scales[i] * xi[i]
+            ok = logu[i] < -reference_bessel_delta_energy(alpha, state, i, v)
+            if ok:
+                state[i] = v
+                accepted += 1
+            if rate > 0.0:
+                scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - 0.3))
+        return accepted
+
+    for k in range(burn_in_sweeps):
+        sweep(0.25 * 100.0 / (100.0 + k))
+    draws = np.empty((n_samples, n))
+    accepted = 0
+    for k in range(n_samples):
+        for _ in range(thin_sweeps):
+            accepted += sweep(0.0)
+        draws[k] = state
+    return draws, accepted / (n_samples * thin_sweeps * n)
+
+
+def reference_bessel_kernel(alpha, x, y, form):
+    """Hard-edge kernel value at x, y > 0 in the ``recurrence`` or
+    ``derivative`` form, the midpoint expansion within the diagonal window."""
+    from ibrownian.kernels import DIAGONAL_WINDOW
+
+    x, y = float(x), float(y)
+    if abs(x - y) <= DIAGONAL_WINDOW:
+        m = 0.5 * (x + y)
+        d = 0.5 * (x - y)
+        s = math.sqrt(m)
+        j0, j1, j2, j3, j4 = (special.jv(alpha + k, s) for k in range(5))
+        k0 = 0.25 * (j0 * j0 + j1 * j1 - (2.0 * alpha / s) * j0 * j1)
+        k2 = (6.0 * (j0 * j3 - j1 * j2) / s + 4.0 * j1 * j3 - j0 * j4 - 3.0 * j2 * j2) / (96.0 * m)
+        r = d / m
+        return float(np.power(1.0 - r * r, 0.5 * alpha) * (k0 + d * d * k2))
+    sx = math.sqrt(x)
+    sy = math.sqrt(y)
+    jx = special.jv(alpha, sx)
+    jy = special.jv(alpha, sy)
+    if form == "recurrence":
+        num = sx * special.jv(alpha + 1.0, sx) * jy - jx * sy * special.jv(alpha + 1.0, sy)
+    else:
+        num = jx * sy * special.jvp(alpha, sy) - sx * special.jvp(alpha, sx) * jy
+    return float(0.5 * num / (x - y))

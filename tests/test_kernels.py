@@ -156,6 +156,14 @@ class TestBesselKernel:
                     v2 = K.bessel_kernel(a, x, y, form="recurrence")
                     assert abs(v1 - v2) <= 1e-9
 
+    @pytest.mark.parametrize("form", ["recurrence", "derivative"])
+    def test_acceptance_grid_bitwise_equal_to_scalar_reference(self, form):
+        xs = np.linspace(0.5, 80.0, 50)
+        for a in (1.0, 2.0):
+            got = [K.bessel_kernel(a, x, y, form=form) for x in xs for y in xs]
+            want = [oracles.reference_bessel_kernel(a, x, y, form) for x in xs for y in xs]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_diagonal_closed_form(self):
         for a in (1.0, 2.0):
             for x in (0.3, 2.0, 17.5, 60.0):
@@ -263,6 +271,14 @@ class TestKernelGrid:
         want = np.array([[K.bessel_kernel(alpha, x, y) for y in xs] for x in xs])
         assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs, alpha=alpha), want)
         assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs[:7], xs[5:], alpha=alpha), want[:7, 5:])
+
+    @pytest.mark.parametrize("form", ["recurrence", "derivative"])
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
+    def test_scalar_bessel_kernel_bitwise_equal_to_scalar_reference(self, alpha, form):
+        xs = self._BESSEL_POINTS
+        got = [K.bessel_kernel(alpha, x, y, form=form) for x in xs for y in xs]
+        want = [oracles.reference_bessel_kernel(alpha, x, y, form) for x in xs for y in xs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_grid_domain_errors(self):
         with pytest.raises(ValueError):

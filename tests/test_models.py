@@ -367,6 +367,25 @@ class TestBatchAxis:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_separation_is_smallest_pair_distance(self, fam, kw, variant, n):
+        spec = _spec(fam, n, **kw)
+        stack = _stack(spec, 4, seed=n)
+        want = [
+            min((math.dist(p, q) for i, p in enumerate(state) for q in state[i + 1 :]), default=math.inf)
+            for state in stack
+        ]
+        trunc = M.TruncationParams(radius=4.0, variant=variant)
+        for drift in (M.drift_finite_all, lambda spec, x, **out: M.drift_limit_truncated_all(spec, x, trunc, **out)):
+            sep = np.full(4, np.nan)
+            b = drift(spec, stack)
+            assert np.array_equal(drift(spec, stack, separation=sep), b)
+            assert sep == pytest.approx(want, rel=1e-15)
+            one = np.full((), np.nan)
+            drift(spec, stack[2], separation=one)
+            assert one == sep[2]
+
+    @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
     def test_singular_member_raises(self, fam, kw, variant):
         spec = _spec(fam, 4, **kw)
         stack = _stack(spec, 5, seed=4)

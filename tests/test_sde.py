@@ -3,7 +3,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstwo
 
 import oracles
 
@@ -298,6 +298,22 @@ class TestWeakAccuracy:
         b = rooted.states[:, -1, :, 0].ravel() ** 2
         assert ks_2samp(a, b).statistic <= 0.1
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("family", [Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL])
+    def test_squared_sum_follows_cir_law(self, family):
+        # sum x_i of the squared process, and sum y_i^2 of its square root,
+        # is a CIR process whose law at T is a scaled noncentral chi-square
+        n, alpha, t_final, paths = 5, 1.0, 0.2, 1000
+        z0 = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+        start = z0**2 if family is Family.SQUARE_BESSEL else z0
+        cfg = IntegratorConfig(dt=1e-3, t_final=t_final, dt_record=t_final, max_substep_depth=30)
+        ens = simulate(ModelSpec(family, n, alpha=alpha), [start] * paths, cfg, RngStream(1661), on_failure="drop")
+        final = ens.states[:, -1, :, 0]
+        sums = np.sum(final if family is Family.SQUARE_BESSEL else final**2, axis=1)
+        cdf = oracles.square_bessel_sum_cdf(n, alpha, float(np.sum(z0**2)), t_final)
+        # the one-sample KS critical value at level 1e-3 for the paths kept
+        assert oracles.one_sample_ks(sums, cdf) <= kstwo.ppf(1.0 - 1e-3, sums.size)
+
 
 # one small start per family, with a close pair so that Euler-Maruyama
 # paths substep unevenly
@@ -457,9 +473,9 @@ class TestOneDriftPerLeaf:
     def test_rows_evaluated_equal_leaves(self, name, monkeypatch):
         rows = []
 
-        def counting(spec, x):
+        def counting(spec, x, **kwargs):
             rows.append(1 if x.ndim == 2 else len(x))
-            return drift_finite_all(spec, x)
+            return drift_finite_all(spec, x, **kwargs)
 
         monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
         spec, init = _starts(name, 6)
@@ -474,23 +490,26 @@ class TestOneDriftPerLeaf:
         starts, _ = sample_airy_ensemble(20, 2.0, RngStream(46), 64)
         x = starts[:, :, None]
         x[37, 5] = x[37, 4]
-        want, reasons = np.zeros_like(x), {}
+        want, want_sep, reasons = np.zeros_like(x), np.zeros(len(x)), {}
         for i, pts in enumerate(x):
             try:
                 want[i] = drift_finite_all(spec, pts)
+                want_sep[i] = np.diff(np.sort(pts[:, 0])).min()
             except SingularConfigurationError as exc:
                 reasons[i] = f"drift evaluation hit a singular configuration: {exc}"
         calls = []
 
-        def counting(spec, x):
+        def counting(spec, x, **kwargs):
             calls.append(len(x))
-            return drift_finite_all(spec, x)
+            return drift_finite_all(spec, x, **kwargs)
 
         monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
-        b, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01))
+        b, sep, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01))
         assert list(reasons) == [37]
         assert singular == reasons
         assert np.array_equal(b, want)
+        # each row's smallest gap carried through the halving, zero on the singular row
+        assert np.array_equal(sep, want_sep)
         # the whole stack, then two halves at each of six levels
         assert len(calls) <= 13
 
