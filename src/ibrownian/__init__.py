@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``core``      state types, labels, RNG streams, CSV formats
+* ``core``      state types, RNG streams, CSV formats
 * ``models``    drift fields, truncations, log-derivative decompositions
 * ``kernels``   Airy / Bessel reference kernels
 * ``sampling``  equilibrium ensemble samplers (matrix models and MCMC)
@@ -15,13 +15,10 @@ from .core import (
     Configuration,
     DomainError,
     Family,
-    LabeledState,
-    LabelScheme,
     ModelSpec,
     RngStream,
     SingularConfigurationError,
     StepFailureError,
-    label,
     load_configurations,
     save_configurations,
 )
@@ -32,13 +29,10 @@ __all__ = [
     "Configuration",
     "DomainError",
     "Family",
-    "LabeledState",
-    "LabelScheme",
     "ModelSpec",
     "RngStream",
     "SingularConfigurationError",
     "StepFailureError",
-    "label",
     "load_configurations",
     "save_configurations",
     "__version__",

@@ -89,7 +89,6 @@ _SECTIONS = {
         "dt_record": 0.0,  # 0 records every base step
         "max_substep_depth": 20,
         "drift_cap_delta": 0.5,
-        "scheme": "euler_maruyama",
         "truncation_radius": 0.0,  # 0 keeps the full finite-system drift
         "truncation_variant": "centered",
     },
@@ -338,7 +337,6 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
             icfg,
             max_substep_depth=cfg.max_substep_depth,
             drift_cap_delta=cfg.drift_cap_delta,
-            scheme=cfg.scheme,
             truncation=trunc,
         )
     with _keyed("integrator.t_final"):
@@ -423,9 +421,15 @@ def _cmd_correlate(cfg: RunConfig, out: Path) -> int:
         raise ConfigError("diagnostics.order", f"expected 1 or 2, got {cfg.order}")
     if spec.dimension == 2 and cfg.order == 2 and cfg.window == 0:
         raise ConfigError("diagnostics.window", "required for planar order-2 estimates")
-    configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
-    edges = None if cfg.bins.strip().lower() == "auto" else np.asarray(_floats("diagnostics.bins", cfg.bins))
+    edges = None
+    if cfg.bins.strip().lower() != "auto":
+        with _keyed("diagnostics.bins"):
+            edges = stats._check_bins(_floats("diagnostics.bins", cfg.bins))
     window = None if cfg.window == 0 else cfg.window
+    if window is not None:
+        with _keyed("diagnostics.window"):
+            stats._check_positive("window", window)
+    configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     with _keyed("diagnostics"):
         est = stats.estimate_rho(configs, cfg.order, bins=edges, window=window)
     target = out / "correlation.csv"
@@ -502,9 +506,11 @@ def _cmd_tightness(cfg: RunConfig, out: Path) -> int:
     L_list = _ints("diagnostics.L_list", cfg.L_list)
     if any(v < 0 for v in L_list):
         raise ConfigError("diagnostics.L_list", "label cutoffs must be >= 0")
+    for name in ("r", "T", "c"):
+        with _keyed(f"diagnostics.{name}"):
+            stats._check_positive(name, getattr(cfg, name))
+    params = stats.TightnessParams(r=cfg.r, T=cfg.T, c=cfg.c)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
-    with _keyed("diagnostics"):
-        params = stats.TightnessParams(r=cfg.r, T=cfg.T, c=cfg.c)
     vals = stats.erf_tail_sum(configs, params, L_list)
     target = out / "tightness.csv"
     _write_csv(target, ["L", "value"], ([lv, _fmt(v)] for lv, v in zip(L_list, vals)))

@@ -1,14 +1,12 @@
 """Shared state types for interacting-particle computations.
 
-The package works with three views of the same data:
+The package works with two views of the same data:
 
-* ``Configuration`` -- an unordered finite point multiset in R^d,
-* ``LabeledState``  -- the same points with a deterministic ordering attached,
+* ``Configuration`` -- a finite point multiset in R^d, as an (n, d) array,
 * CSV files         -- one row per point, columns ``x[,y[,z]]``, header mandatory.
 
-Orderings are value-ascending (1d only) or modulus-ascending (any dimension,
-ties broken by lexicographic coordinate order, then input position).  Every
-stochastic routine takes an ``RngStream`` so that draws depend only on
+A state along a path is a plain (n, d) array whose row i is particle i.
+Every stochastic routine takes an ``RngStream`` so that draws depend only on
 ``(seed, stream_id)`` and never on evaluation order or worker count.
 """
 
@@ -22,15 +20,12 @@ import numpy as np
 
 __all__ = [
     "Family",
-    "LabelScheme",
     "ModelSpec",
     "Configuration",
-    "LabeledState",
     "RngStream",
     "SingularConfigurationError",
     "DomainError",
     "StepFailureError",
-    "label",
     "save_configurations",
     "load_configurations",
 ]
@@ -72,11 +67,6 @@ _FAMILY_DIMENSION = {
     Family.LENNARD_JONES: 3,
     Family.RIESZ: 3,
 }
-
-
-class LabelScheme(str, enum.Enum):
-    ASCENDING_VALUE = "ascending_value"
-    ASCENDING_MODULUS = "ascending_modulus"
 
 
 @dataclass(frozen=True)
@@ -168,51 +158,6 @@ class Configuration:
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledState:
-    """Ordered view of a configuration under a fixed label scheme."""
-
-    points: np.ndarray
-    scheme: LabelScheme
-
-    def __init__(self, points, scheme: LabelScheme, dimension: int | None = None):
-        arr = _as_points(points, dimension)
-        arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
-        object.__setattr__(self, "scheme", LabelScheme(scheme))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-
-def label(config: Configuration, scheme: LabelScheme) -> LabeledState:
-    """Order a configuration deterministically.
-
-    ``ASCENDING_VALUE`` sorts 1d points by value.  ``ASCENDING_MODULUS``
-    sorts by |x|, breaking ties by lexicographic coordinate order and then
-    by input position, so the result is unique for any input ordering of
-    equal points.
-    """
-    scheme = LabelScheme(scheme)
-    pts = config.points
-    n = pts.shape[0]
-    if n == 0:
-        return LabeledState(pts, scheme, dimension=pts.shape[1])
-    if scheme is LabelScheme.ASCENDING_VALUE:
-        if pts.shape[1] != 1:
-            raise ValueError("value-ascending labels are defined for 1d points only")
-        order = np.lexsort((np.arange(n), pts[:, 0]))
-    else:
-        moduli = np.sqrt(np.sum(pts**2, axis=1))
-        coord_keys = tuple(pts[:, j] for j in range(pts.shape[1] - 1, -1, -1))
-        order = np.lexsort((np.arange(n),) + coord_keys + (moduli,))
-    return LabeledState(pts[order], scheme)
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,10 @@ def airy_kernel(x: float, y: float) -> float:
 
 def _jv_prime(alpha: float, x):
     # the relation scipy.special.jvp evaluates, without its Python wrapper,
-    # which doubles the cost of a scalar call
-    return (special.jv(alpha - 1.0, x) - special.jv(alpha + 1.0, x)) / 2.0
+    # which doubles the cost of a scalar call; one jv call gives both
+    # orders, alpha - 1 and alpha + 1, along a last axis
+    j = special.jv((alpha - 1.0, alpha + 1.0), np.asarray(x)[..., None])
+    return (j[..., 0] - j[..., 1]) / 2.0
 
 
 def _bessel_taylor(alpha: float, x, y):

@@ -1,10 +1,9 @@
 """Path integration for the finite and truncated-limit particle SDEs.
 
-The default scheme is Euler-Maruyama with adaptive substep halving: a
+The one scheme is Euler-Maruyama with adaptive substep halving: a
 base step is split until the drift move |b| h stays below both the
 configured cap and a tenth of the smallest interparticle gap, which is
-what keeps the singular pair drifts stable.  A tamed scheme (divide the
-drift by 1 + dt |b|) is available as a fallback that never substeps.
+what keeps the singular pair drifts stable.
 
 All paths of a run are integrated together as one (P, n, d) array.  Each
 path sits at its own node of its own binary substep tree, tracked as an
@@ -34,28 +33,19 @@ the worker count and of which other paths share the batch.
 
     spec = ModelSpec(Family.AIRY, 10, beta=2.0)
     cfg = IntegratorConfig(dt=1e-4, t_final=0.05, dt_record=1e-3)
-    start = label(sample_airy_equilibrium(10, 2.0, RngStream(1)),
-                  LabelScheme.ASCENDING_VALUE)
+    start = sample_airy_equilibrium(10, 2.0, RngStream(1))  # ascending rows
     ens = simulate(spec, [start] * 100, cfg, RngStream(2))
     assert ens.ordering_violations == 0
 """
 
 from __future__ import annotations
 
-import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    LabeledState,
-    LabelScheme,
-    ModelSpec,
-    RngStream,
-    SingularConfigurationError,
-    StepFailureError,
-)
+from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError
 from .models import (
     TruncationParams,
     diffusion_kind,
@@ -67,17 +57,11 @@ from .models import (
 )
 
 __all__ = [
-    "Scheme",
     "IntegratorConfig",
     "PathEnsemble",
     "step",
     "simulate",
 ]
-
-
-class Scheme(str, enum.Enum):
-    EULER_MARUYAMA = "euler_maruyama"
-    TAMED_EULER = "tamed_euler"
 
 
 @dataclass(frozen=True)
@@ -96,12 +80,10 @@ class IntegratorConfig:
     dt_record: float | None = None
     max_substep_depth: int = 20
     drift_cap_delta: float = 0.5
-    scheme: Scheme = Scheme.EULER_MARUYAMA
     truncation: TruncationParams | None = None
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", Scheme(self.scheme))
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be finite and > 0")
         if not 0 <= self.t_final < np.inf:
@@ -138,7 +120,7 @@ class PathEnsemble:
     """Recorded trajectories of one simulate() call.
 
     ``states`` has shape (paths, len(times), n, d); row k of path p is the
-    labeled state at ``times[k]``.  Labels follow particles (the time
+    (n, d) state at ``times[k]``.  Particle i keeps row i (the time
     series is a path, not a per-time re-sorting).  ``ordering_violations``
     counts adjacent-pair order swaps between consecutive recorded states
     of 1d families and is None otherwise.  ``failed_paths`` lists
@@ -319,8 +301,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     unit = h0 / _BASE_TICKS
     interval_ticks = m * _BASE_TICKS
     finest_split = _BASE_TICKS >> cfg.max_substep_depth  # nodes this narrow may not split
-    # per-run constants of the scheme and the noise
-    tamed = cfg.scheme is Scheme.TAMED_EULER
+    # per-run constants of the noise
     state_noise = diffusion_kind(spec) is not DiffusionKind.IDENTITY
     noise_rule = state_noise if cfg.noise_scale > 0.0 and starts.shape[1] >= 2 else None
     # state of the live paths, compacted whenever one leaves the batch
@@ -367,28 +348,25 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
             reasons[ids[i]] = reason
         h = span * unit
         noise_root_h = cfg.noise_scale * np.sqrt(h)
-        if tamed:
-            b = b / (1.0 + h[:, None, None] * np.sqrt(np.sum(b * b, axis=2, keepdims=True)))
-        else:
-            # descend to the leaf: the state, and so the rule, stay fixed
-            # while the substep of the rows that still split halves
-            rule = _split_rule(spec, x, b, sep, cfg.drift_cap_delta, noise_rule)
-            split = _splits(rule, h, noise_root_h)
-            if gone:
-                split[gone] = False
-            while np.count_nonzero(split):
-                for i in np.flatnonzero(split & (span <= finest_split)):
-                    reasons[ids[i]] = (
-                        f"substep depth {cfg.max_substep_depth} exhausted (|b| = {rule[0][i]:.3g}, h = {h[i]:.3g})"
-                    )
-                    split[i] = False
-                    gone.append(i)
-                np.right_shift(span, 1, out=span, where=split)
-                np.multiply(span, unit, out=h)
-                np.sqrt(h, out=noise_root_h)
-                noise_root_h *= cfg.noise_scale
-                split &= _splits(rule, h, noise_root_h)
-            np.minimum(finest, span, out=finest)
+        # descend to the leaf: the state, and so the rule, stay fixed
+        # while the substep of the rows that still split halves
+        rule = _split_rule(spec, x, b, sep, cfg.drift_cap_delta, noise_rule)
+        split = _splits(rule, h, noise_root_h)
+        if gone:
+            split[gone] = False
+        while np.count_nonzero(split):
+            for i in np.flatnonzero(split & (span <= finest_split)):
+                reasons[ids[i]] = (
+                    f"substep depth {cfg.max_substep_depth} exhausted (|b| = {rule[0][i]:.3g}, h = {h[i]:.3g})"
+                )
+                split[i] = False
+                gone.append(i)
+            np.right_shift(span, 1, out=span, where=split)
+            np.multiply(span, unit, out=h)
+            np.sqrt(h, out=noise_root_h)
+            noise_root_h *= cfg.noise_scale
+            split &= _splits(rule, h, noise_root_h)
+        np.minimum(finest, span, out=finest)
         if gone:
             b, h, noise_root_h = leave(gone, b, h, noise_root_h)
             if not ids.size:
@@ -418,8 +396,12 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     return rec, substeps, max_depth, reasons
 
 
-def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> LabeledState:
-    """One base step of length dt (substepping internally as needed)."""
+def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.ndarray:
+    """One base step of length dt (substepping internally as needed).
+
+    Returns the (n, d) state at time dt, row i being particle i, as each
+    row of ``PathEnsemble.states`` is.
+    """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and > 0")
     if isinstance(rng, RngStream):
@@ -433,10 +415,10 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> Label
     rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)
     if reasons[0] is not None:
         raise StepFailureError(reasons[0])
-    scheme = getattr(
-        state, "scheme", LabelScheme.ASCENDING_VALUE if pts.shape[1] == 1 else LabelScheme.ASCENDING_MODULUS
-    )
-    return LabeledState(rec[0, 1], scheme)
+    # as PathEnsemble requires of every recorded state
+    if not np.isfinite(rec[0, 1]).all():
+        raise ValueError("the new state must be finite")
+    return rec[0, 1]
 
 
 # ---------------------------------------------------------------------------

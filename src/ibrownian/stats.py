@@ -77,8 +77,8 @@ class TightnessParams:
     c: float
 
     def __post_init__(self) -> None:
-        if min(self.r, self.T, self.c) <= 0:
-            raise ValueError("all tightness parameters must be positive")
+        for name in ("r", "T", "c"):
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,19 @@ def freedman_diaconis_edges(values: np.ndarray) -> np.ndarray:
     return lo + width * np.arange(n_bins + 1)
 
 
+def _check_bins(bins) -> np.ndarray:
+    """``bins`` as an array of at least two finite, strictly increasing edges."""
+    edges = np.asarray(bins, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
+        raise ValueError("bins must be at least two finite, strictly increasing edges")
+    return edges
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0")
+
+
 def estimate_rho(samples, order: int, bins=None, *, window: float | None = None) -> CorrelationEstimate:
     """Binned correlation estimate of order 1 or 2.
 
@@ -119,8 +132,13 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     order 1 bins |x| into annuli, order 2 bins the separations from
     points inside the disk of radius ``window`` (required there) to
     every other point.  ``bins=None`` picks Freedman-Diaconis edges
-    from the pooled data.
+    from the pooled data; given edges must be at least two, finite and
+    strictly increasing, and a given window finite and > 0.
     """
+    if bins is not None:
+        bins = _check_bins(bins)
+    if window is not None:
+        _check_positive("window", window)
     pts = [_points_of(s) for s in samples]
     if len(pts) < 1:
         raise ValueError("need at least one sample")
@@ -137,7 +155,6 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
         values = [p[:, 0] for p in pts]
         if bins is None:
             bins = freedman_diaconis_edges(np.concatenate(values))
-        bins = np.asarray(bins, dtype=float)
         widths = np.diff(bins)
         if order == 1:
             counts = np.zeros(len(bins) - 1)
@@ -163,7 +180,6 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
         if order == 1:
             if bins is None:
                 bins = freedman_diaconis_edges(np.concatenate(radii))
-            bins = np.asarray(bins, dtype=float)
             counts = np.zeros(len(bins) - 1)
             for r in radii:
                 counts += np.histogram(r, bins)[0]
@@ -183,7 +199,6 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
             pooled = np.concatenate(seps) if seps else np.zeros(0)
             if bins is None:
                 bins = freedman_diaconis_edges(pooled)
-            bins = np.asarray(bins, dtype=float)
             counts = np.histogram(pooled, bins)[0].astype(float)
             vol = (math.pi * window**2) * (math.pi * np.diff(bins**2))
 

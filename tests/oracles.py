@@ -26,13 +26,7 @@ from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.stats import ncx2
 
-from ibrownian.core import (
-    LabeledState,
-    LabelScheme,
-    RngStream,
-    SingularConfigurationError,
-    StepFailureError,
-)
+from ibrownian.core import RngStream, SingularConfigurationError, StepFailureError
 from ibrownian.models import (
     DiffusionKind,
     diffusion_kind,
@@ -40,7 +34,7 @@ from ibrownian.models import (
     drift_finite_all,
     drift_limit_truncated_all,
 )
-from ibrownian.sde import PathEnsemble, Scheme
+from ibrownian.sde import PathEnsemble
 
 # Ai(0) and Ai'(0); standard constants, shared with any correct evaluator.
 AIRY_AT_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
@@ -409,9 +403,6 @@ def _leaf_move(spec, pts, b, h, g, cfg, stats, depth):
 
 def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
     b = _drift(spec, pts, cfg)
-    if cfg.scheme is Scheme.TAMED_EULER:
-        norms = np.sqrt(np.sum(b * b, axis=1, keepdims=True))
-        return _leaf_move(spec, pts, b / (1.0 + h * norms), h, g, cfg, stats, depth)
     bmax = float(np.max(np.sqrt(np.sum(b * b, axis=1)))) if b.size else 0.0
     gap = _min_gap(pts)
     split = bmax * h > min(cfg.drift_cap_delta, 0.1 * gap)
@@ -442,8 +433,8 @@ def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
     return _leaf_move(spec, pts, b, h, g, cfg, stats, depth)
 
 
-def reference_step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> LabeledState:
-    """One base step of length dt (substepping internally as needed)."""
+def reference_step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.ndarray:
+    """One base step of length dt (substepping internally as needed); the new (n, d) state."""
     if not dt > 0:
         raise ValueError("dt must be > 0")
     if isinstance(rng, RngStream):
@@ -455,11 +446,7 @@ def reference_step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig
     pts = np.array(getattr(state, "points", state), dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    out = _advance(spec, pts, float(dt), 0, g, cfg, _StepStats())
-    scheme = getattr(
-        state, "scheme", LabelScheme.ASCENDING_VALUE if pts.shape[1] == 1 else LabelScheme.ASCENDING_MODULUS
-    )
-    return LabeledState(out, scheme)
+    return _advance(spec, pts, float(dt), 0, g, cfg, _StepStats())
 
 
 def _integrate_path(task):

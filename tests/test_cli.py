@@ -137,7 +137,6 @@ class TestConfigResolution:
             "dt_record": 4e-3,
             "max_substep_depth": 10,
             "drift_cap_delta": 0.25,
-            "scheme": "tamed_euler",
             "truncation_radius": 3.0,
             "truncation_variant": "origin",
         }
@@ -157,6 +156,16 @@ class TestConfigResolution:
         ini.write_text("[diagnostics]\nq = 1.0\n")
         assert run_cli(["kernel", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
         assert "diagnostics.q" in capsys.readouterr().err
+
+    def test_removed_scheme_key_is_rejected(self, tmp_path, capsys):
+        # Euler-Maruyama is the one integration scheme
+        with pytest.raises(SystemExit) as exited:
+            cli._build_parser().parse_args(["simulate", "--scheme", "euler_maruyama"])
+        assert exited.value.code == 2
+        ini = tmp_path / "old.ini"
+        ini.write_text("[integrator]\nscheme = euler_maruyama\n")
+        assert run_cli(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith("config error: integrator.scheme: unknown config key\n")
 
 
 class TestBadInput:
@@ -228,6 +237,34 @@ class TestBadInput:
         monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
         monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
         assert run_cli(["drift-diag", "--n", "5"] + argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["correlate", "--bins", "nan,1"], "diagnostics.bins"),
+            (["correlate", "--bins", "1"], "diagnostics.bins"),
+            (["correlate", "--bins", "0,inf"], "diagnostics.bins"),
+            (["correlate", "--bins", "2,1"], "diagnostics.bins"),
+            (["correlate", "--model", "ginibre", "--order", "2", "--window", "-1"], "diagnostics.window"),
+            (["correlate", "--model", "ginibre", "--order", "2", "--window", "inf"], "diagnostics.window"),
+            (["correlate", "--model", "ginibre", "--order", "2", "--window", "nan"], "diagnostics.window"),
+            (["tightness", "--r", "nan"], "diagnostics.r"),
+            (["tightness", "--T", "inf"], "diagnostics.T"),
+            (["tightness", "--c", "inf"], "diagnostics.c"),
+        ],
+        ids=[
+            "bins-nan", "bins-one-edge", "bins-inf", "bins-decreasing", "window-negative", "window-inf",
+            "window-nan", "r-nan", "T-inf", "c-inf",
+        ],
+    )
+    def test_estimator_settings_fail_before_any_sample_is_drawn(self, argv, key, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_ginibre_ensemble", no_draws)
+        assert run_cli(argv + ["--n", "5", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
     @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])

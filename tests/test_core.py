@@ -4,10 +4,8 @@ import pytest
 from ibrownian.core import (
     Configuration,
     Family,
-    LabelScheme,
     ModelSpec,
     RngStream,
-    label,
     load_configurations,
     save_configurations,
 )
@@ -83,46 +81,6 @@ class TestConfiguration:
         c = Configuration([1.0, 2.0])
         with pytest.raises(ValueError):
             c.points[0, 0] = 5.0
-
-
-class TestLabeling:
-    def test_ascending_value(self):
-        c = Configuration([3.0, -1.0, 2.0])
-        st = label(c, LabelScheme.ASCENDING_VALUE)
-        assert np.allclose(st.points[:, 0], [-1.0, 2.0, 3.0])
-
-    def test_ascending_value_needs_one_dimension(self):
-        with pytest.raises(ValueError):
-            label(Configuration([[1.0, 2.0]]), LabelScheme.ASCENDING_VALUE)
-
-    def test_ascending_value_stable_on_ties(self):
-        c = Configuration([2.0, 1.0, 2.0])
-        st = label(c, LabelScheme.ASCENDING_VALUE)
-        assert np.allclose(st.points[:, 0], [1.0, 2.0, 2.0])
-
-    def test_ascending_modulus(self):
-        c = Configuration([[3.0, 4.0], [0.0, 1.0], [-2.0, 0.0]])
-        st = label(c, LabelScheme.ASCENDING_MODULUS)
-        assert np.allclose(st.points, [[0.0, 1.0], [-2.0, 0.0], [3.0, 4.0]])
-
-    def test_modulus_ties_broken_lexicographically(self):
-        c = Configuration([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        st = label(c, LabelScheme.ASCENDING_MODULUS)
-        assert np.allclose(st.points, [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-
-    def test_roundtrip_preserves_multiset(self):
-        rng = np.random.default_rng(1)
-        c = Configuration(rng.normal(size=(7, 2)))
-        st = label(c, LabelScheme.ASCENDING_MODULUS)
-        # the labelled points are the configuration's, reordered
-        assert sorted(map(tuple, st.points)) == sorted(map(tuple, c.points))
-
-    def test_label_is_permutation_invariant(self):
-        rng = np.random.default_rng(2)
-        pts = rng.normal(size=(6, 2))
-        a = label(Configuration(pts), LabelScheme.ASCENDING_MODULUS)
-        b = label(Configuration(pts[::-1]), LabelScheme.ASCENDING_MODULUS)
-        assert np.array_equal(a.points, b.points)
 
 
 class TestRngStream:

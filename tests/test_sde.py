@@ -9,8 +9,6 @@ import oracles
 
 from ibrownian.core import (
     Family,
-    LabeledState,
-    LabelScheme,
     ModelSpec,
     RngStream,
     SingularConfigurationError,
@@ -20,7 +18,6 @@ from ibrownian.models import TruncationParams, drift_finite_all
 from ibrownian.sampling import sample_airy_ensemble
 from ibrownian.sde import (
     IntegratorConfig,
-    Scheme,
     _drift,
     simulate,
     step,
@@ -28,7 +25,7 @@ from ibrownian.sde import (
 
 
 def _ascending(values):
-    return LabeledState(np.asarray(values, dtype=float), LabelScheme.ASCENDING_VALUE)
+    return np.asarray(values, dtype=float)[:, None]
 
 
 def _assert_same_ensemble(got, want):
@@ -70,8 +67,7 @@ class _CountingStream(RngStream):
 
 class TestIntegratorConfig:
     def test_defaults_and_coercion(self):
-        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, scheme="tamed_euler")
-        assert cfg.scheme is Scheme.TAMED_EULER
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
         assert cfg.record_step == 1e-3
         assert cfg.substeps_per_record == 1
 
@@ -110,9 +106,9 @@ class TestStep:
     def test_zero_drift_zero_noise_is_identity(self):
         spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0, free_c=0.0)
         cfg = IntegratorConfig(dt=1e-2, t_final=1.0, noise_scale=0.0)
-        state = LabeledState(np.array([[0.3, -1.0, 2.0]]), LabelScheme.ASCENDING_MODULUS)
+        state = np.array([[0.3, -1.0, 2.0]])
         out = step(spec, state, 1e-2, RngStream(0), cfg)
-        assert np.array_equal(out.points, state.points)
+        assert np.array_equal(out, state)
 
     def test_linear_decay_single_particle(self):
         # lone planar particle: drift is exactly -x
@@ -121,7 +117,7 @@ class TestStep:
         pts = np.array([[1.0, 0.5]])
         g = RngStream(0).generator()
         for _ in range(10_000):
-            pts = step(spec, pts, 1e-4, g, cfg).points
+            pts = step(spec, pts, 1e-4, g, cfg)
         assert np.allclose(pts, np.array([[1.0, 0.5]]) * math.exp(-1.0), rtol=1e-3)
 
     def test_rng_type_check(self):
@@ -137,14 +133,6 @@ class TestStep:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             step(spec, _ascending([0.0, 1.0]), dt, RngStream(1), cfg)
 
-    def test_tamed_scheme_bounds_singular_drift(self):
-        # gap 1e-6 gives |b| ~ 1e6; the tamed move stays below dt * |b| / (dt |b|) = 1
-        spec = ModelSpec(Family.AIRY, 2, beta=2.0)
-        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, scheme=Scheme.TAMED_EULER, noise_scale=0.0)
-        out = step(spec, _ascending([0.0, 1e-6]), 1e-3, RngStream(1), cfg)
-        assert np.all(np.isfinite(out.points))
-        assert np.max(np.abs(out.points - np.array([[0.0], [1e-6]]))) < 1.0
-
     def test_depth_exhaustion_raises(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, max_substep_depth=0, noise_scale=0.0)
@@ -159,7 +147,7 @@ class TestSimulate:
         init = _ascending([-1.0, 0.0, 1.0])
         ens = simulate(spec, [init, init], cfg, RngStream(5))
         assert ens.states.shape == (2, 1, 3, 1)
-        assert np.array_equal(ens.states[0, 0], init.points)
+        assert np.array_equal(ens.states[0, 0], init)
         assert np.array_equal(ens.times, [0.0])
 
     def test_deterministic_and_worker_invariant(self):
@@ -245,7 +233,7 @@ class TestOrderingAndBoundary:
     def test_single_particle_always_zero(self):
         spec = ModelSpec(Family.GINIBRE, 1)
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
-        ens = simulate(spec, [LabeledState([[0.0, 0.0]], LabelScheme.ASCENDING_MODULUS)], cfg, RngStream(7))
+        ens = simulate(spec, [np.array([[0.0, 0.0]])], cfg, RngStream(7))
         assert ens.ordering_violations is None
 
     # the id names the boundary rule under test, reflection at 0
@@ -253,7 +241,7 @@ class TestOrderingAndBoundary:
     def test_hard_edge_positivity(self, noise_scale):
         spec = ModelSpec(Family.BESSEL, 1, alpha=1.0)
         cfg = IntegratorConfig(dt=1e-2, t_final=0.5, dt_record=1e-2, noise_scale=noise_scale)
-        init = [LabeledState([[0.05]], LabelScheme.ASCENDING_VALUE)] * 10
+        init = [np.array([[0.05]])] * 10
         ens = simulate(spec, init, cfg, RngStream(8))
         assert np.min(ens.states) > 0.0
 
@@ -273,7 +261,7 @@ class TestWeakAccuracy:
         # per-coordinate variance (1 - e^-2t)/2
         spec = ModelSpec(Family.GINIBRE, 1)
         cfg = IntegratorConfig(dt=1e-2, t_final=1.0, dt_record=1.0)
-        init = [LabeledState([[2.0, 0.0]], LabelScheme.ASCENDING_MODULUS)] * 10_000
+        init = [np.array([[2.0, 0.0]])] * 10_000
         ens = simulate(spec, init, cfg, RngStream(16))
         finals = ens.states[:, -1, 0, :]
         want_mean = 2.0 * math.exp(-1.0)
@@ -333,21 +321,19 @@ _FAMILY_STARTS = {
 
 def _starts(name, paths):
     spec, start = _FAMILY_STARTS[name]
-    scheme = LabelScheme.ASCENDING_VALUE if spec.dimension == 1 else LabelScheme.ASCENDING_MODULUS
-    return spec, [LabeledState(np.asarray(start, dtype=float), scheme)] * paths
+    return spec, [np.asarray(start, dtype=float).reshape(spec.n_particles, spec.dimension)] * paths
 
 
 class TestMatchesRecursiveReference:
     """The batched loop reproduces the recursive per-path integrator bitwise."""
 
-    @pytest.mark.parametrize("name", sorted(_FAMILY_STARTS))
-    @pytest.mark.parametrize("scheme", [Scheme.EULER_MARUYAMA, Scheme.TAMED_EULER])
-    def test_every_family_and_scheme(self, name, scheme):
+    # the ids keep the name of the one scheme, Euler-Maruyama
+    @pytest.mark.parametrize("name", sorted(_FAMILY_STARTS), ids=lambda name: f"euler_maruyama-{name}")
+    def test_every_family_and_scheme(self, name):
         spec, init = _starts(name, 5)
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=5e-3, scheme=scheme, max_substep_depth=30)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.02, dt_record=5e-3, max_substep_depth=30)
         got = _matches_reference(spec, init, cfg, 31)
-        if scheme is Scheme.EULER_MARUYAMA:
-            assert got.max_depth_used >= 5
+        assert got.max_depth_used >= 5
 
     # the ids name the boundary rule under test, reflection at 0
     @pytest.mark.parametrize("noise_scale", [1.5, 3.0], ids=lambda s: f"reflect-{s}")
@@ -367,18 +353,6 @@ class TestMatchesRecursiveReference:
         init = [_ascending(start)] * 6
         cfg = IntegratorConfig(dt=1e-2, t_final=0.1, dt_record=2e-2, noise_scale=noise_scale, max_substep_depth=30)
         _matches_reference(spec, init, cfg, 32)
-
-    @pytest.mark.parametrize("noise_scale", [0.0, 1.0])
-    def test_tamed_close_pair_reflects(self, noise_scale):
-        # the tamed drift of the close pair throws its lower particle below
-        # zero whatever the noise, and reflection brings it back
-        spec = ModelSpec(Family.BESSEL, 2, alpha=1.0)
-        init = [_ascending(start) for start in ([1.0, 2.0], [1e-3, 1.1e-3], [0.5, 3.0])]
-        cfg = IntegratorConfig(
-            dt=1e-2, t_final=0.04, dt_record=2e-2, noise_scale=noise_scale, scheme=Scheme.TAMED_EULER
-        )
-        got = _matches_reference(spec, init, cfg, 47)
-        assert np.min(got.states) > 0.0
 
     @pytest.mark.parametrize(
         "name,trunc",
@@ -432,8 +406,7 @@ class TestMatchesRecursiveReference:
         for _ in range(5):
             got = step(spec, got, 2e-3, g_new, cfg)
             want = oracles.reference_step(spec, want, 2e-3, g_ref, cfg)
-            assert np.array_equal(got.points, want.points)
-            assert got.scheme == want.scheme
+            assert np.array_equal(got, want)
         # a caller's generator is left where the unbuffered walk leaves it
         assert g_new.bit_generator.state == g_ref.bit_generator.state
 
@@ -461,7 +434,6 @@ class TestNoiseBufferRefills:
 
     test_dyson_round = TestMatchesRecursiveReference.test_dyson_round
     test_boundary_policies = TestMatchesRecursiveReference.test_boundary_policies
-    test_tamed_close_pair_reflects = TestMatchesRecursiveReference.test_tamed_close_pair_reflects
     test_restart_from_recorded_state = TestMatchesRecursiveReference.test_restart_from_recorded_state
 
 

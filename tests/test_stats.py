@@ -141,6 +141,17 @@ class TestEstimateRhoLine:
         with pytest.raises(ValueError):
             estimate_rho([np.zeros((2, 1)), np.zeros((2, 2))], 1, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "bins",
+        [[math.nan, 1.0], [1.0], [0.0, math.inf], [2.0, 1.0]],
+        ids=["nan-edge", "one-edge", "inf-edge", "decreasing"],
+    )
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bad_bins_are_rejected(self, bins, order):
+        samples = [Configuration(np.array([0.1, 0.5])), Configuration(np.array([0.2, 0.7]))]
+        with pytest.raises(ValueError, match="^bins must be at least two finite, strictly increasing edges$"):
+            estimate_rho(samples, order, bins)
+
 
 class TestEstimateRhoPlanar:
     def test_bulk_intensity(self):
@@ -165,6 +176,12 @@ class TestEstimateRhoPlanar:
         arr, _ = sample_ginibre_ensemble(10, RngStream(5), 3)
         with pytest.raises(ValueError):
             estimate_rho(list(arr), 2, np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("window", [-1.0, math.inf, math.nan])
+    def test_bad_window_is_rejected(self, window):
+        arr, _ = sample_ginibre_ensemble(10, RngStream(5), 3)
+        with pytest.raises(ValueError, match="^window must be finite and > 0$"):
+            estimate_rho(list(arr), 2, np.array([0.0, 1.0]), window=window)
 
 
 class TestAiryPairRepulsion:
@@ -276,6 +293,13 @@ class TestErfTailSum:
             TightnessParams(r=0.0, T=1.0, c=1.0)
         with pytest.raises(ValueError):
             TightnessParams(r=1.0, T=1.0, c=0.0)
+
+    @pytest.mark.parametrize("name", ["r", "T", "c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_parameters_must_be_finite(self, name, value):
+        kwargs = {"r": 1.0, "T": 1.0, "c": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            TightnessParams(**kwargs)
 
 
 class _FakeEnsemble:
