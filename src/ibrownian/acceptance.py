@@ -4,8 +4,8 @@ Every check freezes its seeds and tolerances, so a pass is reproducible
 bit for bit; ``run_all`` executes them in registry order and returns one
 ``CheckResult`` per check, whose ``margin`` is the signed distance of the
 value to the ``threshold`` its pass rule reports, positive on the passing
-side.  On a 2-vCPU VM the slowest check takes about 25 s and the whole
-suite under a minute.
+side.  On a 2-vCPU Intel Xeon VM (commit 855b767) the slowest check,
+``ginibre-variant-gap``, took 50 s and the whole suite 80 s.
 
 Usage:
     from ibrownian.acceptance import CHECKS, run_all

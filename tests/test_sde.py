@@ -133,6 +133,13 @@ class TestStep:
         with pytest.raises(ValueError, match="dt must be finite and > 0"):
             step(spec, _ascending([0.0, 1.0]), dt, RngStream(1), cfg)
 
+    def test_nan_state_raises(self):
+        # the plain array step returns is checked as every recorded state is
+        spec = ModelSpec(Family.AIRY, 2, beta=2.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            step(spec, _ascending([math.nan, 1.0]), 1e-3, RngStream(1), cfg)
+
     def test_depth_exhaustion_raises(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, max_substep_depth=0, noise_scale=0.0)
