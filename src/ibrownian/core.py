@@ -180,6 +180,15 @@ class RngStream:
         return np.random.default_rng(ss)
 
 
+def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
+    """Generator of ``rng`` and the seed to report (None for a Generator)."""
+    if isinstance(rng, RngStream):
+        return rng.generator(), rng.seed
+    if isinstance(rng, np.random.Generator):
+        return rng, None
+    raise TypeError("rng must be an RngStream or numpy Generator")
+
+
 _HEADERS = {1: ["x"], 2: ["x", "y"], 3: ["x", "y", "z"]}
 
 

@@ -5,15 +5,16 @@ soft-edge kernel built from it, and the hard-edge Bessel kernel in its
 two algebraically equal displayed forms.
 
 Ai, Ai' and J_alpha come from ``scipy.special`` (``airy``, ``jv``), and
-J_alpha' = (J_{alpha-1} - J_{alpha+1}) / 2 from two ``jv`` calls; the
-kernels accept arguments in ``AIRY_SUPPORT`` and (0, ``BESSEL_X_MAX``].
-Off the diagonal the kernels are the closed forms, a numerator divided
-by (x - y).  As y -> x that numerator cancels badly, so within
-|x - y| <= ``DIAGONAL_WINDOW`` a quadratic expansion around the midpoint
-is used instead; its coefficients are exact expressions in the same
-special functions, not finite differences, and its zeroth term is the
-exact diagonal value.  The scalar kernels and ``kernel_grid`` evaluate
-the same expressions in the same order, so they agree bitwise.
+J_alpha' = (J_{alpha-1} - J_{alpha+1}) / 2 from the same ``jv`` call as
+J_alpha; the kernels accept arguments in ``AIRY_SUPPORT`` and
+(0, ``BESSEL_X_MAX``].  Off the diagonal the kernels are the closed forms,
+a numerator divided by (x - y).  As y -> x that numerator cancels badly,
+so within |x - y| <= ``DIAGONAL_WINDOW`` a quadratic expansion around the
+midpoint is used instead; its coefficients are exact expressions in the
+same special functions, not finite differences, and its zeroth term is
+the exact diagonal value.  ``kernel_grid`` builds the Airy kernel matrix
+in row blocks with the same expressions in the same order as
+``airy_kernel``, so the two agree bitwise.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ DIAGONAL_WINDOW = 1e-4
 class KernelId(str, enum.Enum):
     AIRY2 = "airy2"
     BESSEL = "bessel"
-    GINIBRE = "ginibre"  # diagonal only, the constant 1/pi; kernel_grid rejects it
+    GINIBRE = "ginibre"  # diagonal only, the constant 1/pi
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +111,6 @@ def airy_kernel(x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _jv_prime(alpha: float, x):
-    # the relation scipy.special.jvp evaluates, without its Python wrapper,
-    # which doubles the cost of a scalar call; one jv call gives both
-    # orders, alpha - 1 and alpha + 1, along a last axis
-    j = special.jv((alpha - 1.0, alpha + 1.0), np.asarray(x)[..., None])
-    return (j[..., 0] - j[..., 1]) / 2.0
-
-
 def _bessel_taylor(alpha: float, x, y):
     """Quadratic midpoint expansion of the hard-edge kernel, elementwise,
     valid for any x, y > 0 and exact on the diagonal.
@@ -157,10 +150,11 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
     their agreement checks the kernel algebra rather than two independent
     evaluators.  Arguments within |x - y| <= 1e-4 (including the diagonal)
     are routed through the midpoint Taylor expansion, identical for both
-    forms.  Off that window one call evaluates its Bessel values together,
-    on short order/argument arrays (one ``jv`` call for the recurrence
-    form; J_alpha at both points and one J' pair for the derivative form),
-    and stays bitwise equal to ``kernel_grid``.
+    forms.  Off that window one ``jv`` call evaluates all Bessel values of
+    the form together, on short order/argument arrays: J_alpha and
+    J_{alpha+1} at both points, or J_alpha, J_{alpha-1} and J_{alpha+1}
+    at both points, with J' = (J_{alpha-1} - J_{alpha+1}) / 2, the relation
+    ``scipy.special.jvp`` evaluates.
     """
     if form not in ("recurrence", "derivative"):
         raise ValueError(f"unknown kernel form {form!r}")
@@ -176,45 +170,43 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
         jx, j1x, jy, j1y = special.jv((alpha, alpha + 1.0, alpha, alpha + 1.0), (sx, sx, sy, sy)).tolist()
         num = sx * j1x * jy - jx * sy * j1y
     else:
-        s = np.array((sx, sy))
-        jx, jy = special.jv(alpha, s).tolist()
-        jpx, jpy = _jv_prime(alpha, s).tolist()
-        num = jx * sy * jpy - sx * jpx * jy
+        orders = (alpha, alpha - 1.0, alpha + 1.0)
+        jx, jmx, jpx, jy, jmy, jpy = special.jv(orders * 2, (sx, sx, sx, sy, sy, sy)).tolist()
+        num = jx * sy * ((jmy - jpy) / 2.0) - sx * ((jmx - jpx) / 2.0) * jy
     return 0.5 * num / (x - y)
 
 
-def _closed_or_taylor(num: np.ndarray, xs: np.ndarray, ys: np.ndarray, taylor) -> np.ndarray:
-    """num / (x - y) on the grid, with ``taylor(x, y)`` on the entries
-    within the diagonal window."""
-    diff = xs[:, None] - ys[None, :]
-    near = np.abs(diff) <= DIAGONAL_WINDOW
-    out = np.divide(num, diff, out=np.empty_like(num), where=~near)
-    i, j = np.nonzero(near)
-    out[i, j] = taylor(xs[i], ys[j])
-    return out
+# rows of the kernel matrix built per block: the temporaries stay at
+# _KERNEL_ROWS x len(ys), so the matrix itself is the only full-size array
+_KERNEL_ROWS = 256
 
 
-def kernel_grid(kernel: KernelId, xs, ys=None, *, alpha: float | None = None) -> np.ndarray:
-    """Airy2 or Bessel kernel values on a rectangular grid; rows index ``xs``."""
+def kernel_grid(kernel: KernelId, xs, ys=None) -> np.ndarray:
+    """Airy2 kernel values on a rectangular grid; rows index ``xs``.
+
+    Each block of ``_KERNEL_ROWS`` rows takes the closed form, then the
+    midpoint expansion within ``DIAGONAL_WINDOW``: the expressions of
+    ``airy_kernel``, so the blocking changes no bit and the two agree.
+    """
     kernel = KernelId(kernel)
+    if kernel is not KernelId.AIRY2:
+        raise ValueError(f"kernel_grid evaluates the airy2 kernel, not {kernel.value}")
     xs = np.asarray(xs, dtype=float).ravel()
-    ys = xs if ys is None else np.asarray(ys, dtype=float).ravel()
-    if kernel is KernelId.AIRY2:
-        _check_airy(xs)
-        _check_airy(ys)
-        ax, apx, _, _ = special.airy(xs)
-        ay, apy, _, _ = special.airy(ys)
-        num = ax[:, None] * apy[None, :] - apx[:, None] * ay[None, :]
-        return _closed_or_taylor(num, xs, ys, _airy_taylor)
-    if kernel is not KernelId.BESSEL:
-        raise ValueError(f"kernel_grid evaluates the airy2 and bessel kernels, not {kernel.value}")
-    if alpha is None:
-        raise ValueError("bessel kernel needs alpha")
-    both = np.concatenate((xs, ys))
-    _check_bessel_kernel(alpha, both.min(initial=np.inf), both.max(initial=-np.inf))
-    sx = np.sqrt(xs)
-    sy = np.sqrt(ys)
-    jx = special.jv(alpha, sx)
-    jy = special.jv(alpha, sy)
-    num = (sx * special.jv(alpha + 1.0, sx))[:, None] * jy - (jx[:, None] * sy) * special.jv(alpha + 1.0, sy)
-    return _closed_or_taylor(0.5 * num, xs, ys, lambda x, y: _bessel_taylor(alpha, x, y))
+    ax, apx = airy_fn(xs)
+    if ys is None:
+        ys, ay, apy = xs, ax, apx
+    else:
+        ys = np.asarray(ys, dtype=float).ravel()
+        ay, apy = airy_fn(ys)
+    out = np.empty((xs.size, ys.size))
+    for s in range(0, xs.size, _KERNEL_ROWS):
+        e = min(xs.size, s + _KERNEL_ROWS)
+        rows = out[s:e]
+        np.multiply.outer(ax[s:e], apy, out=rows)
+        rows -= np.multiply.outer(apx[s:e], ay)
+        diff = np.subtract.outer(xs[s:e], ys)
+        near = np.abs(diff) <= DIAGONAL_WINDOW
+        np.divide(rows, diff, out=rows, where=~near)
+        i, j = np.nonzero(near)
+        rows[i, j] = _airy_taylor(xs[s + i], ys[j])
+    return out

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .core import Configuration, Family, ModelSpec, RngStream
+from . import kernels
+from .core import Configuration, Family, ModelSpec, _resolve_rng
 
 __all__ = [
     "SamplerReport",
@@ -60,14 +61,6 @@ class McmcOptions:
     def __post_init__(self) -> None:
         if self.burn_in_sweeps < 0 or self.thin_sweeps < 1:
             raise ValueError("burn_in_sweeps >= 0 and thin_sweeps >= 1 required")
-
-
-def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
-    if isinstance(rng, RngStream):
-        return rng.generator(), rng.seed
-    if isinstance(rng, np.random.Generator):
-        return rng, None
-    raise TypeError("rng must be an RngStream or numpy Generator")
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +213,8 @@ def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, Sa
 # eigenvectors, about 32 MB); larger requests run as consecutive blocks
 _BLOCK_COEFFS = 1 << 22
 
-# rows of the kernel matrix built per block: the temporaries stay at
-# _KERNEL_ROWS x m, so the matrix itself is the only m x m array alive
-_KERNEL_ROWS = 256
+# cell width of the midpoint grid the kernel is discretized on
+_GRID_STEP = 0.04
 
 # eigenvalues of h*K at or below this cut are dropped from the basis
 _EIG_CUT = 1e-12
@@ -239,34 +231,10 @@ _SKETCH_SEED = 20110217
 _PICK_CHUNK = 64
 
 
-def _field_kernel(lo: float, hi: float, grid_step: float):
-    """Midpoint grid, cell width, and the matrix h*K of the Airy kernel on
-    the grid, built in row blocks.  Every entry is the elementwise formula
-    of a one-shot outer-product build, so the blocking changes no bit."""
-    from .kernels import airy_fn
-
-    m = int(math.ceil((hi - lo) / grid_step))
-    h = (hi - lo) / m
-    x = lo + h * (np.arange(m) + 0.5)
-    ai, aip = airy_fn(x)
-    km = np.empty((m, m))
-    for s in range(0, m, _KERNEL_ROWS):
-        e = min(m, s + _KERNEL_ROWS)
-        rows = km[s:e]
-        np.multiply.outer(ai[s:e], aip, out=rows)
-        rows -= np.multiply.outer(aip[s:e], ai)
-        denom = np.subtract.outer(x[s:e], x)
-        diag = (np.arange(e - s), np.arange(s, e))
-        denom[diag] = 1.0
-        rows /= denom
-        rows[diag] = aip[s:e] * aip[s:e] - x[s:e] * ai[s:e] * ai[s:e]
-        rows *= h
-    return x, h, km
-
-
-def _field_basis(lo: float, hi: float, grid_step: float):
-    """Midpoint grid, cell width, and the eigenpairs of h*K above 1e-12,
-    eigenvalues ascending and clipped to [0, 1].
+def _field_basis(lo: float, hi: float):
+    """Midpoint grid of cells of width about ``_GRID_STEP`` over (lo, hi),
+    cell width h, and the eigenpairs of h*K above 1e-12, eigenvalues
+    ascending and clipped to [0, 1].
 
     The eigenpairs come from a randomized range finder with one power
     iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217):
@@ -278,8 +246,11 @@ def _field_basis(lo: float, hi: float, grid_step: float):
     itself: unless half the slack of its Ritz values falls below the cut,
     it doubles ell and runs again, up to the full space.
     """
-    x, h, km = _field_kernel(lo, hi, grid_step)
-    m = x.size
+    m = math.ceil((hi - lo) / _GRID_STEP)
+    h = (hi - lo) / m
+    x = lo + h * (np.arange(m) + 0.5)
+    km = kernels.kernel_grid("airy2", x)
+    km *= h
     count = float(np.trace(km))
     if not math.isfinite(count):
         raise ValueError("sample_airy_field: kernel matrix is not finite")
@@ -397,20 +368,19 @@ def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) ->
     return out
 
 
-def sample_airy_field(
-    window: tuple[float, float], rng, n_samples: int, *, grid_step: float = 0.04
-) -> tuple[list[np.ndarray], SamplerReport]:
+def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple[list[np.ndarray], SamplerReport]:
     """Draws of the beta = 2 soft-edge limit field restricted to a window.
 
-    The correlation kernel is discretized on a midpoint grid over
-    ``window = (lo, hi)``.  Its eigenpairs above 1e-12 come from a
-    randomized range finder with Rayleigh-Ritz (``_field_basis``), whose
-    Gaussian test matrix has a fixed seed of its own, so the basis depends
-    on the window and the grid alone and draws nothing from ``rng``.  Each
-    sample Bernoulli-thins the eigenfunctions and then selects cells
-    sequentially by the chain rule for projection kernels (Schur
-    complements, Hough-Krishnapur-Peres-Virag), and each selected cell gets
-    a uniform jitter of one cell width.  The chain rule runs batched:
+    The correlation kernel is discretized on a midpoint grid, in cells of
+    width about ``_GRID_STEP``, over ``window = (lo, hi)``, which must be
+    finite with lo < hi and lie in ``kernels.AIRY_SUPPORT``.  Its
+    eigenpairs above 1e-12 come from a randomized range finder with
+    Rayleigh-Ritz (``_field_basis``), whose Gaussian test matrix has a
+    fixed seed of its own, so the basis depends on the window alone and
+    draws nothing from ``rng``.  Each sample Bernoulli-thins the
+    eigenfunctions and then selects cells sequentially by the chain rule
+    for projection kernels (Schur complements, Hough-Krishnapur-Peres-Virag),
+    and each selected cell gets a uniform jitter of one cell width.  The chain rule runs batched:
     samples go in blocks, and one matrix product with the eigenvectors
     serves every sample of a block at each step; each pick searches the
     totals of chunks of cells and then one chunk (``_pick_cells``).  Per
@@ -430,16 +400,15 @@ def sample_airy_field(
     compared against limit formulas.
     """
     lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
-    if grid_step <= 0 or (hi - lo) / grid_step > 50_000:
-        raise ValueError("grid_step must be positive and resolve the window into <= 50000 cells")
+    support = kernels.AIRY_SUPPORT
+    if not support[0] <= lo < hi <= support[1]:
+        raise ValueError(f"window must satisfy lo < hi within [{support[0]}, {support[1]}], got ({lo}, {hi})")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
 
-    x, h, lam, vecs = _field_basis(lo, hi, grid_step)
+    x, h, lam, vecs = _field_basis(lo, hi)
     per_block = max(1, _BLOCK_COEFFS // max(1, lam.size * lam.size))
     out = []
     for first in range(0, n_samples, per_block):

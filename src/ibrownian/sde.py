@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError
+from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _resolve_rng
 from .models import (
     TruncationParams,
     diffusion_kind,
@@ -404,12 +404,7 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.nd
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and > 0")
-    if isinstance(rng, RngStream):
-        g = rng.generator()
-    elif isinstance(rng, np.random.Generator):
-        g = rng
-    else:
-        raise TypeError("rng must be an RngStream or numpy Generator")
+    g, _ = _resolve_rng(rng)
     pts = _points_of(state)
     # one draw at a time leaves a caller's generator where the moves leave it
     rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)

@@ -220,22 +220,20 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     if len(envs) < _MIN_SCAN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SCAN_SAMPLES} environment samples")
     r_values = np.asarray(list(r_list), dtype=float)
-    if r_values.size == 0 or np.any(r_values <= 0):
-        raise ValueError("r_list must contain positive radii")
+    if r_values.size == 0:
+        raise ValueError("r_list must contain at least one radius")
     planar = spec.family is Family.GINIBRE
+    variants = (TruncationVariant.CENTERED, TruncationVariant.ORIGIN) if planar else (None,)
+    # every radius is validated before any environment is evaluated
+    params = [[TruncationParams(r, v) for v in variants] for r in r_values]
     vals = np.empty((r_values.size, len(envs), spec.dimension))
     gaps = np.empty((r_values.size, len(envs))) if planar else None
-    for k, r in enumerate(r_values):
-        if planar:
-            tc = TruncationParams(radius=r, variant=TruncationVariant.CENTERED)
-            to = TruncationParams(radius=r, variant=TruncationVariant.ORIGIN)
-        else:
-            tc = TruncationParams(radius=r)
+    for k, trunc in enumerate(params):
         for j, env in enumerate(envs):
-            bc = truncated_drift_at(spec, x, env, tc)
+            bc = truncated_drift_at(spec, x, env, trunc[0])
             vals[k, j] = bc
             if planar:
-                bo = truncated_drift_at(spec, x, env, to)
+                bo = truncated_drift_at(spec, x, env, trunc[1])
                 gaps[k, j] = float(np.sqrt(np.sum((bc - bo) ** 2)))
     mean = vals.mean(axis=1)
     stderr = vals.std(axis=1, ddof=1) / math.sqrt(len(envs))

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy import special
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.stats import ncx2
 
 from ibrownian.core import RngStream, SingularConfigurationError, StepFailureError
@@ -315,6 +315,27 @@ def truncated_drift_oracle(family, x, env, r, *, beta=2.0, alpha=None, riesz_a=N
     elif family == "sqrt_square_bessel":
         acc[0] += (alpha + 0.5) / x[0]
     return np.array(acc)
+
+
+def airy_band_mean_oracle(r1: float, r2: float, x: float = -1.0, scale: float = math.pi ** (-2.0 / 3.0)) -> float:
+    """Exact mean of D(r2) - D(r1), the change between radii r1 < r2 of the
+    beta = 2 truncated soft-edge drift at ``x``, for the limit field with
+    every coordinate multiplied by ``scale``.
+
+    D(r) sums 1/(x - y) over the points |y| < r and subtracts 2 sqrt(r), so
+    the mean is the integral of rho(y) / (x - y) over the band minus
+    2 (sqrt(r2) - sqrt(r1)), where rho(y) = K(y/s, y/s) / s is the field's
+    density with the diagonal K(u, u) = Ai'(u)^2 - u Ai(u)^2 of the Airy
+    kernel.  For r1 >= 10 the band's right half [r1, r2) carries mass below
+    exp(-100), so the integral runs over (-r2, -r1] alone.
+    """
+
+    def rho(y):
+        ai, aip, _, _ = special.airy(y / scale)
+        return (aip * aip - (y / scale) * ai * ai) / scale
+
+    integral, _ = quad(lambda y: rho(y) / (x - y), -r2, -r1, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return integral - 2.0 * (math.sqrt(r2) - math.sqrt(r1))
 
 
 def one_sample_ks(values: np.ndarray, cdf) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,8 +107,8 @@ class TestAiryKernel:
 
 
 class TestBesselJ:
-    """J_alpha (``scipy.special.jv``) and J_alpha' (``_jv_prime``), as the
-    hard-edge kernel evaluates them."""
+    """J_alpha (``scipy.special.jv``) and J_alpha' (``scipy.special.jvp``,
+    bitwise the relation the hard-edge kernel evaluates)."""
 
     def test_frozen_values(self):
         for (a, x), want in BESSEL_J.items():
@@ -128,7 +129,7 @@ class TestBesselJ:
         for a in (1.0, 2.0, 1.5):
             for x in (0.5, 3.0, 12.0):
                 want = oracles.bessel_series_prime_oracle(a, x)
-                assert K._jv_prime(a, x) == pytest.approx(want, abs=1e-9)
+                assert special.jvp(a, x) == pytest.approx(want, abs=1e-9)
 
     def test_derivative_by_central_difference_large_argument(self):
         # past the series cut; h chosen so stencil noise stays below tolerance
@@ -136,14 +137,18 @@ class TestBesselJ:
         for a in (1.0, 2.0, 1.5):
             for x in (25.0, 60.0):
                 num = (special.jv(a, x + h) - special.jv(a, x - h)) / (2 * h)
-                assert K._jv_prime(a, x) == pytest.approx(num, abs=1e-8)
+                assert special.jvp(a, x) == pytest.approx(num, abs=1e-8)
 
     def test_derivative_bitwise_equal_to_scipy_jvp(self):
+        # the derivative form of bessel_kernel takes (J_{a-1} - J_{a+1}) / 2
+        # on Python floats from one jv call over several (order, argument) pairs
         xs = np.concatenate([np.random.default_rng(17).uniform(0.0, 100.0, 200_000), [0.0, 1e-300, 100.0]])
         for a in (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 7.25):
-            assert np.array_equal(K._jv_prime(a, xs), special.jvp(a, xs))
+            jm, jp = special.jv(np.array([[a - 1.0], [a + 1.0]]), xs)
+            assert np.array_equal((jm - jp) / 2.0, special.jvp(a, xs))
             for x in xs[-5:]:
-                assert K._jv_prime(a, float(x)) == special.jvp(a, float(x))
+                jm, jp = special.jv((a - 1.0, a + 1.0), (x, x)).tolist()
+                assert (jm - jp) / 2.0 == special.jvp(a, float(x))
 
 
 class TestBesselKernel:
@@ -219,7 +224,7 @@ class TestMpmathOracle:
     def test_bessel_and_derivative(self, mp, alpha):
         xs = np.linspace(0.0, 100.0, 301)[1:]
         j = special.jv(alpha, xs)
-        jp = K._jv_prime(alpha, xs)
+        jp = special.jvp(alpha, xs)
         for x, v, vp in zip(xs, j, jp):
             assert abs(float(mp.besselj(alpha, x)) - v) <= 1e-13
             assert abs(float(mp.besselj(alpha, x, derivative=1)) - vp) <= 1e-13
@@ -246,31 +251,42 @@ class TestKernelGrid:
         assert np.allclose(g, g.T, rtol=1e-12)
         assert g[0, 0] == pytest.approx(K.airy_kernel(xs[0], xs[0]))
 
-    def test_bessel_grid_rect(self):
-        xs = np.linspace(0.5, 3.0, 4)
-        ys = np.linspace(0.5, 3.0, 5)
-        g = K.kernel_grid(K.KernelId.BESSEL, xs, ys, alpha=1.0)
-        assert g.shape == (4, 5)
-        assert g[1, 2] == pytest.approx(K.bessel_kernel(1.0, xs[1], ys[2]))
-
     # clusters closer than DIAGONAL_WINDOW put many entries on the midpoint expansion
     _AIRY_POINTS = np.concatenate([b + np.array([0.0, 3e-5, 7e-5, 1e-4, 2e-4]) for b in np.linspace(-119.0, 9.0, 9)])
     _BESSEL_POINTS = np.concatenate(
         [b + np.array([0.0, 3e-5, 7e-5, 1e-4, 2e-4]) for b in (1e-6, 0.01, 0.5, 3.0, 17.0, 60.0, 99.5)]
     )
 
-    def test_airy_grid_equals_scalar_kernel_bitwise(self):
+    def test_airy_grid_equals_scalar_kernel_bitwise(self, monkeypatch):
         xs = self._AIRY_POINTS
         want = np.array([[K.airy_kernel(x, y) for y in xs] for x in xs])
-        assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs), want)
-        assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs[:7], xs[5:]), want[:7, 5:])
+        # four-row blocks split the clusters, so the midpoint expansion
+        # also lands in blocks past the first
+        for rows in (K._KERNEL_ROWS, 4):
+            monkeypatch.setattr(K, "_KERNEL_ROWS", rows)
+            assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs), want)
+            assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs[:7], xs[5:]), want[:7, 5:])
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
-    def test_bessel_grid_equals_scalar_kernel_bitwise(self, alpha):
-        xs = self._BESSEL_POINTS
-        want = np.array([[K.bessel_kernel(alpha, x, y) for y in xs] for x in xs])
-        assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs, alpha=alpha), want)
-        assert np.array_equal(K.kernel_grid(K.KernelId.BESSEL, xs[:7], xs[5:], alpha=alpha), want[:7, 5:])
+    @pytest.mark.parametrize("window", [(-92.0, 6.0), (-10.0, 2.0), (3.0, 6.0)])
+    def test_row_blocks_equal_one_shot_build(self, monkeypatch, window):
+        # h * K on the field sampler's grid, against the one-shot build of
+        # the reference sampler
+        x, h, want = oracles.reference_field_kernel(*window, 0.04)
+        for rows in (K._KERNEL_ROWS, 7):
+            monkeypatch.setattr(K, "_KERNEL_ROWS", rows)
+            got = K.kernel_grid("airy2", x)
+            got *= h
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_stays_near_one_matrix(self):
+        xs = np.linspace(-92.0, 6.0, 2000)
+        tracemalloc.start()
+        try:
+            K.kernel_grid("airy2", xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * xs.size * xs.size * 8
 
     @pytest.mark.parametrize("form", ["recurrence", "derivative"])
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])
@@ -286,16 +302,7 @@ class TestKernelGrid:
         with pytest.raises(ValueError):
             K.kernel_grid(K.KernelId.AIRY2, [0.0, np.nan])
         with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.BESSEL, [1.0, 2.0], alpha=0.5)
-        with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.BESSEL, [0.0, 2.0], alpha=1.0)
-        with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.BESSEL, [1.0], [101.0], alpha=1.0)
-        with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.BESSEL, [1.0, np.nan], alpha=1.0)
-        with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.BESSEL, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.GINIBRE, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.GINIBRE, [1.0, 2.0], alpha=1.0)
+            K.kernel_grid(K.KernelId.AIRY2, [0.0], [-121.0])
+        for other in (K.KernelId.BESSEL, K.KernelId.GINIBRE):
+            with pytest.raises(ValueError, match="airy2"):
+                K.kernel_grid(other, [1.0, 2.0])

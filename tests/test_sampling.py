@@ -171,9 +171,19 @@ class TestSoftEdgeField:
         with pytest.raises(ValueError):
             S.sample_airy_field((2.0, -2.0), RngStream(1), 10)
         with pytest.raises(ValueError):
-            S.sample_airy_field((-2.0, 2.0), RngStream(1), 10, grid_step=1e-6)
-        with pytest.raises(ValueError):
             S.sample_airy_field((-2.0, 2.0), RngStream(1), 0)
+
+    @pytest.mark.parametrize(
+        "window", [(-math.inf, 0.0), (math.nan, 0.0), (-200.0, 0.0), (0.0, 0.0), (-2.0, 10.01), (-2.0, math.inf)]
+    )
+    def test_window_outside_airy_support_is_refused_before_any_draw(self, window):
+        # the window must be finite, with lo < hi, inside kernels.AIRY_SUPPORT;
+        # (-2, 10.01) reaches less than half a cell past the support
+        g = np.random.default_rng(5)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="window"):
+            S.sample_airy_field(window, g, 10)
+        assert g.bit_generator.state == state
 
     def test_number_variance_matches_kernel_formula(self):
         # Var N = int K(x,x) - int int K(x,y)^2 on the window, by the midpoint
@@ -197,7 +207,7 @@ def _same_draws(a, b):
 
 def _set_samples_per_block(monkeypatch, window, per_block):
     # the block holds samples * r * r coefficients, r = kept eigenvectors
-    r = S._field_basis(*window, 0.04)[2].size
+    r = S._field_basis(*window)[2].size
     monkeypatch.setattr(S, "_BLOCK_COEFFS", per_block * r * r)
 
 
@@ -235,8 +245,8 @@ class TestFieldMatchesReference:
     def test_chunk_edge_windows_keep_their_cell_counts(self):
         # the last two reference cases pin the pick search's chunk edges: a
         # grid shorter than one chunk, and one cell past whole chunks
-        assert S._field_kernel(-8.0, -6.0, 0.04)[0].size < S._PICK_CHUNK
-        assert S._field_kernel(-10.0, -4.86, 0.04)[0].size % S._PICK_CHUNK == 1
+        assert S._field_basis(-8.0, -6.0)[0].size < S._PICK_CHUNK
+        assert S._field_basis(-10.0, -4.86)[0].size % S._PICK_CHUNK == 1
 
     def test_right_edge_window_is_mostly_empty(self):
         envs, _ = S.sample_airy_field((1.0, 6.0), RngStream(45), 2000)
@@ -263,9 +273,8 @@ class TestFieldBasis:
 
     @pytest.mark.parametrize("window", [(-10.0, 2.0), (-6.0, 1.0), (-6.0, 2.0), (1.0, 6.0), (3.0, 6.0), (-92.0, 6.0)])
     def test_sketch_matches_full_eigh(self, window):
-        _, _, km = S._field_kernel(*window, 0.04)
-        _, _, lam, vecs = S._field_basis(*window, 0.04)
-        ref_lam, ref_vecs = _full_basis(km)
+        x, h, lam, vecs = S._field_basis(*window)
+        ref_lam, ref_vecs = _full_basis(h * K.kernel_grid("airy2", x))
         assert lam.size == ref_lam.size
         assert np.all(np.diff(lam) >= 0)
         assert np.max(np.abs(lam - ref_lam)) <= 1e-13
@@ -286,8 +295,8 @@ class TestFieldBasis:
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         monkeypatch.setattr(S, "_SKETCH_SLACK", 10)
-        _, _, km = S._field_kernel(-10.0, 2.0, 0.04)
-        _, _, lam, _ = S._field_basis(-10.0, 2.0, 0.04)
+        x, h, lam, _ = S._field_basis(-10.0, 2.0)
+        km = h * K.kernel_grid("airy2", x)
         ell = math.ceil(np.trace(km)) + 10
         assert calls == [ell, 2 * ell]
         ref_lam, _ = _full_basis(km)
@@ -295,12 +304,22 @@ class TestFieldBasis:
 
     @pytest.mark.parametrize("window", [(-92.0, 6.0), (-10.0, 2.0), (3.0, 6.0)])
     def test_row_blocks_equal_one_shot_build(self, monkeypatch, window):
+        # the grid, the cell width and the matrix h*K that the basis is
+        # built from, against the reference sampler's one-shot build
         want = oracles.reference_field_kernel(*window, 0.04)
-        for rows in (S._KERNEL_ROWS, 7):
-            monkeypatch.setattr(S, "_KERNEL_ROWS", rows)
-            got = S._field_kernel(*window, 0.04)
-            assert got[1] == want[1] and np.array_equal(got[0], want[0])
-            assert got[2].tobytes() == want[2].tobytes()
+        built = []
+        real = K.kernel_grid
+
+        def kernel_grid(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        monkeypatch.setattr(K, "kernel_grid", kernel_grid)
+        for rows in (K._KERNEL_ROWS, 7):
+            monkeypatch.setattr(K, "_KERNEL_ROWS", rows)
+            x, h, _, _ = S._field_basis(*window)
+            assert h == want[1] and np.array_equal(x, want[0])
+            assert built[-1].tobytes() == want[2].tobytes()
 
     def test_caller_generator_is_left_as_the_reference_leaves_it(self):
         a, b = np.random.default_rng(49), np.random.default_rng(49)
@@ -313,8 +332,8 @@ def _inject_basis(monkeypatch, lam, vecs):
     # replaces the grid-space basis: eigenvalues lam, eigenvectors vecs(m)
     real = S._field_basis
 
-    def basis(lo, hi, grid_step):
-        x, h, _, _ = real(lo, hi, grid_step)
+    def basis(lo, hi):
+        x, h, _, _ = real(lo, hi)
         return x, h, lam, vecs(x.size)
 
     monkeypatch.setattr(S, "_field_basis", basis)
@@ -329,14 +348,14 @@ class TestFieldNumericalTrouble:
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_off_diagonal_raises(self, monkeypatch, entry):
         # the trace stays finite, so the sketch itself must refuse the matrix
-        real = S._field_kernel
+        real = K.kernel_grid
 
-        def kernel(lo, hi, grid_step):
-            x, h, km = real(lo, hi, grid_step)
+        def kernel_grid(kernel, xs, ys=None):
+            km = real(kernel, xs, ys)
             km[3, 5] = km[5, 3] = entry
-            return x, h, km
+            return km
 
-        monkeypatch.setattr(S, "_field_kernel", kernel)
+        monkeypatch.setattr(K, "kernel_grid", kernel_grid)
         with pytest.raises(ValueError, match="kernel matrix is not finite"):
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
 

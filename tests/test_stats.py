@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from ibrownian import stats
 from ibrownian.core import Configuration, Family, ModelSpec, RngStream
-from ibrownian.sampling import sample_airy_ensemble, sample_ginibre_ensemble
+from ibrownian.models import TruncationParams, truncated_drift_at
+from ibrownian.sampling import sample_airy_ensemble, sample_airy_field, sample_ginibre_ensemble
 from ibrownian.sde import IntegratorConfig, simulate
 from ibrownian.stats import (
     CorrelationEstimate,
@@ -24,7 +26,7 @@ from ibrownian.stats import (
     log_log_slope,
 )
 
-from oracles import gauss_tail_oracle, reference_pair_counts
+from oracles import airy_band_mean_oracle, gauss_tail_oracle, reference_pair_counts
 
 
 class TestErfFn:
@@ -243,6 +245,41 @@ class TestDriftTruncationScan:
             drift_truncation_scan(envs, AIRY2, -1.0, [])
         with pytest.raises(ValueError):
             drift_truncation_scan(envs, AIRY2, -1.0, [-1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_radius_is_refused_before_any_environment(self, monkeypatch, bad):
+        calls = []
+        real = stats.truncated_drift_at
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(stats, "truncated_drift_at", counted)
+        for spec, x, env in ((AIRY2, -1.0, [[2.0]]), (GINIBRE2, np.array([1.0, 0.0]), [[2.0, 0.0]])):
+            with pytest.raises(ValueError):
+                drift_truncation_scan([np.array(env)] * 100, spec, x, [10.0, bad])
+        assert calls == []
+
+    def test_check_7_band_means_match_their_exact_means(self):
+        # the statistic of check 7: differences of the scan means at x = -1
+        # over the soft-edge field on (-92, 6), scaled by pi^(-2/3), against
+        # the quadrature of the field's density over each band; the
+        # tolerance is four standard errors of the per-sample differences
+        scale = math.pi ** (-2.0 / 3.0)
+        envs, _ = sample_airy_field((-92.0, 6.0), RngStream(701), 300)
+        envs = [scale * e for e in envs]
+        spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=1000)
+        radii = [10.0, 20.0, 40.0]
+        scan = drift_truncation_scan(envs, spec, -1.0, radii)
+        per_sample = np.array(
+            [[truncated_drift_at(spec, -1.0, e, TruncationParams(r))[0] for r in radii] for e in envs]
+        )
+        for k, (r1, r2) in enumerate(zip(radii, radii[1:])):
+            band = per_sample[:, k + 1] - per_sample[:, k]
+            se = band.std(ddof=1) / math.sqrt(len(band))
+            got = float(scan.mean[k + 1, 0] - scan.mean[k, 0])
+            assert abs(got - airy_band_mean_oracle(r1, r2)) <= 4.0 * se
 
 
 class TestErfTailSum:
