@@ -58,6 +58,9 @@ __all__ = ["RunConfig", "ConfigError", "run", "main"]
 # 855b767; the others took 3 s or less) are excluded from the quick suite
 _SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
 
+# most points a --grid may ask for, checked before any array is made
+_MAX_GRID_POINTS = 1_000_000
+
 _SAMPLED_FAMILIES = (Family.AIRY, Family.GINIBRE, Family.BESSEL, Family.LENNARD_JONES, Family.RIESZ)
 
 
@@ -217,7 +220,10 @@ def _grid(key: str, text: str) -> np.ndarray:
         raise ConfigError(key, f"expected numbers in lo:hi:step, got {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and 0 < step < math.inf):
         raise ConfigError(key, "grid needs finite lo <= hi and 0 < step < inf")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    steps = (hi - lo) / step + 1e-9
+    if not steps < _MAX_GRID_POINTS:
+        raise ConfigError(key, f"grid needs at most {_MAX_GRID_POINTS} points")
+    count = int(math.floor(steps)) + 1
     return lo + step * np.arange(count)
 
 
@@ -343,13 +349,11 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
         return replace(icfg, t_final=cfg.t_final)
 
 
-def _simulate(cfg: RunConfig):
-    """Integrate cfg.paths paths of the configured model; returns (spec, ensemble)."""
-    spec = _model_spec(cfg)
-    icfg = _integrator_config(cfg, spec)
+def _simulate(cfg: RunConfig, spec: ModelSpec, icfg: IntegratorConfig):
+    """Integrate cfg.paths paths of ``spec`` under ``icfg``; returns the ensemble."""
     initial = _initial_states(cfg, spec, RngStream(cfg.seed, 0))
     with _keyed("integrator"):
-        return spec, simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=_workers())
+        return simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=_workers())
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -378,7 +382,8 @@ def _cmd_sample(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    spec, ens = _simulate(cfg)
+    spec = _model_spec(cfg)
+    ens = _simulate(cfg, spec, _integrator_config(cfg, spec))
     coords = ["x", "y", "z"][: spec.dimension]
     rows = []
     for p in range(ens.states.shape[0]):
@@ -520,7 +525,11 @@ def _cmd_tightness(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_moments(cfg: RunConfig, out: Path) -> int:
     lags = _floats("diagnostics.lags", cfg.lags)
-    _, ens = _simulate(cfg)
+    spec = _model_spec(cfg)
+    icfg = _integrator_config(cfg, spec)
+    with _keyed("diagnostics.lags"):
+        stats._lag_steps(lags, icfg.record_step, round(icfg.t_final / icfg.record_step) + 1)
+    ens = _simulate(cfg, spec, icfg)
     with _keyed("diagnostics.lags"):
         moments = stats.holder_moment(ens, lags)
     target = out / "moments.csv"

@@ -51,8 +51,6 @@ __all__ = [
     "TruncationVariant",
     "TruncationParams",
     "LogDerivDecomposition",
-    "DiffusionKind",
-    "diffusion_kind",
     "diffusion_sigma",
     "drift_finite_all",
     "drift_limit_truncated_all",
@@ -97,20 +95,15 @@ class LogDerivDecomposition:
     far: np.ndarray
 
 
-class DiffusionKind(str, enum.Enum):
-    IDENTITY = "identity"
-    SQUARE_BESSEL_4X = "square_bessel_4x"
-
-
-def diffusion_kind(spec: ModelSpec) -> DiffusionKind:
-    if spec.family is Family.SQUARE_BESSEL:
-        return DiffusionKind.SQUARE_BESSEL_4X
-    return DiffusionKind.IDENTITY
+def _state_noise(spec: ModelSpec) -> bool:
+    """Whether the noise coefficient depends on the state: sigma = 2*sqrt(x)
+    for the squared process, 1 for every other family."""
+    return spec.family is Family.SQUARE_BESSEL
 
 
 def diffusion_sigma(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
     """Noise coefficient per coordinate: 1, or 2*sqrt(x) for the squared process."""
-    if diffusion_kind(spec) is DiffusionKind.SQUARE_BESSEL_4X:
+    if _state_noise(spec):
         return 2.0 * np.sqrt(np.maximum(points, 0.0))
     return np.ones_like(points)
 
@@ -215,7 +208,7 @@ def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
 def _drift_of(spec: ModelSpec, x: np.ndarray, d) -> np.ndarray:
     """b = (1/2)(grad a + a * d): d / 2 where a = 1, and (1/2)(4 + 4x d)
     where a = 4x (the squared process)."""
-    if diffusion_kind(spec) is DiffusionKind.IDENTITY:
+    if not _state_noise(spec):
         return 0.5 * d
     return 0.5 * (4.0 + 4.0 * x * d)
 

@@ -126,14 +126,14 @@ def _edge_spectrum_dense(n: int, beta: float, g: np.random.Generator) -> np.ndar
     return n ** (1.0 / 6.0) * (lam - 2.0 * math.sqrt(n))
 
 
-def sample_airy_equilibrium(n: int, beta: float, rng, *, method: str = "tridiagonal") -> Configuration:
-    """One equilibrium draw of the soft-edge n-particle ensemble.
+def sample_airy_equilibrium(n: int, beta: float, rng) -> Configuration:
+    """One equilibrium draw of the soft-edge n-particle ensemble, from the
+    tridiagonal model (any beta > 0).
 
     Coordinates are the edge-scaled spectrum x = n^(1/6) (lambda - 2 sqrt(n)),
-    ascending.  ``method`` is "tridiagonal" (any beta > 0) or "dense"
-    (beta in {1, 2, 4}).
+    ascending.
     """
-    draws, _ = sample_airy_ensemble(n, beta, rng, 1, method=method)
+    draws, _ = sample_airy_ensemble(n, beta, rng, 1)
     return Configuration(draws[0])
 
 
@@ -141,6 +141,9 @@ def sample_airy_ensemble(
     n: int, beta: float, rng, n_samples: int, *, method: str = "tridiagonal", window=None
 ) -> tuple[np.ndarray | list[np.ndarray], SamplerReport]:
     """n_samples independent draws; rows ascending, shape (n_samples, n).
+
+    ``method`` is "tridiagonal" (any beta > 0) or "dense" (beta in
+    {1, 2, 4}).
 
     With ``window = (lo, hi)`` (tridiagonal method only) each draw keeps
     only its points in [lo, hi], computed by bisection rather than as the
@@ -485,7 +488,7 @@ def _hard_edge_chain(n: int, alpha: float) -> _Chain:
     return _Chain(state, max(4.0, 16.0 * n / 4.0), delta_energy)
 
 
-def _gibbs_chain(spec: ModelSpec, interaction: bool) -> _Chain:
+def _gibbs_chain(spec: ModelSpec) -> _Chain:
     """Target: exp(-beta sum Phi - beta sum_{i<j} Psi) in three dimensions."""
     if spec.family not in (Family.LENNARD_JONES, Family.RIESZ):
         raise ValueError("gibbs chain supports the 3d families only")
@@ -508,7 +511,7 @@ def _gibbs_chain(spec: ModelSpec, interaction: bool) -> _Chain:
     def delta_energy(x: np.ndarray, i: int, v: np.ndarray) -> float:
         old = x[i]
         de = confinement * (float(v @ v) - float(old @ old))
-        if interaction and n > 1:
+        if n > 1:
             de += spec.beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
         return de
 
@@ -563,13 +566,7 @@ def sample_gibbs_chain(
     n_samples: int,
     *,
     options: McmcOptions | None = None,
-    interaction: bool = True,
 ) -> tuple[list[Configuration], SamplerReport]:
-    """Thinned Metropolis draws of the 3d Gibbs equilibrium.
-
-    ``interaction=False`` drops the pair potential; the target then factors
-    into independent centered Gaussians of variance n^theta / (2 beta c)
-    per coordinate, which anchors the chain against a closed form.
-    """
+    """Thinned Metropolis draws of the 3d Gibbs equilibrium."""
     g, seed = _resolve_rng(rng)
-    return _run_chain(_gibbs_chain(spec, interaction), g, n_samples, options or McmcOptions(), seed)
+    return _run_chain(_gibbs_chain(spec), g, n_samples, options or McmcOptions(), seed)

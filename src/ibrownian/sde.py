@@ -48,10 +48,9 @@ import numpy as np
 from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _resolve_rng
 from .models import (
     TruncationParams,
-    diffusion_kind,
-    diffusion_sigma,
-    DiffusionKind,
     _points_of,
+    _state_noise,
+    diffusion_sigma,
     drift_finite_all,
     drift_limit_truncated_all,
 )
@@ -302,7 +301,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     interval_ticks = m * _BASE_TICKS
     finest_split = _BASE_TICKS >> cfg.max_substep_depth  # nodes this narrow may not split
     # per-run constants of the noise
-    state_noise = diffusion_kind(spec) is not DiffusionKind.IDENTITY
+    state_noise = _state_noise(spec)
     noise_rule = state_noise if cfg.noise_scale > 0.0 and starts.shape[1] >= 2 else None
     # state of the live paths, compacted whenever one leaves the batch
     ids = np.arange(n_paths if n_rec else 0)

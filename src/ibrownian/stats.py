@@ -270,37 +270,36 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
     return totals / len(pts)
 
 
-def holder_moment(ensemble, lag_list, *, m: int | None = None, a: float = math.inf) -> np.ndarray:
+def _lag_steps(lag_list, step: float, n_times: int) -> list[int]:
+    """Index on the recording grid of each lag, for ``n_times`` recorded
+    states ``step`` apart.  Raises ValueError unless every lag is finite,
+    on the grid and within the horizon (n_times - 1) * step."""
+    steps = []
+    for lag in lag_list:
+        q = float(lag) / step
+        k = round(q) if math.isfinite(q) else -1
+        if not 0 <= k < n_times or abs(float(lag) - k * step) > 1e-9 * step:
+            raise ValueError(f"lag {lag} is not on the recording grid within [0, {(n_times - 1) * step:g}]")
+        steps.append(k)
+    return steps
+
+
+def holder_moment(ensemble, lag_list) -> np.ndarray:
     """Empirical fourth moment of increments per lag.
 
-    Averages |X(t+lag) - X(t)|^4 over paths, the first ``m`` particles,
-    and every recorded pair at that lag; paths whose max module over
-    those particles exceeds ``a`` are excluded.  Lags must sit on the
-    recording grid.
+    Averages |X(t+lag) - X(t)|^4 over paths, particles and every recorded
+    pair at that lag, for lags on the recording grid within the horizon.
     """
     times, states = ensemble.times, ensemble.states
     if len(times) < 2:
         raise ValueError("ensemble has no increments")
-    dt_rec = times[1] - times[0]
-    n_particles = states.shape[2]
-    m = n_particles if m is None else m
-    if not 1 <= m <= n_particles:
-        raise ValueError("m must lie in [1, particle count]")
-    sel = states[:, :, :m, :]
-    if math.isfinite(a):
-        mods = np.sqrt(np.sum(sel * sel, axis=3)).max(axis=(1, 2))
-        sel = sel[mods <= a]
-        if sel.shape[0] == 0:
-            raise ValueError("no path satisfies the max-module restriction")
-    out = np.empty(len(list(lag_list)))
-    for idx, lag in enumerate(lag_list):
-        k = round(float(lag) / dt_rec)
-        if abs(float(lag) - k * dt_rec) > 1e-9 * dt_rec or not 0 <= k < len(times):
-            raise ValueError(f"lag {lag} is not on the recording grid")
+    steps = _lag_steps(lag_list, times[1] - times[0], len(times))
+    out = np.empty(len(steps))
+    for idx, k in enumerate(steps):
         if k == 0:
             out[idx] = 0.0
             continue
-        diff = sel[:, k:, :, :] - sel[:, :-k, :, :]
+        diff = states[:, k:, :, :] - states[:, :-k, :, :]
         out[idx] = float(np.mean(np.sum(diff * diff, axis=3) ** 2))
     return out
 

@@ -19,7 +19,6 @@ evaluations the package used before it batched them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 from scipy import special
@@ -28,8 +27,7 @@ from scipy.stats import ncx2
 
 from ibrownian.core import RngStream, SingularConfigurationError, StepFailureError
 from ibrownian.models import (
-    DiffusionKind,
-    diffusion_kind,
+    _state_noise,
     diffusion_sigma,
     drift_finite_all,
     drift_limit_truncated_all,
@@ -169,21 +167,27 @@ def wishart_hard_edge_oracle(n: int, alpha: int, n_samples: int, rng: np.random.
     return out
 
 
-def square_bessel_sum_cdf(n: int, alpha: float, s0: float, t: float):
-    """CDF of S_t = sum_i x_i(t) for the n-particle squared hard-edge
-    process (``square_bessel``) started from a state with sum ``s0``.
+def cir_cdf(a: float, b: float, q0: float, t: float):
+    """CDF at time t of the CIR process dQ = (a - b Q) dt + 2 sqrt(Q) dW
+    started at ``q0`` (b > 0): with c = (1 - e^{-bt}) / b, Q_t / c is
+    noncentral chi-square with a degrees of freedom and noncentrality
+    q0 e^{-bt} / c.
 
-    Summed over i, the pair drifts 4 sum_j x_i / (x_i - x_j) add up to the
-    constant 2 n (n - 1) and the noises 2 sqrt(x_i) dW_i to 2 sqrt(S) dW,
-    so S is the CIR process dS = (2n(alpha + n) - S/(2n)) dt + 2 sqrt(S) dW.
-    With b = 1/(2n) and c = (1 - e^{-bt}) / b, S_t / c is noncentral
-    chi-square with 2n(alpha + n) degrees of freedom and noncentrality
-    s0 e^{-bt} / c.  The same law holds for sum_i y_i^2 of the square-root
-    process ``sqrt_square_bessel``.
+    Two sums of the particle systems are such processes, by Ito's formula
+    summed over i:
+    * S = sum_i x_i of the n-particle squared hard-edge process
+      (``square_bessel``): the pair drifts 4 sum_j x_i / (x_i - x_j) add up
+      to 2 n (n - 1) and the noises 2 sqrt(x_i) dW_i to 2 sqrt(S) dW, so
+      a = 2n(alpha + n) and b = 1/(2n).  So is sum_i y_i^2 of its
+      square-root process (``sqrt_square_bessel``).
+    * S = sum_i |z_i|^2 of the n-particle planar process (``ginibre``): the
+      pair drifts z_i . sum_j 2 (z_i - z_j) / |z_i - z_j|^2 add up to
+      n (n - 1), the two noise coordinates give 2n, the confinement -2S,
+      and the noises 2 z_i . dW_i add up to 2 sqrt(S) dW, so a = n(n + 1)
+      and b = 2.
     """
-    b = 1.0 / (2.0 * n)
     c = -math.expm1(-b * t) / b
-    return ncx2(2.0 * n * (alpha + n), s0 * math.exp(-b * t) / c, scale=c).cdf
+    return ncx2(a, q0 * math.exp(-b * t) / c, scale=c).cdf
 
 
 def pair_distance_cdf_oracle(
@@ -409,7 +413,7 @@ def _min_gap(pts: np.ndarray) -> float:
 
 def _leaf_move(spec, pts, b, h, g, cfg, stats, depth):
     sig = None
-    if diffusion_kind(spec) is not DiffusionKind.IDENTITY:
+    if _state_noise(spec):
         sig = diffusion_sigma(spec, pts)
     root_h = math.sqrt(h)
     xi = g.standard_normal(pts.shape)
@@ -433,7 +437,7 @@ def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
         # hop a crossing; also resolving the noise against the gap makes
         # label swaps vanish while keeping the same dip statistics
         scaled_root_h = cfg.noise_scale * math.sqrt(h)
-        if diffusion_kind(spec) is DiffusionKind.IDENTITY:
+        if not _state_noise(spec):
             split = scaled_root_h > 0.1 * gap
         else:
             # state-dependent noise: a swap is a per-pair event, so test
@@ -501,7 +505,6 @@ def reference_simulate(
     cfg: IntegratorConfig,
     rng: RngStream,
     *,
-    workers: int | None = None,
     start_interval: int = 0,
     on_failure: str = "raise",
 ) -> PathEnsemble:
@@ -510,8 +513,7 @@ def reference_simulate(
     Noise for path p on recording interval j comes from the substream
     ``rng.generator(p, start_interval + j)``; restarting from a recorded
     state with the matching ``start_interval`` reproduces the tail
-    bitwise.  ``workers`` > 1 distributes paths over processes without
-    changing any output.
+    bitwise.
 
     Near-collisions below the substep resolution end a path with a step
     failure.  ``on_failure="raise"`` propagates the first one with its
@@ -542,11 +544,7 @@ def reference_simulate(
         raise ValueError("at least one initial state is required")
 
     tasks = [(spec, cfg, pts, rng, p, start_interval, n_rec) for p, pts in enumerate(starts)]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_integrate_path, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        results = [_integrate_path(t) for t in tasks]
+    results = [_integrate_path(t) for t in tasks]
 
     failures = tuple((p, r[3]) for p, r in enumerate(results) if r[0] is None)
     if failures and on_failure == "raise":

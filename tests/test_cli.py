@@ -210,6 +210,32 @@ class TestBadInput:
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: integrator.t_final:")
 
+    @pytest.mark.parametrize("lag", ["inf", "nan", "-0.002", "0.003", "0.006"])
+    def test_bad_lag_fails_before_any_start_is_drawn(self, lag, tmp_path, capsys, monkeypatch):
+        # not finite, negative, off the 2e-3 recording grid, beyond t_final = 0.004
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
+        argv = ["moments", "--model", "airy", "--n", "3", "--paths", "2", "--dt", "1e-3",
+                "--t-final", "0.004", "--dt-record", "2e-3", "--lags", f"0.002,{lag}"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: diagnostics.lags:")
+
+    def test_oversized_grid_is_refused_before_any_array_is_made(self, tmp_path, capsys, monkeypatch):
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("a grid array was made")
+
+        monkeypatch.setattr(cli.np, "arange", no_arrays)
+        # 6e12 points
+        assert run_cli(["kernel", "--grid", "-4:2:1e-12", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: diagnostics.grid:")
+        monkeypatch.undo()
+        top = cli._MAX_GRID_POINTS
+        assert cli._grid("diagnostics.grid", f"0:{top - 1}:1").size == top
+        with pytest.raises(cli.ConfigError, match="^diagnostics.grid: "):
+            cli._grid("diagnostics.grid", f"0:{top}:1")
+
     def test_x_outside_domain_fails_before_any_sample_is_drawn(self, tmp_path, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
             raise AssertionError("a sample was drawn")

@@ -449,8 +449,9 @@ class TestTruncatedDriftAgainstLoopOracle:
 
 class TestDiffusion:
     def test_kind_mapping(self):
-        assert M.diffusion_kind(_spec(Family.SQUARE_BESSEL, 2, alpha=1.0)) is M.DiffusionKind.SQUARE_BESSEL_4X
-        assert M.diffusion_kind(_spec(Family.AIRY, 2)) is M.DiffusionKind.IDENTITY
+        # the squared process is the one family whose noise depends on the state
+        noisy = [fam for fam, kw, _ in _BATCH_FAMILIES if M._state_noise(_spec(fam, 2, **kw))]
+        assert noisy == [Family.SQUARE_BESSEL]
 
     def test_squared_process_coefficients(self):
         spec = _spec(Family.SQUARE_BESSEL, 2, alpha=1.0)

@@ -63,9 +63,9 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError):
             S.sample_airy_equilibrium(3, -1.0, RngStream(1))
         with pytest.raises(ValueError):
-            S.sample_airy_equilibrium(3, 3.0, RngStream(1), method="dense")
+            S.sample_airy_ensemble(3, 3.0, RngStream(1), 1, method="dense")
         with pytest.raises(ValueError):
-            S.sample_airy_equilibrium(3, 2.0, RngStream(1), method="nope")
+            S.sample_airy_ensemble(3, 2.0, RngStream(1), 1, method="nope")
 
     @pytest.mark.parametrize(
         "n, beta, window",
@@ -496,10 +496,12 @@ class TestHardEdgeChain:
 
 
 class TestGibbsChain:
-    def test_interaction_off_is_product_gaussian(self):
-        spec = ModelSpec(Family.LENNARD_JONES, 8, beta=1.0)
-        opts = S.McmcOptions(burn_in_sweeps=1500, thin_sweeps=5)
-        samples, rep = S.sample_gibbs_chain(spec, RngStream(6), 400, options=opts, interaction=False)
+    def test_one_particle_is_product_gaussian(self):
+        # no pair term at n = 1: the target is exactly the Gaussian of the
+        # confinement, variance n^theta / (2 beta c) per coordinate
+        spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
+        opts = S.McmcOptions(burn_in_sweeps=1500, thin_sweeps=10)
+        samples, rep = S.sample_gibbs_chain(spec, RngStream(6), 2000, options=opts)
         coords = np.concatenate([s.points.ravel() for s in samples])
         sd = math.sqrt(spec.n_particles**spec.free_theta / (2.0 * spec.beta * spec.free_c))
         ks = oracles.one_sample_ks(coords, lambda v: oracles.normal_cdf(v, 0.0, sd))
@@ -552,7 +554,7 @@ class TestChain:
             assert chain.delta_energy(chain.state, 2, -1.0) == math.inf
         else:
             spec = ModelSpec(Family(family), 2, beta=1.5, riesz_a=4 if family == "riesz" else None)
-            chain = S._gibbs_chain(spec, True)
+            chain = S._gibbs_chain(spec)
         rng = np.random.default_rng(40)
         for _ in range(50):
             i = int(rng.integers(0, len(chain.state)))

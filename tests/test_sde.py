@@ -305,7 +305,20 @@ class TestWeakAccuracy:
         ens = simulate(ModelSpec(family, n, alpha=alpha), [start] * paths, cfg, RngStream(1661), on_failure="drop")
         final = ens.states[:, -1, :, 0]
         sums = np.sum(final if family is Family.SQUARE_BESSEL else final**2, axis=1)
-        cdf = oracles.square_bessel_sum_cdf(n, alpha, float(np.sum(z0**2)), t_final)
+        cdf = oracles.cir_cdf(2.0 * n * (alpha + n), 1.0 / (2.0 * n), float(np.sum(z0**2)), t_final)
+        # the one-sample KS critical value at level 1e-3 for the paths kept
+        assert oracles.one_sample_ks(sums, cdf) <= kstwo.ppf(1.0 - 1e-3, sums.size)
+
+    @pytest.mark.slow
+    def test_planar_squared_radius_sum_follows_cir_law(self):
+        # sum |z_i|^2 of the planar process is a CIR process with
+        # a = n(n + 1), b = 2, whatever beta = 2 pair terms the paths meet
+        n, t_final, paths = 10, 0.4, 1000
+        z0 = np.array([[i - 1.5, j - 1.5] for i in range(4) for j in range(4)])[:n]
+        cfg = IntegratorConfig(dt=4e-3, t_final=t_final, dt_record=t_final)
+        ens = simulate(ModelSpec(Family.GINIBRE, n), [z0] * paths, cfg, RngStream(1662), on_failure="drop")
+        sums = np.sum(ens.states[:, -1] ** 2, axis=(1, 2))
+        cdf = oracles.cir_cdf(n * (n + 1.0), 2.0, float(np.sum(z0**2)), t_final)
         # the one-sample KS critical value at level 1e-3 for the paths kept
         assert oracles.one_sample_ks(sums, cdf) <= kstwo.ppf(1.0 - 1e-3, sums.size)
 

@@ -367,33 +367,21 @@ class TestHolderMoment:
         slope = log_log_slope(lags, vals)
         assert 1.9 <= slope <= 2.1
 
-    def test_max_module_restriction(self):
+    def test_averages_every_path_and_particle(self):
         times = np.array([0.0, 1.0])
-        states = np.zeros((2, 2, 1, 1))
-        states[0, 1, 0, 0] = 1.0    # stays small, increment 1
-        states[1, 1, 0, 0] = 50.0   # escapes, excluded at a=10
+        states = np.zeros((2, 2, 2, 1))
+        states[0, 1, :, 0] = [1.0, 2.0]
+        states[1, 1, :, 0] = [50.0, 0.0]
         ens = _FakeEnsemble(times, states)
-        assert holder_moment(ens, [1.0], a=10.0)[0] == 1.0
-        assert holder_moment(ens, [1.0])[0] == (1.0 + 50.0**4) / 2.0
-        with pytest.raises(ValueError):
-            holder_moment(ens, [1.0], a=0.5)
-
-    def test_particle_restriction(self):
-        times = np.array([0.0, 1.0])
-        states = np.zeros((1, 2, 2, 1))
-        states[0, 1, 0, 0] = 2.0
-        states[0, 1, 1, 0] = 1e6
-        ens = _FakeEnsemble(times, states)
-        assert holder_moment(ens, [1.0], m=1)[0] == 16.0
+        assert holder_moment(ens, [1.0])[0] == (1.0 + 2.0**4 + 50.0**4) / 4.0
 
     def test_lag_validation(self):
+        # off the grid, beyond the horizon 4 = 32 * 0.125, negative, not finite
         ens = _brownian_ensemble(2, n_paths=2)
-        with pytest.raises(ValueError):
-            holder_moment(ens, [0.1])
-        with pytest.raises(ValueError):
-            holder_moment(ens, [100.0])
-        with pytest.raises(ValueError):
-            holder_moment(ens, [0.125], m=0)
+        for lag in (0.1, 100.0, 4.125, -0.125, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="recording grid"):
+                holder_moment(ens, [0.125, lag])
+        assert holder_moment(ens, [4.0])[0] > 0.0
 
     def test_on_simulated_ensemble(self):
         spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=3)
