@@ -277,11 +277,7 @@ def _draw_equilibrium(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: in
     elif fam is Family.GINIBRE:
         pts, report = sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
         samples = [Configuration(p, dimension=2) for p in pts]
-    elif fam is Family.BESSEL:
-        samples, report = sampling.sample_bessel_chain(
-            spec.n_particles, spec.alpha, rng, count, options=_mcmc_options(cfg)
-        )
-    elif fam in (Family.LENNARD_JONES, Family.RIESZ):
+    elif fam in (Family.BESSEL, Family.LENNARD_JONES, Family.RIESZ):
         samples, report = sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
     else:
         supported = ", ".join(f.value for f in _SAMPLED_FAMILIES)
@@ -527,6 +523,8 @@ def _cmd_moments(cfg: RunConfig, out: Path) -> int:
     lags = _floats("diagnostics.lags", cfg.lags)
     spec = _model_spec(cfg)
     icfg = _integrator_config(cfg, spec)
+    if icfg.t_final == 0:
+        raise ConfigError("integrator.t_final", "fourth moments need a horizon > 0")
     with _keyed("diagnostics.lags"):
         stats._lag_steps(lags, icfg.record_step, round(icfg.t_final / icfg.record_step) + 1)
     ens = _simulate(cfg, spec, icfg)

@@ -78,7 +78,7 @@ class ModelSpec:
     dimension 3).  ``free_c``/``free_theta`` parameterize the confining
     potential c*|x|^2 / n^theta used by the Lennard-Jones and Riesz systems.
     ``beta`` must be positive; matrix-kernel validation additionally needs
-    beta in {1, 2, 4} and the Ginibre family is intrinsically beta = 2.
+    beta in {1, 2, 4}; the Ginibre and the three Bessel families are beta = 2.
     """
 
     family: Family
@@ -95,8 +95,8 @@ class ModelSpec:
             raise ValueError("n_particles must be >= 1")
         if not (self.beta > 0):
             raise ValueError("beta must be > 0")
-        if self.family is Family.GINIBRE and self.beta != 2:
-            raise ValueError("the Ginibre system is defined for beta = 2 only")
+        if (self.family is Family.GINIBRE or self.family in _BESSEL_FAMILIES) and self.beta != 2:
+            raise ValueError(f"the {self.family.value} system is defined for beta = 2 only")
         if self.family in _BESSEL_FAMILIES:
             if self.alpha is None:
                 raise ValueError(f"alpha is required for family {self.family.value}")

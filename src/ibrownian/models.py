@@ -23,7 +23,10 @@ and ``_drift_of`` holds b; every public function reads them:
   its place, and the centered planar window drops the Gaussian term too;
 * the log derivative at a point splits the pair sum with a C^1 cutoff
   into near + far, so that d = free + near + far and the drift follows
-  from the identity above.
+  from the identity above;
+* ``_energy_change`` is the other side of d: the change of -log(density)
+  when one particle moves, which the Metropolis chains of ``sampling``
+  read for the families with no exact matrix model.
 
 Everything operates on plain float64 arrays; points of shape (n, d).
 ``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
@@ -203,6 +206,63 @@ def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
         return (2.0 * spec.alpha + 1.0) / x if limit else -x / (2.0 * n) + (2.0 * spec.alpha + 1.0) / x
     # translation-invariant 3d families with confining potential c|x|^2/n^theta
     return 0.0 if limit else -(2.0 * spec.beta * spec.free_c / n**spec.free_theta) * x
+
+
+def _energy_change(spec: ModelSpec):
+    """``delta(x, i, v)``: the change of -log(density) when particle i of x
+    moves to v, +inf where the density vanishes; at v = x_i its gradient is -d_i.
+
+    ``bessel``: x of shape (n,), density exp(-sum x/(4n)) prod x^alpha
+    prod |x_i - x_j|^2 on (0, inf)^n.  The 3d families: x of shape (n, 3),
+    density exp(-beta sum c|x|^2/n^theta - beta sum_{i<j} Psi), with
+    Psi = r^-12 - r^-6 or r^-a / a.
+    """
+    fam = spec.family
+    n = spec.n_particles
+    if fam is Family.BESSEL:
+        alpha = spec.alpha
+        # indices of the particles other than i, in order: x[rest[i]] is np.delete(x, i)
+        rest = [np.delete(np.arange(n), i) for i in range(n)]
+
+        def delta(x: np.ndarray, i: int, v: float) -> float:
+            if not v > 0.0:
+                return math.inf
+            old = x[i]
+            de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
+            if n > 1:
+                others = x[rest[i]]
+                # the reduction np.sum makes, so the summation order is its own
+                de -= 2.0 * float(np.add.reduce(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
+            return de
+
+        return delta
+    if fam not in (Family.LENNARD_JONES, Family.RIESZ):
+        raise ValueError(f"family {fam.value} has no Metropolis energy (bessel, lennard_jones or riesz)")
+    beta = spec.beta
+    confinement = beta * (spec.free_c / n**spec.free_theta)
+    lj = fam is Family.LENNARD_JONES
+    a = spec.riesz_a
+
+    def pair_sum(x: np.ndarray, i: int, pos: np.ndarray) -> float:
+        d = x - pos
+        d[i] = np.inf
+        r2 = np.sum(d * d, axis=1)
+        if lj:
+            inv6 = 1.0 / r2**3
+            vals = inv6 * inv6 - inv6
+        else:
+            vals = r2 ** (-a / 2.0) / a
+        vals[i] = 0.0
+        return float(np.sum(vals))
+
+    def delta(x: np.ndarray, i: int, v: np.ndarray) -> float:
+        old = x[i]
+        de = confinement * (float(v @ v) - float(old @ old))
+        if n > 1:
+            de += beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
+        return de
+
+    return delta
 
 
 def _drift_of(spec: ModelSpec, x: np.ndarray, d) -> np.ndarray:

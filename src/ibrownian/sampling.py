@@ -6,8 +6,9 @@ and the planar ensemble (eigenvalues of a complex Gaussian matrix).  One
 Metropolis chain samples the rest: the hard-edge (Bessel) equilibrium
 and the 3d Gibbs measures of the Lennard-Jones and Riesz systems.  It
 makes per-particle Gaussian moves whose scales adapt toward a 0.3
-acceptance during burn-in and are frozen afterwards; each family only
-supplies its starting state and its energy change.
+acceptance during burn-in and are frozen afterwards.  Its energy change
+is ``models._energy_change(spec)``, beside the drift table it must agree
+with; each family here only supplies its start state and proposal scale.
 
 Samplers accept an RngStream (preferred; the seed lands in the report)
 or a bare numpy Generator.  The single-draw functions return a
@@ -26,6 +27,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from . import kernels
 from .core import Configuration, Family, ModelSpec, _resolve_rng
+from .models import _energy_change
 
 __all__ = [
     "SamplerReport",
@@ -438,135 +440,72 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
 _TARGET_ACCEPTANCE = 0.3
 
 
-class _Chain:
-    """Per-particle Gaussian Metropolis moves on ``state`` (one row per
-    particle), one proposal scale per particle.  ``delta_energy(x, i, v)``
-    is the change of the target's energy when particle i of x moves to v;
-    it is +inf where the target vanishes, so such a move is rejected."""
-
-    def __init__(self, state: np.ndarray, scale: float, delta_energy):
-        self.state = state
-        self.scales = np.full(len(state), float(scale))
-        self.delta_energy = delta_energy
-
-    def sweep(self, g: np.random.Generator, rate: float) -> int:
-        n = len(self.state)
-        accepted = 0
-        xi = g.standard_normal(self.state.shape)
-        # -Exp(1) draws are log-uniforms without the log(0) edge
-        logu = -g.exponential(size=n)
-        for i in range(n):
-            v = self.state[i] + self.scales[i] * xi[i]
-            ok = logu[i] < -self.delta_energy(self.state, i, v)
-            if ok:
-                self.state[i] = v
-                accepted += 1
-            if rate > 0.0:
-                self.scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - _TARGET_ACCEPTANCE))
-        return accepted
-
-
-def _hard_edge_chain(n: int, alpha: float) -> _Chain:
-    """Target: exp(-sum x/(4n)) * prod x^alpha * prod |x_i-x_j|^2 on (0,inf)^n."""
-    # indices of the particles other than i, in order: x[rest[i]] is np.delete(x, i)
-    rest = [np.delete(np.arange(n), i) for i in range(n)]
-
-    def delta_energy(x: np.ndarray, i: int, v: float) -> float:
-        if not v > 0.0:
-            return math.inf
-        old = x[i]
-        de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
-        if n > 1:
-            others = x[rest[i]]
-            # the reduction np.sum makes, so the summation order is its own
-            de -= 2.0 * float(np.add.reduce(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
-        return de
-
-    # support stretches to roughly 16 n^2 (quadratic repulsion pushes the
-    # top eigenvalue scale to O(n) times the weight scale 4n)
-    state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
-    return _Chain(state, max(4.0, 16.0 * n / 4.0), delta_energy)
-
-
-def _gibbs_chain(spec: ModelSpec) -> _Chain:
-    """Target: exp(-beta sum Phi - beta sum_{i<j} Psi) in three dimensions."""
-    if spec.family not in (Family.LENNARD_JONES, Family.RIESZ):
-        raise ValueError("gibbs chain supports the 3d families only")
+def _chain_start(spec: ModelSpec) -> tuple[np.ndarray, float]:
+    """Start state of the chain for ``spec``, one row per particle, and its
+    initial proposal scale."""
     n = spec.n_particles
-    confinement = spec.beta * (spec.free_c / n**spec.free_theta)
-    a = spec.riesz_a
-
-    def pair_sum(x: np.ndarray, i: int, pos: np.ndarray) -> float:
-        d = x - pos
-        d[i] = np.inf
-        r2 = np.sum(d * d, axis=1)
-        if spec.family is Family.LENNARD_JONES:
-            inv6 = 1.0 / r2**3
-            vals = inv6 * inv6 - inv6
-        else:
-            vals = r2 ** (-a / 2.0) / a
-        vals[i] = 0.0
-        return float(np.sum(vals))
-
-    def delta_energy(x: np.ndarray, i: int, v: np.ndarray) -> float:
-        old = x[i]
-        de = confinement * (float(v @ v) - float(old @ old))
-        if n > 1:
-            de += spec.beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
-        return de
-
+    if spec.family is Family.BESSEL:
+        # support stretches to roughly 16 n^2 (quadratic repulsion pushes the
+        # top eigenvalue scale to O(n) times the weight scale 4n)
+        return 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0), max(4.0, 16.0 * n / 4.0)
+    # the first n points of a cubic lattice, in row-major order
     side = max(1, math.ceil(n ** (1.0 / 3.0)))
-    grid = np.array(
-        [(i, j, k) for i in range(side) for j in range(side) for k in range(side)],
-        dtype=float,
-    )[:n]
-    return _Chain(1.4 * (grid - grid.mean(axis=0)), 0.4, delta_energy)
-
-
-def _run_chain(chain: _Chain, g: np.random.Generator, n_samples: int, opts: McmcOptions, seed):
-    t0 = time.perf_counter()
-    for sweep in range(opts.burn_in_sweeps):
-        # Robbins-Monro style decay keeps late adaptation gentle
-        rate = 0.25 * 100.0 / (100.0 + sweep)
-        chain.sweep(g, rate)
-    kept = []
-    accepted = 0
-    proposals = 0
-    for _ in range(n_samples):
-        for _ in range(opts.thin_sweeps):
-            accepted += chain.sweep(g, 0.0)
-            proposals += len(chain.state)
-        kept.append(Configuration(chain.state.copy()))
-    acc = accepted / proposals if proposals else 0.0
-    rep = SamplerReport(
-        n_samples=n_samples,
-        acceptance_rate=acc,
-        seed=seed,
-        wall_time=time.perf_counter() - t0,
-        converged=0.1 <= acc <= 0.9,
-    )
-    return kept, rep
+    grid = np.stack(np.unravel_index(np.arange(n), (side,) * 3), axis=1).astype(float)
+    return 1.4 * (grid - grid.mean(axis=0)), 0.4
 
 
 def sample_bessel_chain(
     n: int, alpha: float, rng, n_samples: int, *, options: McmcOptions | None = None
 ) -> tuple[list[Configuration], SamplerReport]:
     """Thinned Metropolis draws of the hard-edge equilibrium."""
-    if alpha < 1.0:
-        raise ValueError("alpha must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g, seed = _resolve_rng(rng)
-    return _run_chain(_hard_edge_chain(n, alpha), g, n_samples, options or McmcOptions(), seed)
+    return sample_gibbs_chain(ModelSpec(Family.BESSEL, n, alpha=alpha), rng, n_samples, options=options)
 
 
 def sample_gibbs_chain(
-    spec: ModelSpec,
-    rng,
-    n_samples: int,
-    *,
-    options: McmcOptions | None = None,
+    spec: ModelSpec, rng, n_samples: int, *, options: McmcOptions | None = None
 ) -> tuple[list[Configuration], SamplerReport]:
-    """Thinned Metropolis draws of the 3d Gibbs equilibrium."""
+    """Thinned Metropolis draws of the equilibrium of a ``bessel``,
+    ``lennard_jones`` or ``riesz`` spec.
+
+    Per-particle Gaussian moves, one proposal scale per particle; the
+    energy change comes from ``models._energy_change`` and is +inf where
+    the target vanishes, so such a move is rejected.
+    """
     g, seed = _resolve_rng(rng)
-    return _run_chain(_gibbs_chain(spec), g, n_samples, options or McmcOptions(), seed)
+    delta_energy = _energy_change(spec)
+    opts = options or McmcOptions()
+    state, scale = _chain_start(spec)
+    n = len(state)
+    scales = np.full(n, float(scale))
+
+    def sweep(rate: float) -> int:
+        accepted = 0
+        xi = g.standard_normal(state.shape)
+        # -Exp(1) draws are log-uniforms without the log(0) edge
+        logu = -g.exponential(size=n)
+        for i in range(n):
+            v = state[i] + scales[i] * xi[i]
+            ok = logu[i] < -delta_energy(state, i, v)
+            if ok:
+                state[i] = v
+                accepted += 1
+            if rate > 0.0:
+                scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - _TARGET_ACCEPTANCE))
+        return accepted
+
+    t0 = time.perf_counter()
+    for k in range(opts.burn_in_sweeps):
+        # Robbins-Monro style decay keeps late adaptation gentle
+        sweep(0.25 * 100.0 / (100.0 + k))
+    kept = []
+    accepted = 0
+    for _ in range(n_samples):
+        for _ in range(opts.thin_sweeps):
+            accepted += sweep(0.0)
+        kept.append(Configuration(state.copy()))
+    proposals = n_samples * opts.thin_sweeps * n
+    acc = accepted / proposals if proposals else 0.0
+    rep = SamplerReport(
+        n_samples=n_samples, acceptance_rate=acc, seed=seed, wall_time=time.perf_counter() - t0, converged=0.1 <= acc <= 0.9
+    )
+    return kept, rep

@@ -11,9 +11,10 @@ its batched loop, and the field sampler runs the package's Airy functions
 through the sample-by-sample chain rule it used before its batched one.
 The pair counter keeps the per-sample 2d histogram of ordered pairs that
 the package's order-2 line estimator used before its histogram products.
-The hard-edge chain and the scalar Bessel kernel at the end keep the
-per-proposal ``np.delete`` energy and the one-call-per-value Bessel
-evaluations the package used before it batched them.
+The Metropolis chains and the scalar Bessel kernel at the end keep the
+per-proposal ``np.delete`` energy, the 3d chain energy as it was written
+in the sampler, and the one-call-per-value Bessel evaluations the package
+used before it batched or moved them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy import special
 from scipy.integrate import quad, solve_ivp
 from scipy.stats import ncx2
 
-from ibrownian.core import RngStream, SingularConfigurationError, StepFailureError
+from ibrownian.core import Family, RngStream, SingularConfigurationError, StepFailureError
 from ibrownian.models import (
     _state_noise,
     diffusion_sigma,
@@ -643,14 +644,15 @@ def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
 
 
 # ---------------------------------------------------------------------------
-# reference hard-edge chain and scalar Bessel kernel
+# reference Metropolis chains and scalar Bessel kernel
 # ---------------------------------------------------------------------------
 #
 # ``ibrownian.sampling.sample_bessel_chain`` as its loop ran when each
-# proposal's energy called ``np.delete`` and ``np.sum``, and
-# ``ibrownian.kernels.bessel_kernel`` as it was when each Bessel value was
-# one scalar ``scipy.special.jv`` or ``jvp`` call: the bitwise references
-# for the batched versions.
+# proposal's energy called ``np.delete`` and ``np.sum``, the energy of
+# ``sample_gibbs_chain`` as it was written in ``sampling`` before it moved
+# to ``models``, and ``ibrownian.kernels.bessel_kernel`` as it was when
+# each Bessel value was one scalar ``scipy.special.jv`` or ``jvp`` call:
+# the bitwise references for the versions that replaced them.
 
 
 def reference_bessel_delta_energy(alpha, x, i, v):
@@ -666,19 +668,42 @@ def reference_bessel_delta_energy(alpha, x, i, v):
     return de
 
 
-def reference_bessel_chain(n, alpha, g, n_samples, burn_in_sweeps, thin_sweeps):
-    """Draws (n_samples, n) and acceptance rate of the hard-edge Metropolis
-    chain on the generator ``g``."""
-    state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
-    scales = np.full(n, max(4.0, 16.0 * n / 4.0))
+def reference_gibbs_delta_energy(spec, x, i, v):
+    """Change of the 3d Gibbs chain's energy when particle i of x moves to v."""
+    n = spec.n_particles
+    confinement = spec.beta * (spec.free_c / n**spec.free_theta)
+    a = spec.riesz_a
+
+    def pair_sum(x: np.ndarray, i: int, pos: np.ndarray) -> float:
+        d = x - pos
+        d[i] = np.inf
+        r2 = np.sum(d * d, axis=1)
+        if spec.family is Family.LENNARD_JONES:
+            inv6 = 1.0 / r2**3
+            vals = inv6 * inv6 - inv6
+        else:
+            vals = r2 ** (-a / 2.0) / a
+        vals[i] = 0.0
+        return float(np.sum(vals))
+
+    old = x[i]
+    de = confinement * (float(v @ v) - float(old @ old))
+    if n > 1:
+        de += spec.beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
+    return de
+
+
+def _reference_chain(state, scale, delta_energy, g, n_samples, burn_in_sweeps, thin_sweeps):
+    n = len(state)
+    scales = np.full(n, scale)
 
     def sweep(rate):
         accepted = 0
-        xi = g.standard_normal(n)
+        xi = g.standard_normal(state.shape)
         logu = -g.exponential(size=n)
         for i in range(n):
             v = state[i] + scales[i] * xi[i]
-            ok = logu[i] < -reference_bessel_delta_energy(alpha, state, i, v)
+            ok = logu[i] < -delta_energy(state, i, v)
             if ok:
                 state[i] = v
                 accepted += 1
@@ -688,13 +713,42 @@ def reference_bessel_chain(n, alpha, g, n_samples, burn_in_sweeps, thin_sweeps):
 
     for k in range(burn_in_sweeps):
         sweep(0.25 * 100.0 / (100.0 + k))
-    draws = np.empty((n_samples, n))
+    draws = np.empty((n_samples,) + state.shape)
     accepted = 0
     for k in range(n_samples):
         for _ in range(thin_sweeps):
             accepted += sweep(0.0)
         draws[k] = state
     return draws, accepted / (n_samples * thin_sweeps * n)
+
+
+def reference_bessel_chain(n, alpha, g, n_samples, burn_in_sweeps, thin_sweeps):
+    """Draws (n_samples, n) and acceptance rate of the hard-edge Metropolis
+    chain on the generator ``g``."""
+    state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
+    return _reference_chain(
+        state,
+        max(4.0, 16.0 * n / 4.0),
+        lambda x, i, v: reference_bessel_delta_energy(alpha, x, i, v),
+        g, n_samples, burn_in_sweeps, thin_sweeps,
+    )
+
+
+def reference_gibbs_chain(spec, g, n_samples, burn_in_sweeps, thin_sweeps):
+    """Draws (n_samples, n, 3) and acceptance rate of the Lennard-Jones or
+    Riesz Metropolis chain on the generator ``g``."""
+    n = spec.n_particles
+    side = max(1, math.ceil(n ** (1.0 / 3.0)))
+    grid = np.array(
+        [(i, j, k) for i in range(side) for j in range(side) for k in range(side)],
+        dtype=float,
+    )[:n]
+    return _reference_chain(
+        1.4 * (grid - grid.mean(axis=0)),
+        0.4,
+        lambda x, i, v: reference_gibbs_delta_energy(spec, x, i, v),
+        g, n_samples, burn_in_sweeps, thin_sweeps,
+    )
 
 
 def reference_bessel_kernel(alpha, x, y, form):

@@ -37,13 +37,13 @@ class TestSampleCommand:
         assert (tmp_path / "a" / "samples.csv").read_text() != (tmp_path / "b" / "samples.csv").read_text()
 
     def test_unconverged_chain_warns_and_still_writes(self, tmp_path, capsys, monkeypatch):
-        real = cli.sampling.sample_bessel_chain
+        real = cli.sampling.sample_gibbs_chain
 
         def unconverged(*args, **kwargs):
             samples, report = real(*args, **kwargs)
             return samples, dataclasses.replace(report, acceptance_rate=0.05, converged=False)
 
-        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", unconverged)
+        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", unconverged)
         argv = ["sample", "--model", "bessel", "--n", "3", "--n-samples", "2", "--seed", "5"]
         assert run_cli(argv + ["--burn-in-sweeps", "10", "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err
@@ -189,11 +189,12 @@ class TestBadInput:
             (["drift-diag", "--model", "airy", "--n", "5", "--s", "nan"], "diagnostics.s"),
             (["drift-diag", "--model", "airy", "--n", "5", "--x", "nan"], "diagnostics.x"),
             (["drift-diag", "--model", "bessel", "--n", "5", "--x", "nan"], "diagnostics.x"),
+            (["simulate", "--model", "bessel", "--beta", "1"], "model"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
-            "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel",
+            "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "beta-one-bessel",
         ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
@@ -202,10 +203,10 @@ class TestBadInput:
         assert err.startswith(f"config error: {key}:")
 
     def test_off_grid_horizon_fails_before_any_start_is_drawn(self, tmp_path, capsys, monkeypatch):
-        def no_draws(*args):
+        def no_draws(*args, **kwargs):
             raise AssertionError("a start was drawn")
 
-        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
         argv = ["simulate", "--model", "bessel", "--n", "10", "--paths", "200", "--dt", "1e-3", "--t-final", "0.0025"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: integrator.t_final:")
@@ -221,6 +222,15 @@ class TestBadInput:
                 "--t-final", "0.004", "--dt-record", "2e-3", "--lags", f"0.002,{lag}"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: diagnostics.lags:")
+
+    def test_zero_horizon_moments_fail_before_any_start_is_drawn(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
+        argv = ["moments", "--model", "airy", "--n", "3", "--paths", "5", "--t-final", "0", "--lags", "0"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: integrator.t_final:")
 
     def test_oversized_grid_is_refused_before_any_array_is_made(self, tmp_path, capsys, monkeypatch):
         def no_arrays(*args, **kwargs):
@@ -240,7 +250,7 @@ class TestBadInput:
         def no_draws(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
         argv = ["drift-diag", "--model", "bessel", "--n", "5", "--n-samples", "100", "--r-list", "5,10"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: diagnostics.x:")
@@ -260,7 +270,7 @@ class TestBadInput:
         def no_draws(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(cli.sampling, "sample_bessel_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
         monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
         assert run_cli(["drift-diag", "--n", "5"] + argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")

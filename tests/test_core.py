@@ -35,6 +35,12 @@ class TestModelSpec:
         ModelSpec(Family.GINIBRE, 2, beta=2.0)
         with pytest.raises(ValueError):
             ModelSpec(Family.GINIBRE, 2, beta=1.0)
+        # the Bessel families' pair term 2/(x - y) is the beta = 2 one
+        for fam in (Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL):
+            ModelSpec(fam, 2, beta=2.0, alpha=1.0)
+            for beta in (1.0, 4.0):
+                with pytest.raises(ValueError, match="beta = 2 only"):
+                    ModelSpec(fam, 2, beta=beta, alpha=1.0)
 
     def test_alpha_rules(self):
         with pytest.raises(ValueError):

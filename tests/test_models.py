@@ -495,3 +495,47 @@ class TestChangeOfVariables:
         b1 = M.drift_finite_all(spec, pts + shift)
         free_shift = -(spec.beta * spec.free_c / 5.0**spec.free_theta) * shift
         assert np.allclose(b1 - b0, free_shift, atol=1e-12)
+
+
+class TestEnergyChange:
+    # the Metropolis target and the drift are one measure: -d/dv of the
+    # chain's energy change is the log derivative d = 2b (a = 1 for these
+    # families).  Central differences with step 1e-5 err by eps^2 |E'''| / 6,
+    # below 1e-6 for pair distances >= 0.9, plus rounding near 1e-16 |E| / eps;
+    # the tolerance 1e-5 (1 + |d|) is fixed from that, not from a run.
+    EPS = 1e-5
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _spec(Family.BESSEL, 1, alpha=1.5),
+            _spec(Family.BESSEL, 2, alpha=1.0),
+            _spec(Family.BESSEL, 5, alpha=2.5),
+            _spec(Family.LENNARD_JONES, 2, beta=1.5, free_c=0.3),
+            _spec(Family.LENNARD_JONES, 5, beta=1.0, free_theta=0.0),
+            _spec(Family.RIESZ, 2, beta=2.0, riesz_a=4),
+            _spec(Family.RIESZ, 5, beta=0.7, riesz_a=5, free_c=1.1),
+        ],
+        ids=["bessel-1", "bessel-2", "bessel-5", "lj-2", "lj-5", "riesz-2", "riesz-5"],
+    )
+    def test_central_difference_is_log_derivative(self, spec):
+        rng = np.random.default_rng(1800 + spec.n_particles)
+        n = spec.n_particles
+        if spec.dimension == 1:
+            x = 1.0 + 2.0 * np.arange(n) + rng.uniform(0.0, 0.5, n)
+        else:
+            cells = np.stack(np.unravel_index(np.arange(n), (2, 2, 2)), axis=1)
+            x = 1.2 * cells + rng.uniform(-0.1, 0.1, (n, 3))
+        d = 2.0 * M.drift_finite_all(spec, x)
+        delta = M._energy_change(spec)
+        for i in range(n):
+            for k in range(spec.dimension):
+                e = self.EPS if spec.dimension == 1 else self.EPS * np.eye(3)[k]
+                fd = -(delta(x, i, x[i] + e) - delta(x, i, x[i] - e)) / (2.0 * self.EPS)
+                assert abs(fd - d[i, k]) <= 1e-5 * (1.0 + abs(d[i, k]))
+
+    @pytest.mark.parametrize("fam", [Family.AIRY, Family.GINIBRE, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL])
+    def test_families_with_other_samplers_are_refused(self, fam):
+        kw = {"alpha": 1.0} if fam in (Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL) else {}
+        with pytest.raises(ValueError, match="no Metropolis energy"):
+            M._energy_change(_spec(fam, 3, **kw))

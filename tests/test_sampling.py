@@ -8,6 +8,7 @@ from scipy.stats import ks_2samp
 
 from ibrownian.core import Configuration, Family, ModelSpec, RngStream
 from ibrownian import kernels as K
+from ibrownian import models as M
 from ibrownian import sampling as S
 
 import oracles
@@ -417,7 +418,7 @@ class TestHardEdgeChain:
         # pins the summation order too, which the draws see only when a
         # rounding difference flips an acceptance
         rng = np.random.default_rng(1640 + n)
-        delta = S._hard_edge_chain(n, 1.5).delta_energy
+        delta = M._energy_change(ModelSpec(Family.BESSEL, n, alpha=1.5))
         for _ in range(200):
             x = np.sort(rng.uniform(0.1, 16.0 * n * n, n))
             i, v = int(rng.integers(n)), float(rng.uniform(-1.0, 16.0 * n * n))
@@ -541,6 +542,37 @@ class TestGibbsChain:
         with pytest.raises(ValueError):
             S.sample_gibbs_chain(ModelSpec(Family.AIRY, 2), RngStream(1), 1)
 
+    @pytest.mark.parametrize("family", [Family.LENNARD_JONES, Family.RIESZ])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_delta_energy_bitwise_equal_to_reference(self, family, n):
+        rng = np.random.default_rng(1700 + n)
+        for beta, c, theta in ((1.0, 0.5, 1.0), (2.5, 0.2, 0.0)):
+            extra = {"riesz_a": 5} if family is Family.RIESZ else {}
+            spec = ModelSpec(family, n, beta=beta, free_c=c, free_theta=theta, **extra)
+            delta = M._energy_change(spec)
+            for _ in range(100):
+                x = rng.normal(0.0, 1.5, (n, 3))
+                i, v = int(rng.integers(n)), rng.normal(0.0, 1.5, 3)
+                assert delta(x, i, v) == oracles.reference_gibbs_delta_energy(spec, x, i, v)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(Family.LENNARD_JONES, 1, beta=1.0),
+            ModelSpec(Family.LENNARD_JONES, 5, beta=1.5, free_c=0.3, free_theta=0.0),
+            ModelSpec(Family.RIESZ, 8, beta=2.0, riesz_a=4, free_theta=2.0),
+        ],
+        ids=["lj-1", "lj-5", "riesz-8"],
+    )
+    def test_bitwise_equal_to_reference_chain(self, spec):
+        g, g_ref = np.random.default_rng(1720), np.random.default_rng(1720)
+        opts = S.McmcOptions(burn_in_sweeps=200, thin_sweeps=3)
+        samples, rep = S.sample_gibbs_chain(spec, g, 40, options=opts)
+        want, acceptance = oracles.reference_gibbs_chain(spec, g_ref, 40, 200, 3)
+        assert np.array([s.points for s in samples]).tobytes() == want.tobytes()
+        assert rep.acceptance_rate == acceptance
+        assert g.bit_generator.state == g_ref.bit_generator.state
+
 
 class TestChain:
     @pytest.mark.parametrize("family", ["hard_edge", "lennard_jones", "riesz"])
@@ -548,22 +580,24 @@ class TestChain:
         # detailed balance of the Metropolis rule reduces to Delta E(x -> y)
         # being exactly minus Delta E(y -> x); check on the live chain
         if family == "hard_edge":
-            chain = S._hard_edge_chain(3, 1.5)
-            # the target vanishes off (0, inf): such a move is never accepted
-            assert chain.delta_energy(chain.state, 0, 0.0) == math.inf
-            assert chain.delta_energy(chain.state, 2, -1.0) == math.inf
+            spec = ModelSpec(Family.BESSEL, 3, alpha=1.5)
         else:
             spec = ModelSpec(Family(family), 2, beta=1.5, riesz_a=4 if family == "riesz" else None)
-            chain = S._gibbs_chain(spec)
+        state, _ = S._chain_start(spec)
+        delta = M._energy_change(spec)
+        if family == "hard_edge":
+            # the target vanishes off (0, inf): such a move is never accepted
+            assert delta(state, 0, 0.0) == math.inf
+            assert delta(state, 2, -1.0) == math.inf
         rng = np.random.default_rng(40)
         for _ in range(50):
-            i = int(rng.integers(0, len(chain.state)))
-            v = chain.state[i] + rng.normal(0, 0.5, chain.state[i].shape)
-            forward = chain.delta_energy(chain.state, i, v)
-            old = chain.state[i].copy()
-            chain.state[i] = v
-            backward = chain.delta_energy(chain.state, i, old)
-            chain.state[i] = old
+            i = int(rng.integers(0, len(state)))
+            v = state[i] + rng.normal(0, 0.5, state[i].shape)
+            forward = delta(state, i, v)
+            old = state[i].copy()
+            state[i] = v
+            backward = delta(state, i, old)
+            state[i] = old
             assert forward == pytest.approx(-backward, rel=1e-10, abs=1e-12)
 
 
