@@ -18,6 +18,7 @@ which return the draws plus a SamplerReport, as the chains do.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -73,6 +74,13 @@ class McmcOptions:
 # margin by which a window is widened before bisection, so that rounding in
 # the map to edge coordinates cannot lose a point on its boundary
 _WINDOW_PAD = 1e-6
+
+
+def _window_pair(window) -> tuple[float, float]:
+    """``window`` as the float pair (lo, hi); any other length is refused."""
+    if len(window) != 2:
+        raise ValueError(f"window must be a pair (lo, hi), got {window!r}")
+    return float(window[0]), float(window[1])
 
 
 def _edge_spectrum_tridiagonal(n: int, beta: float, g: np.random.Generator, window=None) -> np.ndarray:
@@ -161,7 +169,7 @@ def sample_airy_ensemble(
     if method not in ("tridiagonal", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if window is not None:
-        window = (float(window[0]), float(window[1]))
+        window = _window_pair(window)
         if method != "tridiagonal" or not window[0] < window[1]:
             raise ValueError("a window needs method='tridiagonal' and lo < hi")
     g, seed = _resolve_rng(rng)
@@ -235,11 +243,21 @@ _SKETCH_SEED = 20110217
 # searched per pick are both short
 _PICK_CHUNK = 64
 
+# windows whose basis ``_field_basis`` keeps for the life of the process,
+# the least recently used dropped first (about 4 MB each on (-92, 6))
+_FIELD_BASES = 8
 
+
+@functools.lru_cache(maxsize=_FIELD_BASES)
 def _field_basis(lo: float, hi: float):
     """Midpoint grid of cells of width about ``_GRID_STEP`` over (lo, hi),
     cell width h, and the eigenpairs of h*K above 1e-12, eigenvalues
     ascending and clipped to [0, 1].
+
+    The basis depends on the window alone, so it is built once per window
+    per process: the last ``_FIELD_BASES`` windows are kept, read-only,
+    and a repeat call returns the same arrays.  A build that raises stores
+    nothing, and no entry keeps the m x m kernel matrix.
 
     The eigenpairs come from a randomized range finder with one power
     iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217):
@@ -274,7 +292,10 @@ def _field_basis(lo: float, hi: float):
         if ell == m or ell - np.count_nonzero(keep) >= _SKETCH_SLACK // 2:
             break
         ell = min(m, 2 * ell)
-    return x, h, np.clip(lam[keep], 0.0, 1.0), q @ w[:, keep]
+    lam, vecs = np.clip(lam[keep], 0.0, 1.0), q @ w[:, keep]
+    for a in (x, lam, vecs):
+        a.flags.writeable = False
+    return x, h, lam, vecs
 
 
 def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) -> list[np.ndarray]:
@@ -377,12 +398,15 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     """Draws of the beta = 2 soft-edge limit field restricted to a window.
 
     The correlation kernel is discretized on a midpoint grid, in cells of
-    width about ``_GRID_STEP``, over ``window = (lo, hi)``, which must be
-    finite with lo < hi and lie in ``kernels.AIRY_SUPPORT``.  Its
+    width about ``_GRID_STEP``, over ``window = (lo, hi)``, a pair that
+    must be finite with lo < hi and lie in ``kernels.AIRY_SUPPORT``.  Its
     eigenpairs above 1e-12 come from a randomized range finder with
     Rayleigh-Ritz (``_field_basis``), whose Gaussian test matrix has a
     fixed seed of its own, so the basis depends on the window alone and
-    draws nothing from ``rng``.  Each sample Bernoulli-thins the
+    draws nothing from ``rng``.  It is built once per window per process:
+    the bases of the last ``_FIELD_BASES`` windows are kept, read-only, so
+    a repeat call on a window goes straight to the chain rule, and a build
+    that raises stores nothing.  Each sample Bernoulli-thins the
     eigenfunctions and then selects cells sequentially by the chain rule
     for projection kernels (Schur complements, Hough-Krishnapur-Peres-Virag),
     and each selected cell gets a uniform jitter of one cell width.  The chain rule runs batched:
@@ -404,7 +428,7 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     with no finite-matrix distortion, which matters when window sums are
     compared against limit formulas.
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _window_pair(window)
     support = kernels.AIRY_SUPPORT
     if not support[0] <= lo < hi <= support[1]:
         raise ValueError(f"window must satisfy lo < hi within [{support[0]}, {support[1]}], got ({lo}, {hi})")

@@ -90,6 +90,14 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError, match="window"):
             S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, method="dense", window=(-1.0, 1.0))
 
+    @pytest.mark.parametrize("window", [(-3.0, 0.0, 99.0), (-3.0,)])
+    def test_window_that_is_not_a_pair_is_refused_before_any_draw(self, window):
+        g = np.random.default_rng(5)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="window"):
+            S.sample_airy_ensemble(50, 2.0, g, 3, window=window)
+        assert g.bit_generator.state == state
+
     def test_ensemble_validation(self):
         with pytest.raises(ValueError, match="n must be"):
             S.sample_airy_ensemble(0, 2.0, RngStream(1), 5)
@@ -175,10 +183,14 @@ class TestSoftEdgeField:
             S.sample_airy_field((-2.0, 2.0), RngStream(1), 0)
 
     @pytest.mark.parametrize(
-        "window", [(-math.inf, 0.0), (math.nan, 0.0), (-200.0, 0.0), (0.0, 0.0), (-2.0, 10.01), (-2.0, math.inf)]
+        "window",
+        [
+            (-math.inf, 0.0), (math.nan, 0.0), (-200.0, 0.0), (0.0, 0.0), (-2.0, 10.01), (-2.0, math.inf),
+            (-2.0, 1.0, -50.0), (-2.0,),
+        ],
     )
     def test_window_outside_airy_support_is_refused_before_any_draw(self, window):
-        # the window must be finite, with lo < hi, inside kernels.AIRY_SUPPORT;
+        # the window must be a finite pair, with lo < hi, inside kernels.AIRY_SUPPORT;
         # (-2, 10.01) reaches less than half a cell past the support
         g = np.random.default_rng(5)
         state = g.bit_generator.state
@@ -318,6 +330,7 @@ class TestFieldBasis:
         monkeypatch.setattr(K, "kernel_grid", kernel_grid)
         for rows in (K._KERNEL_ROWS, 7):
             monkeypatch.setattr(K, "_KERNEL_ROWS", rows)
+            S._field_basis.cache_clear()
             x, h, _, _ = S._field_basis(*window)
             assert h == want[1] and np.array_equal(x, want[0])
             assert built[-1].tobytes() == want[2].tobytes()
@@ -327,6 +340,65 @@ class TestFieldBasis:
         S.sample_airy_field((-6.0, 1.0), a, 30)
         oracles.reference_airy_field((-6.0, 1.0), b, 30)
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def _count_kernel_builds(monkeypatch):
+    builds = []
+    real = K.kernel_grid
+
+    def kernel_grid(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(K, "kernel_grid", kernel_grid)
+    return builds
+
+
+class TestFieldBasisMemo:
+    # each window's basis is built once per process and kept read-only
+
+    def test_repeat_call_skips_the_build(self, monkeypatch):
+        builds = _count_kernel_builds(monkeypatch)
+        gens = [np.random.default_rng(49) for _ in range(3)]
+        cold, _ = S.sample_airy_field((-6.0, 1.0), gens[0], 30)
+        assert len(builds) == 1
+        warm, _ = S.sample_airy_field((-6.0, 1.0), gens[1], 30)
+        assert len(builds) == 1
+        S._field_basis.cache_clear()
+        again, _ = S.sample_airy_field((-6.0, 1.0), gens[2], 30)
+        assert len(builds) == 2
+        assert _same_draws(warm, cold) and _same_draws(again, cold)
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state == gens[2].bit_generator.state
+
+    def test_basis_is_read_only(self):
+        basis = S._field_basis(-6.0, 1.0)
+        x, _, lam, vecs = basis
+        for a in (x, lam, vecs):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        assert S._field_basis(-6.0, 1.0) is basis
+
+    def test_failed_build_stores_nothing(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(K, "airy_fn", lambda x: (np.full_like(x, np.nan), np.full_like(x, np.nan)))
+            for _ in range(2):
+                with pytest.raises(ValueError, match="kernel matrix is not finite"):
+                    S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
+        builds = _count_kernel_builds(monkeypatch)
+        got, _ = S.sample_airy_field((-2.0, 1.0), RngStream(1), 50)
+        ref, _ = oracles.reference_airy_field((-2.0, 1.0), RngStream(1), 50)
+        assert len(builds) == 1 and _same_draws(got, ref)
+
+    def test_evicted_window_draws_as_cold(self, monkeypatch):
+        builds = _count_kernel_builds(monkeypatch)
+        first = (-6.0, 1.0)
+        cold, _ = S.sample_airy_field(first, RngStream(50), 40)
+        for k in range(S._FIELD_BASES):
+            S.sample_airy_field((-3.0 - 0.25 * k, 1.0), RngStream(51), 2)
+        assert len(builds) == 1 + S._FIELD_BASES
+        got, _ = S.sample_airy_field(first, RngStream(50), 40)
+        assert len(builds) == 2 + S._FIELD_BASES
+        assert _same_draws(got, cold)
 
 
 def _inject_basis(monkeypatch, lam, vecs):
