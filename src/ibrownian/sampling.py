@@ -243,21 +243,17 @@ _SKETCH_SEED = 20110217
 # searched per pick are both short
 _PICK_CHUNK = 64
 
-# windows whose basis ``_field_basis`` keeps for the life of the process,
-# the least recently used dropped first (about 4 MB each on (-92, 6))
-_FIELD_BASES = 8
-
-
-@functools.lru_cache(maxsize=_FIELD_BASES)
+@functools.lru_cache(maxsize=1)
 def _field_basis(lo: float, hi: float):
     """Midpoint grid of cells of width about ``_GRID_STEP`` over (lo, hi),
     cell width h, and the eigenpairs of h*K above 1e-12, eigenvalues
     ascending and clipped to [0, 1].
 
-    The basis depends on the window alone, so it is built once per window
-    per process: the last ``_FIELD_BASES`` windows are kept, read-only,
-    and a repeat call returns the same arrays.  A build that raises stores
-    nothing, and no entry keeps the m x m kernel matrix.
+    The basis depends on the window alone, so the last window's basis is
+    kept for the life of the process, read-only (about 4 MB on (-92, 6)),
+    and a repeat call on that window returns the same arrays without a
+    build.  A build that raises stores nothing, and the kept basis does
+    not hold the m x m kernel matrix.
 
     The eigenpairs come from a randomized range finder with one power
     iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217):
@@ -403,10 +399,8 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     eigenpairs above 1e-12 come from a randomized range finder with
     Rayleigh-Ritz (``_field_basis``), whose Gaussian test matrix has a
     fixed seed of its own, so the basis depends on the window alone and
-    draws nothing from ``rng``.  It is built once per window per process:
-    the bases of the last ``_FIELD_BASES`` windows are kept, read-only, so
-    a repeat call on a window goes straight to the chain rule, and a build
-    that raises stores nothing.  Each sample Bernoulli-thins the
+    draws nothing from ``rng``; a repeat call on the last window reuses
+    its basis (see ``_field_basis``).  Each sample Bernoulli-thins the
     eigenfunctions and then selects cells sequentially by the chain rule
     for projection kernels (Schur complements, Hough-Krishnapur-Peres-Virag),
     and each selected cell gets a uniform jitter of one cell width.  The chain rule runs batched:
