@@ -12,7 +12,6 @@ Submodules:
 """
 
 from .core import (
-    Configuration,
     DomainError,
     Family,
     ModelSpec,
@@ -26,7 +25,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Configuration",
     "DomainError",
     "Family",
     "ModelSpec",

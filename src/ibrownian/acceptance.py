@@ -126,7 +126,7 @@ def check_ginibre_bulk_intensity():
     # cloud must match the flat value 1/pi to 10% relative
     pts, _ = sampling.sample_ginibre_ensemble(100, RngStream(101), 50)
     radius = 0.6 * math.sqrt(100)
-    est = stats.estimate_rho(list(pts), 1, bins=np.array([0.0, radius]))
+    est = stats.estimate_rho(pts, 1, bins=np.array([0.0, radius]))
     scaled = float(est.density[0]) * math.pi
     value = abs(scaled - 1.0)
     detail = f"relative error of pi * rho = {scaled:.4f} inside radius {radius:.1f}"
@@ -205,7 +205,7 @@ def check_dyson_stationarity():
     spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=20)
     starts, _ = sampling.sample_airy_ensemble(20, 2.0, RngStream(501), 2000)
     cfg = IntegratorConfig(dt=5e-4, t_final=0.5, dt_record=0.5, max_substep_depth=30)
-    ens = simulate(spec, list(starts), cfg, RngStream(502), on_failure="drop")
+    ens = simulate(spec, starts, cfg, RngStream(502), on_failure="drop")
     first = np.sort(ens.states[:, 0, :, 0], axis=1)
     last = np.sort(ens.states[:, -1, :, 0], axis=1)
     value = max(ks_2samp(first[:, i], last[:, i]).statistic for i in range(20))
@@ -257,7 +257,7 @@ def check_ginibre_variant_gap():
     pts, _ = sampling.sample_ginibre_ensemble(400, RngStream(801), 200)
     spec = ModelSpec(family=Family.GINIBRE, beta=2.0, n_particles=400)
     radii = [0.3 * 20.0, 0.5 * 20.0, 0.8 * 20.0]
-    scan = stats.drift_truncation_scan(list(pts), spec, np.array([1.0, 0.0]), radii)
+    scan = stats.drift_truncation_scan(pts, spec, np.array([1.0, 0.0]), radii)
     g = [float(v) for v in scan.variant_gap_mean]
     value = max(g[1] - g[0], g[2] - g[1])
     detail = f"max successive gap increase, gaps ({g[0]:.3f}, {g[1]:.3f}, {g[2]:.3f})"
@@ -271,12 +271,12 @@ def check_non_collision():
     airy = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=10)
     starts, _ = sampling.sample_airy_ensemble(10, 2.0, RngStream(901), 500)
     cfg = IntegratorConfig(dt=1e-4, t_final=0.05, dt_record=1e-3)
-    ens = simulate(airy, list(starts), cfg, RngStream(902))
+    ens = simulate(airy, starts, cfg, RngStream(902))
     swaps = float(ens.ordering_violations)
 
     bes = ModelSpec(family=Family.BESSEL, beta=2.0, alpha=1.0, n_particles=10)
     opts = sampling.McmcOptions(burn_in_sweeps=3000, thin_sweeps=10)
-    bstarts, _ = sampling.sample_bessel_chain(10, 1.0, RngStream(903), 50, options=opts)
+    bstarts, _ = sampling.sample_gibbs_chain(bes, RngStream(903), 50, options=opts)
     ens_b = simulate(bes, bstarts, cfg, RngStream(904))
     min_state = float(np.min(ens_b.states))
     detail = f"ordering violations over 500 paths; min hard-edge state {min_state:.3f} > 0"
@@ -290,7 +290,7 @@ def check_holder_moment_slope():
     spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=10)
     starts, _ = sampling.sample_airy_ensemble(10, 2.0, RngStream(1001), 200)
     cfg = IntegratorConfig(dt=2e-4, t_final=0.128, dt_record=2e-3)
-    ens = simulate(spec, list(starts), cfg, RngStream(1002))
+    ens = simulate(spec, starts, cfg, RngStream(1002))
     lags = [0.002 * 2**k for k in range(6)]
     value = stats.log_log_slope(lags, stats.holder_moment(ens, lags))
     return value, _within(value, 1.8, 2.2), "log-log slope of E|increment|^4 over lags 0.002 * 2^k, k < 6"
@@ -303,7 +303,7 @@ def check_tail_sum_decay():
     draws, _ = sampling.sample_airy_ensemble(200, 2.0, RngStream(1101), 300)
     params = stats.TightnessParams(r=10.0, T=20.0, c=1.0)
     cuts = list(range(0, 201, 10))
-    vals = stats.erf_tail_sum(list(draws), params, cuts)
+    vals = stats.erf_tail_sum(draws, params, cuts)
     drops = np.diff(vals)
     monotone = _at_most(float(np.max(drops)), 1e-12)
     ratio = float(vals[cuts.index(50)] / vals[cuts.index(150)])
@@ -319,7 +319,7 @@ def check_sampler_closed_forms():
     parts = []
 
     draws, _ = sampling.sample_airy_ensemble(1, 2.0, RngStream(1201), 10_000)
-    ks = float(kstest(draws[:, 0], lambda v: 1.0 - stats.erf_fn(v + 2.0)).statistic)
+    ks = float(kstest(draws[:, 0, 0], lambda v: 1.0 - stats.erf_fn(v + 2.0)).statistic)
     worst = max(worst, ks)
     parts.append(f"gaussian {ks:.4f}")
 
@@ -330,9 +330,9 @@ def check_sampler_closed_forms():
     parts.append(f"complex-gaussian {ks:.4f}")
 
     opts = sampling.McmcOptions(burn_in_sweeps=2000, thin_sweeps=10)
-    samples, _ = sampling.sample_bessel_chain(1, 1.0, RngStream(1203), 10_000, options=opts)
-    xs = np.array([s.points[0, 0] for s in samples])
-    ks = float(kstest(xs, lambda v: gammainc(2.0, v / 4.0)).statistic)
+    hard_edge = ModelSpec(Family.BESSEL, 1, alpha=1.0)
+    samples, _ = sampling.sample_gibbs_chain(hard_edge, RngStream(1203), 10_000, options=opts)
+    ks = float(kstest(samples[:, 0, 0], lambda v: gammainc(2.0, v / 4.0)).statistic)
     worst = max(worst, ks)
     parts.append(f"gamma {ks:.4f}")
 

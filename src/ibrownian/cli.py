@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    Configuration,
     DomainError,
     Family,
     ModelSpec,
@@ -60,8 +59,6 @@ _SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-va
 
 # most points a --grid may ask for, checked before any array is made
 _MAX_GRID_POINTS = 1_000_000
-
-_SAMPLED_FAMILIES = (Family.AIRY, Family.GINIBRE, Family.BESSEL, Family.LENNARD_JONES, Family.RIESZ)
 
 
 class ConfigError(Exception):
@@ -268,20 +265,37 @@ def _mcmc_options(cfg: RunConfig) -> sampling.McmcOptions:
         return sampling.McmcOptions(burn_in_sweeps=cfg.burn_in_sweeps, thin_sweeps=cfg.thin_sweeps)
 
 
-def _draw_equilibrium(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int) -> list[Configuration]:
+def _airy_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
+    with _keyed("sampler.method"):
+        return sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count, method=cfg.method)
+
+
+def _ginibre_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
+    return sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
+
+
+def _chain_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
+    return sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
+
+
+# the equilibrium sampler of each family that has one; each returns the
+# (count, n, d) draws and their SamplerReport
+_SAMPLERS = {
+    Family.AIRY: _airy_draws,
+    Family.GINIBRE: _ginibre_draws,
+    Family.BESSEL: _chain_draws,
+    Family.LENNARD_JONES: _chain_draws,
+    Family.RIESZ: _chain_draws,
+}
+
+
+def _draw_equilibrium(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int) -> np.ndarray:
+    """``count`` equilibrium draws of ``spec``, shape (count, n, d)."""
     fam = spec.family
-    if fam is Family.AIRY:
-        with _keyed("sampler.method"):
-            draws, report = sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count, method=cfg.method)
-        samples = [Configuration(row[:, None], dimension=1) for row in draws]
-    elif fam is Family.GINIBRE:
-        pts, report = sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
-        samples = [Configuration(p, dimension=2) for p in pts]
-    elif fam in (Family.BESSEL, Family.LENNARD_JONES, Family.RIESZ):
-        samples, report = sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
-    else:
-        supported = ", ".join(f.value for f in _SAMPLED_FAMILIES)
+    if fam not in _SAMPLERS:
+        supported = ", ".join(f.value for f in _SAMPLERS)
         raise ConfigError("model.family", f"{fam.value} has no equilibrium sampler (one of: {supported})")
+    samples, report = _SAMPLERS[fam](cfg, spec, rng, count)
     if not report.converged:
         rate = "unknown" if report.acceptance_rate is None else f"{report.acceptance_rate:.3f}"
         print(
@@ -302,15 +316,14 @@ def _spaced_initial(spec: ModelSpec) -> np.ndarray:
     return mesh[:n]
 
 
-def _initial_states(cfg: RunConfig, spec: ModelSpec, rng: RngStream) -> list:
+def _initial_states(cfg: RunConfig, spec: ModelSpec, rng: RngStream) -> np.ndarray:
     mode = cfg.initial.strip().lower()
-    has_sampler = spec.family in _SAMPLED_FAMILIES
     if mode == "auto":
-        mode = "equilibrium" if has_sampler else "spaced"
+        mode = "equilibrium" if spec.family in _SAMPLERS else "spaced"
     if mode == "equilibrium":
         return _draw_equilibrium(cfg, spec, rng, cfg.paths)
     if mode == "spaced":
-        return [_spaced_initial(spec)] * cfg.paths
+        return np.broadcast_to(_spaced_initial(spec), (cfg.paths, spec.n_particles, spec.dimension))
     raise ConfigError("sampler.initial", f"expected auto, equilibrium or spaced, got {cfg.initial!r}")
 
 

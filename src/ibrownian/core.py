@@ -1,11 +1,11 @@
 """Shared state types for interacting-particle computations.
 
-The package works with two views of the same data:
+A configuration -- a finite point multiset in R^d, d in {1, 2, 3} -- is a
+plain (n, d) float array whose row i is particle i; a 1-D array is read as
+n points on the line.  S configurations of one size stack to (S, n, d).
+On disk a configuration is a CSV block, one row per point, columns
+``x[,y[,z]]``, header mandatory.
 
-* ``Configuration`` -- a finite point multiset in R^d, as an (n, d) array,
-* CSV files         -- one row per point, columns ``x[,y[,z]]``, header mandatory.
-
-A state along a path is a plain (n, d) array whose row i is particle i.
 Every stochastic routine takes an ``RngStream`` so that draws depend only on
 ``(seed, stream_id)`` and never on evaluation order or worker count.
 """
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Family",
     "ModelSpec",
-    "Configuration",
     "RngStream",
     "SingularConfigurationError",
     "DomainError",
@@ -124,40 +123,10 @@ class ModelSpec:
         return self.family in _BESSEL_FAMILIES
 
 
-def _as_points(points, dimension: int | None = None) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.size == 0:
-        arr = arr.reshape(0, dimension or 1)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise ValueError("points must be a (n,) or (n, d) array")
-    if dimension is not None and arr.shape[1] != dimension:
-        raise ValueError(f"expected dimension {dimension}, got {arr.shape[1]}")
-    if arr.shape[1] not in (1, 2, 3):
-        raise ValueError("only dimensions 1, 2, 3 are supported")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("points must be finite")
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Configuration:
-    """Finite unordered point multiset.  ``points`` has shape (n, d)."""
-
-    points: np.ndarray
-
-    def __init__(self, points, dimension: int | None = None):
-        arr = _as_points(points, dimension)
-        arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
+def _points_of(state) -> np.ndarray:
+    """``state`` as a float array of points; a 1-D array is n points on the line."""
+    arr = np.asarray(state, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
 
 
 @dataclass(frozen=True)
@@ -192,35 +161,45 @@ def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
 _HEADERS = {1: ["x"], 2: ["x", "y"], 3: ["x", "y", "z"]}
 
 
-def _write_block(buf: io.StringIO, config: Configuration) -> None:
-    buf.write(",".join(_HEADERS[config.dimension]))
-    buf.write("\n")
-    for row in config.points:
-        buf.write(",".join(f"{v:.17g}" for v in row))
-        buf.write("\n")
+def _checked_block(points) -> np.ndarray:
+    """One configuration as a finite (n, d) float array with d in {1, 2, 3}."""
+    arr = _points_of(points)
+    if arr.ndim != 2 or arr.shape[1] not in _HEADERS:
+        raise ValueError(f"a configuration is an (n,) or (n, d) array with d in 1, 2, 3, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite")
+    return arr
 
 
 def save_configurations(path, configs) -> None:
     """Write configurations as CSV blocks separated by blank lines.
 
-    Each block carries its own mandatory header line (``x``, ``x,y`` or
-    ``x,y,z``).  A single configuration produces a plain one-block CSV.
+    ``configs`` is a sequence of (n, d) arrays, such as an (S, n, d)
+    stack; a 1-D member is n points on the line.  Each block carries its
+    own mandatory header line (``x``, ``x,y`` or ``x,y,z``).  A single
+    configuration produces a plain one-block CSV.
     """
-    configs = list(configs)
+    blocks = [_checked_block(c) for c in configs]
     buf = io.StringIO()
-    for k, config in enumerate(configs):
+    for k, arr in enumerate(blocks):
         if k:
             buf.write("\n")
-        _write_block(buf, config)
+        buf.write(",".join(_HEADERS[arr.shape[1]]))
+        buf.write("\n")
+        for row in arr:
+            buf.write(",".join(f"{v:.17g}" for v in row))
+            buf.write("\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
 
-def load_configurations(path) -> list[Configuration]:
-    """Read one or more blank-line-separated configuration CSV blocks."""
+def load_configurations(path) -> list[np.ndarray]:
+    """Read one or more blank-line-separated configuration CSV blocks, one
+    (n, d) array per block.  Raises ValueError on a bad header or a point
+    that is not finite."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    configs: list[Configuration] = []
+    configs: list[np.ndarray] = []
     for block in text.split("\n\n"):
         lines = [ln.strip() for ln in block.strip().splitlines() if ln.strip()]
         if not lines:
@@ -230,6 +209,5 @@ def load_configurations(path) -> list[Configuration]:
         if dim not in _HEADERS or header != _HEADERS[dim]:
             raise ValueError(f"bad configuration header: {lines[0]!r}")
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        arr = np.array(rows, dtype=float).reshape(len(rows), dim)
-        configs.append(Configuration(arr, dimension=dim))
+        configs.append(_checked_block(np.array(rows, dtype=float).reshape(len(rows), dim)))
     return configs

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Family, ModelSpec, SingularConfigurationError
+from .core import DomainError, Family, ModelSpec, SingularConfigurationError, _points_of
 
 __all__ = [
     "MIN_PAIR_SEPARATION",
@@ -298,14 +298,6 @@ def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParam
 # ---------------------------------------------------------------------------
 # input handling
 # ---------------------------------------------------------------------------
-
-
-def _points_of(state) -> np.ndarray:
-    pts = getattr(state, "points", state)
-    arr = np.asarray(pts, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return arr
 
 
 def _env_of(spec: ModelSpec, env) -> np.ndarray:

@@ -11,9 +11,10 @@ is ``models._energy_change(spec)``, beside the drift table it must agree
 with; each family here only supplies its start state and proposal scale.
 
 Samplers accept an RngStream (preferred; the seed lands in the report)
-or a bare numpy Generator.  The single-draw functions return a
-Configuration and are the one-sample case of the ensemble functions,
-which return the draws plus a SamplerReport, as the chains do.
+or a bare numpy Generator, refuse ``n_samples < 1`` before any draw and
+return the draws, an (S, n, d) float array, plus a SamplerReport.  A
+window's point count varies, so windowed draws are a list of ascending
+1-D arrays.  Three wrappers serve only the benchmark (see ``_Points``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import kernels
-from .core import Configuration, Family, ModelSpec, _resolve_rng
+from .core import Family, ModelSpec, _resolve_rng
 from .models import _energy_change
 
 __all__ = [
@@ -54,6 +55,25 @@ class SamplerReport:
     def __post_init__(self) -> None:
         if self.acceptance_rate is not None and not (0.0 <= self.acceptance_rate <= 1.0):
             raise ValueError("acceptance_rate must lie in [0, 1]")
+
+
+class _Points:
+    """One draw as the read-only (n, d) array ``.points``, as the benchmark's
+    callers of the three wrappers below read it; numpy reads it as that array."""
+
+    def __init__(self, points: np.ndarray):
+        points.flags.writeable = False
+        self.points = points
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+
+def _check_sizes(n_samples: int, n: int = 1) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,22 +156,19 @@ def _edge_spectrum_dense(n: int, beta: float, g: np.random.Generator) -> np.ndar
     return n ** (1.0 / 6.0) * (lam - 2.0 * math.sqrt(n))
 
 
-def sample_airy_equilibrium(n: int, beta: float, rng) -> Configuration:
-    """One equilibrium draw of the soft-edge n-particle ensemble, from the
-    tridiagonal model (any beta > 0).
-
-    Coordinates are the edge-scaled spectrum x = n^(1/6) (lambda - 2 sqrt(n)),
-    ascending.
-    """
-    draws, _ = sample_airy_ensemble(n, beta, rng, 1)
-    return Configuration(draws[0])
+def sample_airy_equilibrium(n: int, beta: float, rng) -> _Points:
+    """``sample_airy_ensemble(n, beta, rng, 1)``'s one draw as a ``.points``
+    holder; kept for the benchmark's callers."""
+    return _Points(sample_airy_ensemble(n, beta, rng, 1)[0][0])
 
 
 def sample_airy_ensemble(
     n: int, beta: float, rng, n_samples: int, *, method: str = "tridiagonal", window=None
 ) -> tuple[np.ndarray | list[np.ndarray], SamplerReport]:
-    """n_samples independent draws; rows ascending, shape (n_samples, n).
+    """n_samples independent draws of the soft-edge n-particle ensemble,
+    shape (n_samples, n, 1), each draw ascending.
 
+    Coordinates are the edge-scaled spectrum x = n^(1/6) (lambda - 2 sqrt(n)).
     ``method`` is "tridiagonal" (any beta > 0) or "dense" (beta in
     {1, 2, 4}).
 
@@ -162,8 +179,7 @@ def sample_airy_ensemble(
     the full row's points in the window, up to the rounding of the
     eigenvalue solver.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_sizes(n_samples, n)
     if not beta > 0:
         raise ValueError("beta must be > 0")
     if method not in ("tridiagonal", "dense"):
@@ -177,10 +193,10 @@ def sample_airy_ensemble(
     if window is not None:
         out = [_edge_spectrum_tridiagonal(n, beta, g, window) for _ in range(n_samples)]
     else:
-        out = np.empty((n_samples, n))
+        out = np.empty((n_samples, n, 1))
         draw = _edge_spectrum_tridiagonal if method == "tridiagonal" else _edge_spectrum_dense
         for k in range(n_samples):
-            out[k] = draw(n, beta, g)
+            out[k, :, 0] = draw(n, beta, g)
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
 
@@ -196,18 +212,17 @@ def _planar_points(n: int, g: np.random.Generator) -> np.ndarray:
     return np.column_stack([lam.real, lam.imag])
 
 
-def sample_ginibre(n: int, rng) -> Configuration:
-    """Eigenvalues of an n x n complex Gaussian matrix, unit entry variance.
-
-    The point density fills the disk of radius sqrt(n) with intensity 1/pi.
-    """
-    pts, _ = sample_ginibre_ensemble(n, rng, 1)
-    return Configuration(pts[0])
+def sample_ginibre(n: int, rng) -> _Points:
+    """``sample_ginibre_ensemble(n, rng, 1)``'s one draw as a ``.points``
+    holder; kept for the benchmark's callers."""
+    return _Points(sample_ginibre_ensemble(n, rng, 1)[0][0])
 
 
 def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, SamplerReport]:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """n_samples draws of the eigenvalues of an n x n complex Gaussian
+    matrix, unit entry variance, as (n_samples, n, 2) points; their
+    density fills the disk of radius sqrt(n) with intensity 1/pi."""
+    _check_sizes(n_samples, n)
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
     out = np.empty((n_samples, n, 2))
@@ -426,8 +441,7 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     support = kernels.AIRY_SUPPORT
     if not support[0] <= lo < hi <= support[1]:
         raise ValueError(f"window must satisfy lo < hi within [{support[0]}, {support[1]}], got ({lo}, {hi})")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_sizes(n_samples)
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
 
@@ -474,21 +488,24 @@ def _chain_start(spec: ModelSpec) -> tuple[np.ndarray, float]:
 
 def sample_bessel_chain(
     n: int, alpha: float, rng, n_samples: int, *, options: McmcOptions | None = None
-) -> tuple[list[Configuration], SamplerReport]:
-    """Thinned Metropolis draws of the hard-edge equilibrium."""
-    return sample_gibbs_chain(ModelSpec(Family.BESSEL, n, alpha=alpha), rng, n_samples, options=options)
+) -> tuple[list[_Points], SamplerReport]:
+    """``sample_gibbs_chain`` of the hard-edge spec, its draws as
+    ``.points`` holders; kept for the benchmark's callers."""
+    draws, rep = sample_gibbs_chain(ModelSpec(Family.BESSEL, n, alpha=alpha), rng, n_samples, options=options)
+    return [_Points(d) for d in draws], rep
 
 
 def sample_gibbs_chain(
     spec: ModelSpec, rng, n_samples: int, *, options: McmcOptions | None = None
-) -> tuple[list[Configuration], SamplerReport]:
+) -> tuple[np.ndarray, SamplerReport]:
     """Thinned Metropolis draws of the equilibrium of a ``bessel``,
-    ``lennard_jones`` or ``riesz`` spec.
+    ``lennard_jones`` or ``riesz`` spec; shape (n_samples, n, d).
 
     Per-particle Gaussian moves, one proposal scale per particle; the
     energy change comes from ``models._energy_change`` and is +inf where
     the target vanishes, so such a move is rejected.
     """
+    _check_sizes(n_samples)
     g, seed = _resolve_rng(rng)
     delta_energy = _energy_change(spec)
     opts = options or McmcOptions()
@@ -515,14 +532,13 @@ def sample_gibbs_chain(
     for k in range(opts.burn_in_sweeps):
         # Robbins-Monro style decay keeps late adaptation gentle
         sweep(0.25 * 100.0 / (100.0 + k))
-    kept = []
+    kept = np.empty((n_samples, n, spec.dimension))
     accepted = 0
-    for _ in range(n_samples):
+    for k in range(n_samples):
         for _ in range(opts.thin_sweeps):
             accepted += sweep(0.0)
-        kept.append(Configuration(state.copy()))
-    proposals = n_samples * opts.thin_sweeps * n
-    acc = accepted / proposals if proposals else 0.0
+        kept[k] = state.reshape(n, -1)
+    acc = accepted / (n_samples * opts.thin_sweeps * n)
     rep = SamplerReport(
         n_samples=n_samples, acceptance_rate=acc, seed=seed, wall_time=time.perf_counter() - t0, converged=0.1 <= acc <= 0.9
     )

@@ -33,8 +33,8 @@ the worker count and of which other paths share the batch.
 
     spec = ModelSpec(Family.AIRY, 10, beta=2.0)
     cfg = IntegratorConfig(dt=1e-4, t_final=0.05, dt_record=1e-3)
-    start = sample_airy_equilibrium(10, 2.0, RngStream(1))  # ascending rows
-    ens = simulate(spec, [start] * 100, cfg, RngStream(2))
+    starts, _ = sample_airy_ensemble(10, 2.0, RngStream(1), 100)  # (100, 10, 1)
+    ens = simulate(spec, starts, cfg, RngStream(2))
     assert ens.ordering_violations == 0
 """
 
@@ -45,10 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _resolve_rng
+from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _points_of, _resolve_rng
 from .models import (
     TruncationParams,
-    _points_of,
     _state_noise,
     diffusion_sigma,
     drift_finite_all,
@@ -395,16 +394,28 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     return rec, substeps, max_depth, reasons
 
 
+def _checked_start(spec: ModelSpec, state, name: str) -> np.ndarray:
+    """``state`` as the (n, d) points of ``spec``; errors name ``name``."""
+    pts = _points_of(state)
+    if pts.shape != (spec.n_particles, spec.dimension):
+        raise ValueError(f"{name} has shape {pts.shape}, spec expects ({spec.n_particles}, {spec.dimension})")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"{name} must be finite; particle {bad[0]} is not")
+    return pts
+
+
 def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.ndarray:
     """One base step of length dt (substepping internally as needed).
 
     Returns the (n, d) state at time dt, row i being particle i, as each
-    row of ``PathEnsemble.states`` is.
+    row of ``PathEnsemble.states`` is.  A start must be finite and of
+    the spec's shape.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and > 0")
     g, _ = _resolve_rng(rng)
-    pts = _points_of(state)
+    pts = _checked_start(spec, state, "the start state")
     # one draw at a time leaves a caller's generator where the moves leave it
     rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)
     if reasons[0] is not None:
@@ -460,6 +471,8 @@ def simulate(
     still fail; ``"drop"`` excludes flagged paths from the ensemble and
     lists them in ``failed_paths`` (their noise streams are untouched,
     so surviving paths are bitwise independent of the flagged ones).
+    A start that is not finite or not of the spec's shape is refused,
+    naming its index, before any path is integrated.
     """
     if not isinstance(rng, RngStream):
         raise TypeError("simulate requires an RngStream (determinism contract)")
@@ -470,14 +483,7 @@ def simulate(
     rs = cfg.record_step
     n_rec = round(cfg.t_final / rs)
 
-    starts = []
-    for state in initial:
-        pts = _points_of(state)
-        if pts.shape[1] != spec.dimension:
-            raise ValueError(f"initial state dimension {pts.shape[1]} != family dimension {spec.dimension}")
-        if pts.shape[0] != spec.n_particles:
-            raise ValueError(f"state has {pts.shape[0]} particles, spec expects {spec.n_particles}")
-        starts.append(pts)
+    starts = [_checked_start(spec, state, f"initial state {k}") for k, state in enumerate(initial)]
     if not starts:
         raise ValueError("at least one initial state is required")
     starts = np.stack(starts)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import Family, ModelSpec
-from .models import TruncationParams, TruncationVariant, _points_of, truncated_drift_at
+from .core import Family, ModelSpec, _points_of
+from .models import TruncationParams, TruncationVariant, truncated_drift_at
 
 __all__ = [
     "CorrelationEstimate",
@@ -118,6 +118,17 @@ def _check_bins(bins) -> np.ndarray:
     return edges
 
 
+def _sample_points(samples) -> list[np.ndarray]:
+    """Each of at least one sample as (n, d) points; any other shape is refused."""
+    pts = [_points_of(s) for s in samples]
+    if not pts:
+        raise ValueError("need at least one sample")
+    for k, p in enumerate(pts):
+        if p.ndim != 2:
+            raise ValueError(f"sample {k} has shape {p.shape}, not (n,) or (n, d)")
+    return pts
+
+
 def _check_positive(name: str, value: float) -> None:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0")
@@ -139,9 +150,7 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
         bins = _check_bins(bins)
     if window is not None:
         _check_positive("window", window)
-    pts = [_points_of(s) for s in samples]
-    if len(pts) < 1:
-        raise ValueError("need at least one sample")
+    pts = _sample_points(samples)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     dim = pts[0].shape[1]
@@ -216,7 +225,7 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     variants; ``mean`` follows the centered one and the variant gap
     |centered - origin| is reported alongside.
     """
-    envs = [_points_of(s) for s in env_samples]
+    envs = _sample_points(env_samples)
     if len(envs) < _MIN_SCAN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SCAN_SAMPLES} environment samples")
     r_values = np.asarray(list(r_list), dtype=float)
@@ -254,9 +263,7 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
     (far) particles; it is nonincreasing in L.  Indices beyond a sample's
     particle count contribute nothing.
     """
-    pts = [_points_of(s) for s in samples]
-    if not pts:
-        raise ValueError("need at least one sample")
+    pts = _sample_points(samples)
     ls = np.asarray(list(L_list), dtype=int)
     if np.any(ls < 0):
         raise ValueError("label cutoffs must be >= 0")

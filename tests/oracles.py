@@ -469,7 +469,7 @@ def reference_step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig
         g = rng
     else:
         raise TypeError("rng must be an RngStream or numpy Generator")
-    pts = np.array(getattr(state, "points", state), dtype=float)
+    pts = np.array(state, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     return _advance(spec, pts, float(dt), 0, g, cfg, _StepStats())
@@ -535,7 +535,7 @@ def reference_simulate(
 
     starts = []
     for state in initial:
-        pts = np.array(getattr(state, "points", state), dtype=float)
+        pts = np.array(state, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[1] != spec.dimension:

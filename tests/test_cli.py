@@ -7,16 +7,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ibrownian import cli
 from ibrownian import kernels as K
 from ibrownian.acceptance import CHECKS
-from ibrownian.core import DomainError, SingularConfigurationError
+from ibrownian.core import DomainError, RngStream, SingularConfigurationError
 
 
 def run_cli(args):
     return cli.main(list(args))
+
+
+class TestSamplerTable:
+    @pytest.mark.parametrize("family", list(cli._SAMPLERS), ids=lambda f: f.value)
+    def test_every_row_returns_a_float_point_stack(self, family):
+        cfg = cli.load_config(None, {"family": family.value, "n": 3, "burn_in_sweeps": 20, "thin_sweeps": 1})
+        spec = cli._model_spec(cfg)
+        draws = cli._draw_equilibrium(cfg, spec, RngStream(4), 2)
+        assert isinstance(draws, np.ndarray) and draws.dtype == np.float64
+        assert draws.shape == (2, 3, spec.dimension)
 
 
 class TestSampleCommand:

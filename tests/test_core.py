@@ -1,8 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ibrownian.core import (
-    Configuration,
     Family,
     ModelSpec,
     RngStream,
@@ -66,27 +67,33 @@ class TestModelSpec:
             ModelSpec(Family.AIRY, 0)
 
 
+FIXTURE = Path(__file__).parent / "data" / "configurations.csv"
+
+
 class TestConfiguration:
-    def test_one_dimensional_input_is_normalized(self):
-        c = Configuration([3.0, -1.0, 2.0])
-        assert c.points.shape == (3, 1)
-        assert len(c) == 3
-        assert c.dimension == 1
+    def test_one_dimensional_input_is_normalized(self, tmp_path):
+        path = tmp_path / "line.csv"
+        save_configurations(path, [np.array([3.0, -1.0, 2.0])])
+        (back,) = load_configurations(path)
+        assert back.shape == (3, 1)
+        assert np.array_equal(back[:, 0], [3.0, -1.0, 2.0])
 
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            Configuration(np.zeros((2, 4)))
+    def test_rejects_bad_dimension(self, tmp_path):
+        path = tmp_path / "four.csv"
+        path.write_text("x,y,z,w\n1,2,3,4\n")
+        with pytest.raises(ValueError, match="header"):
+            load_configurations(path)
+        with pytest.raises(ValueError, match="d in 1, 2, 3"):
+            save_configurations(tmp_path / "out.csv", [np.zeros((2, 4))])
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Configuration([1.0, np.nan])
-        with pytest.raises(ValueError):
-            Configuration([[np.inf, 0.0]])
-
-    def test_points_are_read_only(self):
-        c = Configuration([1.0, 2.0])
-        with pytest.raises(ValueError):
-            c.points[0, 0] = 5.0
+    def test_rejects_nonfinite(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for text in ["x\n1.0\nnan\n", "x,y\n0.5,1.0\n\nx,y\ninf,0.0\n", "x\n-inf\n"]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match="must be finite"):
+                load_configurations(path)
+        with pytest.raises(ValueError, match="must be finite"):
+            save_configurations(tmp_path / "out.csv", [np.array([1.0, np.nan])])
 
 
 class TestRngStream:
@@ -111,16 +118,33 @@ class TestCsvRoundtrip:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_roundtrip_exact(self, tmp_path, dim):
         rng = np.random.default_rng(dim)
-        confs = [Configuration(rng.normal(size=(4, dim))) for _ in range(3)]
+        confs = rng.normal(size=(3, 4, dim))
         path = tmp_path / "samples.csv"
         save_configurations(path, confs)
         back = load_configurations(path)
         assert len(back) == 3
         for a, b in zip(confs, back):
-            assert np.array_equal(a.points, b.points)
+            assert a.tobytes() == b.tobytes()
 
     def test_rejects_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("u,v\n1.0,2.0\n")
         with pytest.raises(ValueError):
             load_configurations(path)
+
+    def test_format_is_unchanged(self, tmp_path):
+        # the fixture holds 1-d, 2-d, empty 2-d and 3-d blocks, with a
+        # negative zero, a subnormal and values near the float range ends
+        g = np.random.default_rng(20161)
+        want = [
+            np.array([-2.5, 0.1, 3.0, -0.0, 5e-324, 1e300])[:, None],
+            g.standard_normal((4, 2)),
+            np.zeros((0, 2)),
+            g.standard_normal((3, 3)) * np.array([1e-300, 1.0, 1e12]),
+        ]
+        back = load_configurations(FIXTURE)
+        assert [b.shape for b in back] == [w.shape for w in want]
+        assert all(b.dtype == np.float64 and b.tobytes() == w.tobytes() for b, w in zip(back, want))
+        path = tmp_path / "again.csv"
+        save_configurations(path, back)
+        assert path.read_bytes() == FIXTURE.read_bytes()

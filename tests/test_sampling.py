@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
-from ibrownian.core import Configuration, Family, ModelSpec, RngStream
+from ibrownian.core import Family, ModelSpec, RngStream
 from ibrownian import kernels as K
 from ibrownian import models as M
 from ibrownian import sampling as S
@@ -19,7 +19,7 @@ class TestSoftEdgeSampler:
         # n=1: edge coordinate is lambda - 2 with lambda ~ Normal(0, 2/beta)
         for beta in (1.0, 2.0):
             draws, _ = S.sample_airy_ensemble(1, beta, RngStream(100 + int(beta)), 4000)
-            ks = oracles.one_sample_ks(draws[:, 0], lambda v: oracles.normal_cdf(v, -2.0, math.sqrt(2.0 / beta)))
+            ks = oracles.one_sample_ks(draws[:, 0, 0], lambda v: oracles.normal_cdf(v, -2.0, math.sqrt(2.0 / beta)))
             assert ks <= 0.03
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
@@ -31,7 +31,7 @@ class TestSoftEdgeSampler:
     def test_two_particle_law_against_rejection_oracle(self):
         draws, _ = S.sample_airy_ensemble(2, 2.0, RngStream(9), 6000)
         rej = oracles.soft_edge_pair_rejection(2.0, 6000, np.random.default_rng(10))
-        gaps = draws[:, 1] - draws[:, 0]
+        gaps = draws[:, 1, 0] - draws[:, 0, 0]
         rej_gaps = np.abs(rej[:, 0] - rej[:, 1])
         assert ks_2samp(gaps, rej_gaps).statistic <= 0.035
         assert ks_2samp(draws.ravel(), rej.ravel()).statistic <= 0.035
@@ -41,7 +41,7 @@ class TestSoftEdgeSampler:
     def test_small_gap_repulsion_exponent(self, beta):
         # P(gap < eps) ~ eps^(beta+1)
         draws, _ = S.sample_airy_ensemble(2, beta, RngStream(11), 8000)
-        gaps = np.sort(draws[:, 1] - draws[:, 0])
+        gaps = np.sort(draws[:, 1, 0] - draws[:, 0, 0])
         lo, hi = np.quantile(gaps, 0.002), np.quantile(gaps, 0.08)
         grid = np.geomspace(lo, hi, 10)
         emp = np.searchsorted(gaps, grid) / len(gaps)
@@ -51,18 +51,19 @@ class TestSoftEdgeSampler:
 
     def test_rows_ascending(self):
         draws, _ = S.sample_airy_ensemble(6, 2.0, RngStream(3), 50)
+        assert draws.shape == (50, 6, 1)
         assert np.all(np.diff(draws, axis=1) > 0)
 
     def test_determinism(self):
-        a = S.sample_airy_equilibrium(5, 2.0, RngStream(77))
-        b = S.sample_airy_equilibrium(5, 2.0, RngStream(77))
-        assert np.array_equal(a.points, b.points)
+        a, _ = S.sample_airy_ensemble(5, 2.0, RngStream(77), 2)
+        b, _ = S.sample_airy_ensemble(5, 2.0, RngStream(77), 2)
+        assert np.array_equal(a, b)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            S.sample_airy_equilibrium(0, 2.0, RngStream(1))
+            S.sample_airy_ensemble(0, 2.0, RngStream(1), 1)
         with pytest.raises(ValueError):
-            S.sample_airy_equilibrium(3, -1.0, RngStream(1))
+            S.sample_airy_ensemble(3, -1.0, RngStream(1), 1)
         with pytest.raises(ValueError):
             S.sample_airy_ensemble(3, 3.0, RngStream(1), 1, method="dense")
         with pytest.raises(ValueError):
@@ -122,11 +123,10 @@ class TestPlanarSampler:
         assert density * math.pi == pytest.approx(1.0, rel=0.1)
 
     def test_shape_and_determinism(self):
-        c = S.sample_ginibre(7, RngStream(14))
-        assert isinstance(c, Configuration)
-        assert c.points.shape == (7, 2)
-        d = S.sample_ginibre(7, RngStream(14))
-        assert np.array_equal(c.points, d.points)
+        c, _ = S.sample_ginibre_ensemble(7, RngStream(14), 2)
+        assert c.shape == (2, 7, 2)
+        d, _ = S.sample_ginibre_ensemble(7, RngStream(14), 2)
+        assert np.array_equal(c, d)
 
     def test_ensemble_validation(self):
         with pytest.raises(ValueError, match="n must be"):
@@ -162,7 +162,7 @@ class TestSoftEdgeField:
         envs, _ = S.sample_airy_field((-10.0, 2.0), RngStream(41), 800)
         tops = np.array([e[-1] for e in envs if len(e)])
         tri, _ = S.sample_airy_ensemble(200, 2.0, RngStream(42), 800)
-        assert ks_2samp(tops, tri[:, -1]).statistic <= 0.08
+        assert ks_2samp(tops, tri[:, -1, 0]).statistic <= 0.08
 
     def test_points_sorted_within_window(self):
         envs, rep = S.sample_airy_field((-6.0, 1.0), RngStream(43), 50)
@@ -463,11 +463,15 @@ class TestFieldNumericalTrouble:
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
 
 
+def _bessel_chain(n, alpha, rng, n_samples, opts=None):
+    return S.sample_gibbs_chain(ModelSpec(Family.BESSEL, n, alpha=alpha), rng, n_samples, options=opts)
+
+
 class TestHardEdgeChain:
     def test_single_particle_gamma_law(self):
         opts = S.McmcOptions(burn_in_sweeps=2000, thin_sweeps=10)
-        samples, rep = S.sample_bessel_chain(1, 2.0, RngStream(3), 4000, options=opts)
-        xs = np.array([s.points[0, 0] for s in samples])
+        samples, rep = _bessel_chain(1, 2.0, RngStream(3), 4000, opts)
+        xs = samples[:, 0, 0]
         # n=1 weight: x^alpha exp(-x/4) == Gamma(alpha+1, scale 4)
         ks = oracles.one_sample_ks(xs, lambda v: gammainc(3.0, np.asarray(v) / 4.0))
         assert ks <= 0.025
@@ -478,9 +482,10 @@ class TestHardEdgeChain:
     def test_bitwise_equal_to_reference_chain(self, n, alpha):
         g, g_ref = np.random.default_rng(1600 + n), np.random.default_rng(1600 + n)
         opts = S.McmcOptions(burn_in_sweeps=300, thin_sweeps=5)
-        samples, rep = S.sample_bessel_chain(n, alpha, g, 60, options=opts)
+        samples, rep = _bessel_chain(n, alpha, g, 60, opts)
         want, acceptance = oracles.reference_bessel_chain(n, alpha, g_ref, 60, 300, 5)
-        assert np.array([s.points[:, 0] for s in samples]).tobytes() == want.tobytes()
+        assert samples.shape == (60, n, 1)
+        assert samples.tobytes() == want.tobytes()
         assert rep.acceptance_rate == acceptance
         assert g.bit_generator.state == g_ref.bit_generator.state
 
@@ -497,8 +502,8 @@ class TestHardEdgeChain:
 
     def test_matches_matrix_model_at_ten_particles(self):
         opts = S.McmcOptions(burn_in_sweeps=4000, thin_sweeps=10)
-        samples, rep = S.sample_bessel_chain(10, 1, RngStream(4), 400, options=opts)
-        pool = np.concatenate([s.points[:, 0] for s in samples])
+        samples, rep = _bessel_chain(10, 1, RngStream(4), 400, opts)
+        pool = samples.ravel()
         ref = oracles.wishart_hard_edge_oracle(10, 1, 400, np.random.default_rng(5)).ravel()
         assert ks_2samp(pool, ref).statistic <= 0.04
         assert rep.converged
@@ -517,8 +522,8 @@ class TestHardEdgeChain:
         cdf /= cdf[-1]
 
         opts = S.McmcOptions(burn_in_sweeps=3000, thin_sweeps=6)
-        samples, _ = S.sample_bessel_chain(n, alpha, RngStream(21), 3000, options=opts)
-        pool = np.concatenate([s.points[:, 0] for s in samples])
+        samples, _ = _bessel_chain(n, alpha, RngStream(21), 3000, opts)
+        pool = samples.ravel()
         ks = oracles.one_sample_ks(pool, lambda v: np.interp(v, xs, cdf))
         assert ks <= 0.03
 
@@ -542,8 +547,8 @@ class TestHardEdgeChain:
     def test_matches_matrix_model_at_forty_particles(self):
         # heavy thinning: the squeezed lowest particle decorrelates slowly
         opts = S.McmcOptions(burn_in_sweeps=6000, thin_sweeps=40)
-        samples, rep = S.sample_bessel_chain(40, 2.0, RngStream(8), 200, options=opts)
-        pool = np.concatenate([s.points[:, 0] for s in samples])
+        samples, rep = _bessel_chain(40, 2.0, RngStream(8), 200, opts)
+        pool = samples.ravel()
         ref = oracles.wishart_hard_edge_oracle(40, 2, 2000, np.random.default_rng(22)).ravel()
         assert ks_2samp(pool, ref).statistic <= 0.03
         # conditional law in the near-origin window (exponent-sensitive)
@@ -554,15 +559,14 @@ class TestHardEdgeChain:
 
     def test_positivity_and_determinism(self):
         opts = S.McmcOptions(burn_in_sweeps=200, thin_sweeps=2)
-        a, _ = S.sample_bessel_chain(4, 1.0, RngStream(30), 5, options=opts)
-        b, _ = S.sample_bessel_chain(4, 1.0, RngStream(30), 5, options=opts)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.points, cb.points)
-            assert np.all(ca.points > 0)
+        a, _ = _bessel_chain(4, 1.0, RngStream(30), 5, opts)
+        b, _ = _bessel_chain(4, 1.0, RngStream(30), 5, opts)
+        assert np.array_equal(a, b)
+        assert np.all(a > 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            S.sample_bessel_chain(2, 0.5, RngStream(1), 1)
+            _bessel_chain(2, 0.5, RngStream(1), 1)
         with pytest.raises(ValueError):
             S.McmcOptions(thin_sweeps=0)
 
@@ -574,7 +578,7 @@ class TestGibbsChain:
         spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
         opts = S.McmcOptions(burn_in_sweeps=1500, thin_sweeps=10)
         samples, rep = S.sample_gibbs_chain(spec, RngStream(6), 2000, options=opts)
-        coords = np.concatenate([s.points.ravel() for s in samples])
+        coords = samples.ravel()
         sd = math.sqrt(spec.n_particles**spec.free_theta / (2.0 * spec.beta * spec.free_c))
         ks = oracles.one_sample_ks(coords, lambda v: oracles.normal_cdf(v, 0.0, sd))
         assert ks <= 0.03
@@ -584,7 +588,7 @@ class TestGibbsChain:
         spec = ModelSpec(Family.LENNARD_JONES, 2, beta=1.0)
         opts = S.McmcOptions(burn_in_sweeps=2000, thin_sweeps=5)
         samples, _ = S.sample_gibbs_chain(spec, RngStream(7), 2500, options=opts)
-        dists = np.sort([float(np.linalg.norm(s.points[0] - s.points[1])) for s in samples])
+        dists = np.sort([float(np.linalg.norm(s[0] - s[1])) for s in samples])
 
         def lj(r):
             rr = np.maximum(r, 1e-12)
@@ -599,7 +603,7 @@ class TestGibbsChain:
         spec = ModelSpec(Family.RIESZ, 2, beta=2.0, riesz_a=4)
         opts = S.McmcOptions(burn_in_sweeps=2000, thin_sweeps=5)
         samples, _ = S.sample_gibbs_chain(spec, RngStream(8), 2500, options=opts)
-        dists = np.sort([float(np.linalg.norm(s.points[0] - s.points[1])) for s in samples])
+        dists = np.sort([float(np.linalg.norm(s[0] - s[1])) for s in samples])
 
         def riesz(r):
             return np.maximum(r, 1e-12) ** -4.0 / 4.0
@@ -640,7 +644,8 @@ class TestGibbsChain:
         opts = S.McmcOptions(burn_in_sweeps=200, thin_sweeps=3)
         samples, rep = S.sample_gibbs_chain(spec, g, 40, options=opts)
         want, acceptance = oracles.reference_gibbs_chain(spec, g_ref, 40, 200, 3)
-        assert np.array([s.points for s in samples]).tobytes() == want.tobytes()
+        assert samples.shape == (40, spec.n_particles, 3)
+        assert samples.tobytes() == want.tobytes()
         assert rep.acceptance_rate == acceptance
         assert g.bit_generator.state == g_ref.bit_generator.state
 
@@ -690,4 +695,53 @@ class TestReports:
 
     def test_rng_type_check(self):
         with pytest.raises(TypeError):
-            S.sample_ginibre(3, 12345)
+            S.sample_ginibre_ensemble(3, 12345, 1)
+
+
+_OPTS = S.McmcOptions(burn_in_sweeps=50, thin_sweeps=2)
+_ENSEMBLE_SAMPLERS = {
+    "airy": lambda g, count: S.sample_airy_ensemble(4, 2.0, g, count),
+    "airy-dense": lambda g, count: S.sample_airy_ensemble(4, 1.0, g, count, method="dense"),
+    "airy-window": lambda g, count: S.sample_airy_ensemble(4, 2.0, g, count, window=(-4.0, 1.0)),
+    "ginibre": lambda g, count: S.sample_ginibre_ensemble(4, g, count),
+    "field": lambda g, count: S.sample_airy_field((-4.0, 1.0), g, count),
+    "bessel": lambda g, count: S.sample_gibbs_chain(ModelSpec(Family.BESSEL, 3, alpha=1.0), g, count, options=_OPTS),
+    "riesz": lambda g, count: S.sample_gibbs_chain(ModelSpec(Family.RIESZ, 3, riesz_a=5), g, count, options=_OPTS),
+}
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("name", list(_ENSEMBLE_SAMPLERS))
+    def test_count_below_one_is_refused_before_any_draw(self, name, count):
+        g = np.random.default_rng(70)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match=r"^n_samples must be >= 1$"):
+            _ENSEMBLE_SAMPLERS[name](g, count)
+        assert g.bit_generator.state == state
+
+
+class TestBenchWrappers:
+    # three one-draw-per-row wrappers kept for the benchmark's callers
+
+    def test_rows_are_the_array_samplers_rows(self):
+        opts = S.McmcOptions(burn_in_sweeps=100, thin_sweeps=2)
+        pairs = [
+            (S.sample_bessel_chain(4, 2.0, np.random.default_rng(80), 6, options=opts)[0],
+             _bessel_chain(4, 2.0, np.random.default_rng(80), 6, opts)[0]),
+            ([S.sample_airy_equilibrium(5, 1.0, np.random.default_rng(81))],
+             S.sample_airy_ensemble(5, 1.0, np.random.default_rng(81), 1)[0]),
+            ([S.sample_ginibre(5, np.random.default_rng(82))],
+             S.sample_ginibre_ensemble(5, np.random.default_rng(82), 1)[0]),
+        ]
+        for held, rows in pairs:
+            assert len(held) == len(rows)
+            for h, row in zip(held, rows):
+                assert h.points.shape == row.shape
+                assert h.points.tobytes() == row.tobytes()
+                assert np.asarray(h, dtype=float) is h.points
+
+    def test_points_are_read_only(self):
+        c = S.sample_airy_equilibrium(3, 2.0, RngStream(1))
+        with pytest.raises(ValueError):
+            c.points[0, 0] = 5.0

@@ -134,11 +134,15 @@ class TestStep:
             step(spec, _ascending([0.0, 1.0]), dt, RngStream(1), cfg)
 
     def test_nan_state_raises(self):
-        # the plain array step returns is checked as every recorded state is
+        # a start that is not finite is refused before any draw
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0)
-        with pytest.raises(ValueError, match="must be finite"):
-            step(spec, _ascending([math.nan, 1.0]), 1e-3, RngStream(1), cfg)
+        for bad in (math.nan, -math.inf, math.inf):
+            g = np.random.default_rng(1)
+            state = g.bit_generator.state
+            with pytest.raises(ValueError, match="^the start state must be finite; particle 1 is not$"):
+                step(spec, _ascending([0.0, bad]), 1e-3, g, cfg)
+            assert g.bit_generator.state == state
 
     def test_depth_exhaustion_raises(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
@@ -199,6 +203,18 @@ class TestSimulate:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01, max_substep_depth=0, noise_scale=0.0)
         with pytest.raises(StepFailureError, match="path 0"):
             simulate(spec, [_ascending([0.0, 1e-7])], cfg, RngStream(1))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("on_failure", ["raise", "drop"])
+    def test_nonfinite_start_is_refused_naming_its_index(self, bad, on_failure):
+        spec = ModelSpec(Family.AIRY, 3, beta=2.0)
+        starts, _ = sample_airy_ensemble(3, 2.0, RngStream(8), 51)
+        starts[7, 1] = bad
+        stream = _CountingStream(9)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
+        with pytest.raises(ValueError, match="^initial state 7 must be finite; particle 1 is not$"):
+            simulate(spec, starts, cfg, stream, on_failure=on_failure)
+        assert stream.requests == []
 
     def test_horizon_must_fit_grid(self):
         # rejected when the config is built, before any path is set up
@@ -479,8 +495,7 @@ class TestOneDriftPerLeaf:
 
     def test_singular_row_is_isolated_by_halving(self, monkeypatch):
         spec = ModelSpec(Family.AIRY, 20, beta=2.0)
-        starts, _ = sample_airy_ensemble(20, 2.0, RngStream(46), 64)
-        x = starts[:, :, None]
+        x, _ = sample_airy_ensemble(20, 2.0, RngStream(46), 64)
         x[37, 5] = x[37, 4]
         want, want_sep, reasons = np.zeros_like(x), np.zeros(len(x)), {}
         for i, pts in enumerate(x):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ibrownian import stats
-from ibrownian.core import Configuration, Family, ModelSpec, RngStream
+from ibrownian.core import Family, ModelSpec, RngStream
 from ibrownian.models import TruncationParams, truncated_drift_at
 from ibrownian.sampling import sample_airy_ensemble, sample_airy_field, sample_ginibre_ensemble
 from ibrownian.sde import IntegratorConfig, simulate
@@ -71,32 +71,32 @@ class TestFreedmanDiaconis:
 
 class TestEstimateRhoLine:
     def test_single_point_single_bin(self):
-        est = estimate_rho([Configuration(np.array([0.3]))], 1, np.array([0.0, 2.0]))
+        est = estimate_rho([np.array([0.3])], 1, np.array([0.0, 2.0]))
         assert est.counts.tolist() == [1.0]
         assert est.density.tolist() == [0.5]
         assert est.n_samples == 1
 
     def test_factorial_identity_order_one(self):
         g = np.random.default_rng(40)
-        samples = [Configuration(g.uniform(-2, 2, size=17)) for _ in range(5)]
+        samples = [g.uniform(-2, 2, size=17) for _ in range(5)]
         bins = np.linspace(-2.0, 2.0, 9)
         est = estimate_rho(samples, 1, bins)
         widths = np.diff(bins)
         # box = union of all bins: integral equals the mean count exactly
-        mean_count = np.mean([s.points.shape[0] for s in samples])
+        mean_count = np.mean([s.shape[0] for s in samples])
         assert abs(np.sum(est.density * widths) - mean_count) <= 1e-12
         # sub-box of the first three bins
-        in_box = np.mean([np.sum((s.points[:, 0] >= -2.0) & (s.points[:, 0] < -0.5)) for s in samples])
+        in_box = np.mean([np.sum((s >= -2.0) & (s < -0.5)) for s in samples])
         assert abs(np.sum(est.density[:3] * widths[:3]) - in_box) <= 1e-12
 
     def test_factorial_identity_order_two(self):
         g = np.random.default_rng(41)
-        samples = [Configuration(g.uniform(0, 1, size=12)) for _ in range(6)]
+        samples = [g.uniform(0, 1, size=12) for _ in range(6)]
         bins = np.linspace(0.0, 1.0, 6)
         est = estimate_rho(samples, 2, bins)
         w = np.diff(bins)
         integral = np.sum(est.density * (w[:, None] * w[None, :]))
-        counts = np.array([s.points.shape[0] for s in samples], dtype=float)
+        counts = np.array([s.shape[0] for s in samples], dtype=float)
         assert abs(integral - np.mean(counts * (counts - 1))) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -114,26 +114,26 @@ class TestEstimateRhoLine:
     def test_order_two_counts_equal_the_pair_histogram(self, values):
         bins = np.array([0.0, 0.5, 1.0, 2.0])
         values = [np.asarray(v, dtype=float) for v in values]
-        est = estimate_rho([Configuration(v) for v in values], 2, bins)
+        est = estimate_rho(values, 2, bins)
         want = reference_pair_counts(values, bins)
         w = np.diff(bins)
         assert est.counts.tobytes() == want.tobytes()
         assert est.density.tobytes() == (want / (len(values) * (w[:, None] * w[None, :]))).tobytes()
 
     def test_order_two_no_self_pairs(self):
-        est = estimate_rho([Configuration(np.array([0.5]))], 2, np.array([0.0, 1.0]))
+        est = estimate_rho([np.array([0.5])], 2, np.array([0.0, 1.0]))
         assert est.density.shape == (1, 1)
         assert est.counts.sum() == 0
 
     def test_auto_bins(self):
         g = np.random.default_rng(42)
-        samples = [Configuration(g.normal(size=30)) for _ in range(4)]
+        samples = [g.normal(size=30) for _ in range(4)]
         est = estimate_rho(samples, 1)
-        assert est.bins[0] <= min(s.points.min() for s in samples)
+        assert est.bins[0] <= min(s.min() for s in samples)
         assert np.all(np.diff(est.bins) >= 0.05 - 1e-12)
 
     def test_validation(self):
-        good = [Configuration(np.array([0.1])), Configuration(np.array([0.2]))]
+        good = [np.array([0.1]), np.array([0.2])]
         with pytest.raises(ValueError):
             estimate_rho([], 1, np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ class TestEstimateRhoLine:
     )
     @pytest.mark.parametrize("order", [1, 2])
     def test_bad_bins_are_rejected(self, bins, order):
-        samples = [Configuration(np.array([0.1, 0.5])), Configuration(np.array([0.2, 0.7]))]
+        samples = [np.array([0.1, 0.5]), np.array([0.2, 0.7])]
         with pytest.raises(ValueError, match="^bins must be at least two finite, strictly increasing edges$"):
             estimate_rho(samples, order, bins)
 
@@ -188,8 +188,7 @@ class TestEstimateRhoPlanar:
 
 class TestAiryPairRepulsion:
     def test_near_coincidence_suppression(self):
-        arr, _ = sample_airy_ensemble(40, 2.0, RngStream(330), 500)
-        samples = [a[:, None] for a in arr]
+        samples, _ = sample_airy_ensemble(40, 2.0, RngStream(330), 500)
         edges = np.arange(-3.0, 0.0 + 1e-9, 0.3)
         pair = estimate_rho(samples, 2, edges)
         point = estimate_rho(samples, 1, edges)
@@ -303,21 +302,20 @@ class TestErfTailSum:
     def test_nonincreasing_in_label_cutoff(self):
         arr, _ = sample_airy_ensemble(50, 2.0, RngStream(334), 10)
         params = TightnessParams(r=3.0, T=5.0, c=1.0)
-        vals = erf_tail_sum([a[:, None] for a in arr], params, list(range(0, 51, 5)))
+        vals = erf_tail_sum(arr, params, list(range(0, 51, 5)))
         assert np.all(np.diff(vals) <= 1e-15)
 
     def test_nondecreasing_in_radius(self):
         # the Erf argument falls as r grows, so every term grows
         arr, _ = sample_airy_ensemble(50, 2.0, RngStream(334), 10)
-        samples = [a[:, None] for a in arr]
-        lo = erf_tail_sum(samples, TightnessParams(r=2.0, T=5.0, c=1.0), [10])
-        hi = erf_tail_sum(samples, TightnessParams(r=5.0, T=5.0, c=1.0), [10])
+        lo = erf_tail_sum(arr, TightnessParams(r=2.0, T=5.0, c=1.0), [10])
+        hi = erf_tail_sum(arr, TightnessParams(r=5.0, T=5.0, c=1.0), [10])
         assert hi[0] >= lo[0]
 
     def test_desk_scale_decay(self):
         arr, _ = sample_airy_ensemble(100, 2.0, RngStream(332), 50)
         params = TightnessParams(r=10.0, T=20.0, c=1.0)
-        vals = erf_tail_sum([a[:, None] for a in arr], params, [25, 75])
+        vals = erf_tail_sum(arr, params, [25, 75])
         assert vals[0] >= 10.0 * vals[1]
 
     def test_validation(self):
@@ -385,7 +383,7 @@ class TestHolderMoment:
 
     def test_on_simulated_ensemble(self):
         spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=3)
-        init = Configuration(np.array([-2.0, 0.0, 2.0]))
+        init = np.array([-2.0, 0.0, 2.0])
         cfg = IntegratorConfig(dt=1e-3, t_final=0.05, dt_record=5e-3)
         ens = simulate(spec, [init] * 30, cfg, RngStream(55))
         vals = holder_moment(ens, [0.005, 0.01, 0.02])
@@ -417,3 +415,18 @@ class TestCorrelationEstimateType:
                 bins=np.array([0.0, 1.0]), counts=np.array([0.0]),
                 density=np.array([0.0]), n_samples=0, stderr=np.array([0.0]), order=1,
             )
+
+
+class TestSampleShape:
+    def test_sample_with_an_extra_axis_is_refused(self):
+        # an (n, 1, 1) sample, such as a row of an (S, n, 1) stack given one
+        # more axis, would otherwise be read as n points of shape (1, 1)
+        bad = [np.zeros((3, 1, 1))] * 100
+        calls = [
+            lambda: estimate_rho(bad, 1, np.array([0.0, 1.0])),
+            lambda: erf_tail_sum(bad, TightnessParams(r=1.0, T=1.0, c=1.0), [0]),
+            lambda: drift_truncation_scan(bad, AIRY2, -1.0, [1.0]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^sample 0 has shape \(3, 1, 1\)"):
+                call()
