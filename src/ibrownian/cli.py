@@ -88,13 +88,11 @@ _SECTIONS = {
         "t_final": 0.1,
         "dt_record": 0.0,  # 0 records every base step
         "max_substep_depth": 20,
-        "drift_cap_delta": 0.5,
         "truncation_radius": 0.0,  # 0 keeps the full finite-system drift
         "truncation_variant": "centered",
     },
     "sampler": {
         "n_samples": 100,
-        "method": "tridiagonal",
         "burn_in_sweeps": 10_000,
         "thin_sweeps": 10,
         "paths": 100,
@@ -266,8 +264,7 @@ def _mcmc_options(cfg: RunConfig) -> sampling.McmcOptions:
 
 
 def _airy_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
-    with _keyed("sampler.method"):
-        return sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count, method=cfg.method)
+    return sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count)
 
 
 def _ginibre_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
@@ -347,13 +344,8 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
         icfg = IntegratorConfig(dt=cfg.dt, t_final=0.0)
     with _keyed("integrator.dt_record"):
         icfg = replace(icfg, dt_record=None if cfg.dt_record == 0 else cfg.dt_record)
-    with _keyed("integrator"):
-        icfg = replace(
-            icfg,
-            max_substep_depth=cfg.max_substep_depth,
-            drift_cap_delta=cfg.drift_cap_delta,
-            truncation=trunc,
-        )
+    with _keyed("integrator.max_substep_depth"):
+        icfg = replace(icfg, max_substep_depth=cfg.max_substep_depth, truncation=trunc)
     with _keyed("integrator.t_final"):
         return replace(icfg, t_final=cfg.t_final)
 
@@ -433,16 +425,13 @@ def _cmd_correlate(cfg: RunConfig, out: Path) -> int:
     spec = _model_spec(cfg)
     if cfg.order not in (1, 2):
         raise ConfigError("diagnostics.order", f"expected 1 or 2, got {cfg.order}")
-    if spec.dimension == 2 and cfg.order == 2 and cfg.window == 0:
-        raise ConfigError("diagnostics.window", "required for planar order-2 estimates")
     edges = None
     if cfg.bins.strip().lower() != "auto":
         with _keyed("diagnostics.bins"):
             edges = stats._check_bins(_floats("diagnostics.bins", cfg.bins))
     window = None if cfg.window == 0 else cfg.window
-    if window is not None:
-        with _keyed("diagnostics.window"):
-            stats._check_positive("window", window)
+    with _keyed("diagnostics.window"):
+        stats._check_window(window, spec.dimension, cfg.order)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     with _keyed("diagnostics"):
         est = stats.estimate_rho(configs, cfg.order, bins=edges, window=window)

@@ -177,12 +177,12 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
 
 
 # rows of the kernel matrix built per block: the temporaries stay at
-# _KERNEL_ROWS x len(ys), so the matrix itself is the only full-size array
+# _KERNEL_ROWS x len(xs), so the matrix itself is the only full-size array
 _KERNEL_ROWS = 256
 
 
-def kernel_grid(kernel: KernelId, xs, ys=None) -> np.ndarray:
-    """Airy2 kernel values on a rectangular grid; rows index ``xs``.
+def kernel_grid(kernel: KernelId, xs) -> np.ndarray:
+    """Airy2 kernel matrix K(x_i, x_j) on the points ``xs``.
 
     Each block of ``_KERNEL_ROWS`` rows takes the closed form, then the
     midpoint expansion within ``DIAGONAL_WINDOW``: the expressions of
@@ -192,21 +192,16 @@ def kernel_grid(kernel: KernelId, xs, ys=None) -> np.ndarray:
     if kernel is not KernelId.AIRY2:
         raise ValueError(f"kernel_grid evaluates the airy2 kernel, not {kernel.value}")
     xs = np.asarray(xs, dtype=float).ravel()
-    ax, apx = airy_fn(xs)
-    if ys is None:
-        ys, ay, apy = xs, ax, apx
-    else:
-        ys = np.asarray(ys, dtype=float).ravel()
-        ay, apy = airy_fn(ys)
-    out = np.empty((xs.size, ys.size))
+    ai, aip = airy_fn(xs)
+    out = np.empty((xs.size, xs.size))
     for s in range(0, xs.size, _KERNEL_ROWS):
         e = min(xs.size, s + _KERNEL_ROWS)
         rows = out[s:e]
-        np.multiply.outer(ax[s:e], apy, out=rows)
-        rows -= np.multiply.outer(apx[s:e], ay)
-        diff = np.subtract.outer(xs[s:e], ys)
+        np.multiply.outer(ai[s:e], aip, out=rows)
+        rows -= np.multiply.outer(aip[s:e], ai)
+        diff = np.subtract.outer(xs[s:e], xs)
         near = np.abs(diff) <= DIAGONAL_WINDOW
         np.divide(rows, diff, out=rows, where=~near)
         i, j = np.nonzero(near)
-        rows[i, j] = _airy_taylor(xs[s + i], ys[j])
+        rows[i, j] = _airy_taylor(xs[s + i], xs[j])
     return out

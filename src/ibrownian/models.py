@@ -300,9 +300,24 @@ def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParam
 # ---------------------------------------------------------------------------
 
 
+def _points(spec: ModelSpec, state) -> np.ndarray:
+    """``state`` as points of ``spec``'s dimension; a 1-D array is n points on the line."""
+    arr = _points_of(state)
+    if arr.shape[-1] != spec.dimension:
+        raise ValueError(f"state dimension {arr.shape[-1]} != family dimension {spec.dimension}")
+    return arr
+
+
+def _position(spec: ModelSpec, x) -> np.ndarray:
+    """The point ``x``, a d-vector (or a scalar on the line), as a (1, d) array."""
+    xv = _points(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
+    if xv.ndim != 2:
+        raise ValueError(f"position must be a {spec.dimension}-vector")
+    return xv
+
+
 def _env_of(spec: ModelSpec, env) -> np.ndarray:
-    arr = None if env is None else _points_of(env)
-    return arr if arr is not None and len(arr) else np.zeros((0, spec.dimension))
+    return np.zeros((0, spec.dimension)) if env is None or not len(env) else _points(spec, env)
 
 
 def _check_domain(spec: ModelSpec, arr: np.ndarray) -> None:
@@ -330,9 +345,7 @@ def drift_finite_all(spec: ModelSpec, state, *, separation: np.ndarray | None = 
     ``separation``, shape () or (P,), receives the smallest pair distance
     of each state (+inf below two particles).
     """
-    arr = _points_of(state)
-    if arr.shape[-1] != spec.dimension:
-        raise ValueError(f"state dimension {arr.shape[-1]} != family dimension {spec.dimension}")
+    arr = _points(spec, state)
     _check_domain(spec, arr)
     if arr.shape[-2] != spec.n_particles:
         raise ValueError(f"state has {arr.shape[-2]} particles, spec expects {spec.n_particles}")
@@ -352,9 +365,7 @@ def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.n
     same drift at particle i with the other particles as ``env``.
     """
     _validate_trunc(spec, trunc)
-    xv = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    if xv.shape != (1, spec.dimension):
-        raise ValueError(f"position must be a {spec.dimension}-vector")
+    xv = _position(spec, x)
     env_arr = _env_of(spec, env)
     _check_domain(spec, xv)
     _check_domain(spec, env_arr)
@@ -368,7 +379,7 @@ def drift_limit_truncated_all(
     """Truncated limit drift of every particle; shape (n, d), or (P, n, d)
     for a stack of P states.  ``separation`` is as in ``drift_finite_all``."""
     _validate_trunc(spec, trunc)
-    arr = _points_of(state)
+    arr = _points(spec, state)
     _check_domain(spec, arr)
     b, sep = _field(spec, arr, arr, trunc, self_pairs=True)
     if separation is not None:
@@ -405,10 +416,10 @@ def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     chi_s and 1 - chi_s which add to one, so the total is independent
     of ``s`` up to rounding.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(spec, xv[None, :])
-    free = _one_body(spec, xv, None)
-    g, dist, _ = _pair_terms(spec, xv[None, :], _env_of(spec, env), self_pairs=False)
+    xv = _position(spec, x)
+    _check_domain(spec, xv)
+    free = _one_body(spec, xv[0], None)
+    g, dist, _ = _pair_terms(spec, xv, _env_of(spec, env), self_pairs=False)
     g = g[0].reshape(-1, spec.dimension)
     w = cutoff_chi(dist[0], s)[:, None]
     return LogDerivDecomposition(free=free, near=(w * g).sum(axis=0), far=((1.0 - w) * g).sum(axis=0))

@@ -1,9 +1,9 @@
 """Equilibrium samplers for the supported families.
 
-Exact matrix models cover the soft-edge ensemble (symmetric tridiagonal
-model for any beta > 0, dense Gaussian matrices for beta in {1, 2, 4})
-and the planar ensemble (eigenvalues of a complex Gaussian matrix).  One
-Metropolis chain samples the rest: the hard-edge (Bessel) equilibrium
+Exact matrix models cover the soft-edge ensemble (the symmetric
+tridiagonal model, exact for any beta > 0) and the planar ensemble
+(eigenvalues of a complex Gaussian matrix).  One Metropolis chain
+samples the rest: the hard-edge (Bessel) equilibrium
 and the 3d Gibbs measures of the Lennard-Jones and Riesz systems.  It
 makes per-particle Gaussian moves whose scales adapt toward a 0.3
 acceptance during burn-in and are frozen afterwards.  Its energy change
@@ -97,9 +97,9 @@ _WINDOW_PAD = 1e-6
 
 
 def _window_pair(window) -> tuple[float, float]:
-    """``window`` as the float pair (lo, hi); any other length is refused."""
-    if len(window) != 2:
-        raise ValueError(f"window must be a pair (lo, hi), got {window!r}")
+    """``window`` as the float pair (lo, hi) with lo < hi; anything else is refused."""
+    if len(window) != 2 or not float(window[0]) < float(window[1]):
+        raise ValueError(f"window must be a pair (lo, hi) with lo < hi, got {window!r}")
     return float(window[0]), float(window[1])
 
 
@@ -128,6 +128,7 @@ def _edge_spectrum_tridiagonal(n: int, beta: float, g: np.random.Generator, wind
 
 
 def _edge_spectrum_dense(n: int, beta: float, g: np.random.Generator) -> np.ndarray:
+    """Edge-scaled spectrum of a dense Gaussian matrix, beta in {1, 2, 4}: the tests' reference."""
     if beta == 2.0:
         a = g.standard_normal((n, n))
         b = g.standard_normal((n, n))
@@ -163,40 +164,33 @@ def sample_airy_equilibrium(n: int, beta: float, rng) -> _Points:
 
 
 def sample_airy_ensemble(
-    n: int, beta: float, rng, n_samples: int, *, method: str = "tridiagonal", window=None
+    n: int, beta: float, rng, n_samples: int, *, window=None
 ) -> tuple[np.ndarray | list[np.ndarray], SamplerReport]:
     """n_samples independent draws of the soft-edge n-particle ensemble,
-    shape (n_samples, n, 1), each draw ascending.
+    shape (n_samples, n, 1), each draw ascending, from the tridiagonal
+    model (Dumitriu & Edelman 2002), exact at every beta > 0.
 
     Coordinates are the edge-scaled spectrum x = n^(1/6) (lambda - 2 sqrt(n)).
-    ``method`` is "tridiagonal" (any beta > 0) or "dense" (beta in
-    {1, 2, 4}).
 
-    With ``window = (lo, hi)`` (tridiagonal method only) each draw keeps
-    only its points in [lo, hi], computed by bisection rather than as the
-    full spectrum, and the rows come as a list of ascending arrays.  The
-    generator stream is that of the full draws, so a windowed row holds
-    the full row's points in the window, up to the rounding of the
-    eigenvalue solver.
+    With ``window = (lo, hi)`` each draw keeps only its points in [lo, hi],
+    computed by bisection rather than as the full spectrum, and the rows
+    come as a list of ascending arrays.  The generator stream is that of
+    the full draws, so a windowed row holds the full row's points in the
+    window, up to the rounding of the eigenvalue solver.
     """
     _check_sizes(n_samples, n)
     if not beta > 0:
         raise ValueError("beta must be > 0")
-    if method not in ("tridiagonal", "dense"):
-        raise ValueError(f"unknown method {method!r}")
     if window is not None:
         window = _window_pair(window)
-        if method != "tridiagonal" or not window[0] < window[1]:
-            raise ValueError("a window needs method='tridiagonal' and lo < hi")
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
     if window is not None:
         out = [_edge_spectrum_tridiagonal(n, beta, g, window) for _ in range(n_samples)]
     else:
         out = np.empty((n_samples, n, 1))
-        draw = _edge_spectrum_tridiagonal if method == "tridiagonal" else _edge_spectrum_dense
         for k in range(n_samples):
-            out[k, :, 0] = draw(n, beta, g)
+            out[k, :, 0] = _edge_spectrum_tridiagonal(n, beta, g)
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
 

@@ -1,9 +1,9 @@
 """Path integration for the finite and truncated-limit particle SDEs.
 
 The one scheme is Euler-Maruyama with adaptive substep halving: a
-base step is split until the drift move |b| h stays below both the
-configured cap and a tenth of the smallest interparticle gap, which is
-what keeps the singular pair drifts stable.
+base step is split until the drift move |b| h stays below both a fixed
+cap (``_DRIFT_CAP``) and a tenth of the smallest interparticle gap,
+which is what keeps the singular pair drifts stable.
 
 All paths of a run are integrated together as one (P, n, d) array.  Each
 path sits at its own node of its own binary substep tree, tracked as an
@@ -77,7 +77,6 @@ class IntegratorConfig:
     t_final: float
     dt_record: float | None = None
     max_substep_depth: int = 20
-    drift_cap_delta: float = 0.5
     truncation: TruncationParams | None = None
     noise_scale: float = 1.0
 
@@ -88,8 +87,6 @@ class IntegratorConfig:
             raise ValueError("t_final must be finite and >= 0")
         if not 0 <= self.max_substep_depth <= 30:
             raise ValueError("max_substep_depth must lie in [0, 30]")
-        if not self.drift_cap_delta > 0:
-            raise ValueError("drift_cap_delta must be > 0")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
         if self.truncation is not None and not isinstance(self.truncation, TruncationParams):
@@ -171,6 +168,9 @@ _BLOCK_PAIR_TERMS = 1 << 22
 # buffer is no larger than its pair tensors
 _NOISE_DEPTH = 32
 
+# largest drift move |b| h of one substep, whatever the gaps
+_DRIFT_CAP = 0.5
+
 
 def _drift(spec, x, cfg):
     """Drift of every state of the (L, n, d) stack, its smallest pair
@@ -195,13 +195,13 @@ def _drift(spec, x, cfg):
     return np.concatenate([b_lo, b_hi]), np.concatenate([sep_lo, sep_hi]), singular
 
 
-def _split_rule(spec, x, b, sep, drift_cap, noise_rule):
+def _split_rule(spec, x, b, sep, noise_rule):
     """Which rows of the (L, n, d) stack halve their substep, as data for
     ``_splits``: (bmax, drift_limit, noise_limit, pair_sig), each row's
     largest drift norm, and the drift move and the noise it may take.
     ``sep`` is each row's smallest pair separation, its smallest gap.
 
-    A row splits while its drift move |b| h exceeds the cap or a tenth of
+    A row splits while its drift move |b| h exceeds ``_DRIFT_CAP`` or a tenth of
     its smallest gap, or while its substep noise does.  ``noise_rule`` is
     None when the noise is not resolved (no noise, or one particle), else
     whether the noise is state-dependent.  A row keeps its state, and so
@@ -212,7 +212,7 @@ def _split_rule(spec, x, b, sep, drift_cap, noise_rule):
     b2 = b * b
     bmax = np.sqrt(np.maximum.reduce(b2[:, :, 0] if d == 1 else np.add.reduce(b2, axis=2), axis=1))
     tenth = 0.1 * sep
-    drift_limit = np.fmin(tenth, drift_cap)
+    drift_limit = np.fmin(tenth, _DRIFT_CAP)
     if noise_rule is None:
         return bmax, drift_limit, None, None
     # the drift cap alone leaves the substep noise at a fixed ~0.45
@@ -348,7 +348,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
         noise_root_h = cfg.noise_scale * np.sqrt(h)
         # descend to the leaf: the state, and so the rule, stay fixed
         # while the substep of the rows that still split halves
-        rule = _split_rule(spec, x, b, sep, cfg.drift_cap_delta, noise_rule)
+        rule = _split_rule(spec, x, b, sep, noise_rule)
         split = _splits(rule, h, noise_root_h)
         if gone:
             split[gone] = False

@@ -134,6 +134,17 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0")
 
 
+def _check_window(window: float | None, dim: int, order: int) -> None:
+    """Planar order-2 estimates need a window, finite and > 0; no other estimate reads one."""
+    if (dim, order) != (2, 2):
+        if window is not None:
+            raise ValueError("window applies to planar order-2 estimates only")
+    elif window is None:
+        raise ValueError("planar order-2 estimates need a window radius")
+    else:
+        _check_positive("window", window)
+
+
 def estimate_rho(samples, order: int, bins=None, *, window: float | None = None) -> CorrelationEstimate:
     """Binned correlation estimate of order 1 or 2.
 
@@ -144,12 +155,11 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     points inside the disk of radius ``window`` (required there) to
     every other point.  ``bins=None`` picks Freedman-Diaconis edges
     from the pooled data; given edges must be at least two, finite and
-    strictly increasing, and a given window finite and > 0.
+    strictly increasing, and the window finite and > 0; any other
+    estimate refuses a window.
     """
     if bins is not None:
         bins = _check_bins(bins)
-    if window is not None:
-        _check_positive("window", window)
     pts = _sample_points(samples)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -158,6 +168,7 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
         raise ValueError("samples must share one dimension")
     if dim not in (1, 2):
         raise ValueError("estimators cover 1d and planar samples")
+    _check_window(window, dim, order)
     n_samples = len(pts)
 
     if dim == 1:
@@ -194,8 +205,6 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
                 counts += np.histogram(r, bins)[0]
             vol = math.pi * np.diff(bins**2)
         else:
-            if window is None:
-                raise ValueError("planar order-2 estimates need a window radius")
             # window the first point only; clipping the partner too would
             # undercount large separations near the window boundary
             seps = []

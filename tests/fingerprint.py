@@ -8,7 +8,8 @@ library that store a configuration in different shapes hash alike when
 their values agree bitwise.  Run it against two checkouts (through
 PYTHONPATH) and diff the outputs.  Besides the draws it hashes every
 chain's acceptance rate and the final state of each generator a sampler
-or a step was given.  pytest does not collect this file.
+or a step was given.  pytest does not collect this file;
+``test_fingerprint.py`` runs it and checks its output's form.
 """
 
 from __future__ import annotations
@@ -63,9 +64,15 @@ def _sampler_outputs() -> None:
     for beta in BETAS:
         for method in ("tridiagonal", "dense"):
             g = np.random.default_rng(11)
-            draws, rep = sampling.sample_airy_ensemble(6, beta, g, 5, method=method)
+            if method == "tridiagonal":
+                draws, rep = sampling.sample_airy_ensemble(6, beta, g, 5)
+                rate = rep.acceptance_rate
+            else:
+                # the private dense reference, one draw at a time on one
+                # generator; a matrix model has no acceptance rate
+                draws, rate = [sampling._edge_spectrum_dense(6, beta, g) for _ in range(5)], None
             _emit(f"airy_ensemble.{method}.beta{beta:g}.draws", _hash_stack(draws, 1))
-            _emit(f"airy_ensemble.{method}.beta{beta:g}.acceptance", _hash_value(rep.acceptance_rate))
+            _emit(f"airy_ensemble.{method}.beta{beta:g}.acceptance", _hash_value(rate))
             _emit(f"airy_ensemble.{method}.beta{beta:g}.generator", _hash_generator(g))
         g = np.random.default_rng(12)
         draws, _ = sampling.sample_airy_ensemble(50, beta, g, 5, window=(-3.0, 1.0))

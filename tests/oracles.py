@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy import special
 from scipy.integrate import quad, solve_ivp
-from scipy.stats import ncx2
+from scipy.stats import ncx2, norm
 
 from ibrownian.core import Family, RngStream, SingularConfigurationError, StepFailureError
 from ibrownian.models import (
@@ -189,6 +189,23 @@ def cir_cdf(a: float, b: float, q0: float, t: float):
     """
     c = -math.expm1(-b * t) / b
     return ncx2(a, q0 * math.exp(-b * t) / c, scale=c).cdf
+
+
+def airy_center_of_mass_cdf(n: int, beta: float, m0: float, t: float):
+    """CDF at time t of M = sum_i x_i of the n-particle soft-edge process
+    (``airy``) started at M = ``m0``.
+
+    The pair drifts beta / (2 (x_i - x_j)) cancel in the sum, the
+    confinement -(beta / 2)(n^(1/3) + x_i / (2 n^(1/3))) adds up to
+    -k (M + 2 n^(5/3)) with k = beta / (4 n^(1/3)), and the n unit noises
+    to sqrt(n) dW: M is an Ornstein-Uhlenbeck process, Gaussian at t with
+    mean -2 n^(5/3) + (m0 + 2 n^(5/3)) e^(-kt) and variance
+    n (1 - e^(-2kt)) / (2k).
+    """
+    k = beta / (4.0 * n ** (1.0 / 3.0))
+    centre = -2.0 * n ** (5.0 / 3.0)
+    var = n * -math.expm1(-2.0 * k * t) / (2.0 * k)
+    return norm(centre + (m0 - centre) * math.exp(-k * t), math.sqrt(var)).cdf
 
 
 def pair_distance_cdf_oracle(
@@ -431,7 +448,7 @@ def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
     b = _drift(spec, pts, cfg)
     bmax = float(np.max(np.sqrt(np.sum(b * b, axis=1)))) if b.size else 0.0
     gap = _min_gap(pts)
-    split = bmax * h > min(cfg.drift_cap_delta, 0.1 * gap)
+    split = bmax * h > min(0.5, 0.1 * gap)  # a drift cap of 0.5
     if not split and cfg.noise_scale > 0.0 and math.isfinite(gap):
         # the drift cap alone leaves the substep noise at a fixed ~0.45
         # fraction of the gap (both scale with it), which lets diffusion

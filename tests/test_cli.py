@@ -147,7 +147,6 @@ class TestConfigResolution:
             "t_final": 0.2,
             "dt_record": 4e-3,
             "max_substep_depth": 10,
-            "drift_cap_delta": 0.25,
             "truncation_radius": 3.0,
             "truncation_variant": "origin",
         }
@@ -167,6 +166,25 @@ class TestConfigResolution:
         ini.write_text("[diagnostics]\nq = 1.0\n")
         assert run_cli(["kernel", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
         assert "diagnostics.q" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, section, key, value",
+        [
+            # the tridiagonal model is the one soft-edge sampler
+            ("--method", "sampler", "method", "dense"),
+            # the drift cap is a constant of the integrator
+            ("--drift-cap-delta", "integrator", "drift_cap_delta", "0.5"),
+        ],
+    )
+    def test_removed_sampler_and_integrator_keys_are_rejected(self, flag, section, key, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli._build_parser().parse_args(["simulate", flag, value])
+        assert exited.value.code == 2
+        assert flag in capsys.readouterr().err
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        assert run_cli(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith(f"config error: {section}.{key}: unknown config key\n")
 
     def test_removed_scheme_key_is_rejected(self, tmp_path, capsys):
         # Euler-Maruyama is the one integration scheme
@@ -201,11 +219,13 @@ class TestBadInput:
             (["drift-diag", "--model", "airy", "--n", "5", "--x", "nan"], "diagnostics.x"),
             (["drift-diag", "--model", "bessel", "--n", "5", "--x", "nan"], "diagnostics.x"),
             (["simulate", "--model", "bessel", "--beta", "1"], "model"),
+            (["simulate", "--max-substep-depth", "31"], "integrator.max_substep_depth"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
             "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "beta-one-bessel",
+            "depth-above-30",
         ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
@@ -299,10 +319,15 @@ class TestBadInput:
             (["tightness", "--r", "nan"], "diagnostics.r"),
             (["tightness", "--T", "inf"], "diagnostics.T"),
             (["tightness", "--c", "inf"], "diagnostics.c"),
+            # only planar order-2 estimates read a window
+            (["correlate", "--model", "airy", "--window", "2"], "diagnostics.window"),
+            (["correlate", "--model", "airy", "--order", "2", "--window", "2"], "diagnostics.window"),
+            (["correlate", "--model", "ginibre", "--order", "1", "--window", "2"], "diagnostics.window"),
         ],
         ids=[
             "bins-nan", "bins-one-edge", "bins-inf", "bins-decreasing", "window-negative", "window-inf",
-            "window-nan", "r-nan", "T-inf", "c-inf",
+            "window-nan", "r-nan", "T-inf", "c-inf", "window-airy-order-1", "window-airy-order-2",
+            "window-planar-order-1",
         ],
     )
     def test_estimator_settings_fail_before_any_sample_is_drawn(self, argv, key, tmp_path, capsys, monkeypatch):

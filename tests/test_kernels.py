@@ -265,7 +265,6 @@ class TestKernelGrid:
         for rows in (K._KERNEL_ROWS, 4):
             monkeypatch.setattr(K, "_KERNEL_ROWS", rows)
             assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs), want)
-            assert np.array_equal(K.kernel_grid(K.KernelId.AIRY2, xs[:7], xs[5:]), want[:7, 5:])
 
     @pytest.mark.parametrize("window", [(-92.0, 6.0), (-10.0, 2.0), (3.0, 6.0)])
     def test_row_blocks_equal_one_shot_build(self, monkeypatch, window):
@@ -302,7 +301,7 @@ class TestKernelGrid:
         with pytest.raises(ValueError):
             K.kernel_grid(K.KernelId.AIRY2, [0.0, np.nan])
         with pytest.raises(ValueError):
-            K.kernel_grid(K.KernelId.AIRY2, [0.0], [-121.0])
+            K.kernel_grid(K.KernelId.AIRY2, [0.0, -121.0])
         for other in (K.KernelId.BESSEL, K.KernelId.GINIBRE):
             with pytest.raises(ValueError, match="airy2"):
                 K.kernel_grid(other, [1.0, 2.0])

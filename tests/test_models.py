@@ -319,8 +319,30 @@ class TestDomainAndSingularityGuards:
 
     def test_wrong_dimension(self):
         spec = _spec(Family.GINIBRE, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^state dimension 1 != family dimension 2$"):
             M.drift_finite_all(spec, np.array([1.0, 2.0]))
+
+    def test_truncated_drift_of_wrong_dimension_is_refused(self):
+        # a (3, 2) soft-edge state, whose first column alone was once read
+        state = np.array([[-3.0, 0.0], [-1.0, 1.0], [0.5, 2.0]])
+        with pytest.raises(ValueError, match="^state dimension 2 != family dimension 1$"):
+            M.drift_limit_truncated_all(_spec(Family.AIRY, 3), state, M.TruncationParams(radius=10.0))
+
+    def test_environment_of_wrong_dimension_is_refused(self):
+        # a 1-D planar environment, once read as the points (1, 1), (2, 2), (3, 3)
+        spec = _spec(Family.GINIBRE, 4)
+        tp = M.TruncationParams(radius=10.0, variant="centered")
+        with pytest.raises(ValueError, match="^state dimension 1 != family dimension 2$"):
+            M.truncated_drift_at(spec, np.zeros(2), np.array([1.0, 2.0, 3.0]), tp)
+
+    def test_log_derivative_position_of_wrong_dimension_is_refused(self):
+        # a scalar planar position, once read as (0.3, 0.3)
+        spec = _spec(Family.GINIBRE, 3)
+        env = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="^state dimension 1 != family dimension 2$"):
+            M.log_derivative(spec, 0.3, env, 1.0)
+        with pytest.raises(ValueError, match="^state dimension 1 != family dimension 2$"):
+            M.log_derivative(spec, np.zeros(2), np.array([1.0, 2.0]), 1.0)
 
 
 # one spec per family, with the truncation its limit field takes

@@ -24,8 +24,10 @@ class TestSoftEdgeSampler:
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_tridiagonal_matches_dense(self, beta):
-        a, _ = S.sample_airy_ensemble(8, beta, RngStream(1), 3000, method="tridiagonal")
-        b, _ = S.sample_airy_ensemble(8, beta, RngStream(2), 3000, method="dense")
+        # the dense Gaussian matrix models are the independent reference
+        a, _ = S.sample_airy_ensemble(8, beta, RngStream(1), 3000)
+        g = RngStream(2).generator()
+        b = np.array([S._edge_spectrum_dense(8, beta, g) for _ in range(3000)])
         assert ks_2samp(a.ravel(), b.ravel()).statistic <= 0.035
 
     def test_two_particle_law_against_rejection_oracle(self):
@@ -65,9 +67,10 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError):
             S.sample_airy_ensemble(3, -1.0, RngStream(1), 1)
         with pytest.raises(ValueError):
-            S.sample_airy_ensemble(3, 3.0, RngStream(1), 1, method="dense")
-        with pytest.raises(ValueError):
-            S.sample_airy_ensemble(3, 2.0, RngStream(1), 1, method="nope")
+            S._edge_spectrum_dense(3, 3.0, np.random.default_rng(1))
+        # the tridiagonal model is the one soft-edge sampler
+        with pytest.raises(TypeError):
+            S.sample_airy_ensemble(3, 2.0, RngStream(1), 1, method="dense")
 
     @pytest.mark.parametrize(
         "n, beta, window",
@@ -89,7 +92,7 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError, match="window"):
             S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, window=(1.0, -1.0))
         with pytest.raises(ValueError, match="window"):
-            S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, method="dense", window=(-1.0, 1.0))
+            S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, window=(1.0, 1.0))
 
     @pytest.mark.parametrize("window", [(-3.0, 0.0, 99.0), (-3.0,)])
     def test_window_that_is_not_a_pair_is_refused_before_any_draw(self, window):
@@ -105,7 +108,7 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError, match="beta must be"):
             S.sample_airy_ensemble(5, -1.0, RngStream(1), 5)
         with pytest.raises(ValueError, match="beta must be"):
-            S.sample_airy_ensemble(5, 0.0, RngStream(1), 5, method="dense")
+            S.sample_airy_ensemble(5, 0.0, RngStream(1), 5)
 
 
 class TestPlanarSampler:
@@ -422,8 +425,8 @@ class TestFieldNumericalTrouble:
         # the trace stays finite, so the sketch itself must refuse the matrix
         real = K.kernel_grid
 
-        def kernel_grid(kernel, xs, ys=None):
-            km = real(kernel, xs, ys)
+        def kernel_grid(kernel, xs):
+            km = real(kernel, xs)
             km[3, 5] = km[5, 3] = entry
             return km
 
@@ -701,7 +704,6 @@ class TestReports:
 _OPTS = S.McmcOptions(burn_in_sweeps=50, thin_sweeps=2)
 _ENSEMBLE_SAMPLERS = {
     "airy": lambda g, count: S.sample_airy_ensemble(4, 2.0, g, count),
-    "airy-dense": lambda g, count: S.sample_airy_ensemble(4, 1.0, g, count, method="dense"),
     "airy-window": lambda g, count: S.sample_airy_ensemble(4, 2.0, g, count, window=(-4.0, 1.0)),
     "ginibre": lambda g, count: S.sample_ginibre_ensemble(4, g, count),
     "field": lambda g, count: S.sample_airy_field((-4.0, 1.0), g, count),

@@ -15,6 +15,7 @@ from ibrownian.core import (
     StepFailureError,
 )
 from ibrownian.models import TruncationParams, drift_finite_all
+from ibrownian.cli import _spaced_initial
 from ibrownian.sampling import sample_airy_ensemble
 from ibrownian.sde import (
     IntegratorConfig,
@@ -85,7 +86,7 @@ class TestIntegratorConfig:
             {"dt": 0.0, "t_final": 1.0},
             {"dt": 1e-3, "t_final": -1.0},
             {"dt": 1e-3, "t_final": 1.0, "max_substep_depth": 31},
-            {"dt": 1e-3, "t_final": 1.0, "drift_cap_delta": 0.0},
+            {"dt": 1e-3, "t_final": 1.0, "max_substep_depth": -1},
             {"dt": 1e-3, "t_final": 1.0, "noise_scale": -1.0},
             {"dt": 1e-3, "t_final": 1.0, "truncation": 3.0},
             {"dt": np.inf, "t_final": 1.0},
@@ -96,10 +97,6 @@ class TestIntegratorConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
-
-    def test_infinite_drift_cap_is_accepted(self):
-        # an infinite cap is meaningful: only the gap rule then splits a step
-        assert IntegratorConfig(dt=1e-3, t_final=1.0, drift_cap_delta=np.inf).drift_cap_delta == np.inf
 
 
 class TestStep:
@@ -188,11 +185,10 @@ class TestSimulate:
 
     def test_substep_accounting(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
-        base = IntegratorConfig(dt=1e-3, t_final=0.01, noise_scale=0.0)
-        tight = IntegratorConfig(dt=1e-3, t_final=0.01, drift_cap_delta=1e-4, noise_scale=0.0)
-        init = [_ascending([-0.5, 0.5])]
-        plain = simulate(spec, init, base, RngStream(2))
-        split = simulate(spec, init, tight, RngStream(2))
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, noise_scale=0.0)
+        plain = simulate(spec, [_ascending([-0.5, 0.5])], cfg, RngStream(2))
+        # a close pair's drift move exceeds a tenth of its gap
+        split = simulate(spec, [_ascending([-1e-3, 1e-3])], cfg, RngStream(2))
         assert plain.substeps[0] == 10
         assert plain.max_depth_used == 0
         assert split.substeps[0] > 10
@@ -324,6 +320,24 @@ class TestWeakAccuracy:
         cdf = oracles.cir_cdf(2.0 * n * (alpha + n), 1.0 / (2.0 * n), float(np.sum(z0**2)), t_final)
         # the one-sample KS critical value at level 1e-3 for the paths kept
         assert oracles.one_sample_ks(sums, cdf) <= kstwo.ppf(1.0 - 1e-3, sums.size)
+
+    @pytest.mark.parametrize("beta", [2.0, 4.0])
+    def test_soft_edge_centre_of_mass_follows_ou_law(self, beta):
+        # sum x_i of the soft-edge process is an Ornstein-Uhlenbeck process,
+        # Gaussian at T; a flagged path fails the test
+        n, t_final, paths = 10, 0.5, 1000
+        spec = ModelSpec(Family.AIRY, n, beta=beta)
+        start = _spaced_initial(spec)
+        cfg = IntegratorConfig(dt=1e-3, t_final=t_final, dt_record=t_final, max_substep_depth=30)
+        ens = simulate(spec, [start] * paths, cfg, RngStream(1663 + int(beta)), on_failure="drop")
+        assert ens.failed_paths == ()
+        sums = np.sum(ens.states[:, -1, :, 0], axis=1)
+        # the one-sample KS critical value at level 1e-3
+        critical = kstwo.ppf(1.0 - 1e-3, paths)
+        m0 = float(np.sum(start))
+        assert oracles.one_sample_ks(sums, oracles.airy_center_of_mass_cdf(n, beta, m0, t_final)) <= critical
+        # the law with the rate doubled is told apart
+        assert oracles.one_sample_ks(sums, oracles.airy_center_of_mass_cdf(n, 2.0 * beta, m0, t_final)) > critical
 
     @pytest.mark.slow
     def test_planar_squared_radius_sum_follows_cir_law(self):

@@ -185,6 +185,14 @@ class TestEstimateRhoPlanar:
         with pytest.raises(ValueError, match="^window must be finite and > 0$"):
             estimate_rho(list(arr), 2, np.array([0.0, 1.0]), window=window)
 
+    @pytest.mark.parametrize(
+        "dim, order", [(1, 1), (1, 2), (2, 1)], ids=["line-order-1", "line-order-2", "planar-order-1"]
+    )
+    def test_window_outside_planar_pairs_is_refused(self, dim, order):
+        samples = [np.arange(1.0, 1.0 + 3 * dim).reshape(3, dim)] * 2
+        with pytest.raises(ValueError, match="^window applies to planar order-2 estimates only$"):
+            estimate_rho(samples, order, np.array([0.0, 10.0]), window=2.0)
+
 
 class TestAiryPairRepulsion:
     def test_near_coincidence_suppression(self):
