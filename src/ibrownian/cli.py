@@ -423,6 +423,8 @@ def _cmd_kernel(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_correlate(cfg: RunConfig, out: Path) -> int:
     spec = _model_spec(cfg)
+    if spec.dimension not in (1, 2):
+        raise ConfigError("model.family", f"estimators cover 1d and planar families, not {spec.family.value}")
     if cfg.order not in (1, 2):
         raise ConfigError("diagnostics.order", f"expected 1 or 2, got {cfg.order}")
     edges = None

@@ -12,9 +12,9 @@ a numerator divided by (x - y).  As y -> x that numerator cancels badly,
 so within |x - y| <= ``DIAGONAL_WINDOW`` a quadratic expansion around the
 midpoint is used instead; its coefficients are exact expressions in the
 same special functions, not finite differences, and its zeroth term is
-the exact diagonal value.  ``kernel_grid`` builds the Airy kernel matrix
-in row blocks with the same expressions in the same order as
-``airy_kernel``, so the two agree bitwise.
+the exact diagonal value.  ``kernel_grid`` and the soft-edge field build
+Airy kernel rows in blocks (``_airy_rows``) with the expressions of
+``airy_kernel``, so they agree with it bitwise.
 """
 
 from __future__ import annotations
@@ -181,27 +181,38 @@ def bessel_kernel(alpha: float, x: float, y: float, form: str = "recurrence") ->
 _KERNEL_ROWS = 256
 
 
-def kernel_grid(kernel: KernelId, xs) -> np.ndarray:
-    """Airy2 kernel matrix K(x_i, x_j) on the points ``xs``.
+def _airy_rows(xs: np.ndarray):
+    """Row builder of the Airy2 kernel on ``xs``: ``fill(rows, s)`` writes
+    K(xs[s + r], xs[j]) into ``rows[r, j]``, bitwise ``airy_kernel``; the pairs
+    within ``DIAGONAL_WINDOW`` are found once, by a sorted search (O(m log m))."""
+    ai, aip = airy_fn(xs)
+    order = np.argsort(xs, kind="stable")
+    lo = np.searchsorted(xs[order], xs - 2.0 * DIAGONAL_WINDOW)
+    counts = np.searchsorted(xs[order], xs + 2.0 * DIAGONAL_WINDOW, side="right") - lo
+    pi = np.repeat(np.arange(xs.size), counts)
+    pj = order[np.repeat(lo + counts - np.cumsum(counts), counts) + np.arange(pi.size)]
+    keep = np.abs(xs[pi] - xs[pj]) <= DIAGONAL_WINDOW
+    pi, pj, near = pi[keep], pj[keep], _airy_taylor(xs[pi[keep]], xs[pj[keep]])
 
-    Each block of ``_KERNEL_ROWS`` rows takes the closed form, then the
-    midpoint expansion within ``DIAGONAL_WINDOW``: the expressions of
-    ``airy_kernel``, so the blocking changes no bit and the two agree.
-    """
+    def fill(rows: np.ndarray, s: int) -> None:
+        np.multiply.outer(ai[s : s + len(rows)], aip, out=rows)
+        rows -= np.multiply.outer(aip[s : s + len(rows)], ai)
+        with np.errstate(divide="ignore", invalid="ignore"):  # near entries are overwritten
+            rows /= np.subtract.outer(xs[s : s + len(rows)], xs)
+        a, b = np.searchsorted(pi, (s, s + len(rows)))
+        rows[pi[a:b] - s, pj[a:b]] = near[a:b]
+
+    return fill
+
+
+def kernel_grid(kernel: KernelId, xs) -> np.ndarray:
+    """Airy2 kernel matrix K(x_i, x_j) on the points ``xs``, in blocks of
+    ``_KERNEL_ROWS`` rows from ``_airy_rows``: bitwise the scalar ``airy_kernel``."""
     kernel = KernelId(kernel)
     if kernel is not KernelId.AIRY2:
         raise ValueError(f"kernel_grid evaluates the airy2 kernel, not {kernel.value}")
     xs = np.asarray(xs, dtype=float).ravel()
-    ai, aip = airy_fn(xs)
-    out = np.empty((xs.size, xs.size))
+    fill, out = _airy_rows(xs), np.empty((xs.size, xs.size))
     for s in range(0, xs.size, _KERNEL_ROWS):
-        e = min(xs.size, s + _KERNEL_ROWS)
-        rows = out[s:e]
-        np.multiply.outer(ai[s:e], aip, out=rows)
-        rows -= np.multiply.outer(aip[s:e], ai)
-        diff = np.subtract.outer(xs[s:e], xs)
-        near = np.abs(diff) <= DIAGONAL_WINDOW
-        np.divide(rows, diff, out=rows, where=~near)
-        i, j = np.nonzero(near)
-        rows[i, j] = _airy_taylor(xs[s + i], xs[j])
+        fill(out[s : s + _KERNEL_ROWS], s)
     return out

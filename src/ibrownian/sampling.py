@@ -261,38 +261,44 @@ def _field_basis(lo: float, hi: float):
     The basis depends on the window alone, so the last window's basis is
     kept for the life of the process, read-only (about 4 MB on (-92, 6)),
     and a repeat call on that window returns the same arrays without a
-    build.  A build that raises stores nothing, and the kept basis does
-    not hold the m x m kernel matrix.
+    build.  A build that raises stores nothing.
 
     The eigenpairs come from a randomized range finder with one power
     iteration (Halko, Martinsson & Tropp 2011, SIAM Rev. 53:217):
     Q = qr(hK qr(hK Omega)) with a Gaussian Omega of width
-    ell = min(m, ceil(tr hK) + 50), where the trace is the expected point
-    count, followed by Rayleigh-Ritz on Q^T hK Q.  The kernel's eigenvalues
-    fall super-exponentially past the point count, so the Ritz values of
-    the kept pairs match a full eigensolve to rounding.  The sketch checks
-    itself: unless half the slack of its Ritz values falls below the cut,
-    it doubles ell and runs again, up to the full space.
+    ell = min(m, ceil(tr hK) + 50), the trace (the midpoint expansion's
+    diagonal) being the expected point count, then Rayleigh-Ritz on
+    Q^T hK Q.  The kernel's eigenvalues fall super-exponentially past the
+    point count, so the Ritz values of the kept pairs match a full
+    eigensolve to rounding.  The sketch checks itself: unless half the
+    slack of its Ritz values falls below the cut, it doubles ell and runs
+    again, up to the full space.  Its products with hK are built from
+    kernel row blocks made on the fly, never the m x m matrix: O(m ell)
+    memory plus one block.
     """
     m = math.ceil((hi - lo) / _GRID_STEP)
     h = (hi - lo) / m
     x = lo + h * (np.arange(m) + 0.5)
-    km = kernels.kernel_grid("airy2", x)
-    km *= h
-    count = float(np.trace(km))
-    if not math.isfinite(count):
-        raise ValueError("sample_airy_field: kernel matrix is not finite")
+    count = float(np.sum(h * kernels._airy_taylor(x, x)))  # finite: scipy's Ai on an in-support grid
+    fill, rows = kernels._airy_rows(x), np.empty((min(m, kernels._KERNEL_ROWS), m))
+
+    def times_hk(b: np.ndarray) -> np.ndarray:
+        out = np.empty((m, b.shape[1]))
+        for s in range(0, m, len(rows)):
+            fill(rows[: m - s], s)
+            rows[: m - s] *= h
+            np.matmul(rows[: m - s], b, out=out[s : s + len(rows)])
+        if not np.isfinite(out).all():
+            raise ValueError("sample_airy_field: kernel matrix is not finite")
+        return out
+
     ell = min(m, math.ceil(count) + _SKETCH_SLACK)
     while True:
         omega = np.random.default_rng(_SKETCH_SEED).standard_normal((m, ell))
-        # numpy's QR and eigh run on the OpenBLAS that does numpy's products;
-        # scipy bundles a second one, and its QR ran about twice as slow
-        # right after these products
-        q = np.linalg.qr(km @ np.linalg.qr(km @ omega)[0])[0]
-        ritz = q.T @ (km @ q)
-        if not np.isfinite(ritz).all():
-            raise ValueError("sample_airy_field: kernel matrix is not finite")
-        lam, w = np.linalg.eigh(ritz)
+        # numpy's QR and eigh, on the OpenBLAS of numpy's products: scipy's
+        # bundled second one ran QR about twice as slow right after them
+        q = np.linalg.qr(times_hk(np.linalg.qr(times_hk(omega))[0]))[0]
+        lam, w = np.linalg.eigh(q.T @ times_hk(q))
         keep = lam > _EIG_CUT
         if ell == m or ell - np.count_nonzero(keep) >= _SKETCH_SLACK // 2:
             break
@@ -408,23 +414,24 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     eigenpairs above 1e-12 come from a randomized range finder with
     Rayleigh-Ritz (``_field_basis``), whose Gaussian test matrix has a
     fixed seed of its own, so the basis depends on the window alone and
-    draws nothing from ``rng``; a repeat call on the last window reuses
-    its basis (see ``_field_basis``).  Each sample Bernoulli-thins the
-    eigenfunctions and then selects cells sequentially by the chain rule
-    for projection kernels (Schur complements, Hough-Krishnapur-Peres-Virag),
-    and each selected cell gets a uniform jitter of one cell width.  The chain rule runs batched:
-    samples go in blocks, and one matrix product with the eigenvectors
-    serves every sample of a block at each step; each pick searches the
-    totals of chunks of cells and then one chunk (``_pick_cells``).  Per
-    sample the generator gives, in this order, one uniform per kept
-    eigenvalue, one per point for the cell picks and one per point for
-    the jitter -- the stream of a sample-by-sample loop that picks cells
-    with ``Generator.choice``, whose picks these match up to the rounding
-    of the cumulative sums, so the draws do not depend on the blocking.
-    Returns one ascending array per sample (the point count varies) plus
-    a report.  Raises ValueError if the kernel matrix is not finite, and,
-    naming the sample and the step, if the remaining kernel mass of a
-    pick is not finite and positive.
+    draws nothing from ``rng``; it is built from kernel row blocks in
+    O(m ell) memory plus one block, and the last window's is reused (see
+    ``_field_basis``).  Each sample Bernoulli-thins the eigenfunctions and
+    then selects cells sequentially by the chain rule for projection
+    kernels (Schur complements, Hough-Krishnapur-Peres-Virag), and each
+    selected cell gets a uniform jitter of one cell width.  The chain rule
+    runs batched: samples go in blocks, and one matrix product with the
+    eigenvectors serves every sample of a block at each step; each pick
+    searches the totals of chunks of cells and then one chunk
+    (``_pick_cells``).  Per sample the generator gives, in this order, one
+    uniform per kept eigenvalue, one per point for the cell picks and one
+    per point for the jitter -- the stream of a sample-by-sample loop that
+    picks cells with ``Generator.choice``, whose picks these match up to
+    the rounding of the cumulative sums, so the draws do not depend on the
+    blocking.  Returns one ascending array per sample (the point count
+    varies) plus a report.  Raises ValueError if the kernel matrix is not
+    finite, and, naming the sample and the step, if the remaining kernel
+    mass of a pick is not finite and positive.
 
     Unlike the matrix models this realizes the infinite system's own
     equilibrium on the window: the mean density is the kernel diagonal

@@ -95,6 +95,11 @@ def _sampler_outputs() -> None:
     draws, _ = sampling.sample_airy_field((-6.0, 2.0), g, 5)
     _emit("airy_field.draws", _hash_ragged(draws))
     _emit("airy_field.generator", _hash_generator(g))
+    # check 7's window: a rounding-level change in the basis that moves
+    # the kept count shows here, and in the draws that follow it
+    _emit("airy_field.check_window.kept", _hash_value(sampling._field_basis(-92.0, 6.0)[2].size))
+    draws, _ = sampling.sample_airy_field((-92.0, 6.0), RngStream(701), 20)
+    _emit("airy_field.check_window.draws", _hash_ragged(draws))
 
     specs = [("bessel", ModelSpec(Family.BESSEL, 4, alpha=1.0))]
     for beta in BETAS:

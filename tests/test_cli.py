@@ -339,6 +339,16 @@ class TestBadInput:
         assert run_cli(argv + ["--n", "5", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
+    @pytest.mark.parametrize("family", ["lennard_jones", "riesz"])
+    def test_correlate_3d_family_fails_before_any_sample_is_drawn(self, family, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
+        argv = ["correlate", "--model", family, "--n", "3", "--n-samples", "5"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: model.family:")
+
     @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
     def test_drift_scan_numerical_failure_exits_3(self, numerical, tmp_path, capsys, monkeypatch):
         def failing(*args):

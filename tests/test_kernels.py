@@ -6,6 +6,7 @@ import pytest
 from scipy import special
 
 from ibrownian import kernels as K
+from ibrownian import sampling as S
 
 import oracles
 
@@ -286,6 +287,17 @@ class TestKernelGrid:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * xs.size * xs.size * 8
+
+    def test_field_basis_build_never_holds_the_matrix(self):
+        # the field's eigenbasis is built from kernel row blocks, so a cold
+        # build on check 7's window stays well under one m x m matrix
+        tracemalloc.start()
+        try:
+            x = S._field_basis(-92.0, 6.0)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * x.size * x.size * 8
 
     @pytest.mark.parametrize("form", ["recurrence", "derivative"])
     @pytest.mark.parametrize("alpha", [1.0, 2.5, 3.0])

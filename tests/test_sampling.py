@@ -320,23 +320,21 @@ class TestFieldBasis:
 
     @pytest.mark.parametrize("window", [(-92.0, 6.0), (-10.0, 2.0), (3.0, 6.0)])
     def test_row_blocks_equal_one_shot_build(self, monkeypatch, window):
-        # the grid, the cell width and the matrix h*K that the basis is
+        # the grid, the cell width and the rows of h*K that the basis is
         # built from, against the reference sampler's one-shot build
         want = oracles.reference_field_kernel(*window, 0.04)
-        built = []
-        real = K.kernel_grid
-
-        def kernel_grid(*args):
-            built.append(real(*args))
-            return built[-1]
-
-        monkeypatch.setattr(K, "kernel_grid", kernel_grid)
         for rows in (K._KERNEL_ROWS, 7):
             monkeypatch.setattr(K, "_KERNEL_ROWS", rows)
+            blocks = _record_row_blocks(monkeypatch)
             S._field_basis.cache_clear()
             x, h, _, _ = S._field_basis(*window)
             assert h == want[1] and np.array_equal(x, want[0])
-            assert built[-1].tobytes() == want[2].tobytes()
+            # the first pass's blocks, in order, make up the whole matrix
+            first = []
+            while sum(b.shape[0] for b in first) < x.size:
+                first.append(blocks[len(first)])
+            assert all(b.shape[0] == rows for b in first[:-1])
+            assert (np.concatenate(first) * h).tobytes() == want[2].tobytes()
 
     def test_caller_generator_is_left_as_the_reference_leaves_it(self):
         a, b = np.random.default_rng(49), np.random.default_rng(49)
@@ -345,15 +343,34 @@ class TestFieldBasis:
         assert a.bit_generator.state == b.bit_generator.state
 
 
+def _record_row_blocks(monkeypatch):
+    # copies of every kernel row block the basis builds, in build order
+    blocks = []
+    real = K._airy_rows
+
+    def airy_rows(xs):
+        fill = real(xs)
+
+        def recorded(rows, s):
+            fill(rows, s)
+            blocks.append(rows.copy())
+
+        return recorded
+
+    monkeypatch.setattr(K, "_airy_rows", airy_rows)
+    return blocks
+
+
 def _count_kernel_builds(monkeypatch):
+    # one row builder is made per basis build, whatever the passes over it
     builds = []
-    real = K.kernel_grid
+    real = K._airy_rows
 
-    def kernel_grid(*args):
-        builds.append(args)
-        return real(*args)
+    def airy_rows(xs):
+        builds.append(xs)
+        return real(xs)
 
-    monkeypatch.setattr(K, "kernel_grid", kernel_grid)
+    monkeypatch.setattr(K, "_airy_rows", airy_rows)
     return builds
 
 
@@ -423,14 +440,20 @@ class TestFieldNumericalTrouble:
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_off_diagonal_raises(self, monkeypatch, entry):
         # the trace stays finite, so the sketch itself must refuse the matrix
-        real = K.kernel_grid
+        real = K._airy_rows
 
-        def kernel_grid(kernel, xs):
-            km = real(kernel, xs)
-            km[3, 5] = km[5, 3] = entry
-            return km
+        def airy_rows(xs):
+            fill = real(xs)
 
-        monkeypatch.setattr(K, "kernel_grid", kernel_grid)
+            def poisoned(rows, s):
+                fill(rows, s)
+                for i, j in ((3, 5), (5, 3)):
+                    if s <= i < s + rows.shape[0]:
+                        rows[i - s, j] = entry
+
+            return poisoned
+
+        monkeypatch.setattr(K, "_airy_rows", airy_rows)
         with pytest.raises(ValueError, match="kernel matrix is not finite"):
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
 
