@@ -182,9 +182,9 @@ _KERNEL_ROWS = 256
 
 
 def _airy_rows(xs: np.ndarray):
-    """Row builder of the Airy2 kernel on ``xs``: ``fill(rows, s)`` writes
-    K(xs[s + r], xs[j]) into ``rows[r, j]``, bitwise ``airy_kernel``; the pairs
-    within ``DIAGONAL_WINDOW`` are found once, by a sorted search (O(m log m))."""
+    """Row builder of the Airy2 kernel on ``xs``: ``fill(rows, s)`` writes K(xs[s + r], xs[j])
+    into ``rows[r, j]``, bitwise ``airy_kernel``.  The pairs within ``DIAGONAL_WINDOW`` are found
+    once, in O(m log m): a sorted search over twice the window, so rounding drops none, then its test."""
     ai, aip = airy_fn(xs)
     order = np.argsort(xs, kind="stable")
     lo = np.searchsorted(xs[order], xs - 2.0 * DIAGONAL_WINDOW)
