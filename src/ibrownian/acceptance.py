@@ -275,8 +275,7 @@ def check_non_collision():
     swaps = float(ens.ordering_violations)
 
     bes = ModelSpec(family=Family.BESSEL, beta=2.0, alpha=1.0, n_particles=10)
-    opts = sampling.McmcOptions(burn_in_sweeps=3000, thin_sweeps=10)
-    bstarts, _ = sampling.sample_gibbs_chain(bes, RngStream(903), 50, options=opts)
+    bstarts, _ = sampling.sample_bessel_ensemble(10, 1.0, RngStream(903), 50)
     ens_b = simulate(bes, bstarts, cfg, RngStream(904))
     min_state = float(np.min(ens_b.states))
     detail = f"ordering violations over 500 paths; min hard-edge state {min_state:.3f} > 0"
@@ -329,9 +328,7 @@ def check_sampler_closed_forms():
     worst = max(worst, ks)
     parts.append(f"complex-gaussian {ks:.4f}")
 
-    opts = sampling.McmcOptions(burn_in_sweeps=2000, thin_sweeps=10)
-    hard_edge = ModelSpec(Family.BESSEL, 1, alpha=1.0)
-    samples, _ = sampling.sample_gibbs_chain(hard_edge, RngStream(1203), 10_000, options=opts)
+    samples, _ = sampling.sample_bessel_ensemble(1, 1.0, RngStream(1203), 10_000)
     ks = float(kstest(samples[:, 0, 0], lambda v: gammainc(2.0, v / 4.0)).statistic)
     worst = max(worst, ks)
     parts.append(f"gamma {ks:.4f}")

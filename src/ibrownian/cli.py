@@ -48,7 +48,6 @@ from . import kernels
 from .models import TruncationParams, TruncationVariant, _check_domain, cutoff_chi, log_derivative
 from . import sampling
 from . import stats
-from .acceptance import CHECKS
 from .sde import IntegratorConfig, simulate
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -258,29 +257,19 @@ def _workers() -> int | None:
     return count
 
 
-def _mcmc_options(cfg: RunConfig) -> sampling.McmcOptions:
-    with _keyed("sampler"):
-        return sampling.McmcOptions(burn_in_sweeps=cfg.burn_in_sweeps, thin_sweeps=cfg.thin_sweeps)
-
-
-def _airy_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
-    return sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count)
-
-
-def _ginibre_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
-    return sampling.sample_ginibre_ensemble(spec.n_particles, rng, count)
-
-
 def _chain_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
-    return sampling.sample_gibbs_chain(spec, rng, count, options=_mcmc_options(cfg))
+    with _keyed("sampler"):
+        opts = sampling.McmcOptions(burn_in_sweeps=cfg.burn_in_sweeps, thin_sweeps=cfg.thin_sweeps)
+    return sampling.sample_gibbs_chain(spec, rng, count, options=opts)
 
 
-# the equilibrium sampler of each family that has one; each returns the
-# (count, n, d) draws and their SamplerReport
+# the equilibrium sampler of each family that has one, called with
+# (cfg, spec, rng, count); each returns the (count, n, d) draws and their
+# SamplerReport
 _SAMPLERS = {
-    Family.AIRY: _airy_draws,
-    Family.GINIBRE: _ginibre_draws,
-    Family.BESSEL: _chain_draws,
+    Family.AIRY: lambda cfg, spec, rng, count: sampling.sample_airy_ensemble(spec.n_particles, spec.beta, rng, count),
+    Family.GINIBRE: lambda cfg, spec, rng, count: sampling.sample_ginibre_ensemble(spec.n_particles, rng, count),
+    Family.BESSEL: lambda cfg, spec, rng, count: sampling.sample_bessel_ensemble(spec.n_particles, spec.alpha, rng, count),
     Family.LENNARD_JONES: _chain_draws,
     Family.RIESZ: _chain_draws,
 }
@@ -546,6 +535,8 @@ def _cmd_moments(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> int:
+    from .acceptance import CHECKS  # here: the checks import scipy.stats, which no other command needs
+
     if cfg.checks.strip():
         names = [c.strip() for c in cfg.checks.split(",") if c.strip()]
         unknown = [c for c in names if c not in CHECKS]

@@ -25,8 +25,9 @@ and ``_drift_of`` holds b; every public function reads them:
   into near + far, so that d = free + near + far and the drift follows
   from the identity above;
 * ``_energy_change`` is the other side of d: the change of -log(density)
-  when one particle moves, which the Metropolis chains of ``sampling``
-  read for the families with no exact matrix model.
+  when one particle moves, which the Metropolis chain of ``sampling``
+  reads for the two families with no exact matrix model, ``lennard_jones``
+  and ``riesz``.
 
 Everything operates on plain float64 arrays; points of shape (n, d).
 ``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
@@ -210,34 +211,16 @@ def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
 
 def _energy_change(spec: ModelSpec):
     """``delta(x, i, v)``: the change of -log(density) when particle i of x
-    moves to v, +inf where the density vanishes; at v = x_i its gradient is -d_i.
+    (shape (n, 3)) moves to v; at v = x_i its gradient is -d_i.
 
-    ``bessel``: x of shape (n,), density exp(-sum x/(4n)) prod x^alpha
-    prod |x_i - x_j|^2 on (0, inf)^n.  The 3d families: x of shape (n, 3),
-    density exp(-beta sum c|x|^2/n^theta - beta sum_{i<j} Psi), with
-    Psi = r^-12 - r^-6 or r^-a / a.
+    The density is exp(-beta sum c|x|^2/n^theta - beta sum_{i<j} Psi), with
+    Psi = r^-12 - r^-6 (``lennard_jones``) or r^-a / a (``riesz``), the two
+    families with no exact matrix model.
     """
     fam = spec.family
     n = spec.n_particles
-    if fam is Family.BESSEL:
-        alpha = spec.alpha
-        # indices of the particles other than i, in order: x[rest[i]] is np.delete(x, i)
-        rest = [np.delete(np.arange(n), i) for i in range(n)]
-
-        def delta(x: np.ndarray, i: int, v: float) -> float:
-            if not v > 0.0:
-                return math.inf
-            old = x[i]
-            de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
-            if n > 1:
-                others = x[rest[i]]
-                # the reduction np.sum makes, so the summation order is its own
-                de -= 2.0 * float(np.add.reduce(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
-            return de
-
-        return delta
     if fam not in (Family.LENNARD_JONES, Family.RIESZ):
-        raise ValueError(f"family {fam.value} has no Metropolis energy (bessel, lennard_jones or riesz)")
+        raise ValueError(f"family {fam.value} has no Metropolis energy (lennard_jones or riesz)")
     beta = spec.beta
     confinement = beta * (spec.free_c / n**spec.free_theta)
     lj = fam is Family.LENNARD_JONES
@@ -308,16 +291,23 @@ def _points(spec: ModelSpec, state) -> np.ndarray:
     return arr
 
 
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
 def _position(spec: ModelSpec, x) -> np.ndarray:
-    """The point ``x``, a d-vector (or a scalar on the line), as a (1, d) array."""
+    """The point ``x``, a finite d-vector (or a scalar on the line), as a (1, d) array."""
     xv = _points(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
     if xv.ndim != 2:
         raise ValueError(f"position must be a {spec.dimension}-vector")
-    return xv
+    return _finite("x", xv)
 
 
 def _env_of(spec: ModelSpec, env) -> np.ndarray:
-    return np.zeros((0, spec.dimension)) if env is None or not len(env) else _points(spec, env)
+    """The environment ``env`` as finite points; None or empty is no point."""
+    return np.zeros((0, spec.dimension)) if env is None or not len(env) else _finite("env", _points(spec, env))
 
 
 def _check_domain(spec: ModelSpec, arr: np.ndarray) -> None:

@@ -1,14 +1,12 @@
 """Equilibrium samplers for the supported families.
 
-Exact matrix models cover the soft-edge ensemble (the symmetric
-tridiagonal model, exact for any beta > 0) and the planar ensemble
-(eigenvalues of a complex Gaussian matrix).  One Metropolis chain
-samples the rest: the hard-edge (Bessel) equilibrium
-and the 3d Gibbs measures of the Lennard-Jones and Riesz systems.  It
-makes per-particle Gaussian moves whose scales adapt toward a 0.3
-acceptance during burn-in and are frozen afterwards.  Its energy change
-is ``models._energy_change(spec)``, beside the drift table it must agree
-with; each family here only supplies its start state and proposal scale.
+Exact matrix models cover the soft-edge ensemble (symmetric
+tridiagonal, any beta > 0), the hard-edge ensemble (bidiagonal
+Laguerre, beta = 2) and the planar ensemble (complex Gaussian spectrum).
+The 3d Lennard-Jones and Riesz systems have no matrix model: one
+Metropolis chain samples them, with per-particle Gaussian moves whose
+scales adapt toward a 0.3 acceptance during burn-in and are frozen
+afterwards, and the energy change ``models._energy_change(spec)``.
 
 Samplers accept an RngStream (preferred; the seed lands in the report)
 or a bare numpy Generator, refuse ``n_samples < 1`` before any draw and
@@ -28,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import kernels
-from .core import Family, ModelSpec, _resolve_rng
+from .core import ModelSpec, _resolve_rng
 from .models import _energy_change
 
 __all__ = [
@@ -39,6 +37,7 @@ __all__ = [
     "sample_airy_field",
     "sample_ginibre",
     "sample_ginibre_ensemble",
+    "sample_bessel_ensemble",
     "sample_bessel_chain",
     "sample_gibbs_chain",
 ]
@@ -74,6 +73,14 @@ def _check_sizes(n_samples: int, n: int = 1) -> None:
         raise ValueError("n must be >= 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+
+
+def _exact_draws(rng, n_samples: int, draw) -> tuple[list, SamplerReport]:
+    """``draw(g)`` n_samples times on the caller's generator, and an exact sampler's report."""
+    g, seed = _resolve_rng(rng)
+    t0 = time.perf_counter()
+    rows = [draw(g) for _ in range(n_samples)]
+    return rows, SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)
@@ -183,16 +190,48 @@ def sample_airy_ensemble(
         raise ValueError("beta must be > 0")
     if window is not None:
         window = _window_pair(window)
-    g, seed = _resolve_rng(rng)
-    t0 = time.perf_counter()
-    if window is not None:
-        out = [_edge_spectrum_tridiagonal(n, beta, g, window) for _ in range(n_samples)]
-    else:
-        out = np.empty((n_samples, n, 1))
-        for k in range(n_samples):
-            out[k, :, 0] = _edge_spectrum_tridiagonal(n, beta, g)
-    rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
-    return out, rep
+    rows, rep = _exact_draws(rng, n_samples, lambda g: _edge_spectrum_tridiagonal(n, beta, g, window))
+    return (rows if window is not None else np.stack(rows)[..., None]), rep
+
+
+# ---------------------------------------------------------------------------
+# hard edge: the beta = 2 Laguerre ensemble
+# ---------------------------------------------------------------------------
+
+
+def sample_bessel_ensemble(n: int, alpha: float, rng, n_samples: int) -> tuple[np.ndarray, SamplerReport]:
+    """n_samples independent draws of the hard-edge n-particle ensemble,
+    density prop. to prod x_i^alpha e^(-x_i/(4n)) prod_(i<j) |x_i - x_j|^2
+    on (0, inf)^n, as (n_samples, n, 1) points, each draw ascending.
+
+    Exact for every real alpha >= 1: the bidiagonal beta = 2 Laguerre
+    model (Dumitriu & Edelman 2002), B lower bidiagonal with diagonal
+    chi_(2(alpha+n-i)), i < n, and subdiagonal chi_(2(n-1-i)), i < n - 1,
+    and x = 2n eig(B^T B).  Each draw takes the n squared diagonal
+    entries from the generator, then the n - 1 squared subdiagonal ones.
+    """
+    _check_sizes(n_samples, n)
+    if not alpha >= 1:
+        raise ValueError("alpha must be >= 1")
+    i = np.arange(n)
+    df_diag, df_sub = 2.0 * (alpha + n - i), 2.0 * (n - 1 - i[:-1])
+
+    def draw(g: np.random.Generator) -> np.ndarray:
+        d2, e2 = g.chisquare(df_diag), g.chisquare(df_sub)
+        # B^T B: diagonal d_i^2 + e_i^2 (d^2 alone in the last row), off-diagonal e_i d_(i+1)
+        return 2.0 * n * eigvalsh_tridiagonal(d2 + np.append(e2, 0.0), np.sqrt(e2 * d2[1:]))
+
+    rows, rep = _exact_draws(rng, n_samples, draw)
+    return np.stack(rows)[..., None], rep
+
+
+def sample_bessel_chain(
+    n: int, alpha: float, rng, n_samples: int, *, options: McmcOptions | None = None
+) -> tuple[list[_Points], SamplerReport]:
+    """``sample_bessel_ensemble``'s draws as ``.points`` holders, kept for the
+    benchmark's callers; ``options`` is accepted and unused (the draws are exact)."""
+    draws, rep = sample_bessel_ensemble(n, alpha, rng, n_samples)
+    return [_Points(d) for d in draws], rep
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +256,8 @@ def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, Sa
     matrix, unit entry variance, as (n_samples, n, 2) points; their
     density fills the disk of radius sqrt(n) with intensity 1/pi."""
     _check_sizes(n_samples, n)
-    g, seed = _resolve_rng(rng)
-    t0 = time.perf_counter()
-    out = np.empty((n_samples, n, 2))
-    for k in range(n_samples):
-        out[k] = _planar_points(n, g)
-    rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
-    return out, rep
+    rows, rep = _exact_draws(rng, n_samples, lambda g: _planar_points(n, g))
+    return np.stack(rows), rep
 
 
 # ---------------------------------------------------------------------------
@@ -473,34 +507,19 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
 _TARGET_ACCEPTANCE = 0.3
 
 
-def _chain_start(spec: ModelSpec) -> tuple[np.ndarray, float]:
-    """Start state of the chain for ``spec``, one row per particle, and its
-    initial proposal scale."""
+def _chain_start(spec: ModelSpec) -> np.ndarray:
+    """The chain's start, one row per particle: the first n points of a cubic lattice, row-major."""
     n = spec.n_particles
-    if spec.family is Family.BESSEL:
-        # support stretches to roughly 16 n^2 (quadratic repulsion pushes the
-        # top eigenvalue scale to O(n) times the weight scale 4n)
-        return 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0), max(4.0, 16.0 * n / 4.0)
-    # the first n points of a cubic lattice, in row-major order
     side = max(1, math.ceil(n ** (1.0 / 3.0)))
     grid = np.stack(np.unravel_index(np.arange(n), (side,) * 3), axis=1).astype(float)
-    return 1.4 * (grid - grid.mean(axis=0)), 0.4
-
-
-def sample_bessel_chain(
-    n: int, alpha: float, rng, n_samples: int, *, options: McmcOptions | None = None
-) -> tuple[list[_Points], SamplerReport]:
-    """``sample_gibbs_chain`` of the hard-edge spec, its draws as
-    ``.points`` holders; kept for the benchmark's callers."""
-    draws, rep = sample_gibbs_chain(ModelSpec(Family.BESSEL, n, alpha=alpha), rng, n_samples, options=options)
-    return [_Points(d) for d in draws], rep
+    return 1.4 * (grid - grid.mean(axis=0))
 
 
 def sample_gibbs_chain(
     spec: ModelSpec, rng, n_samples: int, *, options: McmcOptions | None = None
 ) -> tuple[np.ndarray, SamplerReport]:
-    """Thinned Metropolis draws of the equilibrium of a ``bessel``,
-    ``lennard_jones`` or ``riesz`` spec; shape (n_samples, n, d).
+    """Thinned Metropolis draws of the equilibrium of a ``lennard_jones``
+    or ``riesz`` spec; shape (n_samples, n, 3).
 
     Per-particle Gaussian moves, one proposal scale per particle; the
     energy change comes from ``models._energy_change`` and is +inf where
@@ -510,9 +529,9 @@ def sample_gibbs_chain(
     g, seed = _resolve_rng(rng)
     delta_energy = _energy_change(spec)
     opts = options or McmcOptions()
-    state, scale = _chain_start(spec)
+    state = _chain_start(spec)
     n = len(state)
-    scales = np.full(n, float(scale))
+    scales = np.full(n, 0.4)  # every particle's proposal scale before adaptation
 
     def sweep(rate: float) -> int:
         accepted = 0
@@ -538,7 +557,7 @@ def sample_gibbs_chain(
     for k in range(n_samples):
         for _ in range(opts.thin_sweeps):
             accepted += sweep(0.0)
-        kept[k] = state.reshape(n, -1)
+        kept[k] = state
     acc = accepted / (n_samples * opts.thin_sweeps * n)
     rep = SamplerReport(
         n_samples=n_samples, acceptance_rate=acc, seed=seed, wall_time=time.perf_counter() - t0, converged=0.1 <= acc <= 0.9

@@ -48,7 +48,9 @@ class CorrelationEstimate:
     ``density`` is counts per unit volume per sample: order 1 divides by
     bin volume, order 2 by the product of the two cell volumes, so
     summing density * volume over a box reproduces the empirical
-    factorial moment of that box exactly.
+    factorial moment of that box exactly.  ``stderr`` is its across-sample
+    standard error: the sample standard deviation of the per-sample
+    densities over sqrt(n_samples), NaN for one sample.
     """
 
     bins: np.ndarray
@@ -171,57 +173,54 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     _check_window(window, dim, order)
     n_samples = len(pts)
 
-    if dim == 1:
+    if dim == 1 and order == 2:
         values = [p[:, 0] for p in pts]
         if bins is None:
             bins = freedman_diaconis_edges(np.concatenate(values))
+        # ordered pairs of unequal values: the product of each sample's
+        # histogram with itself, less the c^2 pairs of every value that
+        # occurs c times, which sit on the diagonal; all counts are
+        # integers, so the float sums are exact in any order
+        hist = np.empty((n_samples, len(bins) - 1))
+        same = np.empty_like(hist)
+        for s, v in enumerate(values):
+            hist[s] = np.histogram(v, bins)[0]
+            uniq, mult = np.unique(v, return_counts=True)
+            same[s] = np.histogram(uniq, bins, weights=mult * mult)[0]
+        counts = hist.T @ hist
+        counts[np.diag_indices_from(counts)] -= same.sum(axis=0)
+        # the sum over samples of each sample's squared pair counts
+        squares = hist * hist
+        sq = squares.T @ squares
+        sq[np.diag_indices_from(sq)] = np.sum((squares - same) ** 2, axis=0)
         widths = np.diff(bins)
-        if order == 1:
-            counts = np.zeros(len(bins) - 1)
-            for v in values:
-                counts += np.histogram(v, bins)[0]
-            vol = widths
-        else:
-            # ordered pairs of unequal values: the product of each sample's
-            # histogram with itself, less the c^2 pairs of every value that
-            # occurs c times, which sit on the diagonal; all counts are
-            # integers, so the float sums are exact in any order
-            hist = np.empty((n_samples, len(bins) - 1))
-            same = np.zeros(len(bins) - 1)
-            for s, v in enumerate(values):
-                hist[s] = np.histogram(v, bins)[0]
-                uniq, mult = np.unique(v, return_counts=True)
-                same += np.histogram(uniq, bins, weights=mult * mult)[0]
-            counts = hist.T @ hist
-            counts[np.diag_indices_from(counts)] -= same
-            vol = widths[:, None] * widths[None, :]
+        vol = widths[:, None] * widths[None, :]
     else:
-        radii = [np.sqrt(np.sum(p * p, axis=1)) for p in pts]
-        if order == 1:
-            if bins is None:
-                bins = freedman_diaconis_edges(np.concatenate(radii))
-            counts = np.zeros(len(bins) - 1)
-            for r in radii:
-                counts += np.histogram(r, bins)[0]
-            vol = math.pi * np.diff(bins**2)
+        if dim == 1:
+            per_sample = [p[:, 0] for p in pts]
+        elif order == 1:
+            per_sample = [np.sqrt(np.sum(p * p, axis=1)) for p in pts]
         else:
             # window the first point only; clipping the partner too would
             # undercount large separations near the window boundary
-            seps = []
-            for p, r in zip(pts, radii):
-                q = p[r <= window]
-                if q.shape[0] >= 1 and p.shape[0] >= 2:
-                    d = q[:, None, :] - p[None, :, :]
-                    s = np.sqrt(np.sum(d * d, axis=2))
-                    seps.append(s[s > 0.0])
-            pooled = np.concatenate(seps) if seps else np.zeros(0)
-            if bins is None:
-                bins = freedman_diaconis_edges(pooled)
-            counts = np.histogram(pooled, bins)[0].astype(float)
-            vol = (math.pi * window**2) * (math.pi * np.diff(bins**2))
+            per_sample = []
+            for p in pts:
+                d = p[np.sqrt(np.sum(p * p, axis=1)) <= window][:, None, :] - p[None, :, :]
+                sep = np.sqrt(np.sum(d * d, axis=2))
+                per_sample.append(sep[sep > 0.0])
+        if bins is None:
+            bins = freedman_diaconis_edges(np.concatenate(per_sample))
+        hist = np.array([np.histogram(v, bins)[0] for v in per_sample], dtype=float)
+        counts, sq = hist.sum(axis=0), np.sum(hist * hist, axis=0)
+        vol = np.diff(bins) if dim == 1 else math.pi * np.diff(bins**2)
+        if order == 2:
+            vol = (math.pi * window**2) * vol
 
     density = counts / (n_samples * vol)
-    stderr = np.sqrt(counts) / (n_samples * vol)
+    # across-sample standard error: the sample deviation of the per-sample
+    # counts over sqrt(S), per unit volume; one sample gives no spread
+    var = np.maximum(sq - counts * counts / n_samples, 0.0) / (n_samples - 1) if n_samples > 1 else np.nan
+    stderr = np.sqrt(var / n_samples) / vol
     return CorrelationEstimate(
         bins=bins, counts=counts, density=density, n_samples=n_samples, stderr=stderr, order=order
     )
@@ -270,12 +269,14 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
 
     Labels are modulus-ascending, so the sum collects the high-label
     (far) particles; it is nonincreasing in L.  Indices beyond a sample's
-    particle count contribute nothing.
+    particle count contribute nothing.  Each cutoff must be an integer
+    >= 0 (``2.0`` reads as 2; ``1.7`` is refused).
     """
     pts = _sample_points(samples)
-    ls = np.asarray(list(L_list), dtype=int)
-    if np.any(ls < 0):
-        raise ValueError("label cutoffs must be >= 0")
+    cuts = [float(c) for c in L_list]
+    if not all(c >= 0 and c.is_integer() for c in cuts):
+        raise ValueError(f"label cutoffs must be integers >= 0, got {cuts!r}")
+    ls = np.array(cuts, dtype=int)
     denom = math.sqrt(params.c) * params.T
     totals = np.zeros(ls.size)
     for p in pts:

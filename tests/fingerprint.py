@@ -7,7 +7,7 @@ float64 bytes of the output reshaped to (S, n, d), so two versions of the
 library that store a configuration in different shapes hash alike when
 their values agree bitwise.  Run it against two checkouts (through
 PYTHONPATH) and diff the outputs.  Besides the draws it hashes every
-chain's acceptance rate and the final state of each generator a sampler
+sampler's acceptance rate and the final state of each generator a sampler
 or a step was given.  pytest does not collect this file;
 ``test_fingerprint.py`` runs it and checks its output's form.
 """
@@ -101,7 +101,15 @@ def _sampler_outputs() -> None:
     draws, _ = sampling.sample_airy_field((-92.0, 6.0), RngStream(701), 20)
     _emit("airy_field.check_window.draws", _hash_ragged(draws))
 
-    specs = [("bessel", ModelSpec(Family.BESSEL, 4, alpha=1.0))]
+    for alpha in (1.0, 1.5):
+        for n in (1, 4, 40):
+            g = np.random.default_rng(18)
+            draws, rep = sampling.sample_bessel_ensemble(n, alpha, g, 5)
+            _emit(f"bessel_ensemble.alpha{alpha:g}.n{n}.draws", _hash_stack(draws, 1))
+            _emit(f"bessel_ensemble.alpha{alpha:g}.n{n}.acceptance", _hash_value(rep.acceptance_rate))
+            _emit(f"bessel_ensemble.alpha{alpha:g}.n{n}.generator", _hash_generator(g))
+
+    specs = []
     for beta in BETAS:
         specs.append((f"lennard_jones.beta{beta:g}", ModelSpec(Family.LENNARD_JONES, 4, beta=beta)))
         specs.append((f"riesz.beta{beta:g}", ModelSpec(Family.RIESZ, 4, beta=beta, riesz_a=5)))
@@ -111,11 +119,6 @@ def _sampler_outputs() -> None:
         _emit(f"gibbs_chain.{label}.draws", _hash_stack(draws, spec.dimension))
         _emit(f"gibbs_chain.{label}.acceptance", _hash_value(rep.acceptance_rate))
         _emit(f"gibbs_chain.{label}.generator", _hash_generator(g))
-    g = np.random.default_rng(18)
-    draws, rep = sampling.sample_bessel_chain(4, 2.0, g, 5, options=opts)
-    _emit("bessel_chain.draws", _hash_stack(draws, 1))
-    _emit("bessel_chain.acceptance", _hash_value(rep.acceptance_rate))
-    _emit("bessel_chain.generator", _hash_generator(g))
 
 
 def _start(spec: ModelSpec) -> np.ndarray:

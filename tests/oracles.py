@@ -11,10 +11,9 @@ its batched loop, and the field sampler runs the package's Airy functions
 through the sample-by-sample chain rule it used before its batched one.
 The pair counter keeps the per-sample 2d histogram of ordered pairs that
 the package's order-2 line estimator used before its histogram products.
-The Metropolis chains and the scalar Bessel kernel at the end keep the
-per-proposal ``np.delete`` energy, the 3d chain energy as it was written
-in the sampler, and the one-call-per-value Bessel evaluations the package
-used before it batched or moved them.
+The 3d Metropolis chain and the scalar Bessel kernel at the end keep the
+chain energy as it was written in the sampler and the one-call-per-value
+Bessel evaluations the package used before it moved or batched them.
 """
 
 from __future__ import annotations
@@ -206,6 +205,50 @@ def airy_center_of_mass_cdf(n: int, beta: float, m0: float, t: float):
     centre = -2.0 * n ** (5.0 / 3.0)
     var = n * -math.expm1(-2.0 * k * t) / (2.0 * k)
     return norm(centre + (m0 - centre) * math.exp(-k * t), math.sqrt(var)).cdf
+
+
+def gibbs_center_of_mass_cdf(n: int, beta: float, c: float, theta: float, m0: float, t: float):
+    """CDF at time t of one coordinate of M = sum_i x_i of the n-particle
+    3d process (``lennard_jones`` or ``riesz``) started at M = ``m0`` in
+    that coordinate.
+
+    The pair terms are antisymmetric and cancel in the sum, the
+    confinement -(beta c / n^theta) x_i adds up to -k M with
+    k = beta c / n^theta, and the n unit noises to sqrt(n) dW: each
+    coordinate of M is an Ornstein-Uhlenbeck process, Gaussian at t with
+    mean m0 e^(-kt) and variance n (1 - e^(-2kt)) / (2k).
+    """
+    k = beta * c / n**theta
+    var = n * -math.expm1(-2.0 * k * t) / (2.0 * k)
+    return norm(m0 * math.exp(-k * t), math.sqrt(var)).cdf
+
+
+def count_variance(a: float, b: float, n: int | None = None) -> float:
+    """Exact variance of the number of points of a determinantal process in
+    a set B: int_B K(x, x) - int int_(B x B) K(x, y)^2 (Soshnikov 2000,
+    Russian Math. Surveys 55:923).
+
+    ``n`` None: the beta = 2 soft-edge limit field on the interval (a, b),
+    with the Airy kernel (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y), diagonal
+    Ai'(x)^2 - x Ai(x)^2, from ``scipy.special.airy`` on 80 Gauss-Legendre
+    nodes.  ``n`` given: the n-point Ginibre ensemble, kernel
+    pi^-1 e^(-(|z|^2 + |w|^2)/2) sum_(k<n) (z conj(w))^k / k!, in the
+    annulus a <= |z| < b.  The angular integrals leave sum_k p_k (1 - p_k),
+    with p_k = P(a^2 <= Gamma(k + 1) < b^2) the annulus mass of the k-th
+    radial function.
+    """
+    if n is not None:
+        k = np.arange(n) + 1.0
+        p = special.gammainc(k, b * b) - special.gammainc(k, a * a)
+        return float(np.sum(p * (1.0 - p)))
+    t, w = np.polynomial.legendre.leggauss(80)
+    x = 0.5 * (b - a) * t + 0.5 * (a + b)
+    w = 0.5 * (b - a) * w
+    ai, aip, _, _ = special.airy(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kxy = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / (x[:, None] - x[None, :])
+    kxy[np.diag_indices_from(kxy)] = aip * aip - x * ai * ai
+    return float(w @ np.diag(kxy) - w @ (kxy * kxy) @ w)
 
 
 def pair_distance_cdf_oracle(
@@ -661,28 +704,14 @@ def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
 
 
 # ---------------------------------------------------------------------------
-# reference Metropolis chains and scalar Bessel kernel
+# reference Metropolis chain and scalar Bessel kernel
 # ---------------------------------------------------------------------------
 #
-# ``ibrownian.sampling.sample_bessel_chain`` as its loop ran when each
-# proposal's energy called ``np.delete`` and ``np.sum``, the energy of
-# ``sample_gibbs_chain`` as it was written in ``sampling`` before it moved
-# to ``models``, and ``ibrownian.kernels.bessel_kernel`` as it was when
-# each Bessel value was one scalar ``scipy.special.jv`` or ``jvp`` call:
-# the bitwise references for the versions that replaced them.
-
-
-def reference_bessel_delta_energy(alpha, x, i, v):
-    """Change of the hard-edge chain's energy when particle i of x moves to v."""
-    n = len(x)
-    if not v > 0.0:
-        return math.inf
-    old = x[i]
-    de = (v - old) / (4.0 * n) - alpha * (math.log(v) - math.log(old))
-    if n > 1:
-        others = np.delete(x, i)
-        de -= 2.0 * float(np.sum(np.log(np.abs(v - others)) - np.log(np.abs(old - others))))
-    return de
+# The energy of ``sample_gibbs_chain`` as it was written in ``sampling``
+# before it moved to ``models``, the chain's loop as it ran then, and
+# ``ibrownian.kernels.bessel_kernel`` as it was when each Bessel value was
+# one scalar ``scipy.special.jv`` or ``jvp`` call: the bitwise references
+# for the versions that replaced them.
 
 
 def reference_gibbs_delta_energy(spec, x, i, v):
@@ -710,47 +739,6 @@ def reference_gibbs_delta_energy(spec, x, i, v):
     return de
 
 
-def _reference_chain(state, scale, delta_energy, g, n_samples, burn_in_sweeps, thin_sweeps):
-    n = len(state)
-    scales = np.full(n, scale)
-
-    def sweep(rate):
-        accepted = 0
-        xi = g.standard_normal(state.shape)
-        logu = -g.exponential(size=n)
-        for i in range(n):
-            v = state[i] + scales[i] * xi[i]
-            ok = logu[i] < -delta_energy(state, i, v)
-            if ok:
-                state[i] = v
-                accepted += 1
-            if rate > 0.0:
-                scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - 0.3))
-        return accepted
-
-    for k in range(burn_in_sweeps):
-        sweep(0.25 * 100.0 / (100.0 + k))
-    draws = np.empty((n_samples,) + state.shape)
-    accepted = 0
-    for k in range(n_samples):
-        for _ in range(thin_sweeps):
-            accepted += sweep(0.0)
-        draws[k] = state
-    return draws, accepted / (n_samples * thin_sweeps * n)
-
-
-def reference_bessel_chain(n, alpha, g, n_samples, burn_in_sweeps, thin_sweeps):
-    """Draws (n_samples, n) and acceptance rate of the hard-edge Metropolis
-    chain on the generator ``g``."""
-    state = 16.0 * n * n * (np.arange(1, n + 1)) / (n + 1.0)
-    return _reference_chain(
-        state,
-        max(4.0, 16.0 * n / 4.0),
-        lambda x, i, v: reference_bessel_delta_energy(alpha, x, i, v),
-        g, n_samples, burn_in_sweeps, thin_sweeps,
-    )
-
-
 def reference_gibbs_chain(spec, g, n_samples, burn_in_sweeps, thin_sweeps):
     """Draws (n_samples, n, 3) and acceptance rate of the Lennard-Jones or
     Riesz Metropolis chain on the generator ``g``."""
@@ -760,12 +748,32 @@ def reference_gibbs_chain(spec, g, n_samples, burn_in_sweeps, thin_sweeps):
         [(i, j, k) for i in range(side) for j in range(side) for k in range(side)],
         dtype=float,
     )[:n]
-    return _reference_chain(
-        1.4 * (grid - grid.mean(axis=0)),
-        0.4,
-        lambda x, i, v: reference_gibbs_delta_energy(spec, x, i, v),
-        g, n_samples, burn_in_sweeps, thin_sweeps,
-    )
+    state = 1.4 * (grid - grid.mean(axis=0))
+    scales = np.full(n, 0.4)
+
+    def sweep(rate):
+        accepted = 0
+        xi = g.standard_normal(state.shape)
+        logu = -g.exponential(size=n)
+        for i in range(n):
+            v = state[i] + scales[i] * xi[i]
+            ok = logu[i] < -reference_gibbs_delta_energy(spec, state, i, v)
+            if ok:
+                state[i] = v
+                accepted += 1
+            if rate > 0.0:
+                scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - 0.3))
+        return accepted
+
+    for k in range(burn_in_sweeps):
+        sweep(0.25 * 100.0 / (100.0 + k))
+    draws = np.empty((n_samples, n, 3))
+    accepted = 0
+    for k in range(n_samples):
+        for _ in range(thin_sweeps):
+            accepted += sweep(0.0)
+        draws[k] = state
+    return draws, accepted / (n_samples * thin_sweeps * n)
 
 
 def reference_bessel_kernel(alpha, x, y, form):

@@ -55,10 +55,10 @@ class TestSampleCommand:
             return samples, dataclasses.replace(report, acceptance_rate=0.05, converged=False)
 
         monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", unconverged)
-        argv = ["sample", "--model", "bessel", "--n", "3", "--n-samples", "2", "--seed", "5"]
+        argv = ["sample", "--model", "riesz", "--n", "3", "--n-samples", "2", "--seed", "5"]
         assert run_cli(argv + ["--burn-in-sweeps", "10", "--out", str(tmp_path)]) == 0
         err = capsys.readouterr().err
-        assert "warning" in err and "bessel" in err and "0.050" in err
+        assert "warning" in err and "riesz" in err and "0.050" in err
         assert (tmp_path / "samples.csv").read_text().count("\n\n") == 1
 
     def test_converged_sampler_prints_no_warning(self, tmp_path, capsys):
@@ -237,7 +237,7 @@ class TestBadInput:
         def no_draws(*args, **kwargs):
             raise AssertionError("a start was drawn")
 
-        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_bessel_ensemble", no_draws)
         argv = ["simulate", "--model", "bessel", "--n", "10", "--paths", "200", "--dt", "1e-3", "--t-final", "0.0025"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: integrator.t_final:")
@@ -281,7 +281,7 @@ class TestBadInput:
         def no_draws(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_bessel_ensemble", no_draws)
         argv = ["drift-diag", "--model", "bessel", "--n", "5", "--n-samples", "100", "--r-list", "5,10"]
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: diagnostics.x:")
@@ -301,7 +301,7 @@ class TestBadInput:
         def no_draws(*args, **kwargs):
             raise AssertionError("a sample was drawn")
 
-        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
+        monkeypatch.setattr(cli.sampling, "sample_bessel_ensemble", no_draws)
         monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", no_draws)
         assert run_cli(["drift-diag", "--n", "5"] + argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")

@@ -12,7 +12,7 @@ import ibrownian
 SCRIPT = Path(__file__).parent / "fingerprint.py"
 
 # one line per output the script hashes
-FINGERPRINTS = 112
+FINGERPRINTS = 124
 
 
 def test_fingerprint_script_prints_one_hash_per_name():

@@ -345,6 +345,25 @@ class TestDomainAndSingularityGuards:
             M.log_derivative(spec, np.zeros(2), np.array([1.0, 2.0]), 1.0)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_truncated_drift_refuses_non_finite_points(self, bad):
+        # a NaN environment point was once left out of the window, and the
+        # drift came back finite
+        tp = M.TruncationParams(radius=5.0)
+        with pytest.raises(ValueError, match="^env must be finite$"):
+            M.truncated_drift_at(_spec(Family.AIRY, 3), 0.0, [1.0, bad], tp)
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            M.truncated_drift_at(_spec(Family.BESSEL, 3, alpha=1.0), bad, [1.0, 2.0], tp)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_log_derivative_refuses_non_finite_points(self, bad):
+        # an infinite environment point was once put in far = 0
+        spec = _spec(Family.GINIBRE, 3)
+        with pytest.raises(ValueError, match="^env must be finite$"):
+            M.log_derivative(spec, np.zeros(2), np.array([[1.0, 0.0], [bad, 2.0]]), 1.0)
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            M.log_derivative(spec, np.array([0.0, bad]), np.array([[1.0, 0.0]]), 1.0)
+
 # one spec per family, with the truncation its limit field takes
 _BATCH_FAMILIES = [
     (Family.AIRY, {"beta": 2.0}, None),
@@ -530,34 +549,30 @@ class TestEnergyChange:
     @pytest.mark.parametrize(
         "spec",
         [
-            _spec(Family.BESSEL, 1, alpha=1.5),
-            _spec(Family.BESSEL, 2, alpha=1.0),
-            _spec(Family.BESSEL, 5, alpha=2.5),
             _spec(Family.LENNARD_JONES, 2, beta=1.5, free_c=0.3),
             _spec(Family.LENNARD_JONES, 5, beta=1.0, free_theta=0.0),
             _spec(Family.RIESZ, 2, beta=2.0, riesz_a=4),
             _spec(Family.RIESZ, 5, beta=0.7, riesz_a=5, free_c=1.1),
         ],
-        ids=["bessel-1", "bessel-2", "bessel-5", "lj-2", "lj-5", "riesz-2", "riesz-5"],
+        ids=["lj-2", "lj-5", "riesz-2", "riesz-5"],
     )
     def test_central_difference_is_log_derivative(self, spec):
         rng = np.random.default_rng(1800 + spec.n_particles)
         n = spec.n_particles
-        if spec.dimension == 1:
-            x = 1.0 + 2.0 * np.arange(n) + rng.uniform(0.0, 0.5, n)
-        else:
-            cells = np.stack(np.unravel_index(np.arange(n), (2, 2, 2)), axis=1)
-            x = 1.2 * cells + rng.uniform(-0.1, 0.1, (n, 3))
+        cells = np.stack(np.unravel_index(np.arange(n), (2, 2, 2)), axis=1)
+        x = 1.2 * cells + rng.uniform(-0.1, 0.1, (n, 3))
         d = 2.0 * M.drift_finite_all(spec, x)
         delta = M._energy_change(spec)
         for i in range(n):
-            for k in range(spec.dimension):
-                e = self.EPS if spec.dimension == 1 else self.EPS * np.eye(3)[k]
+            for k in range(3):
+                e = self.EPS * np.eye(3)[k]
                 fd = -(delta(x, i, x[i] + e) - delta(x, i, x[i] - e)) / (2.0 * self.EPS)
                 assert abs(fd - d[i, k]) <= 1e-5 * (1.0 + abs(d[i, k]))
 
-    @pytest.mark.parametrize("fam", [Family.AIRY, Family.GINIBRE, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL])
+    @pytest.mark.parametrize(
+        "fam", [Family.AIRY, Family.GINIBRE, Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL]
+    )
     def test_families_with_other_samplers_are_refused(self, fam):
-        kw = {"alpha": 1.0} if fam in (Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL) else {}
+        kw = {"alpha": 1.0} if fam in (Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL) else {}
         with pytest.raises(ValueError, match="no Metropolis energy"):
             M._energy_change(_spec(fam, 3, **kw))

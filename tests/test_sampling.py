@@ -489,50 +489,27 @@ class TestFieldNumericalTrouble:
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
 
 
-def _bessel_chain(n, alpha, rng, n_samples, opts=None):
-    return S.sample_gibbs_chain(ModelSpec(Family.BESSEL, n, alpha=alpha), rng, n_samples, options=opts)
-
-
 class TestHardEdgeChain:
+    # the exact hard-edge sampler that replaced the Metropolis chain, held
+    # to the chain's law tests and tolerances
+
     def test_single_particle_gamma_law(self):
-        opts = S.McmcOptions(burn_in_sweeps=2000, thin_sweeps=10)
-        samples, rep = _bessel_chain(1, 2.0, RngStream(3), 4000, opts)
-        xs = samples[:, 0, 0]
-        # n=1 weight: x^alpha exp(-x/4) == Gamma(alpha+1, scale 4)
-        ks = oracles.one_sample_ks(xs, lambda v: gammainc(3.0, np.asarray(v) / 4.0))
-        assert ks <= 0.025
-        assert rep.converged
-        assert abs(xs.mean() - 12.0) <= 3.0 * xs.std() / math.sqrt(len(xs)) + 0.3
-
-    @pytest.mark.parametrize("n,alpha", [(10, 1.0), (2, 1.5), (1, 2.0)])
-    def test_bitwise_equal_to_reference_chain(self, n, alpha):
-        g, g_ref = np.random.default_rng(1600 + n), np.random.default_rng(1600 + n)
-        opts = S.McmcOptions(burn_in_sweeps=300, thin_sweeps=5)
-        samples, rep = _bessel_chain(n, alpha, g, 60, opts)
-        want, acceptance = oracles.reference_bessel_chain(n, alpha, g_ref, 60, 300, 5)
-        assert samples.shape == (60, n, 1)
-        assert samples.tobytes() == want.tobytes()
-        assert rep.acceptance_rate == acceptance
-        assert g.bit_generator.state == g_ref.bit_generator.state
-
-    @pytest.mark.parametrize("n", [1, 2, 10, 40])
-    def test_delta_energy_bitwise_equal_to_reference(self, n):
-        # pins the summation order too, which the draws see only when a
-        # rounding difference flips an acceptance
-        rng = np.random.default_rng(1640 + n)
-        delta = M._energy_change(ModelSpec(Family.BESSEL, n, alpha=1.5))
-        for _ in range(200):
-            x = np.sort(rng.uniform(0.1, 16.0 * n * n, n))
-            i, v = int(rng.integers(n)), float(rng.uniform(-1.0, 16.0 * n * n))
-            assert delta(x, i, v) == oracles.reference_bessel_delta_energy(1.5, x, i, v)
+        # n=1 weight: x^alpha exp(-x/4) == Gamma(alpha+1, scale 4), at an
+        # integer and a non-integer alpha
+        for alpha, seed in ((2.0, 3), (1.5, 4)):
+            samples, rep = S.sample_bessel_ensemble(1, alpha, RngStream(seed), 4000)
+            xs = samples[:, 0, 0]
+            ks = oracles.one_sample_ks(xs, lambda v: gammainc(alpha + 1.0, np.asarray(v) / 4.0))
+            assert ks <= 0.025
+            assert rep.converged and rep.acceptance_rate is None
+            mean = 4.0 * (alpha + 1.0)
+            assert abs(xs.mean() - mean) <= 3.0 * xs.std() / math.sqrt(len(xs)) + 0.3
 
     def test_matches_matrix_model_at_ten_particles(self):
-        opts = S.McmcOptions(burn_in_sweeps=4000, thin_sweeps=10)
-        samples, rep = _bessel_chain(10, 1, RngStream(4), 400, opts)
+        samples, _ = S.sample_bessel_ensemble(10, 1.0, RngStream(4), 400)
         pool = samples.ravel()
         ref = oracles.wishart_hard_edge_oracle(10, 1, 400, np.random.default_rng(5)).ravel()
         assert ks_2samp(pool, ref).statistic <= 0.04
-        assert rep.converged
 
     def test_two_particle_marginal_against_quadrature(self):
         alpha, n = 1.5, 2
@@ -547,8 +524,7 @@ class TestHardEdgeChain:
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
         cdf /= cdf[-1]
 
-        opts = S.McmcOptions(burn_in_sweeps=3000, thin_sweeps=6)
-        samples, _ = _bessel_chain(n, alpha, RngStream(21), 3000, opts)
+        samples, _ = S.sample_bessel_ensemble(n, alpha, RngStream(21), 3000)
         pool = samples.ravel()
         ks = oracles.one_sample_ks(pool, lambda v: np.interp(v, xs, cdf))
         assert ks <= 0.03
@@ -569,11 +545,8 @@ class TestHardEdgeChain:
         d_lo = marginal_density(2e-3) / marginal_density(1e-3)
         assert math.log2(d_lo) == pytest.approx(alpha, abs=0.02)
 
-    @pytest.mark.slow
     def test_matches_matrix_model_at_forty_particles(self):
-        # heavy thinning: the squeezed lowest particle decorrelates slowly
-        opts = S.McmcOptions(burn_in_sweeps=6000, thin_sweeps=40)
-        samples, rep = _bessel_chain(40, 2.0, RngStream(8), 200, opts)
+        samples, _ = S.sample_bessel_ensemble(40, 2.0, RngStream(8), 200)
         pool = samples.ravel()
         ref = oracles.wishart_hard_edge_oracle(40, 2, 2000, np.random.default_rng(22)).ravel()
         assert ks_2samp(pool, ref).statistic <= 0.03
@@ -581,18 +554,22 @@ class TestHardEdgeChain:
         lo_mc, lo_ref = pool[pool < 15.0], ref[ref < 15.0]
         assert len(lo_mc) > 50
         assert ks_2samp(lo_mc, lo_ref).statistic <= 0.2
-        assert rep.converged
 
     def test_positivity_and_determinism(self):
-        opts = S.McmcOptions(burn_in_sweeps=200, thin_sweeps=2)
-        a, _ = _bessel_chain(4, 1.0, RngStream(30), 5, opts)
-        b, _ = _bessel_chain(4, 1.0, RngStream(30), 5, opts)
+        a, _ = S.sample_bessel_ensemble(4, 1.0, RngStream(30), 5)
+        b, _ = S.sample_bessel_ensemble(4, 1.0, RngStream(30), 5)
+        assert a.shape == (5, 4, 1)
         assert np.array_equal(a, b)
         assert np.all(a > 0)
+        assert np.all(np.diff(a[:, :, 0], axis=1) > 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            _bessel_chain(2, 0.5, RngStream(1), 1)
+        for n, alpha in ((2, 0.5), (2, math.nan), (0, 1.0)):
+            g = np.random.default_rng(1)
+            state = g.bit_generator.state
+            with pytest.raises(ValueError):
+                S.sample_bessel_ensemble(n, alpha, g, 1)
+            assert g.bit_generator.state == state
         with pytest.raises(ValueError):
             S.McmcOptions(thin_sweeps=0)
 
@@ -640,8 +617,10 @@ class TestGibbsChain:
         assert ks <= 0.035
 
     def test_family_validation(self):
-        with pytest.raises(ValueError):
-            S.sample_gibbs_chain(ModelSpec(Family.AIRY, 2), RngStream(1), 1)
+        # the matrix-model families, the hard edge among them, have no chain
+        for spec in (ModelSpec(Family.AIRY, 2), ModelSpec(Family.BESSEL, 2, alpha=1.0)):
+            with pytest.raises(ValueError, match="no Metropolis energy"):
+                S.sample_gibbs_chain(spec, RngStream(1), 1)
 
     @pytest.mark.parametrize("family", [Family.LENNARD_JONES, Family.RIESZ])
     @pytest.mark.parametrize("n", [1, 2, 8])
@@ -677,20 +656,13 @@ class TestGibbsChain:
 
 
 class TestChain:
-    @pytest.mark.parametrize("family", ["hard_edge", "lennard_jones", "riesz"])
+    @pytest.mark.parametrize("family", ["lennard_jones", "riesz"])
     def test_delta_energy_antisymmetry(self, family):
         # detailed balance of the Metropolis rule reduces to Delta E(x -> y)
         # being exactly minus Delta E(y -> x); check on the live chain
-        if family == "hard_edge":
-            spec = ModelSpec(Family.BESSEL, 3, alpha=1.5)
-        else:
-            spec = ModelSpec(Family(family), 2, beta=1.5, riesz_a=4 if family == "riesz" else None)
-        state, _ = S._chain_start(spec)
+        spec = ModelSpec(Family(family), 2, beta=1.5, riesz_a=4 if family == "riesz" else None)
+        state = S._chain_start(spec)
         delta = M._energy_change(spec)
-        if family == "hard_edge":
-            # the target vanishes off (0, inf): such a move is never accepted
-            assert delta(state, 0, 0.0) == math.inf
-            assert delta(state, 2, -1.0) == math.inf
         rng = np.random.default_rng(40)
         for _ in range(50):
             i = int(rng.integers(0, len(state)))
@@ -730,7 +702,7 @@ _ENSEMBLE_SAMPLERS = {
     "airy-window": lambda g, count: S.sample_airy_ensemble(4, 2.0, g, count, window=(-4.0, 1.0)),
     "ginibre": lambda g, count: S.sample_ginibre_ensemble(4, g, count),
     "field": lambda g, count: S.sample_airy_field((-4.0, 1.0), g, count),
-    "bessel": lambda g, count: S.sample_gibbs_chain(ModelSpec(Family.BESSEL, 3, alpha=1.0), g, count, options=_OPTS),
+    "bessel": lambda g, count: S.sample_bessel_ensemble(3, 1.0, g, count),
     "riesz": lambda g, count: S.sample_gibbs_chain(ModelSpec(Family.RIESZ, 3, riesz_a=5), g, count, options=_OPTS),
 }
 
@@ -750,10 +722,11 @@ class TestBenchWrappers:
     # three one-draw-per-row wrappers kept for the benchmark's callers
 
     def test_rows_are_the_array_samplers_rows(self):
+        # the hard-edge wrapper accepts chain options and reads none of them
         opts = S.McmcOptions(burn_in_sweeps=100, thin_sweeps=2)
         pairs = [
             (S.sample_bessel_chain(4, 2.0, np.random.default_rng(80), 6, options=opts)[0],
-             _bessel_chain(4, 2.0, np.random.default_rng(80), 6, opts)[0]),
+             S.sample_bessel_ensemble(4, 2.0, np.random.default_rng(80), 6)[0]),
             ([S.sample_airy_equilibrium(5, 1.0, np.random.default_rng(81))],
              S.sample_airy_ensemble(5, 1.0, np.random.default_rng(81), 1)[0]),
             ([S.sample_ginibre(5, np.random.default_rng(82))],

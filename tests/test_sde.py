@@ -339,6 +339,34 @@ class TestWeakAccuracy:
         # the law with the rate doubled is told apart
         assert oracles.one_sample_ks(sums, oracles.airy_center_of_mass_cdf(n, 2.0 * beta, m0, t_final)) > critical
 
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (ModelSpec(Family.LENNARD_JONES, 8, beta=1.0, free_c=0.5, free_theta=0.0), 1668),
+            (ModelSpec(Family.RIESZ, 8, beta=1.0, riesz_a=4, free_c=0.5, free_theta=0.0), 1669),
+        ],
+        ids=["lennard_jones", "riesz"],
+    )
+    def test_3d_centre_of_mass_follows_ou_law(self, spec, seed):
+        # each coordinate of sum x_i is an Ornstein-Uhlenbeck process with
+        # rate k = beta c / n^theta = 0.5, whatever the pair terms; kT = 1,
+        # where a wrong rate shows.  A flagged path fails the test
+        n, t_final, paths = spec.n_particles, 2.0, 400
+        cube = np.stack(np.unravel_index(np.arange(n), (2, 2, 2)), axis=1)
+        start = 1.2 * cube + np.array([0.7, -0.3, 0.2])
+        cfg = IntegratorConfig(dt=4e-3, t_final=t_final, dt_record=t_final, max_substep_depth=30)
+        ens = simulate(spec, [start] * paths, cfg, RngStream(seed), on_failure="drop")
+        assert ens.failed_paths == ()
+        sums = np.sum(ens.states[:, -1], axis=1)
+        # the one-sample KS critical value at level 1e-3, per coordinate
+        critical = kstwo.ppf(1.0 - 1e-3, paths)
+        for m0, m in zip(np.sum(start, axis=0), sums.T):
+            law = oracles.gibbs_center_of_mass_cdf(n, spec.beta, spec.free_c, spec.free_theta, m0, t_final)
+            assert oracles.one_sample_ks(m, law) <= critical
+            # the law with the rate doubled is told apart
+            doubled = oracles.gibbs_center_of_mass_cdf(n, 2.0 * spec.beta, spec.free_c, spec.free_theta, m0, t_final)
+            assert oracles.one_sample_ks(m, doubled) > critical
+
     @pytest.mark.slow
     def test_planar_squared_radius_sum_follows_cir_law(self):
         # sum |z_i|^2 of the planar process is a CIR process with

@@ -26,7 +26,7 @@ from ibrownian.stats import (
     log_log_slope,
 )
 
-from oracles import airy_band_mean_oracle, gauss_tail_oracle, reference_pair_counts
+from oracles import airy_band_mean_oracle, count_variance, gauss_tail_oracle, reference_pair_counts
 
 
 class TestErfFn:
@@ -194,6 +194,76 @@ class TestEstimateRhoPlanar:
             estimate_rho(samples, order, np.array([0.0, 10.0]), window=2.0)
 
 
+def _count_variance_z(est, exact, volumes):
+    """z-scores of the count variances S (stderr * volume)^2 read back from
+    an order-1 estimate against their exact values.
+
+    A determinantal count in a set is a sum of independent Bernoulli
+    variables (Hough, Krishnapur, Peres & Virag 2006), so its fourth
+    cumulant is at most its variance v, and the sample variance of S
+    counts has standard error at most v sqrt(1 / (v S) + 2 / (S - 1)).
+    Each z therefore has standard deviation at most 1, and so has their
+    mean, however the bins correlate.
+    """
+    n = est.n_samples
+    sampled = n * (est.stderr * volumes) ** 2
+    return (sampled - exact) / (exact * np.sqrt(1.0 / (exact * n) + 2.0 / (n - 1)))
+
+
+class TestEstimateRhoStandardError:
+    @pytest.mark.parametrize(
+        "dim, order, window",
+        [(1, 1, None), (1, 2, None), (2, 1, None), (2, 2, 1.5)],
+        ids=["line-order-1", "line-order-2", "planar-order-1", "planar-order-2"],
+    )
+    def test_is_the_standard_error_of_the_per_sample_estimates(self, dim, order, window):
+        # each sample alone gives its own estimate, and their mean is the
+        # estimate; the rounded values put repeated points on the diagonal
+        g = np.random.default_rng(46)
+        samples = [g.uniform(-2.0, 2.0, (int(g.integers(0, 9)), dim)).round(1) for _ in range(7)]
+        bins = np.linspace(0.0, 2.0, 5) if dim == 2 else np.linspace(-2.0, 2.0, 5)
+        est = estimate_rho(samples, order, bins, window=window)
+        each = np.array([estimate_rho([s], order, bins, window=window).density for s in samples])
+        assert np.allclose(est.density, each.mean(axis=0), rtol=1e-12, atol=0.0)
+        want = each.std(axis=0, ddof=1) / math.sqrt(len(samples))
+        assert np.allclose(est.stderr, want, rtol=1e-12, atol=1e-15)
+
+    def test_one_sample_has_no_standard_error(self):
+        est = estimate_rho([np.array([0.3, 1.1])], 1, np.array([0.0, 1.0, 2.0]))
+        assert np.isnan(est.stderr).all()
+
+    def test_airy_field_count_variance_is_exact(self):
+        # the order-1 error read back as a count variance, per unit bin,
+        # against the exact determinantal variance; 20,000 samples put a
+        # stderr scaled by sqrt(1.1) about 6 of these units off
+        edges = np.arange(-10.0, -1.0 + 1e-9, 1.0)
+        samples, _ = sample_airy_field((-10.0, 2.0), RngStream(1501), 20_000)
+        est = estimate_rho(samples, 1, edges)
+        exact = np.array([count_variance(a, b) for a, b in zip(edges, edges[1:])])
+        assert abs(float(np.mean(_count_variance_z(est, exact, np.diff(edges))))) <= 3.0
+
+    def test_ginibre_count_variance_is_exact(self):
+        # the same in annuli of the 10-point planar ensemble
+        edges = np.array([0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+        samples, _ = sample_ginibre_ensemble(10, RngStream(1502), 10_000)
+        est = estimate_rho(samples, 1, edges)
+        exact = np.array([count_variance(a, b, 10) for a, b in zip(edges, edges[1:])])
+        volumes = math.pi * np.diff(edges**2)
+        assert abs(float(np.mean(_count_variance_z(est, exact, volumes)))) <= 3.0
+
+
+class TestCountVarianceOracle:
+    def test_airy_field_values(self):
+        # an earlier evaluation with 80 nodes on the library's kernel grid
+        for (a, b), want in (((-10.0, -9.0), 0.3431), ((-6.0, -5.0), 0.3179), ((-8.0, -4.0), 0.4581)):
+            assert count_variance(a, b) == pytest.approx(want, abs=1e-4)
+
+    def test_ginibre_single_point_is_bernoulli(self):
+        # one point, |z|^2 ~ Exp(1): the count in the annulus is Bernoulli(p)
+        p = math.exp(-0.25) - math.exp(-4.0)
+        assert count_variance(0.5, 2.0, 1) == pytest.approx(p * (1.0 - p), rel=1e-12)
+
+
 class TestAiryPairRepulsion:
     def test_near_coincidence_suppression(self):
         samples, _ = sample_airy_ensemble(40, 2.0, RngStream(330), 500)
@@ -332,6 +402,13 @@ class TestErfTailSum:
             erf_tail_sum([], params, [1])
         with pytest.raises(ValueError):
             erf_tail_sum([np.array([[1.0]])], params, [-1])
+        # a fractional cutoff was once read as its integer part
+        for cuts in ([1.7], [math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="^label cutoffs must be integers >= 0"):
+                erf_tail_sum([np.array([[1.0]])], params, cuts)
+        assert erf_tail_sum([np.array([[1.0], [2.0]])], params, [1.0]).tolist() == (
+            erf_tail_sum([np.array([[1.0], [2.0]])], params, [1]).tolist()
+        )
         with pytest.raises(ValueError):
             TightnessParams(r=0.0, T=1.0, c=1.0)
         with pytest.raises(ValueError):
