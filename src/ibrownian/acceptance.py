@@ -144,10 +144,9 @@ def check_airy_edge_density():
     edges = np.linspace(-4.0, 2.0, 13)
     hist, _ = np.histogram(np.concatenate(draws), bins=edges)
     width = edges[1] - edges[0]
-    ref = np.empty(edges.size - 1)
-    for i in range(ref.size):
-        g = np.linspace(edges[i], edges[i + 1], 21)
-        ref[i] = np.trapezoid([kernels.airy_kernel(v, v) for v in g], g) / width
+    # the kernel diagonal at 21 nodes per bin, in one call
+    g = np.linspace(edges[:-1], edges[1:], 21, axis=1)
+    ref = np.array([np.trapezoid(k, row) for k, row in zip(kernels._airy_taylor(g, g), g)]) / width
     value = float(np.max(np.abs(hist / (5000.0 * width) - ref)))
     return value, _at_most(value, 0.05), "sup |empirical - kernel diagonal| over [-4, 2], width 0.5"
 

@@ -45,7 +45,7 @@ from .core import (
     save_configurations,
 )
 from . import kernels
-from .models import TruncationParams, TruncationVariant, _check_domain, cutoff_chi, log_derivative
+from .models import TruncationParams, TruncationVariant, _position, cutoff_chi, log_derivative
 from . import sampling
 from . import stats
 from .sde import IntegratorConfig, simulate
@@ -397,11 +397,14 @@ def _cmd_kernel(cfg: RunConfig, out: Path) -> int:
     except ValueError:
         known = ", ".join(k.value for k in kernels.KernelId)
         raise ConfigError("diagnostics.kernel", f"unknown kernel {cfg.kernel!r} (one of: {known})") from None
+    # one array call, bitwise the scalar kernels, after their support checks (the grid ascends)
     with _keyed("diagnostics.grid"):
         if kid is kernels.KernelId.AIRY2:
-            vals = [kernels.airy_kernel(v, v) for v in xs]
+            kernels._check_airy(xs)
+            vals = kernels._airy_taylor(xs, xs)
         elif kid is kernels.KernelId.BESSEL:
-            vals = [kernels.bessel_kernel(cfg.alpha, v, v) for v in xs]
+            kernels._check_bessel_kernel(cfg.alpha, xs[0], xs[-1])
+            vals = kernels._bessel_taylor(cfg.alpha, xs, xs)
         else:
             vals = [1.0 / math.pi] * len(xs)
     target = out / "kernel.csv"
@@ -449,13 +452,9 @@ def _cmd_correlate(cfg: RunConfig, out: Path) -> int:
 def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     spec = _model_spec(cfg)
     x = np.asarray(_floats("diagnostics.x", cfg.x))
-    if x.size != spec.dimension:
-        raise ConfigError("diagnostics.x", f"expected {spec.dimension} coordinates, got {x.size}")
-    if not np.isfinite(x).all():
-        raise ConfigError("diagnostics.x", f"coordinates must be finite, got {cfg.x!r}")
     try:
-        _check_domain(spec, x[None, :])
-    except DomainError as exc:
+        _position(spec, x)
+    except ValueError as exc:  # a DomainError too: --x is a setting
         raise ConfigError("diagnostics.x", str(exc)) from None
     with _keyed("diagnostics.s"):
         cutoff_chi(0.0, cfg.s)

@@ -3,6 +3,8 @@
 A configuration -- a finite point multiset in R^d, d in {1, 2, 3} -- is a
 plain (n, d) float array whose row i is particle i; a 1-D array is read as
 n points on the line.  S configurations of one size stack to (S, n, d).
+``_checked_block`` is the one rule for a configuration taken from outside
+the program; where a ``ModelSpec`` is known, its domain rule applies too.
 On disk a configuration is a CSV block, one row per point, columns
 ``x[,y[,z]]``, header mandatory.
 
@@ -161,13 +163,18 @@ def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
 _HEADERS = {1: ["x"], 2: ["x", "y"], 3: ["x", "y", "z"]}
 
 
-def _checked_block(points) -> np.ndarray:
-    """One configuration as a finite (n, d) float array with d in {1, 2, 3}."""
+def _checked_block(points, name: str, *, dim: int | None = None, n: int | None = None) -> np.ndarray:
+    """``points`` (coerced by ``_points_of``) as one configuration: a finite
+    (n, d) float array, with d = ``dim`` if given and 1, 2 or 3 otherwise,
+    and n checked only when given.  Errors name ``name`` and the first bad point."""
     arr = _points_of(points)
-    if arr.ndim != 2 or arr.shape[1] not in _HEADERS:
-        raise ValueError(f"a configuration is an (n,) or (n, d) array with d in 1, 2, 3, got shape {arr.shape}")
+    fits = arr.ndim == 2 and (arr.shape[1] == dim if dim else arr.shape[1] in _HEADERS)
+    if not fits or (n is not None and len(arr) != n):
+        want = f"({'n' if n is None else n}, {dim or 'd'})" + ("" if dim else " with d in 1, 2, 3")
+        raise ValueError(f"{name} has shape {arr.shape}, not {want}")
     if not np.isfinite(arr).all():
-        raise ValueError("points must be finite")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))[0]
+        raise ValueError(f"{name} must be finite; point {bad} is not")
     return arr
 
 
@@ -179,7 +186,7 @@ def save_configurations(path, configs) -> None:
     own mandatory header line (``x``, ``x,y`` or ``x,y,z``).  A single
     configuration produces a plain one-block CSV.
     """
-    blocks = [_checked_block(c) for c in configs]
+    blocks = [_checked_block(c, f"configuration {k}") for k, c in enumerate(configs)]
     buf = io.StringIO()
     for k, arr in enumerate(blocks):
         if k:
@@ -195,8 +202,9 @@ def save_configurations(path, configs) -> None:
 
 def load_configurations(path) -> list[np.ndarray]:
     """Read one or more blank-line-separated configuration CSV blocks, one
-    (n, d) array per block.  Raises ValueError on a bad header or a point
-    that is not finite."""
+    (n, d) array per block.  Raises ValueError on a bad header, or on a
+    block with a row of the wrong width or a value that is not a finite
+    number, naming the block."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     configs: list[np.ndarray] = []
@@ -208,6 +216,10 @@ def load_configurations(path) -> list[np.ndarray]:
         dim = len(header)
         if dim not in _HEADERS or header != _HEADERS[dim]:
             raise ValueError(f"bad configuration header: {lines[0]!r}")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        configs.append(_checked_block(np.array(rows, dtype=float).reshape(len(rows), dim)))
+        name = f"block {len(configs)}"
+        try:
+            rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
+        except ValueError as exc:  # a value that is not a number, or rows of unequal length
+            raise ValueError(f"{name}: {exc}") from None
+        configs.append(_checked_block(rows if len(rows) else rows.reshape(0, dim), name, dim=dim))
     return configs

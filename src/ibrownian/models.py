@@ -37,7 +37,9 @@ pair distance of each state, which the integrator's substep rule reads.
 Pairs closer than ``MIN_PAIR_SEPARATION`` raise
 ``SingularConfigurationError`` (inside the window or not); nonpositive
 coordinates of the [0, inf) families raise ``DomainError``; in a stack,
-one such member makes the whole call raise.
+one such member makes the whole call raise.  The point and environment of
+``truncated_drift_at`` and ``log_derivative`` are checked configurations
+(``core._checked_block``); the stacked drifts check the dimension only.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Family, ModelSpec, SingularConfigurationError, _points_of
+from .core import DomainError, Family, ModelSpec, SingularConfigurationError, _checked_block, _points_of
 
 __all__ = [
     "MIN_PAIR_SEPARATION",
@@ -291,29 +293,29 @@ def _points(spec: ModelSpec, state) -> np.ndarray:
     return arr
 
 
-def _finite(name: str, arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite")
+def _check_domain(spec: ModelSpec, arr: np.ndarray, name: str | None = None) -> None:
+    # per state of a stack, so that a NaN in one member hides nothing in another
+    if spec.nonnegative_domain and arr.size and (arr.min(axis=(-2, -1)) <= 0.0).any():
+        where = f"{name}: " if name else ""
+        raise DomainError(f"{where}family {spec.family.value} requires strictly positive coordinates")
+
+
+def _configuration(spec: ModelSpec, points, name: str, n: int | None = None) -> np.ndarray:
+    """``points`` as one configuration of ``spec`` (``core._checked_block``)
+    inside its domain; errors name ``name``."""
+    arr = _checked_block(points, name, dim=spec.dimension, n=n)
+    _check_domain(spec, arr, name)
     return arr
 
 
 def _position(spec: ModelSpec, x) -> np.ndarray:
-    """The point ``x``, a finite d-vector (or a scalar on the line), as a (1, d) array."""
-    xv = _points(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :])
-    if xv.ndim != 2:
-        raise ValueError(f"position must be a {spec.dimension}-vector")
-    return _finite("x", xv)
+    """The point ``x``, a d-vector (or a scalar on the line), as a (1, d) configuration."""
+    return _configuration(spec, np.atleast_1d(np.asarray(x, dtype=float))[None, :], "x", n=1)
 
 
 def _env_of(spec: ModelSpec, env) -> np.ndarray:
-    """The environment ``env`` as finite points; None or empty is no point."""
-    return np.zeros((0, spec.dimension)) if env is None or not len(env) else _finite("env", _points(spec, env))
-
-
-def _check_domain(spec: ModelSpec, arr: np.ndarray) -> None:
-    # per state of a stack, so that a NaN in one member hides nothing in another
-    if spec.nonnegative_domain and arr.size and (arr.min(axis=(-2, -1)) <= 0.0).any():
-        raise DomainError(f"family {spec.family.value} requires strictly positive coordinates")
+    """The environment ``env`` as a configuration; None or empty is no point."""
+    return np.zeros((0, spec.dimension)) if env is None or not len(env) else _configuration(spec, env, "env")
 
 
 def _validate_trunc(spec: ModelSpec, trunc: TruncationParams) -> None:
@@ -355,11 +357,7 @@ def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.n
     same drift at particle i with the other particles as ``env``.
     """
     _validate_trunc(spec, trunc)
-    xv = _position(spec, x)
-    env_arr = _env_of(spec, env)
-    _check_domain(spec, xv)
-    _check_domain(spec, env_arr)
-    b, _ = _field(spec, xv, env_arr, trunc, self_pairs=False)
+    b, _ = _field(spec, _position(spec, x), _env_of(spec, env), trunc, self_pairs=False)
     return b[0]
 
 
@@ -407,7 +405,6 @@ def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     of ``s`` up to rounding.
     """
     xv = _position(spec, x)
-    _check_domain(spec, xv)
     free = _one_body(spec, xv[0], None)
     g, dist, _ = _pair_terms(spec, xv, _env_of(spec, env), self_pairs=False)
     g = g[0].reshape(-1, spec.dimension)

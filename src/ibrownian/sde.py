@@ -45,9 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _points_of, _resolve_rng
+from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _resolve_rng
 from .models import (
     TruncationParams,
+    _configuration,
     _state_noise,
     diffusion_sigma,
     drift_finite_all,
@@ -394,28 +395,17 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     return rec, substeps, max_depth, reasons
 
 
-def _checked_start(spec: ModelSpec, state, name: str) -> np.ndarray:
-    """``state`` as the (n, d) points of ``spec``; errors name ``name``."""
-    pts = _points_of(state)
-    if pts.shape != (spec.n_particles, spec.dimension):
-        raise ValueError(f"{name} has shape {pts.shape}, spec expects ({spec.n_particles}, {spec.dimension})")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=-1))
-    if bad.size:
-        raise ValueError(f"{name} must be finite; particle {bad[0]} is not")
-    return pts
-
-
 def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.ndarray:
     """One base step of length dt (substepping internally as needed).
 
     Returns the (n, d) state at time dt, row i being particle i, as each
-    row of ``PathEnsemble.states`` is.  A start must be finite and of
-    the spec's shape.
+    row of ``PathEnsemble.states`` is.  A start must be a finite (n, d)
+    configuration of the spec inside its domain.
     """
     if not 0 < dt < np.inf:
         raise ValueError("dt must be finite and > 0")
     g, _ = _resolve_rng(rng)
-    pts = _checked_start(spec, state, "the start state")
+    pts = _configuration(spec, state, "state", n=spec.n_particles)
     # one draw at a time leaves a caller's generator where the moves leave it
     rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)
     if reasons[0] is not None:
@@ -471,8 +461,8 @@ def simulate(
     still fail; ``"drop"`` excludes flagged paths from the ensemble and
     lists them in ``failed_paths`` (their noise streams are untouched,
     so surviving paths are bitwise independent of the flagged ones).
-    A start that is not finite or not of the spec's shape is refused,
-    naming its index, before any path is integrated.
+    A start that is not a finite (n, d) configuration of the spec inside
+    its domain is refused, naming its index, before any path is integrated.
     """
     if not isinstance(rng, RngStream):
         raise TypeError("simulate requires an RngStream (determinism contract)")
@@ -483,7 +473,7 @@ def simulate(
     rs = cfg.record_step
     n_rec = round(cfg.t_final / rs)
 
-    starts = [_checked_start(spec, state, f"initial state {k}") for k, state in enumerate(initial)]
+    starts = [_configuration(spec, state, f"initial state {k}", n=spec.n_particles) for k, state in enumerate(initial)]
     if not starts:
         raise ValueError("at least one initial state is required")
     starts = np.stack(starts)

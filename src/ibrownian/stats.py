@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import Family, ModelSpec, _points_of
-from .models import TruncationParams, TruncationVariant, truncated_drift_at
+from .core import Family, ModelSpec, _checked_block
+from .models import TruncationParams, TruncationVariant, _configuration, truncated_drift_at
 
 __all__ = [
     "CorrelationEstimate",
@@ -121,13 +121,13 @@ def _check_bins(bins) -> np.ndarray:
 
 
 def _sample_points(samples) -> list[np.ndarray]:
-    """Each of at least one sample as (n, d) points; any other shape is refused."""
-    pts = [_points_of(s) for s in samples]
+    """At least one sample, each a configuration (``core._checked_block``)
+    named by its index, all of the first one's dimension."""
+    pts: list[np.ndarray] = []
+    for k, s in enumerate(samples):
+        pts.append(_checked_block(s, f"sample {k}", dim=pts[0].shape[1] if pts else None))
     if not pts:
         raise ValueError("need at least one sample")
-    for k, p in enumerate(pts):
-        if p.ndim != 2:
-            raise ValueError(f"sample {k} has shape {p.shape}, not (n,) or (n, d)")
     return pts
 
 
@@ -166,8 +166,6 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     dim = pts[0].shape[1]
-    if any(p.shape[1] != dim for p in pts):
-        raise ValueError("samples must share one dimension")
     if dim not in (1, 2):
         raise ValueError("estimators cover 1d and planar samples")
     _check_window(window, dim, order)
@@ -233,7 +231,7 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     variants; ``mean`` follows the centered one and the variant gap
     |centered - origin| is reported alongside.
     """
-    envs = _sample_points(env_samples)
+    envs = [_configuration(spec, env, f"sample {k}") for k, env in enumerate(env_samples)]
     if len(envs) < _MIN_SCAN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SCAN_SAMPLES} environment samples")
     r_values = np.asarray(list(r_list), dtype=float)
@@ -322,10 +320,12 @@ def holder_moment(ensemble, lag_list) -> np.ndarray:
 
 
 def log_log_slope(x, y) -> float:
-    """Least-squares slope of log y against log x (both positive)."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
+    """Least-squares slope of log y against log x, all finite and > 0."""
+    lx, ly = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if lx.size < 2:
         raise ValueError("need at least two points")
+    if not (np.all((lx > 0) & (lx < np.inf)) and np.all((ly > 0) & (ly < np.inf))):
+        raise ValueError("x and y must be finite and > 0")
+    lx, ly = np.log(lx), np.log(ly)
     design = np.column_stack([lx, np.ones_like(lx)])
     return float(np.linalg.lstsq(design, ly, rcond=None)[0][0])

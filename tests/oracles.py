@@ -207,6 +207,32 @@ def airy_center_of_mass_cdf(n: int, beta: float, m0: float, t: float):
     return norm(centre + (m0 - centre) * math.exp(-k * t), math.sqrt(var)).cdf
 
 
+def matrix_ou_oracle(beta: float, lam0, t: float, g: np.random.Generator) -> np.ndarray:
+    """Eigenvalues at matrix time t of Dyson's matrix Ornstein-Uhlenbeck
+    process H_t = e^(-t/2) H_0 + sqrt(1 - e^(-t)) G (Dyson 1962, J. Math.
+    Phys. 3:1191), started at H_0 = diag(lam0): one path per row of the
+    (P, n) array ``lam0``, returned as (P, n), ascending per row.
+
+    G is a fresh draw of the matrix ``sampling._edge_spectrum_dense``
+    diagonalises; its law is invariant under conjugation, so the law of the
+    eigenvalues at t depends on those of H_0 alone.  Their process is the
+    ``airy`` family's at that beta under the edge map
+    lambda = 2 sqrt(n) + x n^(-1/6) and matrix time t = s n^(-1/3).
+    beta = 2 only: G is (X + X*)/2 with X complex standard normal, so
+    E|G_ij|^2 = 1; beta = 1 and 4 take their own G.
+    """
+    if beta != 2.0:
+        raise NotImplementedError("matrix_ou_oracle covers beta = 2 only")
+    lam0 = np.asarray(lam0, dtype=float)
+    paths, n = lam0.shape
+    x = g.standard_normal((paths, n, n)) + 1j * g.standard_normal((paths, n, n))
+    h = 0.5 * (x + np.conj(np.swapaxes(x, 1, 2)))
+    h *= math.sqrt(-math.expm1(-t))
+    diag = np.arange(n)
+    h[:, diag, diag] += math.exp(-0.5 * t) * lam0
+    return np.linalg.eigvalsh(h)
+
+
 def gibbs_center_of_mass_cdf(n: int, beta: float, c: float, theta: float, m0: float, t: float):
     """CDF at time t of one coordinate of M = sum_i x_i of the n-particle
     3d process (``lennard_jones`` or ``riesz``) started at M = ``m0`` in

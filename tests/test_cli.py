@@ -218,13 +218,16 @@ class TestBadInput:
             (["drift-diag", "--model", "airy", "--n", "5", "--s", "nan"], "diagnostics.s"),
             (["drift-diag", "--model", "airy", "--n", "5", "--x", "nan"], "diagnostics.x"),
             (["drift-diag", "--model", "bessel", "--n", "5", "--x", "nan"], "diagnostics.x"),
+            (["drift-diag", "--model", "ginibre", "--n", "5", "--x", "1"], "diagnostics.x"),
+            (["drift-diag", "--model", "airy", "--n", "5", "--x", "1,0"], "diagnostics.x"),
             (["simulate", "--model", "bessel", "--beta", "1"], "model"),
             (["simulate", "--max-substep-depth", "31"], "integrator.max_substep_depth"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
-            "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "beta-one-bessel",
+            "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "x-too-few-coordinates",
+            "x-too-many-coordinates", "beta-one-bessel",
             "depth-above-30",
         ],
     )
@@ -396,6 +399,37 @@ class TestKernelCommand:
     def test_out_of_domain_grid_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["kernel", "--kernel", "bessel", "--grid", "-1:1:0.5", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--kernel", "airy2", "--grid", "-121:0:1"], ["--kernel", "airy2", "--grid", "0:11:1"],
+         ["--kernel", "bessel", "--grid", "0:1:0.5"], ["--kernel", "bessel", "--grid", "1:101:10"],
+         ["--kernel", "bessel", "--alpha", "0.5", "--grid", "1:2:1"]],
+        ids=["airy-below", "airy-above", "bessel-zero", "bessel-above", "bessel-alpha"],
+    )
+    def test_grid_outside_the_scalar_kernels_support_is_refused(self, argv, tmp_path, capsys):
+        assert run_cli(["kernel"] + argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: diagnostics.grid:")
+
+    @pytest.mark.parametrize(
+        "kernel, alpha, grid",
+        [("airy2", 1.0, "-120:10:0.0065")] + [("bessel", a, "0.5:80:0.003975") for a in (1.0, 1.5, 2.0, 3.0)],
+        ids=["airy2", "bessel-1", "bessel-1.5", "bessel-2", "bessel-3"],
+    )
+    def test_diagonal_file_is_the_scalar_loops(self, kernel, alpha, grid, tmp_path):
+        # the diagonal comes from one array call; the file is byte for byte
+        # the one the scalar kernel, called point by point, gives
+        argv = ["kernel", "--kernel", kernel, "--alpha", str(alpha), "--grid", grid, "--out", str(tmp_path)]
+        assert run_cli(argv) == 0
+        xs = cli._grid("diagnostics.grid", grid)
+        assert xs.size >= 20_000
+        if kernel == "airy2":
+            vals = [K.airy_kernel(v, v) for v in xs]
+        else:
+            vals = [K.bessel_kernel(alpha, v, v) for v in xs]
+        want = tmp_path / "want.csv"
+        cli._write_csv(want, ["x", "value"], ([cli._fmt(v), cli._fmt(k)] for v, k in zip(xs, vals)))
+        assert (tmp_path / "kernel.csv").read_bytes() == want.read_bytes()
 
 
 class TestSimulateCommand:

@@ -485,6 +485,17 @@ class TestLogLogSlope:
         with pytest.raises(ValueError):
             log_log_slope([1.0], [1.0])
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [([1.0, 2.0], [1.0, -1.0]), ([1.0, 2.0], [1.0, 0.0]), ([0.0, 2.0], [1.0, 2.0]),
+         ([1.0, math.inf], [1.0, 2.0]), ([1.0, 2.0], [math.nan, 2.0])],
+        ids=["negative-y", "zero-y", "zero-x", "infinite-x", "nan-y"],
+    )
+    def test_refuses_values_with_no_finite_logarithm(self, x, y):
+        # a negative y once gave NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="^x and y must be finite and > 0$"):
+            log_log_slope(x, y)
+
 
 class TestCorrelationEstimateType:
     def test_rejects_negative_density(self):
