@@ -30,7 +30,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, make_dataclass, replace
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .core import (
     RngStream,
     SingularConfigurationError,
     StepFailureError,
+    _checked_number,
     save_configurations,
 )
 from . import kernels
@@ -131,7 +132,9 @@ RunConfig = make_dataclass(
 
 @contextmanager
 def _keyed(key: str):
-    """Report a library ValueError as a ConfigError naming ``key``.
+    """Report a library ValueError as a ConfigError naming ``key``, or
+    ``key.name`` where ``key`` is a section and the message starts with
+    its key ``name``, as the errors of ``core._checked_number`` do.
 
     SingularConfigurationError and DomainError subclass ValueError but are
     numerical failures (exit 3), so they pass through unchanged.
@@ -141,7 +144,8 @@ def _keyed(key: str):
     except (SingularConfigurationError, DomainError):
         raise
     except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{key}.{name}" if name in _SECTIONS.get(key, {}) else key, str(exc)) from None
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -167,9 +171,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for name, value in overrides.items():
         if value is not None:
             setattr(cfg, name, value)
-    for name in ("n_samples", "paths"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"sampler.{name}", f"expected a count >= 1, got {getattr(cfg, name)}")
+    with _keyed("sampler"):
+        for name in ("n_samples", "paths"):
+            _checked_number(name, getattr(cfg, name), at_least=1, whole=True)
+    with _keyed("run"):  # the seed, before any command draws
+        RngStream(cfg.seed)
     return cfg
 
 
@@ -197,13 +203,6 @@ def _floats(key: str, text: str) -> list[float]:
         raise ConfigError(key, f"expected numbers, got {text!r}") from None
 
 
-def _ints(key: str, text: str) -> list[int]:
-    values = _floats(key, text)
-    if not all(v.is_integer() for v in values):
-        raise ConfigError(key, f"expected integers, got {text!r}")
-    return [int(v) for v in values]
-
-
 def _grid(key: str, text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
@@ -212,8 +211,10 @@ def _grid(key: str, text: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(key, f"expected numbers in lo:hi:step, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi and 0 < step < math.inf):
-        raise ConfigError(key, "grid needs finite lo <= hi and 0 < step < inf")
+    with _keyed(key):
+        _checked_number("lo", lo)
+        _checked_number("hi", hi, at_least=lo)
+        _checked_number("step", step, above=0)
     steps = (hi - lo) / step + 1e-9
     if not steps < _MAX_GRID_POINTS:
         raise ConfigError(key, f"grid needs at most {_MAX_GRID_POINTS} points")
@@ -252,9 +253,8 @@ def _workers() -> int | None:
         count = int(raw)
     except ValueError:
         raise ConfigError("IBROWNIAN_WORKERS", f"expected an integer, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError("IBROWNIAN_WORKERS", "worker count must be >= 1")
-    return count
+    with _keyed("IBROWNIAN_WORKERS"):
+        return _checked_number("worker count", count, at_least=1, whole=True)
 
 
 def _chain_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
@@ -314,29 +314,24 @@ def _initial_states(cfg: RunConfig, spec: ModelSpec, rng: RngStream) -> np.ndarr
 
 
 def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
+    # every family's variant is checked; the planar family's alone is read
+    try:
+        variant = TruncationVariant(cfg.truncation_variant.strip().lower())
+    except ValueError:
+        raise ConfigError(
+            "integrator.truncation_variant", f"expected centered or origin, got {cfg.truncation_variant!r}"
+        ) from None
     trunc = None
     if cfg.truncation_radius != 0:  # any value but 0 is a radius, checked below
-        variant = None
-        if spec.family is Family.GINIBRE:
-            try:
-                variant = TruncationVariant(cfg.truncation_variant.strip().lower())
-            except ValueError:
-                raise ConfigError(
-                    "integrator.truncation_variant",
-                    f"expected centered or origin, got {cfg.truncation_variant!r}",
-                ) from None
         with _keyed("integrator.truncation_radius"):
-            trunc = TruncationParams(radius=cfg.truncation_radius, variant=variant)
-    # the step, the recording step and the horizon are each set on their
-    # own, so that an error in one of them names its key
-    with _keyed("integrator.dt"):
-        icfg = IntegratorConfig(dt=cfg.dt, t_final=0.0)
-    with _keyed("integrator.dt_record"):
-        icfg = replace(icfg, dt_record=None if cfg.dt_record == 0 else cfg.dt_record)
-    with _keyed("integrator.max_substep_depth"):
-        icfg = replace(icfg, max_substep_depth=cfg.max_substep_depth, truncation=trunc)
-    with _keyed("integrator.t_final"):
-        return replace(icfg, t_final=cfg.t_final)
+            planar = spec.family is Family.GINIBRE
+            trunc = TruncationParams(radius=cfg.truncation_radius, variant=variant if planar else None)
+    # an error names its key: the rule's messages start with the field's name
+    with _keyed("integrator"):
+        dt_record = None if cfg.dt_record == 0 else cfg.dt_record
+        return IntegratorConfig(
+            dt=cfg.dt, t_final=cfg.t_final, dt_record=dt_record, max_substep_depth=cfg.max_substep_depth, truncation=trunc
+        )
 
 
 def _simulate(cfg: RunConfig, spec: ModelSpec, icfg: IntegratorConfig):
@@ -391,12 +386,15 @@ def _cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_kernel(cfg: RunConfig, out: Path) -> int:
-    xs = _grid("diagnostics.grid", cfg.grid)
     try:
         kid = kernels.KernelId(cfg.kernel.strip().lower())
     except ValueError:
         known = ", ".join(k.value for k in kernels.KernelId)
         raise ConfigError("diagnostics.kernel", f"unknown kernel {cfg.kernel!r} (one of: {known})") from None
+    if kid is kernels.KernelId.BESSEL:
+        with _keyed("model"):  # the hard-edge model's alpha rule
+            ModelSpec(Family.BESSEL, 1, alpha=cfg.alpha)
+    xs = _grid("diagnostics.grid", cfg.grid)
     # one array call, bitwise the scalar kernels, after their support checks (the grid ascends)
     with _keyed("diagnostics.grid"):
         if kid is kernels.KernelId.AIRY2:
@@ -462,8 +460,8 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     with _keyed("diagnostics.r_list"):
         for r in r_list:
             TruncationParams(radius=r)
-    if cfg.n_samples < stats._MIN_SCAN_SAMPLES:
-        raise ConfigError("sampler.n_samples", f"the scan needs at least {stats._MIN_SCAN_SAMPLES} environment samples")
+    with _keyed("sampler"):  # the scan's fewest environments
+        _checked_number("n_samples", cfg.n_samples, at_least=stats._MIN_SCAN_SAMPLES, whole=True)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     scan = stats.drift_truncation_scan(configs, spec, x, r_list)
     coords = ["x", "y", "z"][: spec.dimension]
@@ -496,13 +494,11 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
 
 def _cmd_tightness(cfg: RunConfig, out: Path) -> int:
     spec = _model_spec(cfg)
-    L_list = _ints("diagnostics.L_list", cfg.L_list)
-    if any(v < 0 for v in L_list):
-        raise ConfigError("diagnostics.L_list", "label cutoffs must be >= 0")
-    for name in ("r", "T", "c"):
-        with _keyed(f"diagnostics.{name}"):
-            stats._check_positive(name, getattr(cfg, name))
-    params = stats.TightnessParams(r=cfg.r, T=cfg.T, c=cfg.c)
+    with _keyed("diagnostics.L_list"):
+        cuts = _floats("diagnostics.L_list", cfg.L_list)
+        L_list = [int(_checked_number(f"L_list[{k}]", v, at_least=0, whole=True)) for k, v in enumerate(cuts)]
+    with _keyed("diagnostics"):
+        params = stats.TightnessParams(r=cfg.r, T=cfg.T, c=cfg.c)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)
     vals = stats.erf_tail_sum(configs, params, L_list)
     target = out / "tightness.csv"

@@ -4,7 +4,8 @@ A configuration -- a finite point multiset in R^d, d in {1, 2, 3} -- is a
 plain (n, d) float array whose row i is particle i; a 1-D array is read as
 n points on the line.  S configurations of one size stack to (S, n, d).
 ``_checked_block`` is the one rule for a configuration taken from outside
-the program; where a ``ModelSpec`` is known, its domain rule applies too.
+the program (where a ``ModelSpec`` is known, its domain rule applies too),
+and ``_checked_number`` for a number: finite, in range, whole for a count.
 On disk a configuration is a CSV block, one row per point, columns
 ``x[,y[,z]]``, header mandatory.
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import enum
 import io
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +73,39 @@ _FAMILY_DIMENSION = {
 }
 
 
+def _checked_number(name: str, value, *, above=None, at_least=None, at_most=None, whole=False):
+    """``value``, a number taken from outside the program, if it is a finite
+    real, > ``above``, >= ``at_least`` and <= ``at_most`` where given, and
+    whole where ``whole`` (a count, a seed, an index).  Otherwise a
+    ValueError names ``name`` and the rule, e.g. "dt must be finite and > 0"."""
+    integral = isinstance(value, numbers.Integral)  # exact, however large
+    finite = integral or (isinstance(value, numbers.Real) and math.isfinite(value))
+    integral = integral or (finite and float(value).is_integer())
+    if finite and (integral or not whole) and (above is None or value > above) and (
+        (at_least is None or value >= at_least) and (at_most is None or value <= at_most)
+    ):
+        return value
+    edges = ((">", above), (">=", at_least), ("<=", at_most))
+    bound = " and ".join(f"{op} {edge}" for op, edge in edges if edge is not None)
+    if whole:
+        raise ValueError(f"{name} must be {bound if integral else 'a whole number ' + bound}")
+    raise ValueError(f"{name} must be finite" + (f" and {bound}" if bound else ""))
+
+
+def _whole_steps(value: float, step: float) -> int | None:
+    """k where ``value`` lies within 1e-9 ``step`` of k ``step``, the
+    grid of ``step``; None off the grid or where value / step is not finite."""
+    q = value / step
+    return round(q) if math.isfinite(q) and abs(value - round(q) * step) <= 1e-9 * step else None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Immutable description of one finite particle system.
 
     ``alpha`` is required for the Bessel-type families (and must be >= 1),
     ``riesz_a`` only for the Riesz family (an integer exceeding the ambient
-    dimension 3).  ``free_c``/``free_theta`` parameterize the confining
+    dimension 3).  ``free_c`` > 0 and ``free_theta`` >= 0 set the confining
     potential c*|x|^2 / n^theta used by the Lennard-Jones and Riesz systems.
     ``beta`` must be positive; matrix-kernel validation additionally needs
     beta in {1, 2, 4}; the Ginibre and the three Bessel families are beta = 2.
@@ -92,28 +121,24 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if not (self.beta > 0):
-            raise ValueError("beta must be > 0")
+        _checked_number("n_particles", self.n_particles, at_least=1, whole=True)
+        _checked_number("beta", self.beta, above=0)
         if (self.family is Family.GINIBRE or self.family in _BESSEL_FAMILIES) and self.beta != 2:
             raise ValueError(f"the {self.family.value} system is defined for beta = 2 only")
         if self.family in _BESSEL_FAMILIES:
             if self.alpha is None:
                 raise ValueError(f"alpha is required for family {self.family.value}")
-            if not (self.alpha >= 1):
-                raise ValueError("alpha must be >= 1")
+            _checked_number("alpha", self.alpha, at_least=1)
         elif self.alpha is not None:
             raise ValueError(f"alpha is not a parameter of family {self.family.value}")
         if self.family is Family.RIESZ:
             if self.riesz_a is None:
                 raise ValueError("riesz_a is required for the Riesz family")
-            if int(self.riesz_a) != self.riesz_a or self.riesz_a <= self.dimension:
-                raise ValueError("riesz_a must be an integer > 3")
+            _checked_number("riesz_a", self.riesz_a, above=self.dimension, whole=True)
         elif self.riesz_a is not None:
             raise ValueError("riesz_a only applies to the Riesz family")
-        if self.free_theta < 0:
-            raise ValueError("free_theta must be >= 0")
+        _checked_number("free_c", self.free_c, above=0)
+        _checked_number("free_theta", self.free_theta, at_least=0)
 
     @property
     def dimension(self) -> int:
@@ -133,7 +158,7 @@ def _points_of(state) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
+    """Deterministic random stream keyed by (seed, stream_id), whole numbers >= 0.
 
     Two streams with different ids are statistically independent; the same
     key always reproduces the same draws regardless of thread or call order.
@@ -143,6 +168,10 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self) -> None:
+        _checked_number("seed", self.seed, at_least=0, whole=True)
+        _checked_number("stream_id", self.stream_id, at_least=0, whole=True)
 
     def generator(self, *subkeys: int) -> np.random.Generator:
         ss = np.random.SeedSequence(

@@ -133,8 +133,8 @@ def _bessel_taylor(alpha: float, x, y):
 def _check_bessel_kernel(alpha: float, lo: float, hi: float) -> None:
     """Order and argument range of the hard-edge kernel; ``lo`` and ``hi``
     are the smallest and largest argument (NaN fails both tests)."""
-    if not alpha >= 1.0:
-        raise ValueError("bessel_kernel requires alpha >= 1")
+    if not 1.0 <= alpha < math.inf:
+        raise ValueError("bessel_kernel requires a finite alpha >= 1")
     if not lo > 0.0:
         raise ValueError("bessel_kernel requires x, y > 0")
     if not hi <= BESSEL_X_MAX:

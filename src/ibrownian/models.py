@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, Family, ModelSpec, SingularConfigurationError, _checked_block, _points_of
+from .core import DomainError, Family, ModelSpec, SingularConfigurationError, _checked_number, _checked_block, _points_of
 
 __all__ = [
     "MIN_PAIR_SEPARATION",
@@ -86,8 +86,7 @@ class TruncationParams:
     variant: TruncationVariant | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.radius < math.inf:
-            raise ValueError("truncation radius must be finite and > 0")
+        _checked_number("truncation radius", self.radius, above=0)
         if self.variant is not None:
             object.__setattr__(self, "variant", TruncationVariant(self.variant))
 
@@ -121,8 +120,7 @@ def airy_tail_integral(r: float) -> float:
     |x| < r the integral against 1/(-x) evaluates in closed form to
     2*sqrt(r); the truncated soft-edge drift subtracts this compensator.
     """
-    if not (r > 0):
-        raise ValueError("radius must be > 0")
+    _checked_number("radius", r, above=0)
     return 2.0 * math.sqrt(r)
 
 
@@ -197,8 +195,8 @@ def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
     n = float(spec.n_particles)
     limit = trunc is not None
     if fam is Family.AIRY:
-        if limit:
-            return -spec.beta * airy_tail_integral(trunc.radius)
+        if limit:  # airy_tail_integral(r) without its check: TruncationParams checked r, and drifts are hot
+            return -spec.beta * (2.0 * math.sqrt(trunc.radius))
         n13 = n ** (1.0 / 3.0)
         return -spec.beta * (n13 + x / (2.0 * n13))
     if fam is Family.GINIBRE:
@@ -386,8 +384,7 @@ def cutoff_chi(t, s: float):
     ``t`` is a displacement modulus (scalar or array); callers with vector
     displacements pass the Euclidean norm.
     """
-    if not (s > 0):
-        raise ValueError("cutoff scale must be > 0")
+    _checked_number("cutoff scale", s, above=0)
     mod = np.abs(np.asarray(t, dtype=float))
     u = np.clip(mod - s, 0.0, 1.0)
     val = 1.0 - (3.0 * u**2 - 2.0 * u**3)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import kernels
-from .core import ModelSpec, _resolve_rng
+from .core import ModelSpec, _checked_number, _resolve_rng
 from .models import _energy_change
 
 __all__ = [
@@ -68,15 +68,9 @@ class _Points:
         return np.array(self.points, dtype=dtype, copy=copy)
 
 
-def _check_sizes(n_samples: int, n: int = 1) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-
-
 def _exact_draws(rng, n_samples: int, draw) -> tuple[list, SamplerReport]:
     """``draw(g)`` n_samples times on the caller's generator, and an exact sampler's report."""
+    _checked_number("n_samples", n_samples, at_least=1, whole=True)
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
     rows = [draw(g) for _ in range(n_samples)]
@@ -89,8 +83,8 @@ class McmcOptions:
     thin_sweeps: int = 10
 
     def __post_init__(self) -> None:
-        if self.burn_in_sweeps < 0 or self.thin_sweeps < 1:
-            raise ValueError("burn_in_sweeps >= 0 and thin_sweeps >= 1 required")
+        _checked_number("burn_in_sweeps", self.burn_in_sweeps, at_least=0, whole=True)
+        _checked_number("thin_sweeps", self.thin_sweeps, at_least=1, whole=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +179,8 @@ def sample_airy_ensemble(
     the full draws, so a windowed row holds the full row's points in the
     window, up to the rounding of the eigenvalue solver.
     """
-    _check_sizes(n_samples, n)
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
+    _checked_number("n", n, at_least=1, whole=True)
+    _checked_number("beta", beta, above=0)
     if window is not None:
         window = _window_pair(window)
     rows, rep = _exact_draws(rng, n_samples, lambda g: _edge_spectrum_tridiagonal(n, beta, g, window))
@@ -210,9 +203,8 @@ def sample_bessel_ensemble(n: int, alpha: float, rng, n_samples: int) -> tuple[n
     and x = 2n eig(B^T B).  Each draw takes the n squared diagonal
     entries from the generator, then the n - 1 squared subdiagonal ones.
     """
-    _check_sizes(n_samples, n)
-    if not alpha >= 1:
-        raise ValueError("alpha must be >= 1")
+    _checked_number("n", n, at_least=1, whole=True)
+    _checked_number("alpha", alpha, at_least=1)
     i = np.arange(n)
     df_diag, df_sub = 2.0 * (alpha + n - i), 2.0 * (n - 1 - i[:-1])
 
@@ -255,7 +247,7 @@ def sample_ginibre_ensemble(n: int, rng, n_samples: int) -> tuple[np.ndarray, Sa
     """n_samples draws of the eigenvalues of an n x n complex Gaussian
     matrix, unit entry variance, as (n_samples, n, 2) points; their
     density fills the disk of radius sqrt(n) with intensity 1/pi."""
-    _check_sizes(n_samples, n)
+    _checked_number("n", n, at_least=1, whole=True)
     rows, rep = _exact_draws(rng, n_samples, lambda g: _planar_points(n, g))
     return np.stack(rows), rep
 
@@ -476,7 +468,7 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     support = kernels.AIRY_SUPPORT
     if not support[0] <= lo < hi <= support[1]:
         raise ValueError(f"window must satisfy lo < hi within [{support[0]}, {support[1]}], got ({lo}, {hi})")
-    _check_sizes(n_samples)
+    _checked_number("n_samples", n_samples, at_least=1, whole=True)
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()
 
@@ -525,7 +517,7 @@ def sample_gibbs_chain(
     energy change comes from ``models._energy_change`` and is +inf where
     the target vanishes, so such a move is rejected.
     """
-    _check_sizes(n_samples)
+    _checked_number("n_samples", n_samples, at_least=1, whole=True)
     g, seed = _resolve_rng(rng)
     delta_energy = _energy_change(spec)
     opts = options or McmcOptions()

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _resolve_rng
+from .core import _checked_number, _whole_steps
 from .models import (
     TruncationParams,
     _configuration,
@@ -82,24 +83,17 @@ class IntegratorConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.dt < np.inf:
-            raise ValueError("dt must be finite and > 0")
-        if not 0 <= self.t_final < np.inf:
-            raise ValueError("t_final must be finite and >= 0")
-        if not 0 <= self.max_substep_depth <= 30:
-            raise ValueError("max_substep_depth must lie in [0, 30]")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        _checked_number("dt", self.dt, above=0)
+        _checked_number("t_final", self.t_final, at_least=0)
+        _checked_number("max_substep_depth", self.max_substep_depth, at_least=0, at_most=_TREE_DEPTH, whole=True)
+        _checked_number("noise_scale", self.noise_scale, at_least=0)
         if self.truncation is not None and not isinstance(self.truncation, TruncationParams):
             raise ValueError("truncation must be a TruncationParams or None")
         if self.dt_record is not None:
-            if not 0 < self.dt_record < np.inf:
-                raise ValueError("dt_record must be finite and > 0")
-            m = round(self.dt_record / self.dt)
-            if m < 1 or abs(self.dt_record - m * self.dt) > 1e-9 * self.dt:
+            _checked_number("dt_record", self.dt_record, above=0)
+            if not _whole_steps(self.dt_record, self.dt):  # None or 0
                 raise ValueError("dt_record must be a positive integer multiple of dt")
-        rs = self.record_step
-        if abs(self.t_final - round(self.t_final / rs) * rs) > 1e-9 * rs:
+        if _whole_steps(self.t_final, self.record_step) is None:
             raise ValueError("t_final must be an integer multiple of dt_record")
 
     @property
@@ -402,8 +396,7 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.nd
     row of ``PathEnsemble.states`` is.  A start must be a finite (n, d)
     configuration of the spec inside its domain.
     """
-    if not 0 < dt < np.inf:
-        raise ValueError("dt must be finite and > 0")
+    _checked_number("dt", dt, above=0)
     g, _ = _resolve_rng(rng)
     pts = _configuration(spec, state, "state", n=spec.n_particles)
     # one draw at a time leaves a caller's generator where the moves leave it
@@ -466,8 +459,7 @@ def simulate(
     """
     if not isinstance(rng, RngStream):
         raise TypeError("simulate requires an RngStream (determinism contract)")
-    if start_interval < 0:
-        raise ValueError("start_interval must be >= 0")
+    _checked_number("start_interval", start_interval, at_least=0, whole=True)
     if on_failure not in ("raise", "drop"):
         raise ValueError("on_failure must be 'raise' or 'drop'")
     rs = cfg.record_step

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import Family, ModelSpec, _checked_block
+from .core import Family, ModelSpec, _checked_number, _checked_block, _whole_steps
 from .models import TruncationParams, TruncationVariant, _configuration, truncated_drift_at
 
 __all__ = [
@@ -80,7 +80,7 @@ class TightnessParams:
 
     def __post_init__(self) -> None:
         for name in ("r", "T", "c"):
-            _check_positive(name, getattr(self, name))
+            _checked_number(name, getattr(self, name), above=0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,6 @@ def _sample_points(samples) -> list[np.ndarray]:
     return pts
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and > 0")
-
-
 def _check_window(window: float | None, dim: int, order: int) -> None:
     """Planar order-2 estimates need a window, finite and > 0; no other estimate reads one."""
     if (dim, order) != (2, 2):
@@ -144,7 +139,7 @@ def _check_window(window: float | None, dim: int, order: int) -> None:
     elif window is None:
         raise ValueError("planar order-2 estimates need a window radius")
     else:
-        _check_positive("window", window)
+        _checked_number("window", window, above=0)
 
 
 def estimate_rho(samples, order: int, bins=None, *, window: float | None = None) -> CorrelationEstimate:
@@ -268,12 +263,10 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
     Labels are modulus-ascending, so the sum collects the high-label
     (far) particles; it is nonincreasing in L.  Indices beyond a sample's
     particle count contribute nothing.  Each cutoff must be an integer
-    >= 0 (``2.0`` reads as 2; ``1.7`` is refused).
+    >= 0 (``2.0`` reads as 2; ``1.7`` is refused, naming ``L_list[k]``).
     """
     pts = _sample_points(samples)
-    cuts = [float(c) for c in L_list]
-    if not all(c >= 0 and c.is_integer() for c in cuts):
-        raise ValueError(f"label cutoffs must be integers >= 0, got {cuts!r}")
+    cuts = [_checked_number(f"L_list[{k}]", float(c), at_least=0, whole=True) for k, c in enumerate(L_list)]
     ls = np.array(cuts, dtype=int)
     denom = math.sqrt(params.c) * params.T
     totals = np.zeros(ls.size)
@@ -291,9 +284,8 @@ def _lag_steps(lag_list, step: float, n_times: int) -> list[int]:
     on the grid and within the horizon (n_times - 1) * step."""
     steps = []
     for lag in lag_list:
-        q = float(lag) / step
-        k = round(q) if math.isfinite(q) else -1
-        if not 0 <= k < n_times or abs(float(lag) - k * step) > 1e-9 * step:
+        k = _whole_steps(float(lag), step)
+        if k is None or not 0 <= k < n_times:
             raise ValueError(f"lag {lag} is not on the recording grid within [0, {(n_times - 1) * step:g}]")
         steps.append(k)
     return steps

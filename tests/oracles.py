@@ -242,7 +242,9 @@ def gibbs_center_of_mass_cdf(n: int, beta: float, c: float, theta: float, m0: fl
     confinement -(beta c / n^theta) x_i adds up to -k M with
     k = beta c / n^theta, and the n unit noises to sqrt(n) dW: each
     coordinate of M is an Ornstein-Uhlenbeck process, Gaussian at t with
-    mean m0 e^(-kt) and variance n (1 - e^(-2kt)) / (2k).
+    mean m0 e^(-kt) and variance n (1 - e^(-2kt)) / (2k).  The planar
+    (``ginibre``) process's M has this law at k = 1: its one-body drift is
+    -z_i and its pair terms cancel in the sum too.
     """
     k = beta * c / n**theta
     var = n * -math.expm1(-2.0 * k * t) / (2.0 * k)

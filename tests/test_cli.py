@@ -197,6 +197,24 @@ class TestConfigResolution:
         assert capsys.readouterr().err.endswith("config error: integrator.scheme: unknown config key\n")
 
 
+# one argv that reads each float-typed key of cli._SECTIONS
+_FLOAT_KEY_ARGV = {
+    "beta": ["sample", "--model", "airy"],
+    "alpha": ["sample", "--model", "bessel"],
+    "free_c": ["sample", "--model", "lennard_jones"],
+    "free_theta": ["sample", "--model", "riesz"],
+    "dt": ["simulate"],
+    "t_final": ["simulate"],
+    "dt_record": ["simulate"],
+    "truncation_radius": ["simulate"],
+    "window": ["correlate", "--model", "ginibre", "--order", "2"],
+    "s": ["drift-diag"],
+    "r": ["tightness"],
+    "T": ["tightness"],
+    "c": ["tightness"],
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv, key",
@@ -222,19 +240,49 @@ class TestBadInput:
             (["drift-diag", "--model", "airy", "--n", "5", "--x", "1,0"], "diagnostics.x"),
             (["simulate", "--model", "bessel", "--beta", "1"], "model"),
             (["simulate", "--max-substep-depth", "31"], "integrator.max_substep_depth"),
+            (["simulate", "--truncation-radius", "3", "--truncation-variant", "bogus"], "integrator.truncation_variant"),
+            (["simulate", "--truncation-variant", "bogus"], "integrator.truncation_variant"),
+            (["sample", "--seed", "-1"], "run.seed"),
+            (["sample", "--n-samples", "0"], "sampler.n_samples"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
             "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "x-too-few-coordinates",
             "x-too-many-coordinates", "beta-one-bessel",
-            "depth-above-30",
+            "depth-above-30", "variant-bogus-airy", "variant-bogus-no-radius", "seed-negative", "no-samples",
         ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
         assert run_cli(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("free_c", ["-1", "0"])
+    def test_unconfined_chain_is_refused(self, free_c, tmp_path, capsys):
+        # free_c = -1 once ran an anti-confined chain and exited 0
+        argv = ["sample", "--model", "lennard_jones", "--n", "3", "--free-c", free_c, "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: model.free_c: free_c must be finite and > 0")
+
+    def test_every_float_key_has_a_refusal_case(self):
+        # a float key added later without a row in _FLOAT_KEY_ARGV fails here
+        floats = {name for keys in cli._SECTIONS.values() for name, default in keys.items() if isinstance(default, float)}
+        assert floats == set(_FLOAT_KEY_ARGV)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", sorted(_FLOAT_KEY_ARGV))
+    def test_non_finite_float_key_exits_2_naming_it(self, name, value, tmp_path, capsys, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        for sampler in ("sample_airy_ensemble", "sample_ginibre_ensemble", "sample_bessel_ensemble", "sample_gibbs_chain"):
+            monkeypatch.setattr(cli.sampling, sampler, no_draws)
+        section = next(sec for sec, keys in cli._SECTIONS.items() if name in keys)
+        flag = cli._FLAGS.get(name, "--" + name.replace("_", "-"))
+        argv = _FLOAT_KEY_ARGV[name] + ["--n", "5", f"{flag}={value}", "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {section}.{name}: ")
 
     def test_off_grid_horizon_fails_before_any_start_is_drawn(self, tmp_path, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -403,13 +451,24 @@ class TestKernelCommand:
     @pytest.mark.parametrize(
         "argv",
         [["--kernel", "airy2", "--grid", "-121:0:1"], ["--kernel", "airy2", "--grid", "0:11:1"],
-         ["--kernel", "bessel", "--grid", "0:1:0.5"], ["--kernel", "bessel", "--grid", "1:101:10"],
-         ["--kernel", "bessel", "--alpha", "0.5", "--grid", "1:2:1"]],
-        ids=["airy-below", "airy-above", "bessel-zero", "bessel-above", "bessel-alpha"],
+         ["--kernel", "bessel", "--grid", "0:1:0.5"], ["--kernel", "bessel", "--grid", "1:101:10"]],
+        ids=["airy-below", "airy-above", "bessel-zero", "bessel-above"],
     )
     def test_grid_outside_the_scalar_kernels_support_is_refused(self, argv, tmp_path, capsys):
         assert run_cli(["kernel"] + argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: diagnostics.grid:")
+
+    @pytest.mark.parametrize(
+        "alpha, grid",
+        [("0.5", "1:2:0.5"), ("inf", "1:2:0.5"), ("nan", "1:2:0.5"), ("-inf", "1:2:0.5"), ("0.5", "oops")],
+        ids=["alpha-below-one", "alpha-inf", "alpha-nan", "alpha-minus-inf", "alpha-before-grid"],
+    )
+    def test_bad_alpha_names_model_alpha_before_the_grid(self, alpha, grid, tmp_path, capsys):
+        # alpha was once checked under diagnostics.grid, and inf wrote NaN values
+        argv = ["kernel", "--kernel", "bessel", f"--alpha={alpha}", "--grid", grid, "--out", str(tmp_path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: model.alpha: alpha must be finite and >= 1")
+        assert not (tmp_path / "kernel.csv").exists()
 
     @pytest.mark.parametrize(
         "kernel, alpha, grid",

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from ibrownian.core import (
     Family,
     ModelSpec,
     RngStream,
+    _checked_number,
+    _whole_steps,
     load_configurations,
     save_configurations,
 )
@@ -65,6 +69,96 @@ class TestModelSpec:
     def test_particle_count(self):
         with pytest.raises(ValueError):
             ModelSpec(Family.AIRY, 0)
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize(
+        "value, kwargs, message",
+        [
+            (math.nan, {"above": 0}, "v must be finite and > 0"),
+            (math.inf, {"above": 0}, "v must be finite and > 0"),
+            (0.0, {"above": 0}, "v must be finite and > 0"),
+            (-math.inf, {"at_least": 0}, "v must be finite and >= 0"),
+            (math.inf, {}, "v must be finite"),
+            ("1", {}, "v must be finite"),
+            (0, {"at_least": 1, "whole": True}, "v must be >= 1"),
+            (2.5, {"at_least": 1, "whole": True}, "v must be a whole number >= 1"),
+            (math.nan, {"at_least": 1, "whole": True}, "v must be a whole number >= 1"),
+            (31, {"at_least": 0, "at_most": 30, "whole": True}, "v must be >= 0 and <= 30"),
+        ],
+    )
+    def test_refusal_names_the_setting_and_its_rule(self, value, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _checked_number("v", value, **kwargs)
+
+    @pytest.mark.parametrize(
+        "value, kwargs",
+        [
+            (1e-300, {"above": 0}),
+            (np.float64(2.0), {"above": 0}),
+            (0.0, {"at_least": 0}),
+            (-1e300, {}),
+            (np.int64(3), {"at_least": 1, "whole": True}),
+            (3.0, {"at_least": 1, "whole": True}),
+            (10**400, {"at_least": 0, "whole": True}),
+            (30, {"at_least": 0, "at_most": 30, "whole": True}),
+        ],
+    )
+    def test_accepts_what_lies_in_range(self, value, kwargs):
+        _checked_number("v", value, **kwargs)
+
+    def test_whole_steps(self):
+        assert _whole_steps(0.004, 1e-3) == 4
+        assert _whole_steps(0.0, 1e-3) == 0
+        assert _whole_steps(0.0025, 1e-3) is None
+        assert _whole_steps(math.inf, 1e-3) is None
+        assert _whole_steps(math.nan, 1e-3) is None
+        assert _whole_steps(1e300, 1e-300) is None  # the quotient overflows
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"family": Family.AIRY, "n_particles": 2, "beta": math.inf}, "beta"),
+            ({"family": Family.AIRY, "n_particles": 2, "beta": math.nan}, "beta"),
+            ({"family": Family.AIRY, "n_particles": 2.5}, "n_particles"),
+            ({"family": Family.BESSEL, "n_particles": 2, "alpha": math.inf}, "alpha"),
+            ({"family": Family.BESSEL, "n_particles": 2, "alpha": math.nan}, "alpha"),
+            ({"family": Family.RIESZ, "n_particles": 2, "riesz_a": math.inf}, "riesz_a"),
+            ({"family": Family.LENNARD_JONES, "n_particles": 2, "free_c": math.nan}, "free_c"),
+            ({"family": Family.LENNARD_JONES, "n_particles": 2, "free_c": -1.0}, "free_c"),
+            ({"family": Family.LENNARD_JONES, "n_particles": 2, "free_c": 0.0}, "free_c"),
+            ({"family": Family.LENNARD_JONES, "n_particles": 2, "free_c": math.inf}, "free_c"),
+            ({"family": Family.LENNARD_JONES, "n_particles": 2, "free_theta": math.nan}, "free_theta"),
+            ({"family": Family.LENNARD_JONES, "n_particles": 2, "free_theta": math.inf}, "free_theta"),
+        ],
+        ids=[
+            "beta-inf", "beta-nan", "n-fractional", "alpha-inf", "alpha-nan", "riesz-a-inf", "free-c-nan",
+            "free-c-negative", "free-c-zero", "free-c-inf", "free-theta-nan", "free-theta-inf",
+        ],
+    )
+    def test_model_spec_refuses_numbers_outside_their_rule(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            ModelSpec(**kwargs)
+
+    def test_model_spec_keeps_every_value_in_range(self):
+        ModelSpec(Family.AIRY, np.int64(3), beta=np.float64(0.5))
+        ModelSpec(Family.BESSEL, 2, alpha=1)
+        ModelSpec(Family.RIESZ, 2, riesz_a=4.0)
+        ModelSpec(Family.LENNARD_JONES, 2, free_c=1e-12, free_theta=0.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((1.5,), "seed"), ((-1,), "seed"), ((math.nan,), "seed"), ((1, 0.5), "stream_id"), ((1, -2), "stream_id")],
+        ids=["seed-fractional", "seed-negative", "seed-nan", "stream-fractional", "stream-negative"],
+    )
+    def test_rng_stream_keys_are_whole_numbers(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            RngStream(*args)
+
+    def test_rng_stream_keeps_whole_keys(self):
+        # the benchmark keys its streams RngStream(seed, 8 * r + phase)
+        a = RngStream(np.int64(5), 8 * 3 + 2).generator().standard_normal(3)
+        assert np.array_equal(a, RngStream(5.0, 26.0).generator().standard_normal(3))
 
 
 FIXTURE = Path(__file__).parent / "data" / "configurations.csv"

@@ -201,6 +201,9 @@ class TestCutoff:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             M.cutoff_chi(1.0, 0.0)
+        for s in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^cutoff scale must be finite and > 0$"):
+                M.cutoff_chi(1.0, s)
 
 
 class TestTruncatedDrift:
@@ -211,8 +214,9 @@ class TestTruncatedDrift:
 
     def test_tail_compensator_value(self):
         assert M.airy_tail_integral(9.0) == pytest.approx(6.0, abs=1e-15)
-        with pytest.raises(ValueError):
-            M.airy_tail_integral(0.0)
+        for r in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^radius must be finite and > 0$"):
+                M.airy_tail_integral(r)
 
     def test_window_excludes_far_points(self):
         spec = _spec(Family.AIRY, 3)

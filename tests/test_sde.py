@@ -99,12 +99,28 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"noise_scale": math.nan}, "noise_scale"),
+            ({"noise_scale": math.inf}, "noise_scale"),
+            ({"max_substep_depth": 2.5}, "max_substep_depth"),
+            ({"max_substep_depth": math.nan}, "max_substep_depth"),
+            ({"t_final": math.nan}, "t_final"),
+        ],
+        ids=["noise-nan", "noise-inf", "depth-fractional", "depth-nan", "t-final-nan"],
+    )
+    def test_refusal_names_the_setting(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            IntegratorConfig(**{"dt": 1e-3, "t_final": 1.0, **kwargs})
+
 
 class TestStep:
     def test_zero_drift_zero_noise_is_identity(self):
-        spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0, free_c=0.0)
+        # a lone particle at the centre of its confinement feels no drift
+        spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
         cfg = IntegratorConfig(dt=1e-2, t_final=1.0, noise_scale=0.0)
-        state = np.array([[0.3, -1.0, 2.0]])
+        state = np.zeros((1, 3))
         out = step(spec, state, 1e-2, RngStream(0), cfg)
         assert np.array_equal(out, state)
 
@@ -183,6 +199,15 @@ class TestSimulate:
         assert np.array_equal(tail.states[:, 0], full.states[:, 2])
         assert np.array_equal(tail.states[:, 1:], full.states[:, 3:])
         assert np.allclose(tail.times, full.times[2:])
+
+    @pytest.mark.parametrize("start_interval", [1.5, -1, math.nan])
+    def test_start_interval_is_a_whole_number(self, start_interval):
+        # 1.5 once recorded off the dt grid and drew interval int(1.5 + j)'s noise
+        stream = _CountingStream(9)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.003)
+        with pytest.raises(ValueError, match="^start_interval must be "):
+            simulate(ModelSpec(Family.AIRY, 2), [_ascending([0.0, 1.0])], cfg, stream, start_interval=start_interval)
+        assert stream.requests == []
 
     def test_substep_accounting(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
@@ -397,6 +422,28 @@ class TestWeakAccuracy:
             assert oracles.one_sample_ks(m, law) <= critical
             # the law with the rate doubled is told apart
             doubled = oracles.gibbs_center_of_mass_cdf(n, 2.0 * spec.beta, spec.free_c, spec.free_theta, m0, t_final)
+            assert oracles.one_sample_ks(m, doubled) > critical
+
+    def test_planar_centre_of_mass_follows_ou_law(self):
+        # each coordinate of M = sum z_i of the planar process is an
+        # Ornstein-Uhlenbeck process with rate 1 and variance n per unit
+        # time: the pair terms cancel in the sum and the one-body drift is
+        # -z_i.  That is the 3d law at k = beta c / n^theta = 1.  The spaced
+        # start is moved off the centre, so both coordinates of M start far
+        # from 0, where a wrong rate shows.  A flagged path fails the test
+        spec = ModelSpec(Family.GINIBRE, 10)
+        n, t_final, paths = spec.n_particles, 1.0, 400
+        start = _spaced_initial(spec) + 1.5
+        # the one-sample KS critical value at level 1e-3, per coordinate
+        critical = kstwo.ppf(1.0 - 1e-3, paths)
+        cfg = IntegratorConfig(dt=4e-3, t_final=t_final, dt_record=t_final)
+        ens = simulate(spec, [start] * paths, cfg, RngStream(1670), on_failure="drop")
+        assert ens.failed_paths == ()
+        sums = np.sum(ens.states[:, -1], axis=1)
+        for m0, m in zip(np.sum(start, axis=0), sums.T):
+            assert oracles.one_sample_ks(m, oracles.gibbs_center_of_mass_cdf(n, 1.0, 1.0, 0.0, m0, t_final)) <= critical
+            # the law with the rate doubled is told apart
+            doubled = oracles.gibbs_center_of_mass_cdf(n, 2.0, 1.0, 0.0, m0, t_final)
             assert oracles.one_sample_ks(m, doubled) > critical
 
     @pytest.mark.slow

@@ -404,7 +404,7 @@ class TestErfTailSum:
             erf_tail_sum([np.array([[1.0]])], params, [-1])
         # a fractional cutoff was once read as its integer part
         for cuts in ([1.7], [math.nan], [math.inf]):
-            with pytest.raises(ValueError, match="^label cutoffs must be integers >= 0"):
+            with pytest.raises(ValueError, match=r"^L_list\[0\] must be a whole number >= 0$"):
                 erf_tail_sum([np.array([[1.0]])], params, cuts)
         assert erf_tail_sum([np.array([[1.0], [2.0]])], params, [1.0]).tolist() == (
             erf_tail_sum([np.array([[1.0], [2.0]])], params, [1]).tolist()
