@@ -53,8 +53,8 @@ from .sde import IntegratorConfig, simulate
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-# the three slowest checks (8 s to 50 s each on a 2-vCPU VM at commit
-# 855b767; the others took 3 s or less) are excluded from the quick suite
+# the three slowest checks (7.6 s to 41.6 s each on a 2-vCPU VM at commit
+# baa5265; the others took 3.5 s or less) are excluded from the quick suite
 _SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
 
 # most points a --grid may ask for, checked before any array is made
@@ -77,24 +77,24 @@ _SECTIONS = {
     "model": {
         "family": "airy",
         "n": 10,
-        "beta": 2.0,
+        "beta": ModelSpec.beta,
         "alpha": 1.0,
         "riesz_a": 5,
-        "free_c": 0.5,
-        "free_theta": 1.0,
+        "free_c": ModelSpec.free_c,
+        "free_theta": ModelSpec.free_theta,
     },
     "integrator": {
         "dt": 1e-3,
         "t_final": 0.1,
         "dt_record": 0.0,  # 0 records every base step
-        "max_substep_depth": 20,
+        "max_substep_depth": IntegratorConfig.max_substep_depth,
         "truncation_radius": 0.0,  # 0 keeps the full finite-system drift
         "truncation_variant": "centered",
     },
     "sampler": {
         "n_samples": 100,
-        "burn_in_sweeps": 10_000,
-        "thin_sweeps": 10,
+        "burn_in_sweeps": sampling.McmcOptions.burn_in_sweeps,
+        "thin_sweeps": sampling.McmcOptions.thin_sweeps,
         "paths": 100,
         "initial": "auto",  # auto | equilibrium | spaced
     },

@@ -61,7 +61,6 @@ __all__ = [
     "drift_finite_all",
     "drift_limit_truncated_all",
     "truncated_drift_at",
-    "airy_tail_integral",
     "cutoff_chi",
     "log_derivative",
 ]
@@ -111,17 +110,6 @@ def diffusion_sigma(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
     if _state_noise(spec):
         return 2.0 * np.sqrt(np.maximum(points, 0.0))
     return np.ones_like(points)
-
-
-def airy_tail_integral(r: float) -> float:
-    """Window integral of the edge intensity against the interaction kernel.
-
-    For the semicircle-edge profile sqrt(-x) on (-inf, 0) restricted to
-    |x| < r the integral against 1/(-x) evaluates in closed form to
-    2*sqrt(r); the truncated soft-edge drift subtracts this compensator.
-    """
-    _checked_number("radius", r, above=0)
-    return 2.0 * math.sqrt(r)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +183,12 @@ def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
     n = float(spec.n_particles)
     limit = trunc is not None
     if fam is Family.AIRY:
-        if limit:  # airy_tail_integral(r) without its check: TruncationParams checked r, and drifts are hot
+        if limit:
+            # the compensator of the truncated semicircle tail: the edge
+            # profile sqrt(-y) on (-r, 0) against the kernel 1/(-y) gives
+            # int_0^r s^(-1/2) ds = 2 sqrt(r).  The finite drift and the
+            # field have density sqrt(-y)/pi, so this profile's coordinates
+            # are not theirs: check 7 rescales by pi^(-2/3) (ROADMAP item 3)
             return -spec.beta * (2.0 * math.sqrt(trunc.radius))
         n13 = n ** (1.0 / 3.0)
         return -spec.beta * (n13 + x / (2.0 * n13))

@@ -97,11 +97,14 @@ class McmcOptions:
 _WINDOW_PAD = 1e-6
 
 
-def _window_pair(window) -> tuple[float, float]:
-    """``window`` as the float pair (lo, hi) with lo < hi; anything else is refused."""
-    if len(window) != 2 or not float(window[0]) < float(window[1]):
-        raise ValueError(f"window must be a pair (lo, hi) with lo < hi, got {window!r}")
-    return float(window[0]), float(window[1])
+def _window_pair(window, support=(None, None)) -> tuple[float, float]:
+    """``window`` as the float pair (lo, hi): both ends finite, lo < hi, and
+    inside ``support`` where it is given; anything else is refused, naming
+    ``window``, before any draw."""
+    if len(window) != 2:
+        raise ValueError(f"window must be a pair (lo, hi), got {window!r}")
+    lo = float(_checked_number("window[0]", window[0], at_least=support[0]))
+    return lo, float(_checked_number("window[1]", window[1], above=lo, at_most=support[1]))
 
 
 def _edge_spectrum_tridiagonal(n: int, beta: float, g: np.random.Generator, window=None) -> np.ndarray:
@@ -173,11 +176,12 @@ def sample_airy_ensemble(
 
     Coordinates are the edge-scaled spectrum x = n^(1/6) (lambda - 2 sqrt(n)).
 
-    With ``window = (lo, hi)`` each draw keeps only its points in [lo, hi],
-    computed by bisection rather than as the full spectrum, and the rows
-    come as a list of ascending arrays.  The generator stream is that of
-    the full draws, so a windowed row holds the full row's points in the
-    window, up to the rounding of the eigenvalue solver.
+    With ``window = (lo, hi)``, finite with lo < hi, each draw keeps only
+    its points in [lo, hi], computed by bisection rather than as the full
+    spectrum, and the rows come as a list of ascending arrays.  The
+    generator stream is that of the full draws, so a windowed row holds
+    the full row's points in the window, up to the rounding of the
+    eigenvalue solver.
     """
     _checked_number("n", n, at_least=1, whole=True)
     _checked_number("beta", beta, above=0)
@@ -464,10 +468,7 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     with no finite-matrix distortion, which matters when window sums are
     compared against limit formulas.
     """
-    lo, hi = _window_pair(window)
-    support = kernels.AIRY_SUPPORT
-    if not support[0] <= lo < hi <= support[1]:
-        raise ValueError(f"window must satisfy lo < hi within [{support[0]}, {support[1]}], got ({lo}, {hi})")
+    lo, hi = _window_pair(window, kernels.AIRY_SUPPORT)
     _checked_number("n_samples", n_samples, at_least=1, whole=True)
     g, seed = _resolve_rng(rng)
     t0 = time.perf_counter()

@@ -190,16 +190,17 @@ def _drift(spec, x, cfg):
     return np.concatenate([b_lo, b_hi]), np.concatenate([sep_lo, sep_hi]), singular
 
 
-def _split_rule(spec, x, b, sep, noise_rule):
+def _split_rule(spec, x, b, sep, state_noise):
     """Which rows of the (L, n, d) stack halve their substep, as data for
     ``_splits``: (bmax, drift_limit, noise_limit, pair_sig), each row's
     largest drift norm, and the drift move and the noise it may take.
     ``sep`` is each row's smallest pair separation, its smallest gap.
 
     A row splits while its drift move |b| h exceeds ``_DRIFT_CAP`` or a tenth of
-    its smallest gap, or while its substep noise does.  ``noise_rule`` is
-    None when the noise is not resolved (no noise, or one particle), else
-    whether the noise is state-dependent.  A row keeps its state, and so
+    its smallest gap, or while its substep noise does, tested per adjacent
+    pair where ``state_noise``.  Without noise, or with one particle, no
+    noise test holds: 0 exceeds no limit, no noise exceeds the infinite
+    gap, and a row has no adjacent pair.  A row keeps its state, and so
     its rule, all the way down its descent.
     """
     d = x.shape[2]
@@ -208,13 +209,11 @@ def _split_rule(spec, x, b, sep, noise_rule):
     bmax = np.sqrt(np.maximum.reduce(b2[:, :, 0] if d == 1 else np.add.reduce(b2, axis=2), axis=1))
     tenth = 0.1 * sep
     drift_limit = np.fmin(tenth, _DRIFT_CAP)
-    if noise_rule is None:
-        return bmax, drift_limit, None, None
     # the drift cap alone leaves the substep noise at a fixed ~0.45
     # fraction of the gap (both scale with it), which lets diffusion
     # hop a crossing; also resolving the noise against the gap makes
     # label swaps vanish while keeping the same dip statistics
-    if not noise_rule:
+    if not state_noise:
         return bmax, drift_limit, tenth, None
     # state-dependent noise: a swap is a per-pair event, so test each
     # adjacent pair against its own coefficient instead of the global
@@ -234,8 +233,6 @@ def _splits(rule, h, noise_root_h):
     """Which rows of a ``_split_rule`` halve their substep h."""
     bmax, drift_limit, noise_limit, pair_sig = rule
     split = bmax * h > drift_limit
-    if noise_limit is None:
-        return split
     if pair_sig is None:
         return split | (noise_root_h > noise_limit)
     return split | np.logical_or.reduce(noise_root_h[:, None] * pair_sig > noise_limit, axis=1)
@@ -294,9 +291,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     unit = h0 / _BASE_TICKS
     interval_ticks = m * _BASE_TICKS
     finest_split = _BASE_TICKS >> cfg.max_substep_depth  # nodes this narrow may not split
-    # per-run constants of the noise
     state_noise = _state_noise(spec)
-    noise_rule = state_noise if cfg.noise_scale > 0.0 and starts.shape[1] >= 2 else None
     # state of the live paths, compacted whenever one leaves the batch
     ids = np.arange(n_paths if n_rec else 0)
     x = starts[ids]
@@ -343,7 +338,7 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
         noise_root_h = cfg.noise_scale * np.sqrt(h)
         # descend to the leaf: the state, and so the rule, stay fixed
         # while the substep of the rows that still split halves
-        rule = _split_rule(spec, x, b, sep, noise_rule)
+        rule = _split_rule(spec, x, b, sep, state_noise)
         split = _splits(rule, h, noise_root_h)
         if gone:
             split[gone] = False
@@ -445,8 +440,9 @@ def simulate(
     Noise for path p on recording interval j comes from the substream
     ``rng.generator(p, start_interval + j)``; restarting from a recorded
     state with the matching ``start_interval`` reproduces the tail
-    bitwise.  ``workers`` > 1 gives each process a contiguous block of
-    paths without changing any output.
+    bitwise.  ``workers`` is None or a whole number >= 1; above 1, a pool
+    of that many processes takes contiguous blocks of paths without
+    changing any output.
 
     Near-collisions below the substep resolution end a path with a step
     failure.  ``on_failure="raise"`` propagates the lowest-indexed one
@@ -460,6 +456,8 @@ def simulate(
     if not isinstance(rng, RngStream):
         raise TypeError("simulate requires an RngStream (determinism contract)")
     _checked_number("start_interval", start_interval, at_least=0, whole=True)
+    if workers is not None:
+        workers = int(_checked_number("workers", workers, at_least=1, whole=True))
     if on_failure not in ("raise", "drop"):
         raise ValueError("on_failure must be 'raise' or 'drop'")
     rs = cfg.record_step

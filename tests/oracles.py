@@ -209,28 +209,53 @@ def airy_center_of_mass_cdf(n: int, beta: float, m0: float, t: float):
 
 def matrix_ou_oracle(beta: float, lam0, t: float, g: np.random.Generator) -> np.ndarray:
     """Eigenvalues at matrix time t of Dyson's matrix Ornstein-Uhlenbeck
-    process H_t = e^(-t/2) H_0 + sqrt(1 - e^(-t)) G (Dyson 1962, J. Math.
-    Phys. 3:1191), started at H_0 = diag(lam0): one path per row of the
-    (P, n) array ``lam0``, returned as (P, n), ascending per row.
+    process H_t = e^(-beta t/4) H_0 + sqrt(1 - e^(-beta t/2)) G (Dyson
+    1962, J. Math. Phys. 3:1191), started at H_0 = diag(lam0): one path per
+    row of the (P, n) array ``lam0``, returned as (P, n), ascending per row.
 
-    G is a fresh draw of the matrix ``sampling._edge_spectrum_dense``
-    diagonalises; its law is invariant under conjugation, so the law of the
-    eigenvalues at t depends on those of H_0 alone.  Their process is the
-    ``airy`` family's at that beta under the edge map
-    lambda = 2 sqrt(n) + x n^(-1/6) and matrix time t = s n^(-1/3).
-    beta = 2 only: G is (X + X*)/2 with X complex standard normal, so
-    E|G_ij|^2 = 1; beta = 1 and 4 take their own G.
+    G is a fresh draw of the stationary matrix that
+    ``sampling._edge_spectrum_dense`` diagonalises at that beta; its law is
+    invariant under conjugation, so the law of the eigenvalues at t
+    depends on those of H_0 alone.  They solve
+    d lambda_i = dW_i + (beta/2) sum_j dt / (lambda_i - lambda_j)
+    - (beta/4) lambda_i dt, the ``airy`` family's SDE at that beta under
+    the edge map lambda = 2 sqrt(n) + x n^(-1/6) and matrix time
+    t = s n^(-1/3).  G is:
+    * beta = 1: (A + A^T)/sqrt(2), A real standard normal, so diagonal
+      variance 2 and off-diagonal variance 1;
+    * beta = 2: (X + X*)/2, X complex standard normal, so E|G_ij|^2 = 1;
+    * beta = 4: the 2n x 2n complex form [[X, Y], [-conj(Y), conj(X)]] of a
+      self-dual quaternion matrix, X Hermitian with diagonal variance 1/2
+      and off-diagonal E|X_ij|^2 = 1/2, Y antisymmetric with
+      E|Y_ij|^2 = 1/2; H_0 is diag(lam0, lam0), the eigenvalues come in
+      Kramers pairs, and one of each pair is kept.
     """
-    if beta != 2.0:
-        raise NotImplementedError("matrix_ou_oracle covers beta = 2 only")
     lam0 = np.asarray(lam0, dtype=float)
     paths, n = lam0.shape
-    x = g.standard_normal((paths, n, n)) + 1j * g.standard_normal((paths, n, n))
-    h = 0.5 * (x + np.conj(np.swapaxes(x, 1, 2)))
-    h *= math.sqrt(-math.expm1(-t))
     diag = np.arange(n)
-    h[:, diag, diag] += math.exp(-0.5 * t) * lam0
-    return np.linalg.eigvalsh(h)
+    if beta == 2.0:
+        x = g.standard_normal((paths, n, n)) + 1j * g.standard_normal((paths, n, n))
+        h = 0.5 * (x + np.conj(np.swapaxes(x, 1, 2)))
+    elif beta == 1.0:
+        a = g.standard_normal((paths, n, n))
+        h = (a + np.swapaxes(a, 1, 2)) / math.sqrt(2.0)
+    elif beta == 4.0:
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        xu = (g.standard_normal((paths, n, n)) + 1j * g.standard_normal((paths, n, n))) / 2.0
+        yu = (g.standard_normal((paths, n, n)) + 1j * g.standard_normal((paths, n, n))) / 2.0
+        x = np.where(upper, xu, 0.0)
+        x = x + np.conj(np.swapaxes(x, 1, 2))
+        x[:, diag, diag] = g.standard_normal((paths, n)) / math.sqrt(2.0)
+        y = np.where(upper, yu, 0.0)
+        y = y - np.swapaxes(y, 1, 2)
+        h = np.block([[x, y], [-np.conj(y), np.conj(x)]])
+        lam0, diag = np.concatenate([lam0, lam0], axis=1), np.arange(2 * n)
+    else:
+        raise NotImplementedError("matrix_ou_oracle covers beta in {1, 2, 4}")
+    h *= math.sqrt(-math.expm1(-0.5 * beta * t))
+    h[:, diag, diag] += math.exp(-0.25 * beta * t) * lam0
+    lam = np.linalg.eigvalsh(h)
+    return lam if beta != 4.0 else lam[:, ::2]
 
 
 def gibbs_center_of_mass_cdf(n: int, beta: float, c: float, theta: float, m0: float, t: float):

@@ -213,10 +213,14 @@ class TestTruncatedDrift:
         assert got[0] == pytest.approx(-4.0, abs=1e-15)
 
     def test_tail_compensator_value(self):
-        assert M.airy_tail_integral(9.0) == pytest.approx(6.0, abs=1e-15)
+        # a lone particle feels the compensator alone: u = -beta 2 sqrt(r),
+        # and the drift is u / 2
+        spec = _spec(Family.AIRY, 1, beta=2.0)
+        got = M.truncated_drift_at(spec, np.array([0.0]), None, M.TruncationParams(radius=9.0))
+        assert got[0] == -6.0
         for r in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="^radius must be finite and > 0$"):
-                M.airy_tail_integral(r)
+            with pytest.raises(ValueError, match="^truncation radius must be finite and > 0$"):
+                M.TruncationParams(radius=r)
 
     def test_window_excludes_far_points(self):
         spec = _spec(Family.AIRY, 3)

@@ -94,6 +94,16 @@ class TestSoftEdgeSampler:
         with pytest.raises(ValueError, match="window"):
             S.sample_airy_ensemble(5, 2.0, RngStream(1), 5, window=(1.0, 1.0))
 
+    @pytest.mark.parametrize("window", [(-1.0, math.inf), (-math.inf, 0.0), (math.nan, 0.0), (0.0, math.nan)])
+    def test_window_with_an_end_that_is_not_finite_is_refused_before_any_draw(self, window):
+        # an infinite end would reach the bisection's select range, which
+        # then selects nothing (upper end) or everything (lower end)
+        g = np.random.default_rng(5)
+        state = g.bit_generator.state
+        with pytest.raises(ValueError, match="window"):
+            S.sample_airy_ensemble(5, 2.0, g, 2, window=window)
+        assert g.bit_generator.state == state
+
     @pytest.mark.parametrize("window", [(-3.0, 0.0, 99.0), (-3.0,)])
     def test_window_that_is_not_a_pair_is_refused_before_any_draw(self, window):
         g = np.random.default_rng(5)
