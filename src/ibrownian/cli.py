@@ -254,7 +254,7 @@ def _workers() -> int | None:
     except ValueError:
         raise ConfigError("IBROWNIAN_WORKERS", f"expected an integer, got {raw!r}") from None
     with _keyed("IBROWNIAN_WORKERS"):
-        return _checked_number("worker count", count, at_least=1, whole=True)
+        return _checked_number("workers", count, at_least=1, whole=True)  # ``simulate``'s own rule
 
 
 def _chain_draws(cfg: RunConfig, spec: ModelSpec, rng: RngStream, count: int):
@@ -336,9 +336,10 @@ def _integrator_config(cfg: RunConfig, spec: ModelSpec) -> IntegratorConfig:
 
 def _simulate(cfg: RunConfig, spec: ModelSpec, icfg: IntegratorConfig):
     """Integrate cfg.paths paths of ``spec`` under ``icfg``; returns the ensemble."""
+    workers = _workers()  # before any draw: a bad count must not wait for the starts
     initial = _initial_states(cfg, spec, RngStream(cfg.seed, 0))
     with _keyed("integrator"):
-        return simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=_workers())
+        return simulate(spec, initial, icfg, RngStream(cfg.seed, 1), workers=workers)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -428,21 +429,14 @@ def _cmd_correlate(cfg: RunConfig, out: Path) -> int:
     with _keyed("diagnostics"):
         est = stats.estimate_rho(configs, cfg.order, bins=edges, window=window)
     target = out / "correlation.csv"
-    b = est.bins
-    if est.density.ndim == 2:
-        rows = [
-            [_fmt(b[i]), _fmt(b[i + 1]), _fmt(b[j]), _fmt(b[j + 1]), _fmt(est.density[i, j]), _fmt(est.stderr[i, j])]
-            for i in range(est.density.shape[0])
-            for j in range(est.density.shape[1])
-        ]
-        _write_csv(target, ["x_lo", "x_hi", "y_lo", "y_hi", "density", "stderr"], rows)
-    else:
-        label = "sep" if (spec.dimension == 2 and cfg.order == 2) else ("radius" if spec.dimension == 2 else "x")
-        rows = [
-            [_fmt(b[i]), _fmt(b[i + 1]), _fmt(est.density[i]), _fmt(est.stderr[i])]
-            for i in range(est.density.size)
-        ]
-        _write_csv(target, [f"{label}_lo", f"{label}_hi", "density", "stderr"], rows)
+    # one row per bin, with its (lo, hi) edges on each axis; the 1d pair estimate has two
+    axes = {(1, 1): ["x"], (1, 2): ["x", "y"], (2, 1): ["radius"], (2, 2): ["sep"]}[spec.dimension, cfg.order]
+    header = [f"{axis}_{end}" for axis in axes for end in ("lo", "hi")] + ["density", "stderr"]
+    rows = (
+        [_fmt(est.bins[i + e]) for i in idx for e in (0, 1)] + [_fmt(est.density[idx]), _fmt(est.stderr[idx])]
+        for idx in np.ndindex(est.density.shape)
+    )
+    _write_csv(target, header, rows)
     print(f"wrote order-{cfg.order} correlation estimate ({est.density.size} bins) to {target}")
     return 0
 

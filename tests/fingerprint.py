@@ -1,4 +1,4 @@
-"""SHA-256 fingerprints of every sampler, integrator and reader output.
+"""SHA-256 fingerprints of every sampler, integrator, estimator and reader output.
 
     PYTHONPATH=src python3 tests/fingerprint.py
 
@@ -7,8 +7,8 @@ float64 bytes of the output reshaped to (S, n, d), so two versions of the
 library that store a configuration in different shapes hash alike when
 their values agree bitwise.  Run it against two checkouts (through
 PYTHONPATH) and diff the outputs.  Besides the draws it hashes every
-sampler's acceptance rate and the final state of each generator a sampler
-or a step was given.  pytest does not collect this file;
+sampler's acceptance rate, the final state of each generator a sampler
+or a step was given, and every array an estimator returns.  pytest does not collect this file;
 ``test_fingerprint.py`` runs it and checks its output's form.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ibrownian import sampling, sde
+from ibrownian import sampling, sde, stats
 from ibrownian.core import Family, ModelSpec, RngStream, load_configurations
 from ibrownian.models import TruncationParams, TruncationVariant
 
@@ -53,6 +53,18 @@ def _hash_value(value) -> str:
 
 def _hash_generator(g: np.random.Generator) -> str:
     return hashlib.sha256(json.dumps(g.bit_generator.state, sort_keys=True).encode()).hexdigest()
+
+
+def _hash_arrays(*arrays) -> str:
+    """Each array's shape, then its float64 bytes; None hashes as "none"."""
+    h = hashlib.sha256()
+    for a in arrays:
+        if a is None:
+            h.update(b"none")
+        else:
+            a = np.ascontiguousarray(a, dtype=np.float64)
+            h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
 
 
 def _emit(name: str, digest: str) -> None:
@@ -170,6 +182,47 @@ def _integrator_outputs() -> None:
     _emit("simulate.ginibre.truncated.states", _hash_stack(ens.states.reshape(-1, 4, 2), 2))
 
 
+def _estimator_outputs() -> None:
+    line, _ = sampling.sample_airy_ensemble(8, 2.0, RngStream(70), 30)
+    plane, _ = sampling.sample_ginibre_ensemble(8, RngStream(71), 30)
+    # (samples, order, given edges, window) of the four kinds
+    kinds = {
+        "line1": (line, 1, np.linspace(-6.0, 2.0, 9), None),
+        "line2": (line, 2, np.linspace(-6.0, 2.0, 9), None),
+        "plane1": (plane, 1, np.linspace(0.0, 3.5, 8), None),
+        "plane2": (plane, 2, np.linspace(0.0, 4.0, 9), 2.0),
+    }
+    for kind, (samples, order, edges, window) in kinds.items():
+        # repeated values: ties within a sample, and coincident planar points
+        cases = {
+            "auto": (samples, None),
+            "given": (samples, edges),
+            "one_sample": (samples[:1], None),
+            "repeated": (np.round(2.0 * samples) / 2.0, edges),
+        }
+        for case, (s, bins) in cases.items():
+            est = stats.estimate_rho(s, order, bins, window=window)
+            _emit(
+                f"estimate_rho.{kind}.{case}",
+                _hash_arrays(est.bins, est.counts, est.density, est.stderr, est.n_samples, est.order),
+            )
+
+    envs, _ = sampling.sample_airy_ensemble(30, 2.0, RngStream(72), 100)
+    scans = {"line": (ModelSpec(Family.AIRY, 30), envs, -1.0, [2.0, 4.0, 8.0])}
+    envs, _ = sampling.sample_ginibre_ensemble(30, RngStream(73), 100)
+    scans["plane"] = (ModelSpec(Family.GINIBRE, 30), envs, [0.5, -0.25], [1.5, 3.0])
+    for label, (spec, envs, x, radii) in scans.items():
+        scan = stats.drift_truncation_scan(envs, spec, x, radii)
+        for part in ("r_values", "mean", "stderr", "n_samples", "variant_gap_mean", "variant_gap_stderr"):
+            _emit(f"drift_truncation_scan.{label}.{part}", _hash_arrays(getattr(scan, part)))
+
+    cfg = sde.IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=1e-3)
+    for k, spec in enumerate([ModelSpec(Family.AIRY, 5), ModelSpec(Family.GINIBRE, 4)]):
+        ens = sde.simulate(spec, [_start(spec)] * 3, cfg, RngStream(74 + k), on_failure="drop")
+        # lag 0, lags inside the horizon and the full horizon
+        _emit(f"holder_moment.{spec.family.value}", _hash_arrays(stats.holder_moment(ens, [0.0, 1e-3, 4e-3, 0.01])))
+
+
 def _reader_outputs() -> None:
     for k, block in enumerate(load_configurations(FIXTURE)):
         pts = _points(block)
@@ -179,6 +232,7 @@ def _reader_outputs() -> None:
 def main() -> None:
     _sampler_outputs()
     _integrator_outputs()
+    _estimator_outputs()
     _reader_outputs()
 
 

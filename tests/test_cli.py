@@ -533,6 +533,23 @@ class TestSimulateCommand:
         assert rc == 2
         assert "IBROWNIAN_WORKERS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "moments"])
+    @pytest.mark.parametrize("workers,message", [("0", "workers must be >= 1"), ("1.5", "expected an integer")])
+    def test_bad_workers_env_fails_before_any_start_is_drawn(self, command, workers, message, tmp_path, capsys,
+                                                             monkeypatch):
+        # the count is read before the chain draws the starts, under the
+        # name and rule of ``simulate``'s own check
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a start was drawn")
+
+        monkeypatch.setattr(cli.sampling, "sample_gibbs_chain", no_draws)
+        monkeypatch.setenv("IBROWNIAN_WORKERS", workers)
+        argv = [command, "--model", "lennard_jones", "--n", "8", "--paths", "2", "--initial", "equilibrium",
+                "--dt", "1e-3", "--t-final", "0.002", "--dt-record", "2e-3", "--lags", "0.002"]
+        assert run_cli(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: IBROWNIAN_WORKERS: ") and message in err
+
     def test_workers_do_not_change_output(self, tmp_path, monkeypatch):
         argv = ["simulate", "--model", "airy", "--n", "3", "--paths", "4", "--dt", "1e-3",
                 "--t-final", "0.004", "--dt-record", "2e-3", "--seed", "8"]
