@@ -11,14 +11,22 @@ On disk a configuration is a CSV block, one row per point, columns
 
 Every stochastic routine takes an ``RngStream`` so that draws depend only on
 ``(seed, stream_id)`` and never on evaluation order or worker count.
+Where a result's bits would depend on how many threads numpy's OpenBLAS
+runs, the call runs under ``_one_blas_thread``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import glob
 import io
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +186,54 @@ class RngStream:
             entropy=int(self.seed), spawn_key=(int(self.stream_id), *map(int, subkeys))
         )
         return np.random.default_rng(ss)
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (``numpy.libs/libscipy_openblas64_*``) as a
+    ctypes library, or None where numpy carries none that exports
+    ``scipy_openblas_get/set_num_threads64_``."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))[0])
+        lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    return lib
+
+
+# blocks inside ``_one_blas_thread`` now, and the count the first of them found
+_pins = {"open": 0, "before": None}
+_pins_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread; yields True, or
+    False (and pins nothing) where ``_openblas`` finds no library.
+
+    The count is process-wide, so while any thread is inside such a
+    block every thread's BLAS calls run on one thread; the count found by
+    the first block to enter comes back when the last one leaves, also on
+    an exception.  Pinned, a LAPACK result no longer depends on the count
+    the process started with, and Python threads that share the cores do
+    not contend with OpenBLAS's own."""
+    lib = _openblas()
+    if lib is None:
+        yield False
+        return
+    with _pins_lock:
+        if not _pins["open"]:
+            _pins["before"] = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _pins["open"] += 1
+    try:
+        yield True
+    finally:
+        with _pins_lock:
+            _pins["open"] -= 1
+            if not _pins["open"]:
+                lib.scipy_openblas_set_num_threads64_(_pins["before"])
 
 
 def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:

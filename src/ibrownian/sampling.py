@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import kernels
-from .core import ModelSpec, _checked_number, _resolve_rng
+from .core import ModelSpec, _checked_number, _one_blas_thread, _resolve_rng
 from .models import _energy_change
 
 __all__ = [
@@ -237,7 +239,8 @@ def sample_bessel_chain(
 
 def _planar_points(n: int, g: np.random.Generator) -> np.ndarray:
     gm = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / math.sqrt(2.0)
-    lam = np.linalg.eigvals(gm)
+    with _one_blas_thread():  # unpinned, from about n = 100 the bits follow the thread count
+        lam = np.linalg.eigvals(gm)
     return np.column_stack([lam.real, lam.imag])
 
 
@@ -339,19 +342,27 @@ def _field_basis(lo: float, hi: float):
     return x, h, lam, vecs
 
 
-def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) -> list[np.ndarray]:
+def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int, lanes: int) -> list[np.ndarray]:
     """Chain-rule cells for a block of samples of the projection kernels
     ``vecs[:, mask] @ vecs[:, mask].T``; ``picks[b]`` holds sample b's pick
-    uniforms and ``first`` is the block's first sample index.
+    uniforms, ``first`` is the block's first sample index and ``lanes``
+    (1 or 2) the number of threads the block runs in.
 
     Column t of a sample's Cholesky factor is kept as coefficients a_t in
     the eigenbasis, col_t = vecs @ a_t.  With v = vecs[i] for the picked
     cell i, a_t = (mask * v - sum_j a_j (v . a_j)) / sqrt(pivot), where the
     pivot is the r-length dot of the unscaled a_t with v, so step t of
-    every sample in the block is one shared product of the (B, r)
-    coefficients with vecs.T plus O(B r t) work.  Samples run in order of
-    decreasing point count, so the samples still picking at step t are a
-    prefix of the block.
+    every sample in a lane is one shared product of the lane's (B, r)
+    coefficients with vecs.T plus O(B r t) work.  The samples, ranked by
+    decreasing point count, are dealt to the lanes in turn, so the lanes
+    hold about equal work at every step and the samples of a lane still
+    picking at step t are a prefix of it.  Each lane runs every step for
+    its own samples, the first in the caller and the second in one worker
+    thread made for this call; they meet once, at the end.  A sample's
+    cells depend only on its own row's arithmetic, so they do not depend
+    on the lanes or the blocking.  Two lanes pay only with numpy's
+    OpenBLAS pinned to one thread (``core._one_blas_thread``): otherwise
+    its own threads take the second core.
 
     A pick inverts the cumulative remaining mass in two levels, so no
     cumulative sum over all m cells is taken: the cells are padded with
@@ -370,6 +381,9 @@ def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) ->
     vt[:, :m] = vecs.T
     counts = masks.sum(axis=1)
     order = np.argsort(-counts, kind="stable")
+    parts = [order[lane::lanes] for lane in range(min(lanes, len(order)))]
+    bounds = np.cumsum([0] + [len(part) for part in parts])
+    order = np.concatenate(parts)
     counts = counts[order]
     n_max = int(counts[0])
     sel = masks[order].astype(float)
@@ -378,50 +392,69 @@ def _pick_cells(vecs: np.ndarray, masks: np.ndarray, picks: list, first: int) ->
         u[row, : counts[row]] = picks[b]
     coef = np.empty((len(order), n_max, r))
     cells = np.empty((len(order), n_max), dtype=np.intp)
-    trouble = {}
-    # a row in trouble goes on with placeholder values, so the error names
-    # the lowest sample index whatever the blocking
+    # remaining mass per cell; the same clipped at 0 for the pick, whose
+    # rows then take the squares of the new column; and the running mass
+    # of the chunks: run[:, c] sums the chunks before chunk c
     with np.errstate(all="ignore"):
         diag = sel @ (vt * vt)
-        # remaining mass per cell, clipped at 0, and the running mass of
-        # the chunks: run[:, c] sums the chunks before chunk c
-        left = np.empty_like(diag)
-        run = np.zeros((len(order), n_chunks + 1))
-        for t in range(n_max):
-            k = int(np.count_nonzero(counts > t))
-            rows = np.arange(k)
-            p = np.maximum(diag[:k], 0.0, out=left[:k]).reshape(k, n_chunks, w)
-            np.cumsum(p.sum(axis=2), axis=1, out=run[:k, 1:])
-            mass = run[:k, -1]
-            bad = ~((mass > 0.0) & (mass < np.inf))
-            for row in np.flatnonzero(bad):
-                trouble.setdefault(int(row), (t, float(mass[row])))
-            level = u[:k, t] * mass
-            # clamping to the last chunk with mass keeps every index in range
-            c = np.minimum(
-                np.count_nonzero(run[:k, 1:] <= level[:, None], axis=1),
-                np.count_nonzero(run[:k, 1:] < mass[:, None], axis=1),
-            )
-            cum = p[rows, c]
-            cum[:, 0] += run[rows, c]
-            np.cumsum(cum, axis=1, out=cum)
-            j = np.minimum(
-                np.count_nonzero(cum <= level[:, None], axis=1),
-                np.count_nonzero(cum < cum[:, -1:], axis=1),
-            )
-            i = c * w + j
-            vi = vecs[i]
-            a = sel[:k] * vi
-            if t:
-                prev = coef[:k, :t]
-                a -= np.matmul(np.matmul(prev, vi[:, :, None]).transpose(0, 2, 1), prev)[:, 0]
-            pivot = np.einsum("kr,kr->k", a, vi)
-            a /= np.sqrt(np.maximum(pivot, 1e-300))[:, None]
-            coef[:k, t] = a
-            col = a @ vt
-            col *= col
-            diag[:k] -= col
-            cells[:k, t] = i
+    left = np.empty_like(diag)
+    run = np.zeros((len(order), n_chunks + 1))
+    # a row in trouble goes on with placeholder values, so the error names
+    # the lowest sample index whatever the blocking and the lanes
+    trouble = {}
+
+    def step(t: int, lo: int, hi: int) -> None:
+        # step t for the live rows [lo, hi)
+        k = hi - lo
+        rows = np.arange(k)
+        sums = run[lo:hi]
+        p = np.maximum(diag[lo:hi], 0.0, out=left[lo:hi]).reshape(k, n_chunks, w)
+        np.cumsum(p.sum(axis=2), axis=1, out=sums[:, 1:])
+        mass = sums[:, -1]
+        bad = ~((mass > 0.0) & (mass < np.inf))
+        for row in np.flatnonzero(bad):
+            trouble.setdefault(lo + int(row), (t, float(mass[row])))
+        level = u[lo:hi, t] * mass
+        # clamping to the last chunk with mass keeps every index in range
+        c = np.minimum(
+            np.count_nonzero(sums[:, 1:] <= level[:, None], axis=1),
+            np.count_nonzero(sums[:, 1:] < mass[:, None], axis=1),
+        )
+        cum = p[rows, c]
+        cum[:, 0] += sums[rows, c]
+        np.cumsum(cum, axis=1, out=cum)
+        j = np.minimum(
+            np.count_nonzero(cum <= level[:, None], axis=1),
+            np.count_nonzero(cum < cum[:, -1:], axis=1),
+        )
+        i = c * w + j
+        vi = vecs[i]
+        a = sel[lo:hi] * vi
+        if t:
+            prev = coef[lo:hi, :t]
+            a -= np.matmul(np.matmul(prev, vi[:, :, None]).transpose(0, 2, 1), prev)[:, 0]
+        pivot = np.einsum("kr,kr->k", a, vi)
+        a /= np.sqrt(np.maximum(pivot, 1e-300))[:, None]
+        coef[lo:hi, t] = a
+        col = np.matmul(a, vt, out=left[lo:hi])
+        col *= col
+        diag[lo:hi] -= col
+        cells[lo:hi, t] = i
+
+    def chain(lo: int, hi: int) -> None:
+        # every step of the rows [lo, hi), whose live rows are a prefix;
+        # numpy's error state is per thread, so each lane sets its own
+        with np.errstate(all="ignore"):
+            for t in range(int(counts[lo])):
+                step(t, lo, lo + int(np.count_nonzero(counts[lo:hi] > t)))
+
+    # the worker lives for this call only, so no thread outlives it into a
+    # process that ``simulate(workers=...)`` forks
+    with ThreadPoolExecutor(1) as worker:
+        others = [worker.submit(chain, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        chain(bounds[0], bounds[1])
+        for other in others:
+            other.result()
     if trouble:
         row = min(trouble, key=lambda j: order[j])
         t, mass = trouble[row]
@@ -450,15 +483,20 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     then selects cells sequentially by the chain rule for projection
     kernels (Schur complements, Hough-Krishnapur-Peres-Virag), and each
     selected cell gets a uniform jitter of one cell width.  The chain rule
-    runs batched: samples go in blocks, and one matrix product with the
-    eigenvectors serves every sample of a block at each step; each pick
+    runs batched: samples go in blocks, and each block in two lanes, the
+    caller and one worker thread, where one matrix product with the
+    eigenvectors serves every sample of a lane at each step; each pick
     searches the totals of chunks of cells and then one chunk
-    (``_pick_cells``).  Per sample the generator gives, in this order, one
-    uniform per kept eigenvalue, one per point for the cell picks and one
-    per point for the jitter -- the stream of a sample-by-sample loop that
-    picks cells with ``Generator.choice``, whose picks these match up to
-    the rounding of the cumulative sums, so the draws do not depend on the
-    blocking.  Returns one ascending array per sample (the point count
+    (``_pick_cells``).  The lanes run under ``core._one_blas_thread``,
+    which pins numpy's OpenBLAS to one thread for the whole process for
+    the length of the call; where it finds no such library, or fewer
+    than 2 CPUs are usable, one lane runs in the caller.  Per sample the
+    generator gives, in this order, one uniform per kept eigenvalue, one
+    per point for the cell picks and one per point for the jitter -- the
+    stream of a sample-by-sample loop that picks cells with
+    ``Generator.choice``, whose picks these match up to the rounding of
+    the cumulative sums, so the draws do not depend on the blocking or
+    the lanes.  Returns one ascending array per sample (the point count
     varies) plus a report.  Raises ValueError if the kernel matrix is not
     finite, and, naming the sample and the step, if the remaining kernel
     mass of a pick is not finite and positive.
@@ -476,17 +514,20 @@ def sample_airy_field(window: tuple[float, float], rng, n_samples: int) -> tuple
     x, h, lam, vecs = _field_basis(lo, hi)
     per_block = max(1, _BLOCK_COEFFS // max(1, lam.size * lam.size))
     out = []
-    for first in range(0, n_samples, per_block):
-        size = min(per_block, n_samples - first)
-        masks = np.empty((size, lam.size), dtype=bool)
-        picks, jitters = [], []
-        for b in range(size):
-            masks[b] = g.random(lam.size) < lam
-            n = int(np.count_nonzero(masks[b]))
-            picks.append(g.random(n))
-            jitters.append(g.random(n))
-        cells = _pick_cells(vecs, masks, picks, first)
-        out.extend(np.sort(x[c] + (u - 0.5) * h) for c, u in zip(cells, jitters))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with _one_blas_thread() as pinned:
+        lanes = 2 if pinned and (cpus or 1) > 1 else 1
+        for first in range(0, n_samples, per_block):
+            size = min(per_block, n_samples - first)
+            masks = np.empty((size, lam.size), dtype=bool)
+            picks, jitters = [], []
+            for b in range(size):
+                masks[b] = g.random(lam.size) < lam
+                n = int(np.count_nonzero(masks[b]))
+                picks.append(g.random(n))
+                jitters.append(g.random(n))
+            cells = _pick_cells(vecs, masks, picks, first, lanes)
+            out.extend(np.sort(x[c] + (u - 0.5) * h) for c, u in zip(cells, jitters))
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ibrownian import core
 from ibrownian.core import (
     Family,
     ModelSpec,
@@ -242,3 +243,44 @@ class TestCsvRoundtrip:
         path = tmp_path / "again.csv"
         save_configurations(path, back)
         assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+class TestOneBlasThread:
+    def test_pins_one_thread_and_restores_the_count_on_an_exception(self):
+        lib = core._openblas()
+        if lib is None:
+            pytest.skip("numpy carries no scipy-openblas library to pin")
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            with pytest.raises(RuntimeError, match="inside"):
+                with core._one_blas_thread() as pinned:
+                    assert pinned and lib.scipy_openblas_get_num_threads64_() == 1
+                    raise RuntimeError("inside")
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+    def test_overlapping_blocks_restore_the_count_when_the_last_leaves(self):
+        # as two threads' calls overlap: the first block leaves while the
+        # second is still inside, which must stay pinned
+        lib = core._openblas()
+        if lib is None:
+            pytest.skip("numpy carries no scipy-openblas library to pin")
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            first, second = core._one_blas_thread(), core._one_blas_thread()
+            first.__enter__()
+            second.__enter__()
+            first.__exit__(None, None, None)
+            assert lib.scipy_openblas_get_num_threads64_() == 1
+            second.__exit__(None, None, None)
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+    def test_pins_nothing_without_the_library(self, monkeypatch):
+        monkeypatch.setattr(core, "_openblas", lambda: None)
+        with core._one_blas_thread() as pinned:
+            assert pinned is False

@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import scipy.linalg
 from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
+from ibrownian import core
 from ibrownian.core import Family, ModelSpec, RngStream
 from ibrownian import kernels as K
 from ibrownian import models as M
@@ -145,6 +149,20 @@ class TestPlanarSampler:
         with pytest.raises(ValueError, match="n must be"):
             S.sample_ginibre_ensemble(0, RngStream(1), 5)
 
+    def test_draws_do_not_depend_on_the_blas_thread_count(self):
+        # unpinned, eigvals at n = 100 gave other bits under 1 and 2 threads
+        lib = _openblas_or_skip()
+        before = lib.scipy_openblas_get_num_threads64_()
+        draws = []
+        try:
+            for threads in (1, 2):
+                lib.scipy_openblas_set_num_threads64_(threads)
+                draws.append(S.sample_ginibre_ensemble(100, RngStream(15), 2)[0])
+                assert lib.scipy_openblas_get_num_threads64_() == threads
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        assert draws[0].tobytes() == draws[1].tobytes()
+
 
 class TestSoftEdgeField:
     # window realizations of the infinite soft-edge system; the matrix samplers
@@ -231,42 +249,77 @@ def _same_draws(a, b):
     return len(a) == len(b) and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _openblas_or_skip():
+    lib = core._openblas()
+    if lib is None:
+        pytest.skip("numpy carries no scipy-openblas library to pin")
+    return lib
+
+
+def _spy_lanes(monkeypatch):
+    # the lane count of every block the field sampler runs
+    seen, real = [], S._pick_cells
+
+    def pick_cells(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(S, "_pick_cells", pick_cells)
+    return seen
+
+
 def _set_samples_per_block(monkeypatch, window, per_block):
     # the block holds samples * r * r coefficients, r = kept eigenvectors
     r = S._field_basis(*window)[2].size
     monkeypatch.setattr(S, "_BLOCK_COEFFS", per_block * r * r)
 
 
+# the reference cases: each window, sample count and block size
+_REFERENCE_CASES = pytest.mark.parametrize(
+    "window, seed, n_samples, per_block",
+    [
+        ((-10.0, 2.0), 41, 800, None),
+        ((-10.0, 2.0), 41, 800, 300),
+        ((-6.0, 1.0), 43, 250, None),
+        ((-6.0, 1.0), 43, 250, 64),
+        ((-92.0, 6.0), 701, 10, None),
+        ((-92.0, 6.0), 701, 10, 4),
+        ((1.0, 6.0), 45, 2000, None),
+        ((3.0, 6.0), 46, 200, None),
+        ((-8.0, -6.0), 48, 400, None),
+        ((-10.0, -4.86), 49, 400, None),
+    ],
+    ids=[
+        "bulk", "bulk-3-blocks", "short", "short-4-blocks", "check-window", "check-window-3-blocks", "right-edge",
+        "empty", "under-one-chunk", "chunks-plus-one-cell",
+    ],
+)
+
+
 class TestFieldMatchesReference:
     # the batched chain rule against the sample-by-sample loop it replaced:
-    # the same generator stream, so every draw is bitwise equal
+    # the same generator stream, so every draw is bitwise equal, in two
+    # lanes where the BLAS pin holds and in one without it
 
-    @pytest.mark.parametrize(
-        "window, seed, n_samples, per_block",
-        [
-            ((-10.0, 2.0), 41, 800, None),
-            ((-10.0, 2.0), 41, 800, 300),
-            ((-6.0, 1.0), 43, 250, None),
-            ((-6.0, 1.0), 43, 250, 64),
-            ((-92.0, 6.0), 701, 10, None),
-            ((-92.0, 6.0), 701, 10, 4),
-            ((1.0, 6.0), 45, 2000, None),
-            ((3.0, 6.0), 46, 200, None),
-            ((-8.0, -6.0), 48, 400, None),
-            ((-10.0, -4.86), 49, 400, None),
-        ],
-        ids=[
-            "bulk", "bulk-3-blocks", "short", "short-4-blocks", "check-window", "check-window-3-blocks", "right-edge",
-            "empty", "under-one-chunk", "chunks-plus-one-cell",
-        ],
-    )
-    def test_bitwise_equal_to_reference(self, monkeypatch, window, seed, n_samples, per_block):
+    @staticmethod
+    def _check(monkeypatch, window, seed, n_samples, per_block):
         if per_block is not None:
             _set_samples_per_block(monkeypatch, window, per_block)
         got, rep = S.sample_airy_field(window, RngStream(seed), n_samples)
         ref, _ = oracles.reference_airy_field(window, RngStream(seed), n_samples)
         assert rep.n_samples == n_samples and rep.seed == seed
         assert _same_draws(got, ref)
+
+    @_REFERENCE_CASES
+    def test_bitwise_equal_to_reference(self, monkeypatch, window, seed, n_samples, per_block):
+        self._check(monkeypatch, window, seed, n_samples, per_block)
+
+    @_REFERENCE_CASES
+    def test_one_lane_bitwise_equal_to_reference(self, monkeypatch, window, seed, n_samples, per_block):
+        monkeypatch.setattr(core, "_openblas", lambda: None)
+        lanes = _spy_lanes(monkeypatch)
+        self._check(monkeypatch, window, seed, n_samples, per_block)
+        assert set(lanes) == {1}
 
     def test_chunk_edge_windows_keep_their_cell_counts(self):
         # the last two reference cases pin the pick search's chunk edges: a
@@ -441,6 +494,38 @@ def _inject_basis(monkeypatch, lam, vecs):
     monkeypatch.setattr(S, "_field_basis", basis)
 
 
+class TestFieldLanes:
+    # the chain rule's two lanes (their draws: ``TestFieldMatchesReference``);
+    # a call leaves neither a thread nor a changed BLAS thread count behind
+
+    def test_two_lanes_run_where_the_pin_holds(self, monkeypatch):
+        _openblas_or_skip()
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("fewer than 2 usable CPUs")
+        lanes = _spy_lanes(monkeypatch)
+        S.sample_airy_field((-10.0, 2.0), RngStream(52), 20)
+        assert lanes == [2]
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_a_call_leaves_no_thread_and_the_blas_count(self, monkeypatch, outcome):
+        lib = _openblas_or_skip()
+        if outcome == "raises":
+            _inject_basis(monkeypatch, np.ones(1), lambda m: np.full((m, 1), np.nan))
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            threads = threading.active_count()
+            if outcome == "raises":
+                with pytest.raises(ValueError, match="remaining kernel mass nan"):
+                    S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
+            else:
+                S.sample_airy_field((-10.0, 2.0), RngStream(54), 20)
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+            assert threading.active_count() == threads
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+
+
 class TestFieldNumericalTrouble:
     def test_nan_kernel_raises(self, monkeypatch):
         monkeypatch.setattr(K, "airy_fn", lambda x: (np.full_like(x, np.nan), np.full_like(x, np.nan)))
@@ -467,11 +552,16 @@ class TestFieldNumericalTrouble:
         with pytest.raises(ValueError, match="kernel matrix is not finite"):
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 3)
 
-    @pytest.mark.parametrize("blocking", ["default", "one sample"])
-    def test_exhausted_mass_names_sample_and_step(self, monkeypatch, blocking):
+    @pytest.mark.parametrize(
+        "blocking, seed, lane",
+        [("default", 48, 0), ("one sample", 48, 0), ("default", 54, 1)],
+        ids=["default", "one sample", "second lane"],
+    )
+    def test_exhausted_mass_names_sample_and_step(self, monkeypatch, blocking, seed, lane):
         # a rank-one kernel behind two selectable vectors: column 0 is 2 e_0,
         # column 1 is zero, so a sample holding column 1 runs out of mass at
-        # step 1 (both held) or step 0 (column 1 alone)
+        # step 1 (both held) or step 0 (column 1 alone); ``lane`` is where
+        # the first such sample runs when the block has two lanes
         def rank_one(m):
             vecs = np.zeros((m, 2))
             vecs[0, 0] = 2.0
@@ -480,23 +570,37 @@ class TestFieldNumericalTrouble:
         _inject_basis(monkeypatch, np.array([0.5, 0.5]), rank_one)
         if blocking == "one sample":
             monkeypatch.setattr(S, "_BLOCK_COEFFS", 1)
-        g = RngStream(48).generator()
-        for sample in range(1000):
+        g = RngStream(seed).generator()
+        counts, sample = [], None
+        for b in range(1000):
             held = g.random(2) < 0.5
-            n = int(held.sum())
-            if held[1]:
-                step = n - 1
-                break
-            g.random(2 * n)
+            counts.append(int(held.sum()))
+            if held[1] and sample is None:
+                sample, step = b, counts[-1] - 1
+            g.random(2 * counts[-1])
         assert sample > 0
+        # the lanes take the samples in turn, by decreasing point count
+        rank = list(np.argsort(-np.array(counts), kind="stable")).index(sample)
+        assert rank % 2 == lane
         with pytest.raises(ValueError, match=rf"sample {sample}, step {step}: remaining kernel mass 0\.0"):
-            S.sample_airy_field((-2.0, 1.0), RngStream(48), 1000)
+            S.sample_airy_field((-2.0, 1.0), RngStream(seed), 1000)
 
     @pytest.mark.parametrize("entry, shown", [(np.nan, "nan"), (1e200, "inf")])
     def test_non_finite_mass_raises_at_step_zero(self, monkeypatch, entry, shown):
         _inject_basis(monkeypatch, np.ones(1), lambda m: np.full((m, 1), entry))
         with pytest.raises(ValueError, match=rf"sample 0, step 0: remaining kernel mass {shown}"):
             S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
+
+    @pytest.mark.parametrize("entry", [np.nan, 1e154, 1e200])
+    def test_non_finite_mass_raises_without_a_warning(self, monkeypatch, entry):
+        # numpy's error state is per thread: the worker's lane must ignore
+        # the invalid arithmetic itself, or the warning comes before the
+        # error; at 1e154 each cell's mass is finite and their sum overflows
+        _inject_basis(monkeypatch, np.ones(1), lambda m: np.full((m, 1), entry))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"sample 0, step 0: remaining kernel mass"):
+                S.sample_airy_field((-2.0, 1.0), RngStream(1), 5)
 
 
 class TestHardEdgeChain:
