@@ -224,7 +224,7 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     envs = [_configuration(spec, env, f"sample {k}") for k, env in enumerate(env_samples)]
     if len(envs) < _MIN_SCAN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SCAN_SAMPLES} environment samples")
-    r_values = np.asarray(list(r_list), dtype=float)
+    r_values = np.array([_checked_number(f"r_list[{k}]", r, above=0) for k, r in enumerate(r_list)], dtype=float)
     if r_values.size == 0:
         raise ValueError("r_list must contain at least one radius")
     planar = spec.family is Family.GINIBRE
@@ -257,8 +257,10 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
     >= 0 (``2.0`` reads as 2; ``1.7`` is refused, naming ``L_list[k]``).
     """
     pts = _sample_points(samples)
-    cuts = [_checked_number(f"L_list[{k}]", float(c), at_least=0, whole=True) for k, c in enumerate(L_list)]
-    ls = np.array(cuts, dtype=int)
+    cuts = [_checked_number(f"L_list[{k}]", c, at_least=0, whole=True) for k, c in enumerate(L_list)]
+    # a cut past every sample's count acts as that count, however large
+    top = max(len(p) for p in pts)
+    ls = np.array([min(c, top) for c in cuts], dtype=int)
     denom = math.sqrt(params.c) * params.T
     totals = np.zeros(ls.size)
     for p in pts:
@@ -272,10 +274,11 @@ def erf_tail_sum(samples, params: TightnessParams, L_list) -> np.ndarray:
 def _lag_steps(lag_list, step: float, n_times: int) -> list[int]:
     """Index on the recording grid of each lag, for ``n_times`` recorded
     states ``step`` apart.  Raises ValueError unless every lag is finite,
-    on the grid and within the horizon (n_times - 1) * step."""
+    on the grid and within the horizon (n_times - 1) * step, naming a lag
+    that is not a finite number by its index."""
     steps = []
-    for lag in lag_list:
-        k = _whole_steps(float(lag), step)
+    for j, lag in enumerate(lag_list):
+        k = _whole_steps(float(_checked_number(f"lag_list[{j}]", lag)), step)
         if k is None or not 0 <= k < n_times:
             raise ValueError(f"lag {lag} is not on the recording grid within [0, {(n_times - 1) * step:g}]")
         steps.append(k)

@@ -1,15 +1,17 @@
-"""SHA-256 fingerprints of every sampler, integrator, estimator and reader output.
+"""SHA-256 fingerprints of every sampler, integrator, estimator, kernel and reader output.
 
-    PYTHONPATH=src python3 tests/fingerprint.py
+    PYTHONPATH=src python3 tests/fingerprint.py > tests/data/fingerprints.txt
 
-Prints one ``name sha256`` line per output.  Each hash runs over the
-float64 bytes of the output reshaped to (S, n, d), so two versions of the
-library that store a configuration in different shapes hash alike when
-their values agree bitwise.  Run it against two checkouts (through
-PYTHONPATH) and diff the outputs.  Besides the draws it hashes every
-sampler's acceptance rate, the final state of each generator a sampler
-or a step was given, and every array an estimator returns.  pytest does not collect this file;
-``test_fingerprint.py`` runs it and checks its output's form.
+Prints a header with the numpy and scipy versions, then one ``name sha256``
+line per output: draws as float64 bytes reshaped to (S, n, d), so that
+configurations stored in other shapes hash alike, acceptance rates, the
+final state of each generator a sampler or a step was given, every array
+an estimator returns, hard-edge kernel values on both sides of its
+diagonal window, and Metropolis energy changes.  ``test_fingerprint.py``
+needs the output to equal the committed ``tests/data/fingerprints.txt``
+under one and two OpenBLAS threads; a change that moves an output on
+purpose reruns the command above and names the moved lines.  pytest does
+not collect this file.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from ibrownian import sampling, sde, stats
+from ibrownian import kernels, models, sampling, sde, stats
 from ibrownian.core import Family, ModelSpec, RngStream, load_configurations
 from ibrownian.models import TruncationParams, TruncationVariant
 
@@ -28,21 +31,16 @@ FIXTURE = Path(__file__).parent / "data" / "configurations.csv"
 BETAS = (1.0, 2.0, 4.0)
 
 
-def _points(row) -> np.ndarray:
-    # some versions return configuration objects holding a ``.points`` array
-    return np.asarray(getattr(row, "points", row), dtype=np.float64)
-
-
 def _hash_stack(rows, d: int) -> str:
-    arr = np.ascontiguousarray(np.array([_points(r) for r in rows], dtype=np.float64))
+    arr = np.ascontiguousarray(np.array([np.asarray(r) for r in rows], dtype=np.float64))
     arr = arr.reshape(len(rows), -1, d)
     return hashlib.sha256(repr(arr.shape).encode() + arr.tobytes()).hexdigest()
 
 
 def _hash_ragged(rows) -> str:
     """Rows of varying length: their counts, then their points as (1, M, 1)."""
-    counts = np.array([_points(r).size for r in rows], dtype=np.float64)
-    pts = np.concatenate([_points(r).ravel() for r in rows]).reshape(1, -1, 1)
+    counts = np.array([np.size(r) for r in rows], dtype=np.float64)
+    pts = np.concatenate([np.ravel(r) for r in rows]).reshape(1, -1, 1)
     return hashlib.sha256(counts.tobytes() + pts.tobytes()).hexdigest()
 
 
@@ -102,6 +100,10 @@ def _sampler_outputs() -> None:
     g = np.random.default_rng(15)
     _emit("ginibre.draw", _hash_stack([sampling.sample_ginibre(6, g)], 2))
     _emit("ginibre.generator", _hash_generator(g))
+    # at n = 400 an unpinned eigvals followed the BLAS thread count
+    g = np.random.default_rng(19)
+    _emit("ginibre_ensemble.n400.draws", _hash_stack(sampling.sample_ginibre_ensemble(400, g, 2)[0], 2))
+    _emit("ginibre_ensemble.n400.generator", _hash_generator(g))
 
     g = np.random.default_rng(16)
     draws, _ = sampling.sample_airy_field((-6.0, 2.0), g, 5)
@@ -131,6 +133,32 @@ def _sampler_outputs() -> None:
         _emit(f"gibbs_chain.{label}.draws", _hash_stack(draws, spec.dimension))
         _emit(f"gibbs_chain.{label}.acceptance", _hash_value(rep.acceptance_rate))
         _emit(f"gibbs_chain.{label}.generator", _hash_generator(g))
+    cases = {
+        "lj1": ModelSpec(Family.LENNARD_JONES, 1, beta=1.0),
+        "lj5": ModelSpec(Family.LENNARD_JONES, 5, beta=1.5, free_c=0.3, free_theta=0.0),
+        "riesz8": ModelSpec(Family.RIESZ, 8, beta=2.0, riesz_a=4, free_theta=2.0),
+    }
+    for label, spec in cases.items():
+        g = np.random.default_rng(1720)
+        draws, rep = sampling.sample_gibbs_chain(spec, g, 40, options=opts)
+        _emit(f"gibbs_chain.{label}.draws", _hash_stack(draws, 3))
+        _emit(f"gibbs_chain.{label}.acceptance", _hash_value(rep.acceptance_rate))
+        _emit(f"gibbs_chain.{label}.generator", _hash_generator(g))
+
+    # the chain's energy change on random moves; the third confinement scale
+    # alone is not a power of 2, so only it shows rounding in that term
+    for family in (Family.LENNARD_JONES, Family.RIESZ):
+        for n in (1, 2, 8):
+            g = np.random.default_rng(1700 + n)
+            values = []
+            for beta, c, theta in ((1.0, 0.5, 1.0), (2.5, 0.2, 0.0), (1.5, 0.3, 0.0)):
+                extra = {"riesz_a": 5} if family is Family.RIESZ else {}
+                delta = models._energy_change(ModelSpec(family, n, beta=beta, free_c=c, free_theta=theta, **extra))
+                for _ in range(100):
+                    x = g.normal(0.0, 1.5, (n, 3))
+                    i, v = int(g.integers(n)), g.normal(0.0, 1.5, 3)
+                    values.append(delta(x, i, v))
+            _emit(f"energy_change.{family.value}.n{n}", _hash_arrays(values))
 
 
 def _start(spec: ModelSpec) -> np.ndarray:
@@ -223,16 +251,29 @@ def _estimator_outputs() -> None:
         _emit(f"holder_moment.{spec.family.value}", _hash_arrays(stats.holder_moment(ens, [0.0, 1e-3, 4e-3, 0.01])))
 
 
+def _kernel_outputs() -> None:
+    # check 4's grid, and clusters closer than the diagonal window, so the
+    # midpoint expansion and the off-window forms both show
+    grid, gaps = np.linspace(0.5, 80.0, 50), np.array([0.0, 3e-5, 7e-5, 1e-4, 2e-4])
+    clusters = np.concatenate([b + gaps for b in (1e-6, 0.01, 0.5, 3.0, 17.0, 60.0, 99.5)])
+    for label, xs, alphas in (("grid", grid, (1.0, 2.0)), ("clusters", clusters, (1.0, 2.5, 3.0))):
+        for alpha in alphas:
+            for form in ("recurrence", "derivative"):
+                values = [kernels.bessel_kernel(alpha, x, y, form=form) for x in xs for y in xs]
+                _emit(f"bessel_kernel.{label}.alpha{alpha:g}.{form}", _hash_arrays(values))
+
+
 def _reader_outputs() -> None:
     for k, block in enumerate(load_configurations(FIXTURE)):
-        pts = _points(block)
-        _emit(f"load_configurations.block{k}", _hash_stack([pts], pts.shape[1]))
+        _emit(f"load_configurations.block{k}", _hash_stack([block], block.shape[1]))
 
 
 def main() -> None:
+    print(f"# numpy {np.__version__} scipy {scipy.__version__}")
     _sampler_outputs()
     _integrator_outputs()
     _estimator_outputs()
+    _kernel_outputs()
     _reader_outputs()
 
 

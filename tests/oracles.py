@@ -11,9 +11,6 @@ its batched loop, and the field sampler runs the package's Airy functions
 through the sample-by-sample chain rule it used before its batched one.
 The pair counter keeps the per-sample 2d histogram of ordered pairs that
 the package's order-2 line estimator used before its histogram products.
-The 3d Metropolis chain and the scalar Bessel kernel at the end keep the
-chain energy as it was written in the sampler and the one-call-per-value
-Bessel evaluations the package used before it moved or batched them.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from scipy import special
 from scipy.integrate import quad, solve_ivp
 from scipy.stats import ncx2, norm
 
-from ibrownian.core import Family, RngStream, SingularConfigurationError, StepFailureError
+from ibrownian.core import RngStream, SingularConfigurationError, StepFailureError
 from ibrownian.models import (
     _state_noise,
     diffusion_sigma,
@@ -465,6 +462,23 @@ def one_sample_ks(values: np.ndarray, cdf) -> float:
     return float(max(np.max(i / n - u), np.max(u - (i - 1) / n)))
 
 
+def stein_statistic(x, d, s: float) -> np.ndarray:
+    """Stein's statistic sum_i phi_i . d_i + div phi of each state in the
+    (P, n, k) stack ``x`` with scores d = grad log p, also (P, n, k); its
+    mean under p is 0 (Gorham & Mackey 2015, "Measuring sample quality with
+    Stein's method").  The pair test function is
+    phi_i = sum_{j != i} (x_i - x_j) e_ij with e_ij = exp(-r_ij^2 / (2 s^2)),
+    so div phi = sum_{i != j} e_ij (k - r_ij^2 / s^2).  It reads the pair
+    term of d through every pair, not through one pair sum."""
+    x, d = np.asarray(x, dtype=float), np.asarray(d, dtype=float)
+    n, k = x.shape[1], x.shape[2]
+    diff = x[:, :, None, :] - x[:, None, :, :]
+    r2 = np.sum(diff * diff, axis=-1)
+    e = np.where(np.eye(n, dtype=bool), 0.0, np.exp(-r2 / (2.0 * s * s)))
+    phi = np.sum(e[..., None] * diff, axis=2)
+    return np.sum(phi * d, axis=(1, 2)) + np.sum(e * (k - r2 / (s * s)), axis=(1, 2))
+
+
 def normal_cdf(x, mean=0.0, sd=1.0):
     z = (np.asarray(x, dtype=float) - mean) / sd
     return 0.5 * np.array([math.erfc(-t / math.sqrt(2.0)) for t in np.atleast_1d(z)]).reshape(np.shape(z))
@@ -754,102 +768,3 @@ def reference_airy_field(window, rng, n_samples, *, grid_step=0.04):
         out.append(np.sort(x[cells] + (g.random(n) - 0.5) * h))
     rep = SamplerReport(n_samples=n_samples, acceptance_rate=None, seed=seed, wall_time=time.perf_counter() - t0)
     return out, rep
-
-
-# ---------------------------------------------------------------------------
-# reference Metropolis chain and scalar Bessel kernel
-# ---------------------------------------------------------------------------
-#
-# The energy of ``sample_gibbs_chain`` as it was written in ``sampling``
-# before it moved to ``models``, the chain's loop as it ran then, and
-# ``ibrownian.kernels.bessel_kernel`` as it was when each Bessel value was
-# one scalar ``scipy.special.jv`` or ``jvp`` call: the bitwise references
-# for the versions that replaced them.
-
-
-def reference_gibbs_delta_energy(spec, x, i, v):
-    """Change of the 3d Gibbs chain's energy when particle i of x moves to v."""
-    n = spec.n_particles
-    confinement = spec.beta * (spec.free_c / n**spec.free_theta)
-    a = spec.riesz_a
-
-    def pair_sum(x: np.ndarray, i: int, pos: np.ndarray) -> float:
-        d = x - pos
-        d[i] = np.inf
-        r2 = np.sum(d * d, axis=1)
-        if spec.family is Family.LENNARD_JONES:
-            inv6 = 1.0 / r2**3
-            vals = inv6 * inv6 - inv6
-        else:
-            vals = r2 ** (-a / 2.0) / a
-        vals[i] = 0.0
-        return float(np.sum(vals))
-
-    old = x[i]
-    de = confinement * (float(v @ v) - float(old @ old))
-    if n > 1:
-        de += spec.beta * (pair_sum(x, i, v) - pair_sum(x, i, old))
-    return de
-
-
-def reference_gibbs_chain(spec, g, n_samples, burn_in_sweeps, thin_sweeps):
-    """Draws (n_samples, n, 3) and acceptance rate of the Lennard-Jones or
-    Riesz Metropolis chain on the generator ``g``."""
-    n = spec.n_particles
-    side = max(1, math.ceil(n ** (1.0 / 3.0)))
-    grid = np.array(
-        [(i, j, k) for i in range(side) for j in range(side) for k in range(side)],
-        dtype=float,
-    )[:n]
-    state = 1.4 * (grid - grid.mean(axis=0))
-    scales = np.full(n, 0.4)
-
-    def sweep(rate):
-        accepted = 0
-        xi = g.standard_normal(state.shape)
-        logu = -g.exponential(size=n)
-        for i in range(n):
-            v = state[i] + scales[i] * xi[i]
-            ok = logu[i] < -reference_gibbs_delta_energy(spec, state, i, v)
-            if ok:
-                state[i] = v
-                accepted += 1
-            if rate > 0.0:
-                scales[i] *= math.exp(rate * ((1.0 if ok else 0.0) - 0.3))
-        return accepted
-
-    for k in range(burn_in_sweeps):
-        sweep(0.25 * 100.0 / (100.0 + k))
-    draws = np.empty((n_samples, n, 3))
-    accepted = 0
-    for k in range(n_samples):
-        for _ in range(thin_sweeps):
-            accepted += sweep(0.0)
-        draws[k] = state
-    return draws, accepted / (n_samples * thin_sweeps * n)
-
-
-def reference_bessel_kernel(alpha, x, y, form):
-    """Hard-edge kernel value at x, y > 0 in the ``recurrence`` or
-    ``derivative`` form, the midpoint expansion within the diagonal window."""
-    from ibrownian.kernels import DIAGONAL_WINDOW
-
-    x, y = float(x), float(y)
-    if abs(x - y) <= DIAGONAL_WINDOW:
-        m = 0.5 * (x + y)
-        d = 0.5 * (x - y)
-        s = math.sqrt(m)
-        j0, j1, j2, j3, j4 = (special.jv(alpha + k, s) for k in range(5))
-        k0 = 0.25 * (j0 * j0 + j1 * j1 - (2.0 * alpha / s) * j0 * j1)
-        k2 = (6.0 * (j0 * j3 - j1 * j2) / s + 4.0 * j1 * j3 - j0 * j4 - 3.0 * j2 * j2) / (96.0 * m)
-        r = d / m
-        return float(np.power(1.0 - r * r, 0.5 * alpha) * (k0 + d * d * k2))
-    sx = math.sqrt(x)
-    sy = math.sqrt(y)
-    jx = special.jv(alpha, sx)
-    jy = special.jv(alpha, sy)
-    if form == "recurrence":
-        num = sx * special.jv(alpha + 1.0, sx) * jy - jx * sy * special.jv(alpha + 1.0, sy)
-    else:
-        num = jx * sy * special.jvp(alpha, sy) - sx * special.jvp(alpha, sx) * jy
-    return float(0.5 * num / (x - y))

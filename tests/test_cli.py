@@ -599,11 +599,12 @@ class TestDiagnosticsCommands:
     def test_tightness_values_decrease(self, tmp_path):
         out = tmp_path / "t"
         rc = run_cli(["tightness", "--model", "airy", "--n", "40", "--n-samples", "60",
-                      "--L-list", "0,10,20,30", "--seed", "4", "--out", str(out)])
+                      "--L-list", "0,10,20,30,1e30", "--seed", "4", "--out", str(out)])
         assert rc == 0
         rows = (out / "tightness.csv").read_text().splitlines()[1:]
         vals = [float(r.split(",")[1]) for r in rows]
-        assert vals == sorted(vals, reverse=True)
+        # a cutoff past every particle count collects nothing
+        assert vals == sorted(vals, reverse=True) and vals[-1] == 0.0
 
     def test_moments_slope_near_two(self, tmp_path, capsys):
         out = tmp_path / "m"

@@ -403,6 +403,24 @@ class TestWeakAccuracy:
         # the law with the rate doubled is told apart
         assert oracles.one_sample_ks(sums, oracles.airy_center_of_mass_cdf(n, 2.0 * beta, m0, t_final)) > critical
 
+    @pytest.mark.parametrize("beta,t_final,seed", [(2.0, 3.17, 1700), (4.0, 1.59, 1702)])
+    def test_soft_edge_centre_of_mass_from_equilibrium_follows_ou_law(self, beta, t_final, seed):
+        # each path's own M_0 sets its law, so the KS test is on the PIT of
+        # M_T.  The doubled rate shows only once k T = 1 (k = beta / (4 n^(1/3))):
+        # at n = 4 and 2000 paths it expects KS 0.075 against the critical 0.044
+        n, paths = 4, 2000
+        starts, _ = sample_airy_ensemble(n, beta, RngStream(seed), paths)
+        cfg = IntegratorConfig(dt=1e-2, t_final=t_final, dt_record=t_final, max_substep_depth=30)
+        ens = simulate(ModelSpec(Family.AIRY, n, beta=beta), starts, cfg, RngStream(seed + 1), on_failure="drop")
+        assert ens.failed_paths == ()
+        m0, mt = np.sum(starts[:, :, 0], axis=1), np.sum(ens.states[:, -1, :, 0], axis=1)
+        critical = kstwo.ppf(1.0 - 1e-3, paths)
+        ks = [
+            oracles.one_sample_ks([oracles.airy_center_of_mass_cdf(n, b, a, t_final)(m) for a, m in zip(m0, mt)], lambda u: u)
+            for b in (beta, 2.0 * beta)
+        ]
+        assert ks[0] <= critical < ks[1]
+
     @pytest.mark.parametrize("beta", [2.0, 4.0])
     def test_soft_edge_squared_sum_follows_cir_law(self, beta):
         # Q = sum (x_i + 2 n^(2/3))^2 of the soft-edge process is a CIR process,

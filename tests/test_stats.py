@@ -322,6 +322,10 @@ class TestDriftTruncationScan:
             drift_truncation_scan(envs, AIRY2, -1.0, [])
         with pytest.raises(ValueError):
             drift_truncation_scan(envs, AIRY2, -1.0, [-1.0])
+        # an entry that is not a number is named by its index
+        for bad in ("a", None):
+            with pytest.raises(ValueError, match=r"^r_list\[1\] must be finite and > 0$"):
+                drift_truncation_scan(envs, AIRY2, -1.0, [1.0, bad])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_radius_is_refused_before_any_environment(self, monkeypatch, bad):
@@ -403,9 +407,11 @@ class TestErfTailSum:
         with pytest.raises(ValueError):
             erf_tail_sum([np.array([[1.0]])], params, [-1])
         # a fractional cutoff was once read as its integer part
-        for cuts in ([1.7], [math.nan], [math.inf]):
+        for cuts in ([1.7], [math.nan], [math.inf], ["a"], [None]):
             with pytest.raises(ValueError, match=r"^L_list\[0\] must be a whole number >= 0$"):
                 erf_tail_sum([np.array([[1.0]])], params, cuts)
+        # a cut past every sample's count collects nothing, however large
+        assert erf_tail_sum([np.array([[1.0], [2.0]])], params, [10**30, 1e30]).tolist() == [0.0, 0.0]
         assert erf_tail_sum([np.array([[1.0], [2.0]])], params, [1.0]).tolist() == (
             erf_tail_sum([np.array([[1.0], [2.0]])], params, [1]).tolist()
         )
@@ -461,8 +467,11 @@ class TestHolderMoment:
     def test_lag_validation(self):
         # off the grid, beyond the horizon 4 = 32 * 0.125, negative, not finite
         ens = _brownian_ensemble(2, n_paths=2)
-        for lag in (0.1, 100.0, 4.125, -0.125, math.inf, -math.inf, math.nan):
+        for lag in (0.1, 100.0, 4.125, -0.125):
             with pytest.raises(ValueError, match="recording grid"):
+                holder_moment(ens, [0.125, lag])
+        for lag in (math.inf, -math.inf, math.nan, "a", None):
+            with pytest.raises(ValueError, match=r"^lag_list\[1\] must be finite$"):
                 holder_moment(ens, [0.125, lag])
         assert holder_moment(ens, [4.0])[0] > 0.0
 
