@@ -53,8 +53,8 @@ from .sde import IntegratorConfig, simulate
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-# the three slowest checks (7.6 s to 41.6 s each on a 2-vCPU VM at commit
-# baa5265; the others took 3.5 s or less) are excluded from the quick suite
+# the three slowest checks (5.8 s to 39.7 s each on a 2-vCPU VM at commit
+# 2e7ca00; the others took 2.6 s or less) are excluded from the quick suite
 _SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
 
 # most points a --grid may ask for, checked before any array is made
