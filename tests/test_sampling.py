@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.spatial
 from scipy.special import gammainc
 from scipy.stats import ks_2samp
 
@@ -701,31 +702,19 @@ class TestGibbsChain:
         assert ks <= 0.03
         assert rep.converged
 
-    def test_two_particle_lj_distance_against_quadrature(self):
-        spec = ModelSpec(Family.LENNARD_JONES, 2, beta=1.0)
+    @pytest.mark.parametrize(
+        "family, beta, seed, psi",
+        [(Family.LENNARD_JONES, 1.0, 7, lambda r: r**-12.0 - r**-6.0), (Family.RIESZ, 2.0, 8, lambda r: r**-4.0 / 4.0)],
+        ids=["lennard_jones", "riesz"],
+    )
+    def test_two_particle_distance_against_quadrature(self, family, beta, seed, psi):
+        spec = ModelSpec(family, 2, beta=beta, riesz_a=4 if family is Family.RIESZ else None)
         opts = S.McmcOptions(burn_in_sweeps=2000, thin_sweeps=5)
-        samples, _ = S.sample_gibbs_chain(spec, RngStream(7), 2500, options=opts)
+        samples, _ = S.sample_gibbs_chain(spec, RngStream(seed), 2500, options=opts)
         dists = np.sort([float(np.linalg.norm(s[0] - s[1])) for s in samples])
-
-        def lj(r):
-            rr = np.maximum(r, 1e-12)
-            return rr**-12.0 - rr**-6.0
-
-        cdf = oracles.pair_distance_cdf_oracle(1.0, spec.free_c, spec.free_theta, 2, lj, dists, r_max=12.0)
-        i = np.arange(1, len(dists) + 1)
-        ks = max(np.max(i / len(dists) - cdf), np.max(cdf - (i - 1) / len(dists)))
-        assert ks <= 0.035
-
-    def test_two_particle_riesz_distance_against_quadrature(self):
-        spec = ModelSpec(Family.RIESZ, 2, beta=2.0, riesz_a=4)
-        opts = S.McmcOptions(burn_in_sweeps=2000, thin_sweeps=5)
-        samples, _ = S.sample_gibbs_chain(spec, RngStream(8), 2500, options=opts)
-        dists = np.sort([float(np.linalg.norm(s[0] - s[1])) for s in samples])
-
-        def riesz(r):
-            return np.maximum(r, 1e-12) ** -4.0 / 4.0
-
-        cdf = oracles.pair_distance_cdf_oracle(2.0, spec.free_c, spec.free_theta, 2, riesz, dists, r_max=12.0)
+        cdf = oracles.pair_distance_cdf_oracle(
+            beta, spec.free_c, spec.free_theta, 2, lambda r: psi(np.maximum(r, 1e-12)), dists, r_max=12.0
+        )
         i = np.arange(1, len(dists) + 1)
         ks = max(np.max(i / len(dists) - cdf), np.max(cdf - (i - 1) / len(dists)))
         assert ks <= 0.035
@@ -735,6 +724,50 @@ class TestGibbsChain:
         for spec in (ModelSpec(Family.AIRY, 2), ModelSpec(Family.BESSEL, 2, alpha=1.0)):
             with pytest.raises(ValueError, match="no Metropolis energy"):
                 S.sample_gibbs_chain(spec, RngStream(1), 1)
+
+    @pytest.mark.parametrize("family", [Family.LENNARD_JONES, Family.RIESZ])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_delta_energy_is_the_total_energy_difference(self, family, n):
+        # -log(density) summed from scratch over every coordinate and pair;
+        # the bound is in units of the summed absolute terms
+        rng = np.random.default_rng(1700 + n)
+        lj = family is Family.LENNARD_JONES
+        for beta, c, theta in ((1.0, 0.5, 1.0), (2.5, 0.2, 0.0), (1.5, 0.3, 0.0)):
+            spec = ModelSpec(family, n, beta=beta, free_c=c, free_theta=theta, riesz_a=None if lj else 5)
+            delta = M._energy_change(spec)
+
+            def terms(x):
+                r = scipy.spatial.distance.pdist(x)
+                return beta * np.concatenate([c / n**theta * (x * x).ravel(), r**-12.0 - r**-6.0 if lj else r**-5.0 / 5])
+
+            for _ in range(100):
+                x = rng.normal(0.0, 1.5, (n, 3))
+                i, y = int(rng.integers(n)), x.copy()
+                y[i] = rng.normal(0.0, 1.5, 3)
+                t0, t1 = terms(x), terms(y)
+                assert abs(delta(x, i, y[i]) - (t1.sum() - t0.sum())) <= 1e-13 * (np.abs(t0).sum() + np.abs(t1).sum())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(Family.LENNARD_JONES, 1, beta=1.0),
+            ModelSpec(Family.LENNARD_JONES, 5, beta=1.5, free_c=0.3, free_theta=0.0),
+            ModelSpec(Family.RIESZ, 8, beta=2.0, riesz_a=4, free_theta=2.0),
+        ],
+        ids=["lj-1", "lj-5", "riesz-8"],
+    )
+    def test_chain_replays_from_its_generator(self, spec):
+        # one generator state gives the same draws, acceptance rate and
+        # final state, whatever numpy's global generator holds
+        opts = S.McmcOptions(burn_in_sweeps=200, thin_sweeps=3)
+        runs = []
+        for global_seed in (0, 1):
+            np.random.seed(global_seed)
+            g = np.random.default_rng(1720)
+            samples, rep = S.sample_gibbs_chain(spec, g, 40, options=opts)
+            runs.append((samples.tobytes(), rep.acceptance_rate, g.bit_generator.state))
+        assert runs[0] == runs[1]
+        assert samples.shape == (40, spec.n_particles, 3) and 0.0 < rep.acceptance_rate < 1.0
 
     def test_stein_statistic_is_centred_under_its_law(self):
         # the oracle itself: iid standard normal points have score -x, and
