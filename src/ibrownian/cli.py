@@ -474,10 +474,7 @@ def _cmd_drift_diag(cfg: RunConfig, out: Path) -> int:
     # per-sample split of the log-derivative at x, exact in the cutoff s
     dec_rows = []
     for j, config in enumerate(configs):
-        try:
-            dec = log_derivative(spec, x, config, cfg.s)
-        except SingularConfigurationError as exc:
-            raise SingularConfigurationError(f"sample {j}: {exc}") from None
+        dec = log_derivative(spec, x, config, cfg.s)
         dec_rows.append([j] + [_fmt(v) for part in (dec.free, dec.near, dec.far) for v in np.atleast_1d(part)])
     dec_header = ["sample_id"] + [f"{part}_{c}" for part in ("free", "near", "far") for c in coords]
     dec_target = out / "decomposition.csv"
@@ -490,7 +487,10 @@ def _cmd_tightness(cfg: RunConfig, out: Path) -> int:
     spec = _model_spec(cfg)
     with _keyed("diagnostics.L_list"):
         cuts = _floats("diagnostics.L_list", cfg.L_list)
-        L_list = [int(_checked_number(f"L_list[{k}]", v, at_least=0, whole=True)) for k, v in enumerate(cuts)]
+        # past 2**53 a float no longer holds the whole number typed
+        L_list = [
+            int(_checked_number(f"L_list[{k}]", v, at_least=0, at_most=2**53, whole=True)) for k, v in enumerate(cuts)
+        ]
     with _keyed("diagnostics"):
         params = stats.TightnessParams(r=cfg.r, T=cfg.T, c=cfg.c)
     configs = _draw_equilibrium(cfg, spec, RngStream(cfg.seed), cfg.n_samples)

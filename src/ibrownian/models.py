@@ -32,9 +32,10 @@ and ``_drift_of`` holds b; every public function reads them:
 Everything operates on plain float64 arrays; points of shape (n, d).
 ``drift_finite_all`` and ``drift_limit_truncated_all`` also take a stack
 of states of shape (P, n, d) and return the stacked per-state drifts,
-bitwise equal to P separate calls; both can also hand back the smallest
-pair distance of each state, which the integrator's substep rule reads.
-Pairs closer than ``MIN_PAIR_SEPARATION`` raise
+bitwise equal to P separate calls; both can also write each state's
+smallest pair distance into an array of the caller's, also when they
+raise, so that the integrator reads its substep rule and its singular
+states there.  Pairs closer than ``MIN_PAIR_SEPARATION`` raise
 ``SingularConfigurationError`` (inside the window or not); nonpositive
 coordinates of the [0, inf) families raise ``DomainError``; in a stack,
 one such member makes the whole call raise.  The point and environment of
@@ -122,17 +123,17 @@ def diffusion_sigma(spec: ModelSpec, points: np.ndarray) -> np.ndarray:
 # make them markedly slower than (..., n, n) ones.
 
 
-def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool):
+def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool, separation=None):
     """Pair term g(x_i, y_j) for the points x (..., m, d) and y (..., k, d).
 
     Returns g, (..., m, k) for the 1d families and (..., m, k, d)
-    otherwise, the distances |x_i - y_j| (..., m, k), and the smallest
-    distance of each state (...,), +inf where there is no pair.  With
-    ``self_pairs`` x and y are the same points: the distance is +inf on
-    the diagonal, where every g below is then 0.  Raises
-    ``SingularConfigurationError`` if any pair is closer than
-    ``MIN_PAIR_SEPARATION``, checked per state of a stack so that a NaN
-    in one member hides nothing in another.
+    otherwise, and the distances |x_i - y_j| (..., m, k); ``separation``
+    (...,) receives the smallest distance of each state, +inf where there
+    is no pair.  With ``self_pairs`` x and y are the same points: the
+    distance is +inf on the diagonal, where every g below is then 0.
+    Raises ``SingularConfigurationError`` if any pair is closer than
+    ``MIN_PAIR_SEPARATION``, after writing ``separation``, checked per
+    state of a stack so that a NaN in one member hides nothing in another.
     """
     # the pair arrays are made in C order, so that their flat reshape below
     # is a view whatever the layout of x and y; every (m + 1)-th entry of
@@ -149,6 +150,8 @@ def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool)
         if self_pairs:
             dist.reshape(dist.shape[:-2] + (-1,))[..., :: x.shape[-2] + 1] = np.inf
     sep = dist.min(axis=(-2, -1), initial=np.inf)
+    if separation is not None:
+        separation[...] = sep
     if (sep < MIN_PAIR_SEPARATION).any():
         raise SingularConfigurationError(
             f"pair separation below {MIN_PAIR_SEPARATION:g}; configuration is singular"
@@ -170,7 +173,7 @@ def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool)
         else:  # Riesz
             w = 1.0 / dist ** (spec.riesz_a + 2.0)
         diff *= (spec.beta * w)[..., None]
-    return diff, dist, sep
+    return diff, dist
 
 
 def _one_body(spec: ModelSpec, x: np.ndarray, trunc: TruncationParams | None):
@@ -249,14 +252,12 @@ def _drift_of(spec: ModelSpec, x: np.ndarray, d) -> np.ndarray:
     return 0.5 * (4.0 + 4.0 * x * d)
 
 
-def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParams | None, self_pairs: bool):
-    """Drift at the points x (..., m, d) from the points y (..., k, d), and
-    the smallest pair distance of each state (...,).
+def _field(spec: ModelSpec, x, y, trunc: TruncationParams | None, self_pairs: bool, separation=None):
+    """Drift at the points x (..., m, d) from the points y (..., k, d).
 
     With ``trunc`` the pair sum keeps only the y in its window and u is
-    the limit field's.
-    """
-    g, dist, sep = _pair_terms(spec, x, y, self_pairs)
+    the limit field's; ``separation`` is as in ``_pair_terms``."""
+    g, dist = _pair_terms(spec, x, y, self_pairs, separation)
     line = spec.dimension == 1
     if line:
         x, y = x[..., 0], y[..., 0]
@@ -268,7 +269,7 @@ def _field(spec: ModelSpec, x: np.ndarray, y: np.ndarray, trunc: TruncationParam
             inside = dist < trunc.radius
         g = np.where(inside if line else inside[..., None], g, 0.0)
     b = _drift_of(spec, x, _one_body(spec, x, trunc) + g.sum(axis=-1 if line else -2))
-    return (b[..., None] if line else b), sep
+    return b[..., None] if line else b
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +327,14 @@ def drift_finite_all(spec: ModelSpec, state, *, separation: np.ndarray | None = 
     for a stack of P states.
 
     ``separation``, shape () or (P,), receives the smallest pair distance
-    of each state (+inf below two particles).
+    of each state (+inf below two particles), also when the call raises
+    ``SingularConfigurationError``.
     """
     arr = _points(spec, state)
     _check_domain(spec, arr)
     if arr.shape[-2] != spec.n_particles:
         raise ValueError(f"state has {arr.shape[-2]} particles, spec expects {spec.n_particles}")
-    b, sep = _field(spec, arr, arr, None, self_pairs=True)
-    if separation is not None:
-        separation[...] = sep
-    return b
+    return _field(spec, arr, arr, None, self_pairs=True, separation=separation)
 
 
 def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.ndarray:
@@ -348,8 +347,7 @@ def truncated_drift_at(spec: ModelSpec, x, env, trunc: TruncationParams) -> np.n
     same drift at particle i with the other particles as ``env``.
     """
     _validate_trunc(spec, trunc)
-    b, _ = _field(spec, _position(spec, x), _env_of(spec, env), trunc, self_pairs=False)
-    return b[0]
+    return _field(spec, _position(spec, x), _env_of(spec, env), trunc, self_pairs=False)[0]
 
 
 def drift_limit_truncated_all(
@@ -360,10 +358,7 @@ def drift_limit_truncated_all(
     _validate_trunc(spec, trunc)
     arr = _points(spec, state)
     _check_domain(spec, arr)
-    b, sep = _field(spec, arr, arr, trunc, self_pairs=True)
-    if separation is not None:
-        separation[...] = sep
-    return b
+    return _field(spec, arr, arr, trunc, self_pairs=True, separation=separation)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def log_derivative(spec: ModelSpec, x, env, s: float) -> LogDerivDecomposition:
     """
     xv = _position(spec, x)
     free = _one_body(spec, xv[0], None)
-    g, dist, _ = _pair_terms(spec, xv, _env_of(spec, env), self_pairs=False)
+    g, dist = _pair_terms(spec, xv, _env_of(spec, env), self_pairs=False)
     g = g[0].reshape(-1, spec.dimension)
     w = cutoff_chi(dist[0], s)[:, None]
     return LogDerivDecomposition(free=free, near=(w * g).sum(axis=0), far=((1.0 - w) * g).sum(axis=0))

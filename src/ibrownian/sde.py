@@ -48,6 +48,7 @@ import numpy as np
 from .core import ModelSpec, RngStream, SingularConfigurationError, StepFailureError, _resolve_rng
 from .core import _checked_number, _whole_steps
 from .models import (
+    MIN_PAIR_SEPARATION,
     TruncationParams,
     _configuration,
     _state_noise,
@@ -172,22 +173,21 @@ def _drift(spec, x, cfg):
     separation (L,), and {row: reason} for the rows at a singular
     configuration (their drift rows and separations are zero).
 
-    A stack that raises is split in halves until each singular row stands
-    alone; a row of a stack gets the drift of a separate call, so the
-    split changes no bit."""
+    A stack that raises has written every row's separation first, so its
+    singular rows are those below ``MIN_PAIR_SEPARATION`` (a NaN row is
+    not); one more call gives each other row the drift of a separate call."""
+    drift, args = (drift_finite_all, ()) if cfg.truncation is None else (drift_limit_truncated_all, (cfg.truncation,))
     sep = np.empty(len(x))
     try:
-        if cfg.truncation is None:
-            return drift_finite_all(spec, x, separation=sep), sep, {}
-        return drift_limit_truncated_all(spec, x, cfg.truncation, separation=sep), sep, {}
+        return drift(spec, x, *args, separation=sep), sep, {}
     except SingularConfigurationError as exc:
-        if len(x) == 1:
-            return np.zeros_like(x), np.zeros(1), {0: f"drift evaluation hit a singular configuration: {exc}"}
-    half = len(x) // 2
-    b_lo, sep_lo, lo = _drift(spec, x[:half], cfg)
-    b_hi, sep_hi, hi = _drift(spec, x[half:], cfg)
-    singular = {**lo, **{half + i: reason for i, reason in hi.items()}}
-    return np.concatenate([b_lo, b_hi]), np.concatenate([sep_lo, sep_hi]), singular
+        reason = f"drift evaluation hit a singular configuration: {exc}"
+    singular = sep < MIN_PAIR_SEPARATION
+    sep[singular] = 0.0
+    b = np.zeros_like(x)
+    if not singular.all():
+        b[~singular] = drift(spec, x[~singular], *args)
+    return b, sep, dict.fromkeys(np.flatnonzero(singular).tolist(), reason)
 
 
 def _split_rule(spec, x, b, sep, state_noise):

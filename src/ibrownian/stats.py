@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .core import Family, ModelSpec, _checked_number, _checked_block, _whole_steps
+from .core import Family, ModelSpec, SingularConfigurationError, _checked_number, _checked_block, _whole_steps
 from .models import TruncationParams, TruncationVariant, _configuration, truncated_drift_at
 
 __all__ = [
@@ -219,7 +219,8 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
 
     For the planar family each environment is evaluated in both window
     variants; ``mean`` follows the centered one and the variant gap
-    |centered - origin| is reported alongside.
+    |centered - origin| is reported alongside.  An environment with a
+    point closer than ``MIN_PAIR_SEPARATION`` to x raises, naming its sample.
     """
     envs = [_configuration(spec, env, f"sample {k}") for k, env in enumerate(env_samples)]
     if len(envs) < _MIN_SCAN_SAMPLES:
@@ -232,10 +233,13 @@ def drift_truncation_scan(env_samples, spec: ModelSpec, x, r_list) -> Truncation
     # every radius is validated before any environment is evaluated
     params = [[TruncationParams(r, v) for v in variants] for r in r_values]
     vals = np.empty((r_values.size, len(variants), len(envs), spec.dimension))
-    for k, per_radius in enumerate(params):
-        for v, trunc in enumerate(per_radius):
-            for j, env in enumerate(envs):
-                vals[k, v, j] = truncated_drift_at(spec, x, env, trunc)
+    try:
+        for k, per_radius in enumerate(params):
+            for v, trunc in enumerate(per_radius):
+                for j, env in enumerate(envs):
+                    vals[k, v, j] = truncated_drift_at(spec, x, env, trunc)
+    except SingularConfigurationError as exc:
+        raise SingularConfigurationError(f"sample {j}: {exc}") from None
     gaps = np.sqrt(np.sum((vals[:, 0] - vals[:, 1]) ** 2, axis=-1)) if planar else None
     root = math.sqrt(len(envs))
     return TruncationScan(

@@ -202,6 +202,15 @@ def _integrator_outputs() -> None:
     trunc = sde.IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=0.005, truncation=TruncationParams(3.0))
     ens = sde.simulate(airy, starts, trunc, RngStream(62))
     _emit("simulate.airy.truncated.states", _hash_stack(ens.states.reshape(-1, 5, 1), 1))
+    # path 2 starts with two coincident points: it is flagged at its first
+    # drift, under both drifts, and the other three run on
+    doomed = starts[2].copy()
+    doomed[1] = doomed[0]
+    for label, run_cfg in (("singular_start", cfg), ("truncated.singular_start", trunc)):
+        ens = sde.simulate(airy, [*starts[:2], doomed, starts[2]], run_cfg, RngStream(65), on_failure="drop")
+        _emit(f"simulate.airy.{label}.states", _hash_stack(ens.states.reshape(-1, 5, 1), 1))
+        _emit(f"simulate.airy.{label}.substeps", _hash_ragged([ens.substeps.astype(np.float64)]))
+        _emit(f"simulate.airy.{label}.failed", hashlib.sha256(repr(ens.failed_paths).encode()).hexdigest())
     pts, _ = sampling.sample_ginibre_ensemble(4, RngStream(63), 3)
     planar = sde.IntegratorConfig(
         dt=1e-3, t_final=0.01, dt_record=0.005, truncation=TruncationParams(3.0, TruncationVariant.CENTERED)

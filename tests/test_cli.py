@@ -12,8 +12,9 @@ import pytest
 
 from ibrownian import cli
 from ibrownian import kernels as K
-from ibrownian.acceptance import CHECKS
-from ibrownian.core import DomainError, RngStream, SingularConfigurationError
+from ibrownian import stats
+from ibrownian.acceptance import CHECKS, CheckResult
+from ibrownian.core import DomainError, Family, ModelSpec, RngStream, SingularConfigurationError
 
 
 def run_cli(args):
@@ -225,6 +226,7 @@ class TestBadInput:
             (["simulate", "--dt", "1e-3", "--t-final", "0.0025"], "integrator.t_final"),
             (["sample", "--n-samples", "-1"], "sampler.n_samples"),
             (["tightness", "--L-list", "0,2.5"], "diagnostics.L_list"),
+            (["tightness", "--L-list", "0,1e30"], "diagnostics.L_list"),
             (["simulate", "--dt", "inf"], "integrator.dt"),
             (["simulate", "--dt-record", "inf"], "integrator.dt_record"),
             (["simulate", "--dt-record", "nan"], "integrator.dt_record"),
@@ -247,6 +249,7 @@ class TestBadInput:
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
+            "L-past-2**53",
             "dt-inf", "dt-record-inf", "dt-record-nan", "radius-nan", "radius-negative", "radius-inf",
             "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "x-too-few-coordinates",
             "x-too-many-coordinates", "beta-one-bessel",
@@ -409,6 +412,19 @@ class TestBadInput:
         argv = ["drift-diag", "--model", "airy", "--n", "5", "--n-samples", "100", "--out", str(tmp_path)]
         assert run_cli(argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: collision")
+
+    def test_drift_diag_names_a_sample_with_a_point_at_x(self, tmp_path, capsys, monkeypatch):
+        real = cli.sampling.sample_airy_ensemble
+
+        def one_point_at_x(*args):
+            draws, report = real(*args)
+            draws[7, 2, 0] = -1.0
+            return draws, report
+
+        monkeypatch.setattr(cli.sampling, "sample_airy_ensemble", one_point_at_x)
+        argv = ["drift-diag", "--model", "airy", "--n", "5", "--n-samples", "100", "--x", "-1", "--out", str(tmp_path)]
+        assert run_cli(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: sample 7: pair separation below 1e-12; ")
 
     @pytest.mark.parametrize("numerical", [SingularConfigurationError, DomainError])
     def test_numerical_failures_keep_their_type(self, numerical):
@@ -590,6 +606,25 @@ class TestDiagnosticsCommands:
         assert dec[0] == "sample_id,free_x,near_x,far_x"
         assert len(dec) == 101
 
+    def test_planar_drift_diag_writes_the_variant_gap(self, tmp_path, monkeypatch):
+        real, drawn = cli.sampling.sample_ginibre_ensemble, []
+
+        def recorded(*args):
+            draws, report = real(*args)
+            drawn.append(draws)
+            return draws, report
+
+        monkeypatch.setattr(cli.sampling, "sample_ginibre_ensemble", recorded)
+        out = tmp_path / "d"
+        rc = run_cli(["drift-diag", "--model", "ginibre", "--n", "6", "--n-samples", "100",
+                      "--x", "0.5,-0.25", "--r-list", "1.5,3", "--seed", "8", "--out", str(out)])
+        assert rc == 0
+        header, *rows = (out / "drift_scan.csv").read_text().splitlines()
+        assert header.split(",")[-2:] == ["variant_gap_mean", "variant_gap_stderr"]
+        scan = stats.drift_truncation_scan(drawn[0], ModelSpec(Family.GINIBRE, 6), [0.5, -0.25], [1.5, 3.0])
+        got = np.array([[float(v) for v in row.split(",")[-2:]] for row in rows])
+        assert np.array_equal(got, np.stack([scan.variant_gap_mean, scan.variant_gap_stderr], axis=1))
+
     def test_drift_diag_needs_enough_environments(self, tmp_path, capsys):
         rc = run_cli(["drift-diag", "--model", "airy", "--n", "10", "--n-samples", "20",
                       "--x", "-1", "--out", str(tmp_path / "d")])
@@ -599,12 +634,20 @@ class TestDiagnosticsCommands:
     def test_tightness_values_decrease(self, tmp_path):
         out = tmp_path / "t"
         rc = run_cli(["tightness", "--model", "airy", "--n", "40", "--n-samples", "60",
-                      "--L-list", "0,10,20,30,1e30", "--seed", "4", "--out", str(out)])
+                      "--L-list", "0,10,20,30,9007199254740992", "--seed", "4", "--out", str(out)])
         assert rc == 0
         rows = (out / "tightness.csv").read_text().splitlines()[1:]
         vals = [float(r.split(",")[1]) for r in rows]
         # a cutoff past every particle count collects nothing
         assert vals == sorted(vals, reverse=True) and vals[-1] == 0.0
+
+    def test_tightness_writes_the_cutoffs_as_typed(self, tmp_path):
+        out = tmp_path / "t"
+        rc = run_cli(["tightness", "--model", "airy", "--n", "10", "--n-samples", "5",
+                      "--L-list", "0,25,50", "--out", str(out)])
+        assert rc == 0
+        rows = (out / "tightness.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0", "25", "50"]
 
     def test_moments_slope_near_two(self, tmp_path, capsys):
         out = tmp_path / "m"
@@ -649,6 +692,21 @@ class TestVerifyCommand:
     def test_unknown_suite_is_config_error(self, tmp_path, capsys):
         assert run_cli(["verify", "--suite", "medium", "--out", str(tmp_path)]) == 2
         assert "run.suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["quick", "full"])
+    def test_suite_runs_its_checks_in_registry_order(self, suite, tmp_path, monkeypatch):
+        ran = []
+
+        def fake(name):
+            def check():
+                ran.append(name)
+                return CheckResult(name, True, 1.0, 0.5, "fake", 0.0, 0.5)
+
+            return check
+
+        monkeypatch.setattr("ibrownian.acceptance.CHECKS", {name: fake(name) for name in CHECKS})
+        assert run_cli(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
+        assert ran == [c for c in CHECKS if suite == "full" or c not in cli._SLOW_CHECKS]
 
     def test_quick_suite_is_full_minus_slow(self):
         assert set(cli._SLOW_CHECKS) < set(CHECKS)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ibrownian.core import DomainError, Family, ModelSpec, SingularConfigurationError
+from ibrownian.core import DomainError, Family, ModelSpec, RngStream, SingularConfigurationError
 from ibrownian import models as M
+from ibrownian import sampling as S
 
 import oracles
 
@@ -436,14 +437,23 @@ class TestBatchAxis:
 
     @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
     def test_singular_member_raises(self, fam, kw, variant):
+        # after writing every member's separation: the integrator reads the
+        # singular members from them
         spec = _spec(fam, 4, **kw)
         stack = _stack(spec, 5, seed=4)
-        stack[3, 2] = stack[3, 0] + 1e-13
         trunc = M.TruncationParams(radius=50.0, variant=variant)
-        with pytest.raises(SingularConfigurationError):
-            M.drift_finite_all(spec, stack)
-        with pytest.raises(SingularConfigurationError):
-            M.drift_limit_truncated_all(spec, stack, trunc)
+        for drift in (M.drift_finite_all, lambda spec, x, **out: M.drift_limit_truncated_all(spec, x, trunc, **out)):
+            want = np.empty(5)
+            drift(spec, stack, separation=want)
+            singular = stack.copy()
+            singular[3, 2] = singular[3, 0] + 1e-13
+            singular[1, 0] = np.nan
+            sep = np.full(5, -1.0)
+            with pytest.raises(SingularConfigurationError):
+                drift(spec, singular, separation=sep)
+            assert np.array_equal(sep[[0, 2, 4]], want[[0, 2, 4]])
+            # a NaN member is not singular
+            assert 0.0 < sep[3] < M.MIN_PAIR_SEPARATION and np.isnan(sep[1])
 
     @pytest.mark.parametrize("fam", [Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL])
     def test_out_of_domain_member_raises(self, fam):
@@ -584,3 +594,59 @@ class TestEnergyChange:
         kw = {"alpha": 1.0} if fam in (Family.BESSEL, Family.SQUARE_BESSEL, Family.SQRT_SQUARE_BESSEL) else {}
         with pytest.raises(ValueError, match="no Metropolis energy"):
             M._energy_change(_spec(fam, 3, **kw))
+
+
+def _median_gap(x):
+    """Median distance from each point of the (P, n, k) stack to its nearest neighbour."""
+    r = np.sqrt(np.sum((x[:, :, None, :] - x[:, None, :, :]) ** 2, axis=-1))
+    r[:, np.arange(x.shape[1]), np.arange(x.shape[1])] = np.inf
+    return float(np.median(r.min(axis=2)))
+
+
+def _z(t):
+    return t.mean() / (t.std(ddof=1) / math.sqrt(t.size))
+
+
+class TestSteinGates:
+    """Every drift is half the score of its family's equilibrium law
+    (sigma = 1), so Stein's identity ties it, through every pair, to an
+    independent exact sampler.  Fixed before the run: 4000 draws per case,
+    s = 1 and 3 median nearest-neighbour gaps, |z| <= 3.5 with z from the
+    per-draw mean and its standard error.  The pair test function cannot
+    see a 5 % error in the hard edge's pair term, so ``bessel`` also reads
+    the one-body test function near 0."""
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (_spec(Family.AIRY, 10, beta=1.0), 1730),
+            (_spec(Family.AIRY, 10, beta=2.0), 1731),
+            (_spec(Family.AIRY, 10, beta=4.0), 1732),
+            (_spec(Family.BESSEL, 10, alpha=1.5), 1733),
+            (_spec(Family.GINIBRE, 20), 1734),
+        ],
+        ids=["airy-beta1", "airy-beta2", "airy-beta4", "bessel-alpha1.5", "ginibre"],
+    )
+    def test_drift_is_the_score_of_the_exact_sampler(self, spec, seed):
+        n, g = spec.n_particles, RngStream(seed)
+        if spec.family is Family.AIRY:
+            x, _ = S.sample_airy_ensemble(n, spec.beta, g, 4000)
+        elif spec.family is Family.BESSEL:
+            x, _ = S.sample_bessel_ensemble(n, spec.alpha, g, 4000)
+        else:
+            x, _ = S.sample_ginibre_ensemble(n, g, 4000)
+        d = 2.0 * M.drift_finite_all(spec, x)
+        gap = _median_gap(x)
+        for s in (gap, 3.0 * gap):
+            z = {"pair": _z(oracles.stein_statistic(x, d, s))}
+            if spec.family is Family.BESSEL:
+                z["one-body"] = _z(oracles.stein_one_body(x, d, s))
+            assert all(abs(v) <= 3.5 for v in z.values()), f"s = {s:.3g}: z = {z}"
+
+    def test_one_body_statistic_is_centred_under_its_law(self):
+        # the oracle itself: iid Gamma(5/2) points have score 1.5 / x - 1,
+        # and 1.65 / x - 1 is told apart; bounds in standard errors
+        x = np.random.default_rng(1723).gamma(2.5, size=(4000, 5, 1))
+        for s in (0.5, 2.0):
+            z = {a: abs(_z(oracles.stein_one_body(x, a / x - 1.0, s))) for a in (1.5, 1.65)}
+            assert z[1.5] <= 4.0 < z[1.65]

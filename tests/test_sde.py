@@ -16,7 +16,7 @@ from ibrownian.core import (
     SingularConfigurationError,
     StepFailureError,
 )
-from ibrownian.models import TruncationParams, drift_finite_all
+from ibrownian.models import TruncationParams, drift_finite_all, drift_limit_truncated_all
 from ibrownian.cli import _spaced_initial
 from ibrownian.sampling import _edge_spectrum_dense, sample_airy_ensemble
 from ibrownian.sde import (
@@ -239,6 +239,13 @@ class TestSimulate:
         cfg = IntegratorConfig(dt=1e-3, t_final=0.01, max_substep_depth=0, noise_scale=0.0)
         with pytest.raises(StepFailureError, match="path 0"):
             simulate(spec, [_ascending([0.0, 1e-7])], cfg, RngStream(1))
+
+    def test_drop_with_every_path_flagged_raises(self):
+        spec = ModelSpec(Family.AIRY, 3, beta=2.0)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
+        init = [_ascending([0.0, 0.0, 1.0]), _ascending([-1.0, 2.0, 2.0])]
+        with pytest.raises(StepFailureError, match="^all paths failed; first: path 0: drift evaluation hit a singular"):
+            simulate(spec, init, cfg, RngStream(48), on_failure="drop")
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     @pytest.mark.parametrize("on_failure", ["raise", "drop"])
@@ -802,7 +809,7 @@ class TestOneDriftPerLeaf:
         assert ens.max_depth_used >= 5
         assert sum(rows) == ens.substeps.sum()
 
-    def test_singular_row_is_isolated_by_halving(self, monkeypatch):
+    def test_singular_row_is_read_from_the_separations(self, monkeypatch):
         spec = ModelSpec(Family.AIRY, 20, beta=2.0)
         x, _ = sample_airy_ensemble(20, 2.0, RngStream(46), 64)
         x[37, 5] = x[37, 4]
@@ -824,10 +831,24 @@ class TestOneDriftPerLeaf:
         assert list(reasons) == [37]
         assert singular == reasons
         assert np.array_equal(b, want)
-        # each row's smallest gap carried through the halving, zero on the singular row
+        # each row's smallest gap, zero on the singular row
         assert np.array_equal(sep, want_sep)
-        # the whole stack, then two halves at each of six levels
-        assert len(calls) <= 13
+        # the whole stack, then the 63 rows that are not singular
+        assert calls == [64, 63]
+
+    def test_nan_row_is_not_singular(self):
+        # a NaN state is evaluated, as a separate call would, and not flagged
+        spec = ModelSpec(Family.AIRY, 5, beta=2.0)
+        x, _ = sample_airy_ensemble(5, 2.0, RngStream(47), 4)
+        x[1, 2] = np.nan
+        x[3, 4] = x[3, 3]
+        trunc = TruncationParams(3.0)
+        b, sep, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01, truncation=trunc))
+        assert list(singular) == [3]
+        assert np.isnan(sep[1]) and sep[3] == 0.0 and not b[3].any()
+        assert np.isnan(b[1]).any()
+        for i in (0, 2):
+            assert np.array_equal(b[i], drift_limit_truncated_all(spec, x[i], trunc))
 
 
 class TestFailureIsolation:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ibrownian import stats
-from ibrownian.core import Family, ModelSpec, RngStream
+from ibrownian.core import Family, ModelSpec, RngStream, SingularConfigurationError
 from ibrownian.models import TruncationParams, truncated_drift_at
 from ibrownian.sampling import sample_airy_ensemble, sample_airy_field, sample_ginibre_ensemble
 from ibrownian.sde import IntegratorConfig, simulate
@@ -326,6 +326,12 @@ class TestDriftTruncationScan:
         for bad in ("a", None):
             with pytest.raises(ValueError, match=r"^r_list\[1\] must be finite and > 0$"):
                 drift_truncation_scan(envs, AIRY2, -1.0, [1.0, bad])
+
+    def test_singular_environment_is_named_by_its_sample(self):
+        envs = [np.array([[2.0]])] * 100
+        envs[37] = np.array([[-1.0], [2.0]])
+        with pytest.raises(SingularConfigurationError, match=r"^sample 37: pair separation below 1e-12; "):
+            drift_truncation_scan(envs, AIRY2, -1.0, [1.0, 4.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_radius_is_refused_before_any_environment(self, monkeypatch, bad):
