@@ -334,7 +334,7 @@ def check_sampler_closed_forms():
 
     tri, _ = sampling.sample_airy_ensemble(50, 2.0, RngStream(1204), 400)
     g = RngStream(1205).generator()
-    dense = np.array([sampling._edge_spectrum_dense(50, 2.0, g) for _ in range(400)])
+    dense = np.array([sampling._edge_spectrum_dense(50, g) for _ in range(400)])
     ks = float(ks_2samp(tri.ravel(), dense.ravel()).statistic)
     worst = max(worst, ks)
     parts.append(f"tri-vs-dense {ks:.4f}")

@@ -137,18 +137,19 @@ def _pair_terms(spec: ModelSpec, x: np.ndarray, y: np.ndarray, self_pairs: bool,
     """
     # the pair arrays are made in C order, so that their flat reshape below
     # is a view whatever the layout of x and y; every (m + 1)-th entry of
-    # it lies on the diagonal
+    # it lies on the diagonal.  Its length m * m is written out, since
+    # numpy cannot infer a -1 for an empty stack
     if spec.dimension == 1:
         x, y = x[..., 0], y[..., 0]
         diff = np.subtract(x[..., :, None], y[..., None, :], order="C")
         if self_pairs:
-            diff.reshape(diff.shape[:-2] + (-1,))[..., :: x.shape[-1] + 1] = np.inf
+            diff.reshape(diff.shape[:-2] + (x.shape[-1] ** 2,))[..., :: x.shape[-1] + 1] = np.inf
         dist = np.abs(diff)
     else:
         diff = x[..., :, None, :] - y[..., None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1), order="C")
         if self_pairs:
-            dist.reshape(dist.shape[:-2] + (-1,))[..., :: x.shape[-2] + 1] = np.inf
+            dist.reshape(dist.shape[:-2] + (x.shape[-2] ** 2,))[..., :: x.shape[-2] + 1] = np.inf
     sep = dist.min(axis=(-2, -1), initial=np.inf)
     if separation is not None:
         separation[...] = sep

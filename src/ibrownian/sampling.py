@@ -133,33 +133,11 @@ def _edge_spectrum_tridiagonal(n: int, beta: float, g: np.random.Generator, wind
     return x
 
 
-def _edge_spectrum_dense(n: int, beta: float, g: np.random.Generator) -> np.ndarray:
-    """Edge-scaled spectrum of a dense Gaussian matrix, beta in {1, 2, 4}: the tests' reference."""
-    if beta == 2.0:
-        a = g.standard_normal((n, n))
-        b = g.standard_normal((n, n))
-        x = a + 1j * b
-        lam = np.linalg.eigvalsh(0.5 * (x + x.conj().T))
-    elif beta == 1.0:
-        a = g.standard_normal((n, n))
-        lam = np.linalg.eigvalsh((a + a.T) / math.sqrt(2.0))
-    elif beta == 4.0:
-        # self-dual quaternion model; spectrum comes in Kramers pairs
-        xd = g.standard_normal(n) / math.sqrt(2.0)
-        xu = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / 2.0
-        yu = (g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))) / 2.0
-        x = np.diag(xd.astype(complex))
-        iu = np.triu_indices(n, 1)
-        x[iu] = xu[iu]
-        x = x + np.tril(x.conj().T, -1)
-        y = np.zeros((n, n), dtype=complex)
-        y[iu] = yu[iu]
-        y = y - y.T
-        m = np.block([[x, y], [-y.conj(), x.conj()]])
-        lam = np.linalg.eigvalsh(m)[::2]
-    else:
-        raise ValueError("dense matrix models exist for beta in {1, 2, 4} only")
-    lam = np.sort(lam)
+def _edge_spectrum_dense(n: int, g: np.random.Generator) -> np.ndarray:
+    """Edge-scaled spectrum of an n x n GUE matrix (X + X*)/2, X complex
+    standard normal: check 12's dense reference for the tridiagonal sampler."""
+    x = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    lam = np.sort(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))
     return n ** (1.0 / 6.0) * (lam - 2.0 * math.sqrt(n))
 
 

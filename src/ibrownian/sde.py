@@ -185,8 +185,7 @@ def _drift(spec, x, cfg):
     singular = sep < MIN_PAIR_SEPARATION
     sep[singular] = 0.0
     b = np.zeros_like(x)
-    if not singular.all():
-        b[~singular] = drift(spec, x[~singular], *args)
+    b[~singular] = drift(spec, x[~singular], *args)
     return b, sep, dict.fromkeys(np.flatnonzero(singular).tolist(), reason)
 
 

@@ -72,15 +72,16 @@ def _emit(name: str, digest: str) -> None:
 def _sampler_outputs() -> None:
     opts = sampling.McmcOptions(burn_in_sweeps=200, thin_sweeps=3)
     for beta in BETAS:
-        for method in ("tridiagonal", "dense"):
+        for method in ("tridiagonal", "dense") if beta == 2.0 else ("tridiagonal",):
             g = np.random.default_rng(11)
             if method == "tridiagonal":
                 draws, rep = sampling.sample_airy_ensemble(6, beta, g, 5)
                 rate = rep.acceptance_rate
             else:
-                # the private dense reference, one draw at a time on one
-                # generator; a matrix model has no acceptance rate
-                draws, rate = [sampling._edge_spectrum_dense(6, beta, g) for _ in range(5)], None
+                # check 12's private dense reference, which exists at beta = 2
+                # only, one draw at a time on one generator; a matrix model
+                # has no acceptance rate
+                draws, rate = [sampling._edge_spectrum_dense(6, g) for _ in range(5)], None
             _emit(f"airy_ensemble.{method}.beta{beta:g}.draws", _hash_stack(draws, 1))
             _emit(f"airy_ensemble.{method}.beta{beta:g}.acceptance", _hash_value(rate))
             _emit(f"airy_ensemble.{method}.beta{beta:g}.generator", _hash_generator(g))

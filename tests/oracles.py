@@ -210,10 +210,14 @@ def matrix_ou_oracle(beta: float, lam0, t: float, g: np.random.Generator) -> np.
     1962, J. Math. Phys. 3:1191), started at H_0 = diag(lam0): one path per
     row of the (P, n) array ``lam0``, returned as (P, n), ascending per row.
 
-    G is a fresh draw of the stationary matrix that
-    ``sampling._edge_spectrum_dense`` diagonalises at that beta; its law is
-    invariant under conjugation, so the law of the eigenvalues at t
-    depends on those of H_0 alone.  They solve
+    G is a fresh draw of the stationary Gaussian matrix at that beta; its
+    law is invariant under conjugation, so the law of the eigenvalues at t
+    depends on those of H_0 alone, and t = math.inf (weight 0 on H_0,
+    noise factor 1) gives the stationary law: G's spectrum.  At beta = 2
+    G is the matrix ``sampling._edge_spectrum_dense`` diagonalises; the
+    beta = 1 and 4 matrices here are the tests' only dense models at those
+    betas, their reference independent of the tridiagonal sampler.  The
+    eigenvalues solve
     d lambda_i = dW_i + (beta/2) sum_j dt / (lambda_i - lambda_j)
     - (beta/4) lambda_i dt, the ``airy`` family's SDE at that beta under
     the edge map lambda = 2 sqrt(n) + x n^(-1/6) and matrix time
@@ -488,6 +492,27 @@ def stein_one_body(x, d, s: float) -> np.ndarray:
     x, d = np.asarray(x, dtype=float)[..., 0], np.asarray(d, dtype=float)[..., 0]
     e = np.exp(-x / s)
     return np.sum(x * e * d + (1.0 - x / s) * e, axis=1)
+
+
+def mean_z(t) -> float:
+    """The mean of the per-state statistics ``t`` in standard errors."""
+    return t.mean() / (t.std(ddof=1) / math.sqrt(t.size))
+
+
+def stein_z(x, d, one_body: bool = False) -> dict:
+    """z of ``stein_statistic`` on the (P, n, k) stack ``x`` with scores
+    ``d``, and with ``one_body`` of ``stein_one_body`` too, at s = 1 and 3
+    median nearest-neighbour gaps of ``x``, keyed by test function and s."""
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(np.sum((x[:, :, None, :] - x[:, None, :, :]) ** 2, axis=-1))
+    r[:, np.arange(x.shape[1]), np.arange(x.shape[1])] = np.inf
+    gap = float(np.median(r.min(axis=2)))
+    statistics = [("pair", stein_statistic)] + ([("one-body", stein_one_body)] if one_body else [])
+    z = {}
+    for s in (gap, 3.0 * gap):
+        for name, statistic in statistics:
+            z[f"{name}, s = {s:.3g}"] = mean_z(statistic(x, d, s))
+    return z
 
 
 def normal_cdf(x, mean=0.0, sd=1.0):

@@ -101,6 +101,26 @@ def test_registry_covers_every_criterion():
     ]
 
 
+def test_run_all_runs_the_named_checks_in_the_order_given(monkeypatch):
+    ran = []
+
+    def fake(name):
+        def check():
+            ran.append(name)
+            return A.CheckResult(name, True, 1.0, 0.5, "fake", 0.0, 0.5)
+
+        return check
+
+    monkeypatch.setattr(A, "CHECKS", {name: fake(name) for name in CHECKS})
+    names = ["tail-sum-decay", "ginibre-bulk-intensity", "non-collision"]
+    assert [r.name for r in A.run_all(names)] == ran == names
+    # an unknown name is refused by name before any check runs
+    with pytest.raises(ValueError, match="^unknown check names: bogus, other$"):
+        A.run_all(["tail-sum-decay", "bogus", "other"])
+    assert ran == names
+    assert [r.name for r in A.run_all()] == list(CHECKS)
+
+
 def test_runner_builds_the_result_from_the_rule():
     try:
         check = A._check("probe")(lambda: (1.9, A._within(1.9, 1.8, 2.2), "probe detail"))

@@ -103,6 +103,18 @@ class TestConfigResolution:
         assert rc == 2
         assert "model.whatever" in capsys.readouterr().err
 
+    def test_unknown_section_in_file(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[bogus]\nn = 3\n")
+        assert run_cli(["sample", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: bogus: unknown config section")
+
+    def test_unknown_subcommand_names_it(self, tmp_path):
+        with pytest.raises(cli.ConfigError, match="unknown subcommand 'bogus'") as raised:
+            cli.run("bogus", cli.RunConfig(out=str(tmp_path / "o")))
+        assert raised.value.key == "subcommand"
+        assert not (tmp_path / "o").exists()
+
     def test_bad_value_type_names_key(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
         ini.write_text("[model]\nn = lots\n")
@@ -246,6 +258,10 @@ class TestBadInput:
             (["simulate", "--truncation-variant", "bogus"], "integrator.truncation_variant"),
             (["sample", "--seed", "-1"], "run.seed"),
             (["sample", "--n-samples", "0"], "sampler.n_samples"),
+            (["moments", "--lags", "0.002,abc"], "diagnostics.lags"),
+            (["kernel", "--grid", "a:b:c"], "diagnostics.grid"),
+            (["simulate", "--initial", "warm"], "sampler.initial"),
+            (["kernel", "--kernel", "foo"], "diagnostics.kernel"),
         ],
         ids=[
             "grid-nan", "grid-inf", "no-paths", "t-final-off-grid", "negative-n-samples", "fractional-L",
@@ -254,6 +270,7 @@ class TestBadInput:
             "x-outside-domain", "s-zero", "s-nan", "x-nan-airy", "x-nan-bessel", "x-too-few-coordinates",
             "x-too-many-coordinates", "beta-one-bessel",
             "depth-above-30", "variant-bogus-airy", "variant-bogus-no-radius", "seed-negative", "no-samples",
+            "lags-not-numbers", "grid-not-numbers", "initial-unknown", "kernel-unknown",
         ],
     )
     def test_exits_2_and_names_key(self, argv, key, tmp_path, capsys):
@@ -348,8 +365,9 @@ class TestBadInput:
             (["--model", "airy", "--r-list", "inf"], "diagnostics.r_list"),
             (["--model", "bessel", "--x", "1", "--n-samples", "20", "--r-list", "0.5"], "sampler.n_samples"),
             (["--model", "airy", "--n-samples", "99"], "sampler.n_samples"),
+            (["--model", "airy", "--r-list", ","], "diagnostics.r_list"),
         ],
-        ids=["r-negative-bessel", "r-nan-airy", "r-inf-airy", "few-samples-bessel", "few-samples-airy"],
+        ids=["r-negative-bessel", "r-nan-airy", "r-inf-airy", "few-samples-bessel", "few-samples-airy", "r-list-empty"],
     )
     def test_drift_diag_scan_settings_fail_before_any_sample_is_drawn(self, argv, key, tmp_path, capsys, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -377,11 +395,12 @@ class TestBadInput:
             (["correlate", "--model", "airy", "--window", "2"], "diagnostics.window"),
             (["correlate", "--model", "airy", "--order", "2", "--window", "2"], "diagnostics.window"),
             (["correlate", "--model", "ginibre", "--order", "1", "--window", "2"], "diagnostics.window"),
+            (["correlate", "--order", "3"], "diagnostics.order"),
         ],
         ids=[
             "bins-nan", "bins-one-edge", "bins-inf", "bins-decreasing", "window-negative", "window-inf",
             "window-nan", "r-nan", "T-inf", "c-inf", "window-airy-order-1", "window-airy-order-2",
-            "window-planar-order-1",
+            "window-planar-order-1", "order-3",
         ],
     )
     def test_estimator_settings_fail_before_any_sample_is_drawn(self, argv, key, tmp_path, capsys, monkeypatch):
@@ -661,6 +680,14 @@ class TestDiagnosticsCommands:
         rows = (out / "moments.csv").read_text().splitlines()
         assert rows[0] == "lag,moment4"
         assert len(rows) == 4
+
+    def test_moments_with_one_positive_lag_print_no_slope(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        rc = run_cli(["moments", "--model", "airy", "--n", "3", "--paths", "2", "--dt", "1e-3",
+                      "--t-final", "0.004", "--dt-record", "2e-3", "--lags", "0,0.002", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == f"wrote fourth moments for 2 lags to {out / 'moments.csv'}\n"
+        assert len((out / "moments.csv").read_text().splitlines()) == 3
 
     def test_off_grid_lag_is_config_error(self, tmp_path, capsys):
         rc = run_cli(["moments", "--model", "airy", "--n", "3", "--paths", "2", "--dt", "1e-3",

@@ -181,6 +181,11 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="d in 1, 2, 3"):
             save_configurations(tmp_path / "out.csv", [np.zeros((2, 4))])
 
+    def test_skips_an_empty_block(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("x\n1.0\n\n\n\nx\n2.0\n")
+        assert [b.tolist() for b in load_configurations(path)] == [[[1.0]], [[2.0]]]
+
     def test_rejects_nonfinite(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text in ["x\n1.0\nnan\n", "x,y\n0.5,1.0\n\nx,y\ninf,0.0\n", "x\n-inf\n"]:
@@ -279,6 +284,14 @@ class TestOneBlasThread:
             assert lib.scipy_openblas_get_num_threads64_() == 2
         finally:
             lib.scipy_openblas_set_num_threads64_(before)
+
+    def test_no_matching_library_is_none(self, monkeypatch):
+        monkeypatch.setattr(core.glob, "glob", lambda pattern: [])
+        core._openblas.cache_clear()
+        try:
+            assert core._openblas() is None
+        finally:
+            core._openblas.cache_clear()
 
     def test_pins_nothing_without_the_library(self, monkeypatch):
         monkeypatch.setattr(core, "_openblas", lambda: None)

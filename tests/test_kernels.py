@@ -101,6 +101,10 @@ class TestAiryKernel:
             outside = K.airy_kernel(m - 0.505e-4, m + 0.505e-4)
             assert abs(inside - outside) <= 1e-9
 
+    def test_point_outside_the_support_is_refused(self):
+        with pytest.raises(ValueError, match=r"^airy_kernel supports x, y in \[-120.0, 10.0\], got \(11.0, 0.0\)$"):
+            K.airy_kernel(11.0, 0.0)
+
     def test_diagonal_closed_form(self):
         for x in (-6.0, -2.5, 0.0, 1.5):
             ai, aip = K.airy_fn(x)

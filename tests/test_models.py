@@ -5,7 +5,7 @@ import pytest
 
 from ibrownian.core import DomainError, Family, ModelSpec, RngStream, SingularConfigurationError
 from ibrownian import models as M
-from ibrownian import sampling as S
+from ibrownian.cli import _SAMPLERS
 
 import oracles
 
@@ -417,6 +417,15 @@ class TestBatchAxis:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
+    def test_empty_stack_gives_an_empty_drift(self, fam, kw, variant):
+        spec = _spec(fam, 5, **kw)
+        stack = np.zeros((0, 5, spec.dimension))
+        trunc = M.TruncationParams(radius=4.0, variant=variant)
+        sep = np.empty(0)
+        assert M.drift_finite_all(spec, stack, separation=sep).shape == stack.shape
+        assert M.drift_limit_truncated_all(spec, stack, trunc, separation=sep).shape == stack.shape
+
+    @pytest.mark.parametrize("fam,kw,variant", _BATCH_FAMILIES)
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_separation_is_smallest_pair_distance(self, fam, kw, variant, n):
         spec = _spec(fam, n, **kw)
@@ -596,17 +605,6 @@ class TestEnergyChange:
             M._energy_change(_spec(fam, 3, **kw))
 
 
-def _median_gap(x):
-    """Median distance from each point of the (P, n, k) stack to its nearest neighbour."""
-    r = np.sqrt(np.sum((x[:, :, None, :] - x[:, None, :, :]) ** 2, axis=-1))
-    r[:, np.arange(x.shape[1]), np.arange(x.shape[1])] = np.inf
-    return float(np.median(r.min(axis=2)))
-
-
-def _z(t):
-    return t.mean() / (t.std(ddof=1) / math.sqrt(t.size))
-
-
 class TestSteinGates:
     """Every drift is half the score of its family's equilibrium law
     (sigma = 1), so Stein's identity ties it, through every pair, to an
@@ -628,25 +626,14 @@ class TestSteinGates:
         ids=["airy-beta1", "airy-beta2", "airy-beta4", "bessel-alpha1.5", "ginibre"],
     )
     def test_drift_is_the_score_of_the_exact_sampler(self, spec, seed):
-        n, g = spec.n_particles, RngStream(seed)
-        if spec.family is Family.AIRY:
-            x, _ = S.sample_airy_ensemble(n, spec.beta, g, 4000)
-        elif spec.family is Family.BESSEL:
-            x, _ = S.sample_bessel_ensemble(n, spec.alpha, g, 4000)
-        else:
-            x, _ = S.sample_ginibre_ensemble(n, g, 4000)
-        d = 2.0 * M.drift_finite_all(spec, x)
-        gap = _median_gap(x)
-        for s in (gap, 3.0 * gap):
-            z = {"pair": _z(oracles.stein_statistic(x, d, s))}
-            if spec.family is Family.BESSEL:
-                z["one-body"] = _z(oracles.stein_one_body(x, d, s))
-            assert all(abs(v) <= 3.5 for v in z.values()), f"s = {s:.3g}: z = {z}"
+        x, _ = _SAMPLERS[spec.family](None, spec, RngStream(seed), 4000)
+        z = oracles.stein_z(x, 2.0 * M.drift_finite_all(spec, x), one_body=spec.family is Family.BESSEL)
+        assert all(abs(v) <= 3.5 for v in z.values()), z
 
     def test_one_body_statistic_is_centred_under_its_law(self):
         # the oracle itself: iid Gamma(5/2) points have score 1.5 / x - 1,
         # and 1.65 / x - 1 is told apart; bounds in standard errors
         x = np.random.default_rng(1723).gamma(2.5, size=(4000, 5, 1))
         for s in (0.5, 2.0):
-            z = {a: abs(_z(oracles.stein_one_body(x, a / x - 1.0, s))) for a in (1.5, 1.65)}
+            z = {a: abs(oracles.mean_z(oracles.stein_one_body(x, a / x - 1.0, s))) for a in (1.5, 1.65)}
             assert z[1.5] <= 4.0 < z[1.65]

@@ -29,10 +29,16 @@ class TestSoftEdgeSampler:
 
     @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
     def test_tridiagonal_matches_dense(self, beta):
-        # the dense Gaussian matrix models are the independent reference
+        # the dense Gaussian matrix models are the independent reference:
+        # check 12's at beta = 2, the matrix OU oracle's stationary law
+        # (t = inf, so the start has weight 0) at beta = 1 and 4
         a, _ = S.sample_airy_ensemble(8, beta, RngStream(1), 3000)
         g = RngStream(2).generator()
-        b = np.array([S._edge_spectrum_dense(8, beta, g) for _ in range(3000)])
+        if beta == 2.0:
+            b = np.array([S._edge_spectrum_dense(8, g) for _ in range(3000)])
+        else:
+            lam = oracles.matrix_ou_oracle(beta, np.zeros((3000, 8)), math.inf, g)
+            b = 8 ** (1.0 / 6.0) * (lam - 2.0 * math.sqrt(8))
         assert ks_2samp(a.ravel(), b.ravel()).statistic <= 0.035
 
     def test_two_particle_law_against_rejection_oracle(self):
@@ -71,8 +77,6 @@ class TestSoftEdgeSampler:
             S.sample_airy_ensemble(0, 2.0, RngStream(1), 1)
         with pytest.raises(ValueError):
             S.sample_airy_ensemble(3, -1.0, RngStream(1), 1)
-        with pytest.raises(ValueError):
-            S._edge_spectrum_dense(3, 3.0, np.random.default_rng(1))
         # the tridiagonal model is the one soft-edge sampler
         with pytest.raises(TypeError):
             S.sample_airy_ensemble(3, 2.0, RngStream(1), 1, method="dense")

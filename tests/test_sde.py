@@ -17,10 +17,11 @@ from ibrownian.core import (
     StepFailureError,
 )
 from ibrownian.models import TruncationParams, drift_finite_all, drift_limit_truncated_all
-from ibrownian.cli import _spaced_initial
+from ibrownian.cli import _SAMPLERS, _spaced_initial
 from ibrownian.sampling import _edge_spectrum_dense, sample_airy_ensemble
 from ibrownian.sde import (
     IntegratorConfig,
+    PathEnsemble,
     _drift,
     simulate,
     step,
@@ -258,6 +259,44 @@ class TestSimulate:
         with pytest.raises(ValueError, match="^initial state 7 must be finite; point 1 is not$"):
             simulate(spec, starts, cfg, stream, on_failure=on_failure)
         assert stream.requests == []
+
+    @pytest.mark.parametrize(
+        "initial, on_failure, message",
+        [
+            ([_ascending([0.0, 1.0])], "ignore", "^on_failure must be 'raise' or 'drop'$"),
+            ([], "raise", "^at least one initial state is required$"),
+        ],
+        ids=["unknown-policy", "no-starts"],
+    )
+    def test_refused_before_any_path_runs(self, initial, on_failure, message):
+        stream = _CountingStream(9)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
+        with pytest.raises(ValueError, match=message):
+            simulate(ModelSpec(Family.AIRY, 2), initial, cfg, stream, on_failure=on_failure)
+        assert stream.requests == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"states": np.zeros((2, 3, 2))}, "^states must have shape"),
+            ({"times": np.array([0.0, 2e-3, 1e-3])}, "^recording grid must be strictly increasing$"),
+            ({"states": np.full((2, 3, 2, 1), np.nan)}, "^all recorded states must be finite$"),
+            ({"path_seeds": ((9, 0, 0),)}, "^one trajectory per surviving path required$"),
+        ],
+        ids=["bad-shape", "non-increasing-grid", "non-finite-state", "seed-count"],
+    )
+    def test_path_ensemble_refuses_inconsistent_records(self, change, message):
+        fields = {
+            "times": np.array([0.0, 1e-3, 2e-3]),
+            "states": np.zeros((2, 3, 2, 1)),
+            "spec": ModelSpec(Family.AIRY, 2),
+            "path_seeds": ((9, 0, 0), (9, 0, 1)),
+            "substeps": np.ones(2, dtype=np.int64),
+            "max_depth_used": 0,
+            "ordering_violations": 0,
+        }
+        with pytest.raises(ValueError, match=message):
+            PathEnsemble(**{**fields, **change})
 
     def test_horizon_must_fit_grid(self):
         # rejected when the config is built, before any path is set up
@@ -563,14 +602,18 @@ class TestMatrixPathLaw:
     @pytest.mark.parametrize("beta,seed", [(2.0, 1670), (1.0, 1681), (4.0, 1682)], ids=["beta2", "beta1", "beta4"])
     def test_oracle_is_normalised_at_large_time(self, beta, seed):
         # by matrix time 40 the start is forgotten: the oracle's eigenvalues
-        # are those of the dense model's matrix
+        # follow the stationary law, that of check 12's dense matrix at
+        # beta = 2 and of the tridiagonal sampler at every beta
         n, paths = 6, 2000
         g = np.random.default_rng(seed)
         lam0 = np.tile(_to_matrix(np.arange(1.0, n + 1.0), n), (paths, 1))
         late = _to_edge(oracles.matrix_ou_oracle(beta, lam0, 40.0, g), n)
-        dense = np.array([_edge_spectrum_dense(n, beta, g) for _ in range(paths)])
+        if beta == 2.0:
+            law = np.array([_edge_spectrum_dense(n, g) for _ in range(paths)])
+        else:
+            law = sample_airy_ensemble(n, beta, g, paths)[0][:, :, 0]
         for i in range(n):
-            assert ks_2samp(late[:, i], dense[:, i]).pvalue >= 1e-3 / n
+            assert ks_2samp(late[:, i], law[:, i]).pvalue >= 1e-3 / n
 
     @pytest.mark.parametrize(
         "beta,seed,paths",
@@ -639,6 +682,40 @@ class TestMatrixPathLaw:
     )
     def test_transient_from_a_spaced_start_flags_no_path(self, beta, seed):
         assert _matrix_law_run("spaced", seed, beta)[4] == ()
+
+
+class TestSteinGatesAtT:
+    """From exact starts the state at T keeps the equilibrium law, whose
+    score is d = 2 b (sigma = 1), so Stein's identity holds at T as
+    ``test_models.TestSteinGates`` checks it for the samplers.  Fixed before
+    the run: n = 10, 2000 starts from stream ``seed``, paths from stream
+    ``seed + 10``, T = 0.5, dt = 5e-3, depth 30, a flagged path raising,
+    s = 1 and 3 median nearest-neighbour gaps at T, |z| <= 3.5."""
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            pytest.param(
+                ModelSpec(Family.AIRY, 10, beta=1.0),
+                1740,
+                marks=pytest.mark.xfail(
+                    raises=StepFailureError,
+                    reason="ROADMAP item 5: 484 of 2000 beta = 1 paths exhaust substep depth 30",
+                ),
+            ),
+            (ModelSpec(Family.AIRY, 10, beta=2.0), 1741),
+            (ModelSpec(Family.AIRY, 10, beta=4.0), 1742),
+            (ModelSpec(Family.BESSEL, 10, alpha=1.5), 1743),
+            pytest.param(ModelSpec(Family.GINIBRE, 10), 1744, marks=pytest.mark.slow),
+        ],
+        ids=["airy-beta1", "airy-beta2", "airy-beta4", "bessel-alpha1.5", "ginibre"],
+    )
+    def test_integrator_keeps_the_exact_law(self, spec, seed):
+        starts, _ = _SAMPLERS[spec.family](None, spec, RngStream(seed), 2000)
+        cfg = IntegratorConfig(dt=5e-3, t_final=0.5, dt_record=0.5, max_substep_depth=30)
+        x = simulate(spec, starts, cfg, RngStream(seed + 10)).states[:, -1]
+        z = oracles.stein_z(x, 2.0 * drift_finite_all(spec, x), one_body=spec.family is Family.BESSEL)
+        assert all(abs(v) <= 3.5 for v in z.values()), z
 
 
 # one small start per family, with a close pair so that Euler-Maruyama
@@ -835,6 +912,24 @@ class TestOneDriftPerLeaf:
         assert np.array_equal(sep, want_sep)
         # the whole stack, then the 63 rows that are not singular
         assert calls == [64, 63]
+
+    def test_all_singular_stack_is_flagged_row_by_row(self, monkeypatch):
+        spec = ModelSpec(Family.AIRY, 5, beta=2.0)
+        x, _ = sample_airy_ensemble(5, 2.0, RngStream(48), 3)
+        x[:, 1] = x[:, 0]
+        calls = []
+
+        def counting(spec, x, **kwargs):
+            calls.append(len(x))
+            return drift_finite_all(spec, x, **kwargs)
+
+        monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
+        b, sep, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01))
+        reason = "drift evaluation hit a singular configuration: pair separation below 1e-12; configuration is singular"
+        assert singular == dict.fromkeys([0, 1, 2], reason)
+        assert not b.any() and not sep.any()
+        # the whole stack, then the empty stack of rows that are not singular
+        assert calls == [3, 0]
 
     def test_nan_row_is_not_singular(self):
         # a NaN state is evaluated, as a separate call would, and not flagged

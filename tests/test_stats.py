@@ -481,6 +481,11 @@ class TestHolderMoment:
                 holder_moment(ens, [0.125, lag])
         assert holder_moment(ens, [4.0])[0] > 0.0
 
+    def test_ensemble_without_increments_is_refused(self):
+        ens = _FakeEnsemble(np.array([0.0]), np.zeros((3, 1, 2, 1)))
+        with pytest.raises(ValueError, match="^ensemble has no increments$"):
+            holder_moment(ens, [0.0])
+
     def test_on_simulated_ensemble(self):
         spec = ModelSpec(family=Family.AIRY, beta=2.0, n_particles=3)
         init = np.array([-2.0, 0.0, 2.0])
