@@ -10,14 +10,15 @@ path sits at its own node of its own binary substep tree, tracked as an
 integer tick and span in units of dt / 2**30, and the paths meet again
 only at the end.  One iteration makes one drift call for all live paths;
 every path then descends from its node to a leaf in that iteration (its
-state, and so its drift, do not change on the way down).  A path whose
-step failed there (singular drift, depth budget exhausted) leaves the
-batch with its reason before the move, so one in-place move of the whole
-live stack serves every path that remains: each takes its leaf's move and
-goes on to the next node depth first, and each drift evaluation serves
-exactly one leaf.  A finished path leaves after the move; the others go
-on.  A path reads its noise from its own buffer of draws, refilled from
-its generator in one call.  Per path, the split tests, the drifts and the
+state, and so its drift, do not change on the way down).  A path that
+fails (singular drift, drift not a number, depth budget exhausted)
+leaves the batch with its reason before the move, through the exit a
+finished path takes after it; a call that raised at singular paths
+moves no path, and the others' drift comes from the next call.  So one
+in-place move of the whole live stack serves every path that remains,
+and each drift evaluation that returns serves exactly one leaf.  A path
+reads its noise from its own buffer of draws, refilled from its
+generator in one call.  Per path, the split tests, the drifts and the
 noise used are those of a depth-first walk of that path alone, so the
 batch changes no output bit.
 
@@ -40,6 +41,7 @@ the worker count and of which other paths share the batch.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -168,27 +170,6 @@ _NOISE_DEPTH = 32
 _DRIFT_CAP = 0.5
 
 
-def _drift(spec, x, cfg):
-    """Drift of every state of the (L, n, d) stack, its smallest pair
-    separation (L,), and {row: reason} for the rows at a singular
-    configuration (their drift rows and separations are zero).
-
-    A stack that raises has written every row's separation first, so its
-    singular rows are those below ``MIN_PAIR_SEPARATION`` (a NaN row is
-    not); one more call gives each other row the drift of a separate call."""
-    drift, args = (drift_finite_all, ()) if cfg.truncation is None else (drift_limit_truncated_all, (cfg.truncation,))
-    sep = np.empty(len(x))
-    try:
-        return drift(spec, x, *args, separation=sep), sep, {}
-    except SingularConfigurationError as exc:
-        reason = f"drift evaluation hit a singular configuration: {exc}"
-    singular = sep < MIN_PAIR_SEPARATION
-    sep[singular] = 0.0
-    b = np.zeros_like(x)
-    b[~singular] = drift(spec, x[~singular], *args)
-    return b, sep, dict.fromkeys(np.flatnonzero(singular).tolist(), reason)
-
-
 def _split_rule(spec, x, b, sep, state_noise):
     """Which rows of the (L, n, d) stack halve their substep, as data for
     ``_splits``: (bmax, drift_limit, noise_limit, pair_sig), each row's
@@ -262,13 +243,13 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     An iteration evaluates the drift of all live paths in one call, and
     each path descends its own substep tree from its node to a leaf while
     the split rule holds.  Paths whose step failed there (singular drift,
-    depth budget exhausted) leave the batch before the move; every other
-    live path then takes its leaf's move in one in-place move of the
-    whole stack, reflected at 0 on the [0, inf) families; the finished
-    paths leave after it.  With ``lowest_failure_only``, only the
-    lowest-indexed failure is wanted: once a path fails, the live paths
-    above it leave the batch unfinished, with no reason and no recorded
-    states.
+    drift not a number, depth budget exhausted) leave the batch with
+    their reasons before any move; every other live path then takes its
+    leaf's move in one in-place move of the whole stack, reflected at 0
+    on the [0, inf) families; the finished paths leave after it.  With
+    ``lowest_failure_only``, only the lowest-indexed failure is wanted:
+    once a path fails, the live paths above it leave the batch
+    unfinished, with no reason and no recorded states.
 
     A path reads its noise from a buffer of ``noise_depth`` draws (by
     default ``_NOISE_DEPTH``, fewer for a large batch), refilled from its
@@ -327,19 +308,29 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
         ids, x, span, tick, finest, interval, *rows = (a[keep] for a in (ids, x, span, tick, finest, interval, *rows))
         return rows
 
+    drift, args = (drift_finite_all, ()) if cfg.truncation is None else (drift_limit_truncated_all, (cfg.truncation,))
     while ids.size:
-        b, sep, singular = _drift(spec, x, cfg)
-        gone = list(singular)
-        for i, reason in singular.items():
-            reasons[ids[i]] = reason
+        sep = np.empty(len(ids))
+        try:
+            b = drift(spec, x, *args, separation=sep)
+        except SingularConfigurationError as exc:
+            # every row's separation is written: the singular rows leave
+            gone = np.flatnonzero(sep < MIN_PAIR_SEPARATION)
+            for i in gone:
+                reasons[ids[i]] = f"drift evaluation hit a singular configuration: {exc}"
+            leave(gone)
+            continue
         h = span * unit
         noise_root_h = cfg.noise_scale * np.sqrt(h)
         # descend to the leaf: the state, and so the rule, stay fixed
         # while the substep of the rows that still split halves
         rule = _split_rule(spec, x, b, sep, state_noise)
         split = _splits(rule, h, noise_root_h)
-        if gone:
-            split[gone] = False
+        # the norms are >= 0, so their sum is NaN only where one of them is
+        gone = np.flatnonzero(np.isnan(rule[0])).tolist() if math.isnan(np.add.reduce(rule[0])) else []
+        for i in gone:
+            reasons[ids[i]] = "drift is not a number"
+            split[i] = False
         while np.count_nonzero(split):
             for i in np.flatnonzero(split & (span <= finest_split)):
                 reasons[ids[i]] = (

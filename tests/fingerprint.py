@@ -212,6 +212,15 @@ def _integrator_outputs() -> None:
         _emit(f"simulate.airy.{label}.states", _hash_stack(ens.states.reshape(-1, 5, 1), 1))
         _emit(f"simulate.airy.{label}.substeps", _hash_ragged([ens.substeps.astype(np.float64)]))
         _emit(f"simulate.airy.{label}.failed", hashlib.sha256(repr(ens.failed_paths).encode()).hexdigest())
+    # path 1's pair difference overflows and its drift is NaN: it is
+    # flagged before its first move, and the other two run on
+    plane2 = ModelSpec(Family.GINIBRE, 2)
+    far = np.array([[1e308, 0.0], [-1e308, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ens = sde.simulate(plane2, [_start(plane2), far, _start(plane2)], cfg, RngStream(66), on_failure="drop")
+    _emit("simulate.ginibre.nan_drift.states", _hash_stack(ens.states.reshape(-1, 2, 2), 2))
+    _emit("simulate.ginibre.nan_drift.substeps", _hash_ragged([ens.substeps.astype(np.float64)]))
+    _emit("simulate.ginibre.nan_drift.failed", hashlib.sha256(repr(ens.failed_paths).encode()).hexdigest())
     pts, _ = sampling.sample_ginibre_ensemble(4, RngStream(63), 3)
     planar = sde.IntegratorConfig(
         dt=1e-3, t_final=0.01, dt_record=0.005, truncation=TruncationParams(3.0, TruncationVariant.CENTERED)

@@ -593,6 +593,8 @@ def _leaf_move(spec, pts, b, h, g, cfg, stats, depth):
 def _advance(spec, pts, h, depth, g, cfg, stats) -> np.ndarray:
     b = _drift(spec, pts, cfg)
     bmax = float(np.max(np.sqrt(np.sum(b * b, axis=1)))) if b.size else 0.0
+    if math.isnan(bmax):
+        raise StepFailureError("drift is not a number")
     gap = _min_gap(pts)
     split = bmax * h > min(0.5, 0.1 * gap)  # a drift cap of 0.5
     if not split and cfg.noise_scale > 0.0 and math.isfinite(gap):

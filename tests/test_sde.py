@@ -13,16 +13,14 @@ from ibrownian.core import (
     Family,
     ModelSpec,
     RngStream,
-    SingularConfigurationError,
     StepFailureError,
 )
-from ibrownian.models import TruncationParams, drift_finite_all, drift_limit_truncated_all
+from ibrownian.models import TruncationParams, drift_finite_all
 from ibrownian.cli import _SAMPLERS, _spaced_initial
-from ibrownian.sampling import _edge_spectrum_dense, sample_airy_ensemble
+from ibrownian.sampling import _edge_spectrum_dense, sample_airy_ensemble, sample_gibbs_chain
 from ibrownian.sde import (
     IntegratorConfig,
     PathEnsemble,
-    _drift,
     simulate,
     step,
 )
@@ -165,6 +163,16 @@ class TestStep:
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, max_substep_depth=0, noise_scale=0.0)
         with pytest.raises(StepFailureError):
             step(spec, _ascending([0.0, 1e-7]), 1e-3, RngStream(1), cfg)
+
+    def test_infinite_noise_is_refused(self):
+        # a finite drift with noise that overflows: no path failure, but
+        # the new state is not finite, and step refuses to return it
+        spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
+        cfg = IntegratorConfig(dt=4.0, t_final=4.0, noise_scale=1e308)
+        g = np.random.default_rng(2)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="^the new state must be finite$"):
+                step(spec, np.zeros((1, 3)), 4.0, g, cfg)
 
 
 class TestSimulate:
@@ -690,7 +698,8 @@ class TestSteinGatesAtT:
     ``test_models.TestSteinGates`` checks it for the samplers.  Fixed before
     the run: n = 10, 2000 starts from stream ``seed``, paths from stream
     ``seed + 10``, T = 0.5, dt = 5e-3, depth 30, a flagged path raising,
-    s = 1 and 3 median nearest-neighbour gaps at T, |z| <= 3.5."""
+    s = 1 and 3 median nearest-neighbour gaps at T, |z| <= 3.5; the 3d
+    families start from their chain, at n = 8."""
 
     @pytest.mark.parametrize(
         "spec, seed",
@@ -716,6 +725,24 @@ class TestSteinGatesAtT:
         x = simulate(spec, starts, cfg, RngStream(seed + 10)).states[:, -1]
         z = oracles.stein_z(x, 2.0 * drift_finite_all(spec, x), one_body=spec.family is Family.BESSEL)
         assert all(abs(v) <= 3.5 for v in z.values()), z
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [(ModelSpec(Family.LENNARD_JONES, 8, beta=1.0), 1750), (ModelSpec(Family.RIESZ, 8, beta=1.0, riesz_a=4), 1751)],
+        ids=["lennard_jones", "riesz"],
+    )
+    def test_integrator_keeps_the_chain_law(self, spec, seed):
+        # the 3d families start from 1000 chain draws at the default
+        # options, which are correlated: z comes from 40 batch means of 25
+        # paths, at s = 0.8, 1.2 and 2.0 as the chain's own gate reads it
+        starts, _ = sample_gibbs_chain(spec, RngStream(seed), 1000)
+        cfg = IntegratorConfig(dt=5e-3, t_final=0.5, dt_record=0.5, max_substep_depth=30)
+        x = simulate(spec, starts, cfg, RngStream(seed + 10)).states[:, -1]
+        score = 2.0 * drift_finite_all(spec, x)
+        for s in (0.8, 1.2, 2.0):
+            z = oracles.mean_z(oracles.stein_statistic(x, score, s).reshape(40, 25).mean(axis=1))
+            assert abs(z) <= 3.5, f"s = {s}: z = {z:.2f}"
 
 
 # one small start per family, with a close pair so that Euler-Maruyama
@@ -886,17 +913,14 @@ class TestOneDriftPerLeaf:
         assert ens.max_depth_used >= 5
         assert sum(rows) == ens.substeps.sum()
 
-    def test_singular_row_is_read_from_the_separations(self, monkeypatch):
+    def test_singular_path_leaves_and_the_others_run_on(self, monkeypatch):
+        # the stack raises at path 37: it leaves with its reason, and the
+        # next call evaluates the 63 others with no move in between
         spec = ModelSpec(Family.AIRY, 20, beta=2.0)
         x, _ = sample_airy_ensemble(20, 2.0, RngStream(46), 64)
-        x[37, 5] = x[37, 4]
-        want, want_sep, reasons = np.zeros_like(x), np.zeros(len(x)), {}
-        for i, pts in enumerate(x):
-            try:
-                want[i] = drift_finite_all(spec, pts)
-                want_sep[i] = np.diff(np.sort(pts[:, 0])).min()
-            except SingularConfigurationError as exc:
-                reasons[i] = f"drift evaluation hit a singular configuration: {exc}"
+        doomed = x.copy()
+        doomed[37, 5] = doomed[37, 4]
+        cfg = IntegratorConfig(dt=1e-3, t_final=2e-3, max_substep_depth=30)
         calls = []
 
         def counting(spec, x, **kwargs):
@@ -904,46 +928,42 @@ class TestOneDriftPerLeaf:
             return drift_finite_all(spec, x, **kwargs)
 
         monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
-        b, sep, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01))
-        assert list(reasons) == [37]
-        assert singular == reasons
-        assert np.array_equal(b, want)
-        # each row's smallest gap, zero on the singular row
-        assert np.array_equal(sep, want_sep)
-        # the whole stack, then the 63 rows that are not singular
-        assert calls == [64, 63]
-
-    def test_all_singular_stack_is_flagged_row_by_row(self, monkeypatch):
-        spec = ModelSpec(Family.AIRY, 5, beta=2.0)
-        x, _ = sample_airy_ensemble(5, 2.0, RngStream(48), 3)
-        x[:, 1] = x[:, 0]
-        calls = []
-
-        def counting(spec, x, **kwargs):
-            calls.append(len(x))
-            return drift_finite_all(spec, x, **kwargs)
-
-        monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
-        b, sep, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01))
+        flagged = simulate(spec, doomed, cfg, RngStream(47), on_failure="drop")
+        assert calls[:2] == [64, 63]
         reason = "drift evaluation hit a singular configuration: pair separation below 1e-12; configuration is singular"
-        assert singular == dict.fromkeys([0, 1, 2], reason)
-        assert not b.any() and not sep.any()
-        # the whole stack, then the empty stack of rows that are not singular
-        assert calls == [3, 0]
+        assert flagged.failed_paths == ((37, f"path 37: {reason}"),)
+        clean = simulate(spec, x, cfg, RngStream(47), on_failure="drop")
+        assert clean.failed_paths == ()
+        others = [p for p in range(64) if p != 37]
+        assert np.array_equal(flagged.states, clean.states[others])
+        assert np.array_equal(flagged.substeps, clean.substeps[others])
+        assert flagged.path_seeds == tuple(clean.path_seeds[p] for p in others)
 
-    def test_nan_row_is_not_singular(self):
-        # a NaN state is evaluated, as a separate call would, and not flagged
+    def test_all_singular_block_is_flagged_in_one_call(self, monkeypatch):
+        # two blocks of three paths, the first all singular: one call flags
+        # all three, and under "raise" it is the only call
         spec = ModelSpec(Family.AIRY, 5, beta=2.0)
-        x, _ = sample_airy_ensemble(5, 2.0, RngStream(47), 4)
-        x[1, 2] = np.nan
-        x[3, 4] = x[3, 3]
-        trunc = TruncationParams(3.0)
-        b, sep, singular = _drift(spec, x, IntegratorConfig(dt=1e-3, t_final=0.01, truncation=trunc))
-        assert list(singular) == [3]
-        assert np.isnan(sep[1]) and sep[3] == 0.0 and not b[3].any()
-        assert np.isnan(b[1]).any()
-        for i in (0, 2):
-            assert np.array_equal(b[i], drift_limit_truncated_all(spec, x[i], trunc))
+        x, _ = sample_airy_ensemble(5, 2.0, RngStream(48), 6)
+        x[:3, 1] = x[:3, 0]
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01)
+        monkeypatch.setattr("ibrownian.sde._BLOCK_PAIR_TERMS", 3 * 5 * 5)
+        calls = []
+
+        def counting(spec, x, **kwargs):
+            calls.append(len(x))
+            return drift_finite_all(spec, x, **kwargs)
+
+        monkeypatch.setattr("ibrownian.sde.drift_finite_all", counting)
+        ens = simulate(spec, x, cfg, RngStream(49), on_failure="drop")
+        reason = "drift evaluation hit a singular configuration: pair separation below 1e-12; configuration is singular"
+        assert ens.failed_paths == tuple((p, f"path {p}: {reason}") for p in range(3))
+        assert [seed[2] for seed in ens.path_seeds] == [3, 4, 5]
+        # the first block's one call, then the second block's first
+        assert calls[:2] == [3, 3]
+        calls.clear()
+        with pytest.raises(StepFailureError, match=f"^path 0: {reason}$"):
+            simulate(spec, x, cfg, RngStream(49))
+        assert calls == [3]
 
 
 class TestFailureIsolation:
@@ -967,6 +987,32 @@ class TestFailureIsolation:
             spec, [healthy[0], doomed, *healthy[1:]], cfg, RngStream(40), on_failure="drop"
         )
         _assert_same_ensemble(flagged, want)
+
+    @pytest.mark.parametrize(
+        "spec, healthy",
+        [
+            (ModelSpec(Family.GINIBRE, 2), [[0.5, 0.0], [-0.5, 0.2]]),
+            (ModelSpec(Family.LENNARD_JONES, 2, beta=1.0), [[0.5, 0.0, 0.0], [-0.5, 0.2, 0.0]]),
+        ],
+        ids=["ginibre", "lennard_jones"],
+    )
+    def test_nan_drift_is_flagged(self, spec, healthy):
+        # the pair difference overflows to inf and inf * 0 is NaN: the path
+        # leaves before its first move, and the healthy one runs on
+        doomed = np.zeros((2, spec.dimension))
+        doomed[:, 0] = 1e308, -1e308
+        healthy = np.array(healthy)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.01, dt_record=5e-3)
+        with pytest.warns(RuntimeWarning):
+            flagged = _matches_reference(spec, [doomed, healthy], cfg, 66)
+        assert flagged.failed_paths == ((0, "path 0: drift is not a number"),)
+        clean = simulate(spec, [healthy, healthy], cfg, RngStream(66), on_failure="drop")
+        assert np.array_equal(flagged.states, clean.states[[1]])
+        assert np.array_equal(flagged.substeps, clean.substeps[[1]])
+        with pytest.warns(RuntimeWarning), pytest.raises(StepFailureError, match="^path 0: drift is not a number$"):
+            simulate(spec, [doomed, healthy], cfg, RngStream(66))
+        with pytest.warns(RuntimeWarning), pytest.raises(StepFailureError, match="^drift is not a number$"):
+            step(spec, doomed, 1e-3, np.random.default_rng(67), cfg)
 
     def test_raise_names_the_lowest_flagged_path(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
