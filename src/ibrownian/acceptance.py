@@ -1,16 +1,15 @@
 """Desk-scale acceptance checks, one per release criterion.
 
 Every check freezes its seeds and tolerances, so a pass is reproducible
-bit for bit; ``run_all`` executes them in registry order and returns one
-``CheckResult`` per check, whose ``margin`` is the signed distance of the
-value to the ``threshold`` its pass rule reports, positive on the passing
-side.  On a 2-vCPU x86_64 VM (commit 2e7ca00) the slowest check,
-``ginibre-variant-gap``, took 39.7 s and the whole suite 62.0 s.
+bit for bit.  ``run_all`` refuses unknown names before any check runs,
+then runs each check as its ``CheckResult`` is read, in the order given;
+a result's ``margin`` is the signed distance of the value to the
+``threshold`` its pass rule reports, positive on the passing side.
 
 Usage:
-    from ibrownian.acceptance import CHECKS, run_all
+    from ibrownian.acceptance import CHECKS, SLOW_CHECKS, run_all
 
-    for res in run_all():
+    for res in run_all():  # each line prints as its check finishes
         print(res.line())
 
     res, = run_all(["non-collision"])
@@ -22,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,7 @@ from . import sampling
 from . import stats
 from .sde import IntegratorConfig, simulate
 
-__all__ = ["CheckResult", "CHECKS", "run_all"]
+__all__ = ["CheckResult", "CHECKS", "SLOW_CHECKS", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,10 @@ def _all_of(rule, *side_rules) -> tuple[bool, float, float]:
 
 
 CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+# not in the quick suite: 5.8 s to 39.7 s each on a 2-vCPU x86_64 VM at commit
+# 2e7ca00, where each other check took 2.6 s or less and all twelve 62.0 s
+SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
 
 
 def _check(name: str):
@@ -342,11 +345,10 @@ def check_sampler_closed_forms():
     return worst, _at_most(worst, 0.02), ", ".join(parts)
 
 
-def run_all(names=None) -> list[CheckResult]:
-    """Run the named checks (all twelve when names is None), in order."""
-    if names is None:
-        names = list(CHECKS)
+def run_all(names=None) -> Iterator[CheckResult]:
+    """The named checks (all when None), each run as it is read; unknown names are refused first."""
+    names = list(CHECKS) if names is None else list(names)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise ValueError(f"unknown check names: {', '.join(unknown)}")
-    return [CHECKS[n]() for n in names]
+        raise ValueError(f"checks {', '.join(unknown)} are not registered (one of: {', '.join(CHECKS)})")
+    return (CHECKS[n]() for n in names)

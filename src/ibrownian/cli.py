@@ -53,10 +53,6 @@ from .sde import IntegratorConfig, simulate
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-# the three slowest checks (5.8 s to 39.7 s each on a 2-vCPU VM at commit
-# 2e7ca00; the others took 2.6 s or less) are excluded from the quick suite
-_SLOW_CHECKS = ("dyson-stationarity", "airy-drift-truncation-trend", "ginibre-variant-gap")
-
 # most points a --grid may ask for, checked before any array is made
 _MAX_GRID_POINTS = 1_000_000
 
@@ -524,23 +520,20 @@ def _cmd_moments(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_verify(cfg: RunConfig, out: Path) -> int:
-    from .acceptance import CHECKS  # here: the checks import scipy.stats, which no other command needs
+    from . import acceptance  # here: the checks import scipy.stats, which no other command needs
 
     if cfg.checks.strip():
         names = [c.strip() for c in cfg.checks.split(",") if c.strip()]
-        unknown = [c for c in names if c not in CHECKS]
-        if unknown:
-            known = ", ".join(CHECKS)
-            raise ConfigError("run.checks", f"unknown checks {', '.join(unknown)} (one of: {known})")
     elif cfg.suite == "quick":
-        names = [c for c in CHECKS if c not in _SLOW_CHECKS]
+        names = [c for c in acceptance.CHECKS if c not in acceptance.SLOW_CHECKS]
     elif cfg.suite == "full":
-        names = list(CHECKS)
+        names = None
     else:
         raise ConfigError("run.suite", f"expected quick or full, got {cfg.suite!r}")
+    with _keyed("run"):  # the names, before any check runs
+        checks = acceptance.run_all(names)
     results = []
-    for name in names:
-        res = CHECKS[name]()
+    for res in checks:
         results.append(res)
         print(res.line(), flush=True)
     target = out / "verify.csv"

@@ -13,14 +13,15 @@ every path then descends from its node to a leaf in that iteration (its
 state, and so its drift, do not change on the way down).  A path that
 fails (singular drift, drift not a number, depth budget exhausted)
 leaves the batch with its reason before the move, through the exit a
-finished path takes after it; a call that raised at singular paths
-moves no path, and the others' drift comes from the next call.  So one
-in-place move of the whole live stack serves every path that remains,
-and each drift evaluation that returns serves exactly one leaf.  A path
-reads its noise from its own buffer of draws, refilled from its
-generator in one call.  Per path, the split tests, the drifts and the
-noise used are those of a depth-first walk of that path alone, so the
-batch changes no output bit.
+finished path, or one whose state is not finite at a recording time,
+takes after it; a call that raised at singular paths moves no path, and
+the others' drift comes from the next call.  So one in-place move of
+the whole live stack serves every path that remains, and each drift
+evaluation that returns serves exactly one leaf.  A path reads its
+noise from its own buffer of draws, refilled from its generator in one
+call.  Per path, the split tests, the drifts and the noise used are
+those of a depth-first walk of that path alone, so the batch changes
+no output bit.
 
 The SDEs have no boundary rule of their own: on the [0, inf) families a
 move that overshoots 0 is reflected (made absolute), the integrator's one
@@ -199,11 +200,11 @@ def _split_rule(spec, x, b, sep, state_noise):
     # adjacent pair against its own coefficient instead of the global
     # max against the global gap (that bound forces deep substepping of
     # well-separated high-noise particles); rounding is monotone, so the
-    # smallest adjacent gap of the sorted row is bitwise ``sep``
+    # smallest adjacent gap of the sorted row is bitwise ``sep``, and, as
+    # sigma rises with x, a pair's larger coefficient is its upper one's
     xs = x[:, :, 0].copy()
     xs.sort(axis=1)
-    sig = diffusion_sigma(spec, xs[:, :, None])[:, :, 0]
-    pair_sig = np.maximum(sig[:, 1:], sig[:, :-1])
+    pair_sig = diffusion_sigma(spec, xs[:, 1:, None])[:, :, 0]
     noise_limit = 0.1 * (xs[:, 1:] - xs[:, :-1])
     return bmax, drift_limit, noise_limit, pair_sig
 
@@ -246,7 +247,8 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
     drift not a number, depth budget exhausted) leave the batch with
     their reasons before any move; every other live path then takes its
     leaf's move in one in-place move of the whole stack, reflected at 0
-    on the [0, inf) families; the finished paths leave after it.  With
+    on the [0, inf) families; the finished paths leave after it, as do,
+    unrecorded, those whose state is then not finite.  With
     ``lowest_failure_only``, only the lowest-indexed failure is wanted:
     once a path fails, the live paths above it leave the batch
     unfinished, with no reason and no recorded states.
@@ -360,6 +362,10 @@ def _integrate(spec, cfg, starts, h0, n_rec, m, generator, lowest_failure_only=F
                 p = ids[i]
                 tick[i] = 0
                 interval[i] += 1
+                if not np.isfinite(x[i]).all():
+                    reasons[p] = "state is not finite"
+                    gone.append(i)
+                    continue
                 rec[p, interval[i]] = x[i]
                 if interval[i] < n_rec:
                     gens[p] = generator(p, interval[i])
@@ -378,7 +384,7 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.nd
 
     Returns the (n, d) state at time dt, row i being particle i, as each
     row of ``PathEnsemble.states`` is.  A start must be a finite (n, d)
-    configuration of the spec inside its domain.
+    configuration of the spec inside its domain; a failure raises ``StepFailureError``.
     """
     _checked_number("dt", dt, above=0)
     g, _ = _resolve_rng(rng)
@@ -387,9 +393,6 @@ def step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig) -> np.nd
     rec, _, _, reasons = _integrate(spec, cfg, pts[None], float(dt), 1, 1, lambda p, j: g, noise_depth=1)
     if reasons[0] is not None:
         raise StepFailureError(reasons[0])
-    # as PathEnsemble requires of every recorded state
-    if not np.isfinite(rec[0, 1]).all():
-        raise ValueError("the new state must be finite")
     return rec[0, 1]
 
 
@@ -431,8 +434,9 @@ def simulate(
     of that many processes takes contiguous blocks of paths without
     changing any output.
 
-    Near-collisions below the substep resolution end a path with a step
-    failure.  ``on_failure="raise"`` propagates the lowest-indexed one
+    Near-collisions below the substep resolution, and states that are not
+    finite at a recording time, end a path with a step failure.
+    ``on_failure="raise"`` propagates the lowest-indexed one
     with its path index, and stops integrating once no lower path can
     still fail; ``"drop"`` excludes flagged paths from the ensemble and
     lists them in ``failed_paths`` (their noise streams are untouched,

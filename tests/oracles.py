@@ -499,6 +499,15 @@ def mean_z(t) -> float:
     return t.mean() / (t.std(ddof=1) / math.sqrt(t.size))
 
 
+def reversal_z(x0, xT, f, g) -> float:
+    """z of the per-path antisymmetrised product f(x0) g(xT) - g(x0) f(xT),
+    summed over all axes of f and g but the first (the path).  A reversible
+    process started from its equilibrium gives an exchangeable pair
+    (x0, xT), so the product's mean is 0 for every f and g."""
+    t = f(x0) * g(xT) - g(x0) * f(xT)
+    return mean_z(t.reshape(len(t), -1).sum(axis=1))
+
+
 def stein_z(x, d, one_body: bool = False) -> dict:
     """z of ``stein_statistic`` on the (P, n, k) stack ``x`` with scores
     ``d``, and with ``one_body`` of ``stein_one_body`` too, at s = 1 and 3
@@ -637,7 +646,14 @@ def reference_step(spec: ModelSpec, state, dt: float, rng, cfg: IntegratorConfig
     pts = np.array(state, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return _advance(spec, pts, float(dt), 0, g, cfg, _StepStats())
+    return _finite(_advance(spec, pts, float(dt), 0, g, cfg, _StepStats()))
+
+
+def _finite(pts: np.ndarray) -> np.ndarray:
+    """A state at a recording time: refused as a step failure unless finite."""
+    if not np.all(np.isfinite(pts)):
+        raise StepFailureError("state is not finite")
+    return pts
 
 
 def _integrate_path(task):
@@ -652,7 +668,7 @@ def _integrate_path(task):
             g = stream.generator(path_idx, start_interval + j)
             for _ in range(m):
                 pts = _advance(spec, pts, cfg.dt, 0, g, cfg, stats)
-            rec[j + 1] = pts
+            rec[j + 1] = _finite(pts)
     except StepFailureError as exc:
         return None, stats.substeps, stats.max_depth, f"path {path_idx}: {exc}"
     return rec, stats.substeps, stats.max_depth, None

@@ -113,9 +113,14 @@ def test_run_all_runs_the_named_checks_in_the_order_given(monkeypatch):
 
     monkeypatch.setattr(A, "CHECKS", {name: fake(name) for name in CHECKS})
     names = ["tail-sum-decay", "ginibre-bulk-intensity", "non-collision"]
-    assert [r.name for r in A.run_all(names)] == ran == names
+    # each check runs as its result is read
+    results = A.run_all(names)
+    assert ran == []
+    assert next(results).name == "tail-sum-decay" and ran == names[:1]
+    assert [names[0]] + [r.name for r in results] == ran == names
     # an unknown name is refused by name before any check runs
-    with pytest.raises(ValueError, match="^unknown check names: bogus, other$"):
+    known = ", ".join(CHECKS)
+    with pytest.raises(ValueError, match=f"^checks bogus, other are not registered \\(one of: {known}\\)$"):
         A.run_all(["tail-sum-decay", "bogus", "other"])
     assert ran == names
     assert [r.name for r in A.run_all()] == list(CHECKS)

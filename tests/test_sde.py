@@ -165,14 +165,15 @@ class TestStep:
             step(spec, _ascending([0.0, 1e-7]), 1e-3, RngStream(1), cfg)
 
     def test_infinite_noise_is_refused(self):
-        # a finite drift with noise that overflows: no path failure, but
-        # the new state is not finite, and step refuses to return it
+        # a finite drift with noise that overflows: the new state is not
+        # finite, a step failure with that reason, as in the reference
         spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
         cfg = IntegratorConfig(dt=4.0, t_final=4.0, noise_scale=1e308)
-        g = np.random.default_rng(2)
         with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="^the new state must be finite$"):
-                step(spec, np.zeros((1, 3)), 4.0, g, cfg)
+            with pytest.raises(StepFailureError, match="^state is not finite$"):
+                step(spec, np.zeros((1, 3)), 4.0, np.random.default_rng(2), cfg)
+        with pytest.raises(StepFailureError, match="^state is not finite$"):
+            oracles.reference_step(spec, np.zeros((1, 3)), 4.0, np.random.default_rng(2), cfg)
 
 
 class TestSimulate:
@@ -692,26 +693,34 @@ class TestMatrixPathLaw:
         assert _matrix_law_run("spaced", seed, beta)[4] == ()
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_start_run(spec, seed):
+    """(x_0, x_T) of 2000 paths from exact starts, drawn from stream
+    ``seed``, with paths from stream ``seed + 10``, T = 0.5, dt = 5e-3,
+    depth 30 and a flagged path raising."""
+    starts, _ = _SAMPLERS[spec.family](None, spec, RngStream(seed), 2000)
+    cfg = IntegratorConfig(dt=5e-3, t_final=0.5, dt_record=0.5, max_substep_depth=30)
+    states = simulate(spec, starts, cfg, RngStream(seed + 10)).states
+    return states[:, 0], states[:, -1]
+
+
+_BETA1_DEPTH_XFAIL = pytest.mark.xfail(
+    raises=StepFailureError, reason="ROADMAP item 5: 484 of 2000 beta = 1 paths exhaust substep depth 30"
+)
+
+
 class TestSteinGatesAtT:
     """From exact starts the state at T keeps the equilibrium law, whose
     score is d = 2 b (sigma = 1), so Stein's identity holds at T as
     ``test_models.TestSteinGates`` checks it for the samplers.  Fixed before
-    the run: n = 10, 2000 starts from stream ``seed``, paths from stream
-    ``seed + 10``, T = 0.5, dt = 5e-3, depth 30, a flagged path raising,
-    s = 1 and 3 median nearest-neighbour gaps at T, |z| <= 3.5; the 3d
-    families start from their chain, at n = 8."""
+    the run: n = 10, the paths of ``_exact_start_run``, s = 1 and 3 median
+    nearest-neighbour gaps at T, |z| <= 3.5; the 3d families start from
+    their chain, at n = 8."""
 
     @pytest.mark.parametrize(
         "spec, seed",
         [
-            pytest.param(
-                ModelSpec(Family.AIRY, 10, beta=1.0),
-                1740,
-                marks=pytest.mark.xfail(
-                    raises=StepFailureError,
-                    reason="ROADMAP item 5: 484 of 2000 beta = 1 paths exhaust substep depth 30",
-                ),
-            ),
+            pytest.param(ModelSpec(Family.AIRY, 10, beta=1.0), 1740, marks=_BETA1_DEPTH_XFAIL),
             (ModelSpec(Family.AIRY, 10, beta=2.0), 1741),
             (ModelSpec(Family.AIRY, 10, beta=4.0), 1742),
             (ModelSpec(Family.BESSEL, 10, alpha=1.5), 1743),
@@ -720,9 +729,7 @@ class TestSteinGatesAtT:
         ids=["airy-beta1", "airy-beta2", "airy-beta4", "bessel-alpha1.5", "ginibre"],
     )
     def test_integrator_keeps_the_exact_law(self, spec, seed):
-        starts, _ = _SAMPLERS[spec.family](None, spec, RngStream(seed), 2000)
-        cfg = IntegratorConfig(dt=5e-3, t_final=0.5, dt_record=0.5, max_substep_depth=30)
-        x = simulate(spec, starts, cfg, RngStream(seed + 10)).states[:, -1]
+        _, x = _exact_start_run(spec, seed)
         z = oracles.stein_z(x, 2.0 * drift_finite_all(spec, x), one_body=spec.family is Family.BESSEL)
         assert all(abs(v) <= 3.5 for v in z.values()), z
 
@@ -743,6 +750,40 @@ class TestSteinGatesAtT:
         for s in (0.8, 1.2, 2.0):
             z = oracles.mean_z(oracles.stein_statistic(x, score, s).reshape(40, 25).mean(axis=1))
             assert abs(z) <= 3.5, f"s = {s}: z = {z:.2f}"
+
+
+class TestReversalGates:
+    """Every family is reversible with respect to its equilibrium, so from
+    exact starts (x_0, x_T) is exchangeable: the z of
+    ``oracles.reversal_z`` reads 0 for every f and g.  A drift b + J grad
+    log p with J antisymmetric keeps the equilibrium law, which the Stein
+    gates at T read, but breaks reversibility, which these read.  They
+    reuse the paths of ``TestSteinGatesAtT`` and fix |z| <= 3.5 before the
+    run."""
+
+    @pytest.mark.slow
+    def test_planar_paths_do_not_rotate(self):
+        # A = sum_i x_0i x x_Ti, the out-of-plane part of the cross product
+        x0, xT = _exact_start_run(ModelSpec(Family.GINIBRE, 10), 1744)
+        z = oracles.reversal_z(x0, xT, lambda x: x[..., 0], lambda x: x[..., 1])
+        assert abs(z) <= 3.5, z
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            pytest.param(ModelSpec(Family.AIRY, 10, beta=1.0), 1740, marks=_BETA1_DEPTH_XFAIL),
+            (ModelSpec(Family.AIRY, 10, beta=2.0), 1741),
+            (ModelSpec(Family.AIRY, 10, beta=4.0), 1742),
+        ],
+        ids=["airy-beta1", "airy-beta2", "airy-beta4"],
+    )
+    def test_adjacent_soft_edge_pairs_do_not_rotate(self, spec, seed):
+        # each adjacent pair (k, k + 1), about the mean of x_0 and x_T
+        # pooled, so that swapping x_0 and x_T negates every product
+        x0, xT = (x[..., 0] for x in _exact_start_run(spec, seed))
+        u0, uT = (x - 0.5 * (x0.mean(axis=0) + xT.mean(axis=0)) for x in (x0, xT))
+        z = [oracles.reversal_z(u0, uT, lambda u: u[:, k], lambda u: u[:, k + 1]) for k in range(9)]
+        assert all(abs(v) <= 3.5 for v in z), z
 
 
 # one small start per family, with a close pair so that Euler-Maruyama
@@ -1013,6 +1054,32 @@ class TestFailureIsolation:
             simulate(spec, [doomed, healthy], cfg, RngStream(66))
         with pytest.warns(RuntimeWarning), pytest.raises(StepFailureError, match="^drift is not a number$"):
             step(spec, doomed, 1e-3, np.random.default_rng(67), cfg)
+
+    @pytest.mark.parametrize("t_final", [4.0, 8.0], ids=["one-interval", "two-intervals"])
+    @pytest.mark.parametrize(
+        "on_failure, message",
+        [("drop", "all paths failed; first: path 0: state is not finite"), ("raise", "path 0: state is not finite")],
+    )
+    def test_overflowing_state_is_flagged(self, t_final, on_failure, message):
+        # noise of scale 1e308 overflows on the first move: each path
+        # leaves at the end of its first interval, as in the reference
+        spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
+        cfg = IntegratorConfig(dt=4.0, t_final=t_final, noise_scale=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(StepFailureError, match=f"^{message}$"):
+                simulate(spec, [np.zeros((1, 3))] * 2, cfg, RngStream(68), on_failure=on_failure)
+        with pytest.raises(StepFailureError, match=f"^{message}$"):
+            oracles.reference_simulate(spec, [np.zeros((1, 3))] * 2, cfg, RngStream(68), on_failure=on_failure)
+
+    def test_overflowing_path_leaves_the_others_untouched(self):
+        # at scale 1e308 and dt = 1 a move overflows only where a draw
+        # exceeds about 1.8 in size: those paths leave, the others run on
+        spec = ModelSpec(Family.LENNARD_JONES, 1, beta=1.0)
+        cfg = IntegratorConfig(dt=1.0, t_final=1.0, noise_scale=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            flagged = _matches_reference(spec, [np.zeros((1, 3))] * 8, cfg, 69)
+        assert flagged.failed_paths and flagged.n_paths
+        assert all(reason.endswith(": state is not finite") for _, reason in flagged.failed_paths)
 
     def test_raise_names_the_lowest_flagged_path(self):
         spec = ModelSpec(Family.AIRY, 2, beta=2.0)
